@@ -1,6 +1,7 @@
 #include "quake/fem/hex_element.hpp"
 
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -82,6 +83,21 @@ HexReference compute_reference() {
   return ref;
 }
 
+// Two doubles in one SSE2 (x86-64) or NEON (AArch64) register, through the
+// GCC/Clang vector extension. Arithmetic on it is lane-wise IEEE double
+// arithmetic, so each lane performs exactly the scalar operation written.
+// Loads and stores go through memcpy: the reference arrays and the caller's
+// vectors are only 8-byte aligned.
+typedef double Vec2 __attribute__((vector_size(16)));
+
+Vec2 load2(const double* p) {
+  Vec2 v{};
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void store2(double* p, Vec2 v) { std::memcpy(p, &v, sizeof v); }
+
 void throw_bad_lane_count(int n_lanes) {
   throw std::invalid_argument(
       "hex_apply_batch: n_lanes must be in [1, " +
@@ -98,34 +114,47 @@ const HexReference& HexReference::get() {
 void hex_apply(const HexReference& ref, const double* u_e, double scale_lambda,
                double scale_mu, double* y_e, double beta_e, double* y_damp) {
   // Row-blocked form of the fused dual matvec. A block of kRowBlock output
-  // rows accumulates side by side; input dof c contributes to all of them
-  // with one broadcast of u_e[c] against contiguous runs of the transposed
-  // matrices (k_*_t[c * 24 + r0 ...]). Those entries are bitwise copies of
-  // k_*[r * 24 + c], and each accumulator still sums in ascending c — the
-  // exact operation sequence of hex_apply_ref per row — so the blocked
-  // kernel is bitwise identical to the reference while the compiler gets
-  // independent unit-stride accumulators to vectorize.
+  // rows accumulates side by side, two rows per Vec2 register; input dof c
+  // contributes to all of them with one broadcast of u_e[c] against
+  // contiguous runs of the transposed matrices (k_*_t[c * 24 + r0 ...]).
+  // Those entries are bitwise copies of k_*[r * 24 + c], accumulators start
+  // at +0.0 and sum in ascending c, and the epilogue is the reference's
+  // v = s_lambda * sl + s_mu * sm; y += v; y_damp += beta * v — the exact
+  // operation sequence of hex_apply_ref per row, one row per lane — so the
+  // kernel is bitwise identical to the reference.
+  //
+  // The explicit vector type is what makes the packed code certain. Written
+  // as scalar arrays, this loop nest relies on GCC's SLP vectorizer, which
+  // gives up on it at -O3 and emits scalar mulsd/addsd with spilled
+  // accumulators; vector-extension arithmetic is packed by construction.
   constexpr int kRowBlock = 8;
+  constexpr int kVecs = kRowBlock / 2;
   static_assert(kHexDofs % kRowBlock == 0);
+  const Vec2 s_lambda = {scale_lambda, scale_lambda};
+  const Vec2 s_mu = {scale_mu, scale_mu};
+  const Vec2 beta = {beta_e, beta_e};
   for (int r0 = 0; r0 < kHexDofs; r0 += kRowBlock) {
-    double sl[kRowBlock] = {0.0}, sm[kRowBlock] = {0.0};
+    Vec2 sl[kVecs], sm[kVecs];
+    for (int j = 0; j < kVecs; ++j) sl[j] = sm[j] = Vec2{0.0, 0.0};
     for (int c = 0; c < kHexDofs; ++c) {
-      const double uc = u_e[c];
-      const double* klc = &ref.k_lambda_t[static_cast<std::size_t>(c) *
-                                              kHexDofs +
-                                          static_cast<std::size_t>(r0)];
-      const double* kmc =
-          &ref.k_mu_t[static_cast<std::size_t>(c) * kHexDofs +
-                      static_cast<std::size_t>(r0)];
-      for (int i = 0; i < kRowBlock; ++i) {
-        sl[i] += klc[i] * uc;
-        sm[i] += kmc[i] * uc;
+      const Vec2 uc = {u_e[c], u_e[c]};
+      const std::size_t off =
+          static_cast<std::size_t>(c) * kHexDofs + static_cast<std::size_t>(r0);
+      const double* klc = &ref.k_lambda_t[off];
+      const double* kmc = &ref.k_mu_t[off];
+      for (int j = 0; j < kVecs; ++j) {
+        sl[j] += load2(klc + 2 * j) * uc;
+        sm[j] += load2(kmc + 2 * j) * uc;
       }
     }
-    for (int i = 0; i < kRowBlock; ++i) {
-      const double v = scale_lambda * sl[i] + scale_mu * sm[i];
-      y_e[r0 + i] += v;
-      if (y_damp != nullptr) y_damp[r0 + i] += beta_e * v;
+    for (int j = 0; j < kVecs; ++j) {
+      const Vec2 v = s_lambda * sl[j] + s_mu * sm[j];
+      double* y = y_e + r0 + 2 * j;
+      store2(y, load2(y) + v);
+      if (y_damp != nullptr) {
+        double* d = y_damp + r0 + 2 * j;
+        store2(d, load2(d) + beta * v);
+      }
     }
   }
 }

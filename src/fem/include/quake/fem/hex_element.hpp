@@ -52,11 +52,15 @@ struct HexReference {
 // beta_e * (K_e u_e) into it (the element's Rayleigh stiffness damping),
 // reusing the same products.
 //
-// Blocked for SIMD: a block of output rows accumulates side by side, each
-// input dof broadcast against a contiguous run of the transposed reference
-// matrices. Every accumulator still takes its adds in ascending input-dof
-// order — the exact sequence of hex_apply_ref — so results are bitwise
-// identical to the reference kernel (asserted in fem_test).
+// Packed 2-wide on every build: a block of output rows accumulates two rows
+// per explicit vector register (GCC/Clang vector extension: SSE2 on x86-64,
+// NEON on AArch64), each input dof broadcast against a contiguous run of the
+// transposed reference matrices. The explicit vector type is what makes
+// the packed code certain; left to the auto-vectorizer, the same loop nest
+// compiled to scalar code. Each lane still takes the exact IEEE operation
+// sequence of hex_apply_ref for its row, so results are bitwise identical
+// to the reference kernel, NaN and signed-zero bit patterns included
+// (asserted in fem_test).
 void hex_apply(const HexReference& ref, const double* u_e, double scale_lambda,
                double scale_mu, double* y_e, double beta_e, double* y_damp);
 

@@ -21,6 +21,7 @@
 #include "quake/obs/obs.hpp"
 #include "quake/obs/report.hpp"
 #include "quake/par/communicator.hpp"
+#include "quake/solver/locator.hpp"
 #include "quake/util/checkpoint.hpp"
 #include "quake/util/delta_codec.hpp"
 #include "quake/util/timer.hpp"
@@ -437,8 +438,9 @@ ParallelResult ParallelSetup::Impl::run(
   result.receiver_histories.assign(receiver_positions.size(), {});
   std::vector<std::vector<std::pair<int, int>>> recv_of(
       static_cast<std::size_t>(R));
+  const solver::NodeLocator nodes(mesh);
   for (std::size_t ri = 0; ri < receiver_positions.size(); ++ri) {
-    const mesh::NodeId n = solver::nearest_node(mesh, receiver_positions[ri]);
+    const mesh::NodeId n = nodes.nearest(receiver_positions[ri]);
     const int owner = part.node_owner[static_cast<std::size_t>(n)];
     const auto it = locals[static_cast<std::size_t>(owner)].local_of.find(n);
     if (it == locals[static_cast<std::size_t>(owner)].local_of.end()) {
@@ -1742,10 +1744,10 @@ std::vector<ParallelResult> ParallelSetup::Impl::run_batch(
     int ln;
   };
   std::vector<std::vector<RecvRef>> recv_of(static_cast<std::size_t>(R));
+  const solver::NodeLocator nodes(mesh);
   for (std::size_t s = 0; s < S; ++s) {
     for (std::size_t ri = 0; ri < scenarios[s].receivers.size(); ++ri) {
-      const mesh::NodeId n =
-          solver::nearest_node(mesh, scenarios[s].receivers[ri]);
+      const mesh::NodeId n = nodes.nearest(scenarios[s].receivers[ri]);
       const int owner = part.node_owner[static_cast<std::size_t>(n)];
       const auto it = locals[static_cast<std::size_t>(owner)].local_of.find(n);
       if (it == locals[static_cast<std::size_t>(owner)].local_of.end()) {
@@ -2419,8 +2421,9 @@ ParallelResult ParallelSetup::Impl::run_lts(
 
   std::vector<std::vector<std::pair<int, int>>> recv_of(
       static_cast<std::size_t>(R));
+  const solver::NodeLocator nodes(mesh);
   for (std::size_t ri = 0; ri < receiver_positions.size(); ++ri) {
-    const mesh::NodeId n = solver::nearest_node(mesh, receiver_positions[ri]);
+    const mesh::NodeId n = nodes.nearest(receiver_positions[ri]);
     const int owner = part.node_owner[static_cast<std::size_t>(n)];
     const auto it = locals[static_cast<std::size_t>(owner)].local_of.find(n);
     if (it == locals[static_cast<std::size_t>(owner)].local_of.end()) {

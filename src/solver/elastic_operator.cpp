@@ -91,6 +91,22 @@ ElasticOperator::ElasticOperator(const mesh::HexMesh& mesh,
 void ElasticOperator::apply_stiffness(std::span<const double> u,
                                       std::span<double> y,
                                       std::span<double> y_damp) const {
+  apply_stiffness_impl(nullptr, mesh_->n_elements(), nullptr,
+                       mesh_->boundary_faces.size(), u, y, y_damp);
+}
+
+void ElasticOperator::apply_stiffness_subset(
+    std::span<const mesh::ElemId> elems, std::span<const std::int32_t> faces,
+    std::span<const double> u, std::span<double> y,
+    std::span<double> y_damp) const {
+  apply_stiffness_impl(elems.data(), elems.size(), faces.data(), faces.size(),
+                       u, y, y_damp);
+}
+
+void ElasticOperator::apply_stiffness_impl(
+    const mesh::ElemId* elems, std::size_t n_elems, const std::int32_t* faces,
+    std::size_t n_faces, std::span<const double> u, std::span<double> y,
+    std::span<double> y_damp) const {
   const mesh::HexMesh& mesh = *mesh_;
   const fem::HexReference& ref = fem::HexReference::get();
   const bool damp = opt_.rayleigh && !y_damp.empty();
@@ -98,8 +114,7 @@ void ElasticOperator::apply_stiffness(std::span<const double> u,
   // One scope per apply (not per element) keeps the instrumented-but-
   // disabled overhead to a single atomic load per matvec.
   QUAKE_OBS_SCOPE("op/stiffness");
-  obs::counter_add("op/elements_processed",
-                   static_cast<std::int64_t>(mesh.n_elements()));
+  obs::counter_add("op/elements_processed", static_cast<std::int64_t>(n_elems));
   if (damp) {
     obs::counter_add("op/damped_applies", 1);
   }
@@ -107,16 +122,20 @@ void ElasticOperator::apply_stiffness(std::span<const double> u,
   // Elements stream through the kernel in packs: gather a contiguous run of
   // element vectors, one hex_apply_elems call across the pack, scatter back.
   // Per-element arithmetic order is unchanged (elements are independent),
-  // so results match the element-at-a-time loop bitwise.
+  // so results match the element-at-a-time loop bitwise, and a subset
+  // listing every element ascending reproduces the full sweep bitwise.
   constexpr std::size_t kElemPack = 8;
   double ue[fem::kHexDofs * kElemPack];
   double ye[fem::kHexDofs * kElemPack];
   double de[fem::kHexDofs * kElemPack];
   double scale_l[kElemPack], scale_m[kElemPack], beta[kElemPack];
-  for (std::size_t e0 = 0; e0 < mesh.n_elements(); e0 += kElemPack) {
-    const std::size_t np = std::min(kElemPack, mesh.n_elements() - e0);
+  const auto elem_at = [elems](std::size_t l) {
+    return elems != nullptr ? static_cast<std::size_t>(elems[l]) : l;
+  };
+  for (std::size_t l0 = 0; l0 < n_elems; l0 += kElemPack) {
+    const std::size_t np = std::min(kElemPack, n_elems - l0);
     for (std::size_t b = 0; b < np; ++b) {
-      const std::size_t e = e0 + b;
+      const std::size_t e = elem_at(l0 + b);
       const auto& conn = mesh.elem_nodes[e];
       double* up = ue + b * fem::kHexDofs;
       for (int i = 0; i < 8; ++i) {
@@ -137,8 +156,7 @@ void ElasticOperator::apply_stiffness(std::span<const double> u,
     fem::hex_apply_elems(ref, ue, static_cast<int>(np), scale_l, scale_m, ye,
                          beta, damp ? de : nullptr);
     for (std::size_t b = 0; b < np; ++b) {
-      const std::size_t e = e0 + b;
-      const auto& conn = mesh.elem_nodes[e];
+      const auto& conn = mesh.elem_nodes[elem_at(l0 + b)];
       const double* yp = ye + b * fem::kHexDofs;
       const double* dp = de + b * fem::kHexDofs;
       for (int i = 0; i < 8; ++i) {
@@ -159,108 +177,11 @@ void ElasticOperator::apply_stiffness(std::span<const double> u,
   if (opt_.abc == fem::AbcType::kStacey) {
     QUAKE_OBS_SCOPE("abc");  // nests: op/stiffness/abc
     obs::counter_add("op/abc_faces_processed",
-                     static_cast<std::int64_t>(mesh.boundary_faces.size()));
+                     static_cast<std::int64_t>(n_faces));
     double uf[12], yf[12];
-    for (const mesh::BoundaryFace& bf : mesh.boundary_faces) {
-      if (!opt_.absorbing_sides[static_cast<std::size_t>(bf.side)]) continue;
-      const std::size_t e = static_cast<std::size_t>(bf.elem);
-      const auto& fn = mesh::kFaceNodes[static_cast<std::size_t>(bf.side)];
-      for (int i = 0; i < 4; ++i) {
-        const std::size_t base = 3 * static_cast<std::size_t>(
-            mesh.elem_nodes[e][static_cast<std::size_t>(fn[static_cast<std::size_t>(i)])]);
-        uf[3 * i] = u[base];
-        uf[3 * i + 1] = u[base + 1];
-        uf[3 * i + 2] = u[base + 2];
-      }
-      std::fill(yf, yf + 12, 0.0);
-      fem::face_stacey_apply(mesh.elem_mat[e], mesh.elem_size[e], bf.side, uf,
-                             yf);
-      for (int i = 0; i < 4; ++i) {
-        const std::size_t base = 3 * static_cast<std::size_t>(
-            mesh.elem_nodes[e][static_cast<std::size_t>(fn[static_cast<std::size_t>(i)])]);
-        y[base] += yf[3 * i];
-        y[base + 1] += yf[3 * i + 1];
-        y[base + 2] += yf[3 * i + 2];
-      }
-    }
-  }
-}
-
-void ElasticOperator::apply_stiffness_subset(
-    std::span<const mesh::ElemId> elems, std::span<const std::int32_t> faces,
-    std::span<const double> u, std::span<double> y,
-    std::span<double> y_damp) const {
-  const mesh::HexMesh& mesh = *mesh_;
-  const fem::HexReference& ref = fem::HexReference::get();
-  const bool damp = opt_.rayleigh && !y_damp.empty();
-
-  QUAKE_OBS_SCOPE("op/stiffness");
-  obs::counter_add("op/elements_processed",
-                   static_cast<std::int64_t>(elems.size()));
-  if (damp) {
-    obs::counter_add("op/damped_applies", 1);
-  }
-
-  // Same pack-of-8 streaming as apply_stiffness, over the subset list. Pack
-  // boundaries fall at the same list positions for the full ascending list,
-  // and per-element arithmetic is order-independent across a pack, so the
-  // full-subset call reproduces apply_stiffness bitwise.
-  constexpr std::size_t kElemPack = 8;
-  double ue[fem::kHexDofs * kElemPack];
-  double ye[fem::kHexDofs * kElemPack];
-  double de[fem::kHexDofs * kElemPack];
-  double scale_l[kElemPack], scale_m[kElemPack], beta[kElemPack];
-  for (std::size_t l0 = 0; l0 < elems.size(); l0 += kElemPack) {
-    const std::size_t np = std::min(kElemPack, elems.size() - l0);
-    for (std::size_t b = 0; b < np; ++b) {
-      const std::size_t e = static_cast<std::size_t>(elems[l0 + b]);
-      const auto& conn = mesh.elem_nodes[e];
-      double* up = ue + b * fem::kHexDofs;
-      for (int i = 0; i < 8; ++i) {
-        const std::size_t base =
-            3 * static_cast<std::size_t>(conn[static_cast<std::size_t>(i)]);
-        up[3 * i] = u[base];
-        up[3 * i + 1] = u[base + 1];
-        up[3 * i + 2] = u[base + 2];
-      }
-      const double h = mesh.elem_size[e];
-      const vel::Material& m = mesh.elem_mat[e];
-      scale_l[b] = h * m.lambda;
-      scale_m[b] = h * m.mu;
-      beta[b] = damp ? elem_damping_[e].beta : 0.0;
-    }
-    std::fill(ye, ye + np * fem::kHexDofs, 0.0);
-    if (damp) std::fill(de, de + np * fem::kHexDofs, 0.0);
-    fem::hex_apply_elems(ref, ue, static_cast<int>(np), scale_l, scale_m, ye,
-                         beta, damp ? de : nullptr);
-    for (std::size_t b = 0; b < np; ++b) {
-      const std::size_t e = static_cast<std::size_t>(elems[l0 + b]);
-      const auto& conn = mesh.elem_nodes[e];
-      const double* yp = ye + b * fem::kHexDofs;
-      const double* dp = de + b * fem::kHexDofs;
-      for (int i = 0; i < 8; ++i) {
-        const std::size_t base =
-            3 * static_cast<std::size_t>(conn[static_cast<std::size_t>(i)]);
-        y[base] += yp[3 * i];
-        y[base + 1] += yp[3 * i + 1];
-        y[base + 2] += yp[3 * i + 2];
-        if (damp) {
-          y_damp[base] += dp[3 * i];
-          y_damp[base + 1] += dp[3 * i + 1];
-          y_damp[base + 2] += dp[3 * i + 2];
-        }
-      }
-    }
-  }
-
-  if (opt_.abc == fem::AbcType::kStacey) {
-    QUAKE_OBS_SCOPE("abc");
-    obs::counter_add("op/abc_faces_processed",
-                     static_cast<std::int64_t>(faces.size()));
-    double uf[12], yf[12];
-    for (const std::int32_t fi : faces) {
-      const mesh::BoundaryFace& bf =
-          mesh.boundary_faces[static_cast<std::size_t>(fi)];
+    for (std::size_t l = 0; l < n_faces; ++l) {
+      const mesh::BoundaryFace& bf = mesh.boundary_faces[
+          faces != nullptr ? static_cast<std::size_t>(faces[l]) : l];
       if (!opt_.absorbing_sides[static_cast<std::size_t>(bf.side)]) continue;
       const std::size_t e = static_cast<std::size_t>(bf.elem);
       const auto& fn = mesh::kFaceNodes[static_cast<std::size_t>(bf.side)];

@@ -95,6 +95,13 @@ class ElasticOperator {
   }
 
  private:
+  // The one element/face sweep behind apply_stiffness (elems and faces
+  // null: every element and face, ascending) and apply_stiffness_subset.
+  void apply_stiffness_impl(const mesh::ElemId* elems, std::size_t n_elems,
+                            const std::int32_t* faces, std::size_t n_faces,
+                            std::span<const double> u, std::span<double> y,
+                            std::span<double> y_damp) const;
+
   const mesh::HexMesh* mesh_;
   OperatorOptions opt_;
   std::vector<fem::RayleighCoeffs> elem_damping_;

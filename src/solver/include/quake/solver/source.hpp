@@ -98,7 +98,7 @@ class FaultSource final : public SourceModel {
     double rupture_velocity = 3000.0;     // [m/s]
     double rise_time = 1.0;               // t0 [s]
     double slip = 1.0;                    // u0 [m]
-    double patch_spacing = 0.0;           // [m]; 0 = auto (~2 patches/elem)
+    double patch_spacing = 0.0;           // [m]; 0 = median element size
   };
 
   FaultSource(const mesh::HexMesh& mesh, const Spec& spec);
@@ -121,8 +121,9 @@ class FaultSource final : public SourceModel {
   std::vector<Patch> patches_;
 };
 
-// Nearest mesh node to a position (brute force; meshes here are laptop
-// scale). Exposed for receiver placement.
+// Nearest non-hanging mesh node to a position (lowest index among exact
+// ties). Builds a NodeLocator (quake/solver/locator.hpp) for the one query;
+// callers placing many points should build the locator once instead.
 mesh::NodeId nearest_node(const mesh::HexMesh& mesh,
                           std::array<double, 3> position);
 

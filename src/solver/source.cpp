@@ -5,6 +5,8 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "quake/solver/locator.hpp"
+
 namespace quake::solver {
 
 double ramp_g(double t, double t0) {
@@ -31,26 +33,7 @@ double ricker(double t, double fp, double tc) {
 
 mesh::NodeId nearest_node(const mesh::HexMesh& mesh,
                           std::array<double, 3> position) {
-  if (mesh.node_coords.empty()) {
-    throw std::invalid_argument("nearest_node: empty mesh");
-  }
-  mesh::NodeId best = 0;
-  double best_d = std::numeric_limits<double>::max();
-  for (std::size_t i = 0; i < mesh.node_coords.size(); ++i) {
-    // Hanging nodes are dependent; keep sources/receivers on independent
-    // grid points.
-    if (mesh.node_hanging[i] != 0) continue;
-    const auto& c = mesh.node_coords[i];
-    const double dx = c[0] - position[0];
-    const double dy = c[1] - position[1];
-    const double dz = c[2] - position[2];
-    const double d = dx * dx + dy * dy + dz * dz;
-    if (d < best_d) {
-      best_d = d;
-      best = static_cast<mesh::NodeId>(i);
-    }
-  }
-  return best;
+  return NodeLocator(mesh).nearest(position);
 }
 
 PointSource::PointSource(const mesh::HexMesh& mesh,
@@ -79,8 +62,8 @@ FaultSource::FaultSource(const mesh::HexMesh& mesh, const Spec& spec) {
   if (!(spec.x1 > spec.x0) || !(spec.z_bot > spec.z_top)) {
     throw std::invalid_argument("FaultSource: degenerate plane");
   }
-  // Patch spacing: default to half the median element size near the fault;
-  // approximate with the global median.
+  // Patch spacing: default to the median element size near the fault,
+  // approximated by the global median.
   double spacing = spec.patch_spacing;
   if (spacing <= 0.0) {
     std::vector<double> sizes(mesh.elem_size);
@@ -95,40 +78,31 @@ FaultSource::FaultSource(const mesh::HexMesh& mesh, const Spec& spec) {
   const double dz = (spec.z_bot - spec.z_top) / nz;
   const double area = dx * dz;
 
-  // Estimate the local shear modulus from the element containing the patch
-  // center (via nearest node's touching element material: use a brute scan
-  // of elements for the patch center).
-  auto mu_at = [&mesh](std::array<double, 3> p) -> double {
-    // Find an element whose bounding box contains p (elements are axis-
-    // aligned cubes anchored at their minimum corner node, local node 0).
-    for (std::size_t e = 0; e < mesh.n_elements(); ++e) {
-      const auto& anchor =
-          mesh.node_coords[static_cast<std::size_t>(mesh.elem_nodes[e][0])];
-      const double h = mesh.elem_size[e];
-      if (p[0] >= anchor[0] && p[0] <= anchor[0] + h && p[1] >= anchor[1] &&
-          p[1] <= anchor[1] + h && p[2] >= anchor[2] && p[2] <= anchor[2] + h) {
-        return mesh.elem_mat[e].mu;
-      }
-    }
-    return 0.0;
-  };
+  // Both lookups go through bucket grids built once here: each patch asks
+  // for four nearest nodes and the shear modulus at its center.
+  const NodeLocator nodes(mesh);
+  const ElementLocator elems(mesh);
 
   patches_.reserve(static_cast<std::size_t>(nx) * nz);
   for (int i = 0; i < nx; ++i) {
     for (int k = 0; k < nz; ++k) {
       const double x = spec.x0 + (i + 0.5) * dx;
       const double z = spec.z_top + (k + 0.5) * dz;
-      const double mu = mu_at({x, spec.y, z});
+      // Local shear modulus: the material of the element containing the
+      // patch center.
+      const mesh::ElemId e = elems.containing({x, spec.y, z});
+      const double mu =
+          e < 0 ? 0.0 : mesh.elem_mat[static_cast<std::size_t>(e)].mu;
       if (mu <= 0.0) continue;  // patch outside the mesh
       const double arm = spacing;  // moment arm of the force couples
       Patch p;
       // Couple 1: +/- x-directed forces offset in +/- y (slip direction x,
       // fault normal y). Couple 2: +/- y-directed forces offset in +/- x,
       // completing the (moment-free) double couple.
-      p.nodes = {nearest_node(mesh, {x, spec.y + 0.5 * arm, z}),
-                 nearest_node(mesh, {x, spec.y - 0.5 * arm, z}),
-                 nearest_node(mesh, {x + 0.5 * arm, spec.y, z}),
-                 nearest_node(mesh, {x - 0.5 * arm, spec.y, z})};
+      p.nodes = {nodes.nearest({x, spec.y + 0.5 * arm, z}),
+                 nodes.nearest({x, spec.y - 0.5 * arm, z}),
+                 nodes.nearest({x + 0.5 * arm, spec.y, z}),
+                 nodes.nearest({x - 0.5 * arm, spec.y, z})};
       p.component = {0, 0, 1, 1};
       p.sign = {+1.0, -1.0, +1.0, -1.0};
       p.force_scale = mu * area * spec.slip / arm;

@@ -5,6 +5,9 @@
 
 #include <array>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "quake/fem/abc.hpp"
@@ -284,6 +287,107 @@ TEST(HexApplyElems, MatchesElementAtATimeBitwise) {
   for (std::size_t i = 0; i < u.size(); ++i) {
     EXPECT_EQ(y_a[i], y_b[i]);
     EXPECT_EQ(d_a[i], d_b[i]);
+  }
+}
+
+TEST(HexApplyVectorized, EdgeCaseInputsMatchReferenceBitPatterns) {
+  // Bit-for-bit, not value equality: EXPECT_EQ would pass -0.0 == +0.0 and
+  // fail NaN == NaN, so compare the bytes. Each lane of the packed kernel
+  // must take the reference's IEEE operations in the reference's order, so
+  // signed zeros, subnormals, infinities and NaNs come out identical.
+  const HexReference& ref = HexReference::get();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kSub = std::numeric_limits<double>::denorm_min();
+  const std::array<std::pair<double, double>, 6> scales = {{
+      {1.0, 1.0}, {-2.5, 0.75}, {3.0, -1.25}, {-0.5, -4.0},
+      {1e-300, 1e-300}, {-1e-12, 1e-12}}};
+  quake::util::Rng rng(41);
+  for (int kind = 0; kind < 8; ++kind) {
+    for (const auto& [sl, sm] : scales) {
+      for (const bool damp : {false, true}) {
+        std::array<double, kHexDofs> u{}, y_a{}, d_a{};
+        for (std::size_t i = 0; i < u.size(); ++i) {
+          const double sign = (i % 3 == 0) ? -1.0 : 1.0;
+          if (kind == 0) {
+            u[i] = sign * 0.0;  // signed zeros
+          } else if (kind == 1) {
+            u[i] = sign * kSub * static_cast<double>(i + 1);  // subnormals
+          } else if (kind == 2) {
+            u[i] = rng.uniform(-1.0, 1.0) * 1e-305;  // subnormal products
+          } else {
+            u[i] = rng.uniform(-1.0, 1.0);
+          }
+        }
+        if (kind == 3) u[5] = kInf;
+        if (kind == 4) u[7] = -kInf;
+        if (kind == 5) u[11] = kNaN;
+        if (kind == 6) {  // +Inf and -Inf: Inf - Inf and Inf * 0 make NaNs
+          u[2] = kInf;
+          u[19] = -kInf;
+        }
+        if (kind == 7) {  // an input NaN meets NaNs the arithmetic makes
+          u[4] = kNaN;
+          u[13] = -kInf;
+        }
+        for (std::size_t i = 0; i < y_a.size(); ++i) {
+          y_a[i] = (i % 4 == 0) ? -0.0 : rng.uniform(-1.0, 1.0);
+          d_a[i] = (i % 5 == 0) ? -0.0 : rng.uniform(-1.0, 1.0);
+        }
+        std::array<double, kHexDofs> y_b = y_a, d_b = d_a;
+        const double beta = damp ? -0.03 : 0.0;
+        hex_apply(ref, u.data(), sl, sm, y_a.data(), beta,
+                  damp ? d_a.data() : nullptr);
+        hex_apply_ref(ref, u.data(), sl, sm, y_b.data(), beta,
+                      damp ? d_b.data() : nullptr);
+        EXPECT_EQ(std::memcmp(y_a.data(), y_b.data(), sizeof y_a), 0)
+            << "kind=" << kind << " sl=" << sl << " sm=" << sm
+            << " damp=" << damp;
+        EXPECT_EQ(std::memcmp(d_a.data(), d_b.data(), sizeof d_a), 0)
+            << "kind=" << kind << " sl=" << sl << " sm=" << sm
+            << " damp=" << damp;
+      }
+    }
+  }
+}
+
+TEST(HexApplyElems, EveryPackSizeMatchesReferenceBitwise) {
+  // The operator hands hex_apply_elems packs of 1..8 elements (the last
+  // pack of a sweep is short). Every pack size must reproduce the straight-
+  // line reference per element, damping on and off.
+  const HexReference& ref = HexReference::get();
+  quake::util::Rng rng(43);
+  for (int n = 1; n <= 8; ++n) {
+    for (const bool damp : {false, true}) {
+      const std::size_t len = static_cast<std::size_t>(n) * kHexDofs;
+      std::vector<double> u(len), y_a(len), d_a(len);
+      std::vector<double> sl(static_cast<std::size_t>(n)), sm(sl.size()),
+          beta(sl.size());
+      for (double& v : u) v = rng.uniform(-1.0, 1.0);
+      for (std::size_t i = 0; i < len; ++i) {
+        y_a[i] = rng.uniform(-1.0, 1.0);
+        d_a[i] = rng.uniform(-1.0, 1.0);
+      }
+      for (std::size_t e = 0; e < sl.size(); ++e) {
+        sl[e] = rng.uniform(0.1, 4.0);
+        sm[e] = rng.uniform(0.1, 4.0);
+        beta[e] = rng.uniform(0.0, 0.1);
+      }
+      std::vector<double> y_b = y_a, d_b = d_a;
+      hex_apply_elems(ref, u.data(), n, sl.data(), sm.data(), y_a.data(),
+                      damp ? beta.data() : nullptr,
+                      damp ? d_a.data() : nullptr);
+      for (std::size_t e = 0; e < sl.size(); ++e) {
+        const std::size_t off = e * kHexDofs;
+        hex_apply_ref(ref, u.data() + off, sl[e], sm[e], y_b.data() + off,
+                      damp ? beta[e] : 0.0,
+                      damp ? d_b.data() + off : nullptr);
+      }
+      EXPECT_EQ(std::memcmp(y_a.data(), y_b.data(), len * sizeof(double)), 0)
+          << "pack=" << n << " damp=" << damp;
+      EXPECT_EQ(std::memcmp(d_a.data(), d_b.data(), len * sizeof(double)), 0)
+          << "pack=" << n << " damp=" << damp;
+    }
   }
 }
 

@@ -395,9 +395,11 @@ TEST(Communicator, TryRecvIntoNonBlocking) {
   comm.run([](Rank& r) {
     if (r.id() == 0) {
       std::vector<double> buf(2, 0.0);
-      // Nothing posted yet: must return false immediately, not block.
+      // Nothing posted yet (rank 1 sends only after the first barrier):
+      // must return false immediately, not block.
       EXPECT_FALSE(r.try_recv_into(1, /*tag=*/5, buf));
-      r.barrier();  // rank 1 posts before this barrier completes
+      r.barrier();
+      r.barrier();  // rank 1 posts between the two barriers
       EXPECT_TRUE(r.try_recv_into(1, /*tag=*/5, buf));
       EXPECT_DOUBLE_EQ(buf[0], 4.0);
       EXPECT_DOUBLE_EQ(buf[1], -1.5);
@@ -405,6 +407,7 @@ TEST(Communicator, TryRecvIntoNonBlocking) {
       EXPECT_FALSE(r.try_recv_into(1, /*tag=*/5, buf));
     } else {
       const std::vector<double> msg = {4.0, -1.5};
+      r.barrier();
       r.send(0, /*tag=*/5, msg);
       r.barrier();
     }

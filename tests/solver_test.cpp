@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "quake/mesh/meshgen.hpp"
 #include "quake/solver/elastic_operator.hpp"
 #include "quake/solver/explicit_solver.hpp"
+#include "quake/solver/locator.hpp"
 #include "quake/solver/sh1d.hpp"
 #include "quake/solver/source.hpp"
 #include "quake/solver/sparse_engine.hpp"
@@ -85,6 +88,40 @@ TEST(Engines, ElementMatchesSparseOnHangingMesh) {
   op.apply_stiffness(u, y1, {});
   sparse.apply(u, y2);
   EXPECT_LT(util::diff_l2(y1, y2), 1e-9 * (1.0 + util::norm_l2(y2)));
+}
+
+TEST(Operator, FullSubsetMatchesApplyStiffnessBitwise) {
+  // apply_stiffness and apply_stiffness_subset share one sweep; listing
+  // every element and face ascending must reproduce the full apply bit for
+  // bit, stiffness and Rayleigh damping accumulators both.
+  const auto mesh = hanging_mesh(100.0);
+  OperatorOptions oo;
+  oo.rayleigh = true;
+  oo.damping_f_min = 1.0;
+  oo.damping_f_max = 20.0;
+  const ElasticOperator op(mesh, oo);
+  util::Rng rng(5);
+  std::vector<double> u(op.n_dofs());
+  for (double& v : u) v = rng.uniform(-1.0, 1.0);
+  op.expand_constraints(u);
+  std::vector<mesh::ElemId> elems(mesh.n_elements());
+  for (std::size_t e = 0; e < elems.size(); ++e) {
+    elems[e] = static_cast<mesh::ElemId>(e);
+  }
+  std::vector<std::int32_t> faces(mesh.boundary_faces.size());
+  for (std::size_t f = 0; f < faces.size(); ++f) {
+    faces[f] = static_cast<std::int32_t>(f);
+  }
+  ASSERT_NE(elems.size() % 8, 0u);  // a short last pack
+  std::vector<double> y_a(op.n_dofs(), 0.0), d_a(op.n_dofs(), 0.0);
+  std::vector<double> y_b = y_a, d_b = d_a;
+  op.apply_stiffness(u, y_a, d_a);
+  op.apply_stiffness_subset(elems, faces, u, y_b, d_b);
+  EXPECT_EQ(std::memcmp(y_a.data(), y_b.data(), y_a.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(d_a.data(), d_b.data(), d_a.size() * sizeof(double)),
+            0);
+  EXPECT_GT(util::norm_l2(d_a), 0.0);
 }
 
 TEST(Operator, ConstraintExpansionAccumulationAdjoint) {
@@ -391,6 +428,199 @@ TEST(Source, FaultForcesAreSelfEquilibrating) {
   EXPECT_NEAR(fx, 0.0, 1e-9 * fmax);
   EXPECT_NEAR(fy, 0.0, 1e-9 * fmax);
   EXPECT_NEAR(fz, 0.0, 1e-9 * fmax);
+}
+
+// Oracles for the bucket-grid locators: the full scans the locators
+// replace. Nearest independent node by dx*dx + dy*dy + dz*dz, the first
+// (lowest) index keeping a strict minimum.
+mesh::NodeId nearest_node_oracle(const mesh::HexMesh& mesh,
+                                 std::array<double, 3> p) {
+  mesh::NodeId best = 0;
+  double best_d = std::numeric_limits<double>::max();
+  for (std::size_t i = 0; i < mesh.node_coords.size(); ++i) {
+    if (mesh.node_hanging[i] != 0) continue;
+    const auto& c = mesh.node_coords[i];
+    const double dx = c[0] - p[0];
+    const double dy = c[1] - p[1];
+    const double dz = c[2] - p[2];
+    const double d = dx * dx + dy * dy + dz * dz;
+    if (d < best_d) {
+      best_d = d;
+      best = static_cast<mesh::NodeId>(i);
+    }
+  }
+  return best;
+}
+
+// Lowest-index element whose closed box contains p, or -1.
+mesh::ElemId containing_element_oracle(const mesh::HexMesh& mesh,
+                                       std::array<double, 3> p) {
+  for (std::size_t e = 0; e < mesh.n_elements(); ++e) {
+    const auto& a =
+        mesh.node_coords[static_cast<std::size_t>(mesh.elem_nodes[e][0])];
+    const double h = mesh.elem_size[e];
+    if (p[0] >= a[0] && p[0] <= a[0] + h && p[1] >= a[1] &&
+        p[1] <= a[1] + h && p[2] >= a[2] && p[2] <= a[2] + h) {
+      return static_cast<mesh::ElemId>(e);
+    }
+  }
+  return -1;
+}
+
+// A three-level basin mesh: hanging nodes, element sizes 400..1600 m.
+mesh::HexMesh basin_mesh() {
+  const vel::BasinModel basin = vel::BasinModel::demo(12800.0);
+  mesh::MeshOptions opt;
+  opt.domain_size = 12800.0;
+  opt.f_max = 0.15;
+  opt.n_lambda = 8.0;
+  opt.min_level = 3;
+  opt.max_level = 5;
+  return mesh::generate_mesh(basin, opt);
+}
+
+TEST(Locator, MatchesFullScanOracle) {
+  const auto mesh = basin_mesh();
+  const double L = mesh.domain.size;
+  const NodeLocator nodes(mesh);
+  const ElementLocator elems(mesh);
+  util::Rng rng(97);
+  std::vector<std::array<double, 3>> queries;
+  // Uniform points in and around the domain.
+  for (int q = 0; q < 400; ++q) {
+    queries.push_back({rng.uniform(-0.2 * L, 1.2 * L),
+                       rng.uniform(-0.2 * L, 1.2 * L),
+                       rng.uniform(-0.2 * L, 1.2 * L)});
+  }
+  // Exact ties: a hanging node sits midway between independent nodes.
+  for (std::size_t i = 0; i < mesh.node_coords.size(); i += 7) {
+    if (mesh.node_hanging[i] != 0) queries.push_back(mesh.node_coords[i]);
+  }
+  // Element corners, edge and face midpoints and centers: all but the
+  // centers lie on closed-box boundaries shared with neighbors, and edge
+  // midpoints tie two nodes.
+  for (int q = 0; q < 300; ++q) {
+    const std::size_t e = static_cast<std::size_t>(
+        rng.uniform(0.0, static_cast<double>(mesh.n_elements()) - 1.0));
+    const auto& a =
+        mesh.node_coords[static_cast<std::size_t>(mesh.elem_nodes[e][0])];
+    const double h = mesh.elem_size[e];
+    const auto f = [&rng] { return 0.5 * std::floor(rng.uniform(0.0, 3.0)); };
+    queries.push_back({a[0] + f() * h, a[1] + f() * h, a[2] + f() * h});
+  }
+  // Far away, on the domain's outer faces, and non-finite.
+  queries.push_back({1e6, -1e6, 3e5});
+  queries.push_back({0.0, 0.5 * L, L});
+  queries.push_back({L, L, L});
+  queries.push_back({std::numeric_limits<double>::quiet_NaN(), 0.0, 0.0});
+  queries.push_back({0.0, std::numeric_limits<double>::infinity(), 0.0});
+
+  const auto dist = [](const std::array<double, 3>& c,
+                       const std::array<double, 3>& p) {
+    const double dx = c[0] - p[0];
+    const double dy = c[1] - p[1];
+    const double dz = c[2] - p[2];
+    return dx * dx + dy * dy + dz * dz;
+  };
+  int ties = 0, outside = 0, on_boundary = 0;
+  for (const auto& p : queries) {
+    const mesh::NodeId want = nearest_node_oracle(mesh, p);
+    ASSERT_EQ(nodes.nearest(p), want) << p[0] << " " << p[1] << " " << p[2];
+    const mesh::ElemId e = containing_element_oracle(mesh, p);
+    ASSERT_EQ(elems.containing(p), e) << p[0] << " " << p[1] << " " << p[2];
+
+    // Tally what the queries exercised.
+    const double dw = dist(mesh.node_coords[static_cast<std::size_t>(want)], p);
+    int at_best = 0;
+    for (std::size_t i = 0; i < mesh.node_coords.size(); ++i) {
+      if (mesh.node_hanging[i] == 0 && dist(mesh.node_coords[i], p) == dw) {
+        ++at_best;
+      }
+    }
+    if (at_best > 1) ++ties;
+    if (e < 0) {
+      ++outside;
+      continue;
+    }
+    const auto& a = mesh.node_coords[static_cast<std::size_t>(
+        mesh.elem_nodes[static_cast<std::size_t>(e)][0])];
+    const double h = mesh.elem_size[static_cast<std::size_t>(e)];
+    for (std::size_t ax = 0; ax < 3; ++ax) {
+      if (p[ax] == a[ax] || p[ax] == a[ax] + h) {
+        ++on_boundary;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(ties, 50);
+  EXPECT_GT(outside, 100);
+  EXPECT_GT(on_boundary, 100);
+  // The one-shot entry point answers through the same locator.
+  for (std::size_t q = 0; q < 20; ++q) {
+    EXPECT_EQ(nearest_node(mesh, queries[q]),
+              nearest_node_oracle(mesh, queries[q]));
+  }
+}
+
+TEST(Source, FaultForcesMatchFullScanPlacementBitwise) {
+  // FaultSource places its patches through the locators; its forces must
+  // be bit-for-bit those of the same construction over full scans.
+  const auto mesh = basin_mesh();
+  FaultSource::Spec fs;
+  fs.y = 6400.0;
+  fs.x0 = 3500.0;
+  fs.x1 = 7500.0;
+  fs.z_top = 1000.0;
+  fs.z_bot = 4000.0;
+  fs.hypocenter = {3700.0, 3000.0};
+  fs.rupture_velocity = 2800.0;
+  fs.rise_time = 1.5;
+  const FaultSource src(mesh, fs);  // auto spacing: the median element size
+
+  std::vector<double> sizes(mesh.elem_size);
+  std::nth_element(sizes.begin(), sizes.begin() + sizes.size() / 2,
+                   sizes.end());
+  const double arm = sizes[sizes.size() / 2];
+  const int nx = std::max(1, static_cast<int>((fs.x1 - fs.x0) / arm));
+  const int nz = std::max(1, static_cast<int>((fs.z_bot - fs.z_top) / arm));
+  const double dx = (fs.x1 - fs.x0) / nx;
+  const double dz = (fs.z_bot - fs.z_top) / nz;
+  for (const double t : {0.2, 0.9, 1.7, 3.0}) {
+    std::vector<double> want(3 * mesh.n_nodes(), 0.0);
+    std::size_t patches = 0;
+    for (int i = 0; i < nx; ++i) {
+      for (int k = 0; k < nz; ++k) {
+        const double x = fs.x0 + (i + 0.5) * dx;
+        const double z = fs.z_top + (k + 0.5) * dz;
+        const mesh::ElemId e = containing_element_oracle(mesh, {x, fs.y, z});
+        if (e < 0) continue;
+        ++patches;
+        const double mu = mesh.elem_mat[static_cast<std::size_t>(e)].mu;
+        const double rx = x - fs.hypocenter[0];
+        const double rz = z - fs.hypocenter[1];
+        const double delay =
+            std::sqrt(rx * rx + rz * rz) / fs.rupture_velocity;
+        const double g = ramp_g(t - delay, fs.rise_time);
+        if (g == 0.0) continue;
+        const double s = mu * (dx * dz) * fs.slip / arm * g;
+        const std::array<mesh::NodeId, 4> n = {
+            nearest_node_oracle(mesh, {x, fs.y + 0.5 * arm, z}),
+            nearest_node_oracle(mesh, {x, fs.y - 0.5 * arm, z}),
+            nearest_node_oracle(mesh, {x + 0.5 * arm, fs.y, z}),
+            nearest_node_oracle(mesh, {x - 0.5 * arm, fs.y, z})};
+        want[3 * static_cast<std::size_t>(n[0])] += s * +1.0;
+        want[3 * static_cast<std::size_t>(n[1])] += s * -1.0;
+        want[3 * static_cast<std::size_t>(n[2]) + 1] += s * +1.0;
+        want[3 * static_cast<std::size_t>(n[3]) + 1] += s * -1.0;
+      }
+    }
+    EXPECT_EQ(src.n_patches(), patches);
+    std::vector<double> got(want.size(), 0.0);
+    src.add_forces(t, got);
+    EXPECT_EQ(
+        std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0)
+        << "t=" << t;
+  }
 }
 
 TEST(Source, PointSourceInjectsAtNearestNode) {
