@@ -4,20 +4,25 @@
 // serial LtsSolver (bitwise-identical to ExplicitSolver with one class,
 // tolerance-equivalent to global dt with several), and the parallel
 // ParallelSetup::run_lts path (global-dt forwarding, single-class bitwise
-// anchor, multi-rate equivalence, and bitwise determinism across repeats).
+// anchor, the one-rank serial oracle, multi-rate equivalence, bitwise
+// determinism across repeats, cancellation, and reuse of one setup across
+// every execution mode).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <set>
 #include <vector>
 
 #include "quake/lts/clustering.hpp"
 #include "quake/lts/lts_solver.hpp"
 #include "quake/mesh/meshgen.hpp"
+#include "quake/par/communicator.hpp"
 #include "quake/par/parallel_solver.hpp"
 #include "quake/par/partition.hpp"
 #include "quake/solver/elastic_operator.hpp"
@@ -407,6 +412,71 @@ TEST(LtsParallel, SingleClassBitwiseMatchesGlobalRun) {
             0);
 }
 
+// The multi-class oracle: at one rank there is no exchange, so the
+// parallel loop's per-rate sweeps, bracket gather and in-place update must
+// reproduce the serial LtsSolver's recursion bit for bit. (The global-dt
+// anchor only holds to tolerance once there is more than one class.)
+TEST(LtsParallel, OneRankMatchesSerialLtsSolverBitwise) {
+  struct Case {
+    const char* name;
+    mesh::HexMesh mesh;
+    int max_rate;
+    double t_end;
+    double cfl;
+    std::array<double, 3> src, rx;
+    double fp, tc;
+    int n_classes, n_steps;
+  };
+  const std::vector<Case> cases = {
+      // 26 steps: the last 4-step window of the coarsest class is partial.
+      {"basin/max_rate=32", small_basin_mesh(), 32, 2.0, 0.4,
+       {10000.0, 10000.0, 4000.0}, {14000.0, 9000.0, 0.0}, 0.03, 40.0, 3,
+       26},
+      {"basin/max_rate=2", small_basin_mesh(), 2, 2.0, 0.4,
+       {10000.0, 10000.0, 4000.0}, {14000.0, 9000.0, 0.0}, 0.03, 40.0, 2,
+       26},
+      {"two_rate", two_rate_mesh(), 32, 0.3, 0.4, {400.0, 400.0, 500.0},
+       {400.0, 400.0, 0.0}, 4.0, 0.05, 2, 48},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    solver::OperatorOptions oo;
+    solver::SolverOptions so;
+    so.t_end = c.t_end;
+    so.cfl_fraction = c.cfl;
+    const solver::PointSource src(c.mesh, c.src, {1.0, 0.5, 0.2}, 1e12, c.fp,
+                                  c.tc);
+    lts::LtsOptions lo;
+    lo.enabled = true;
+    lo.max_rate = c.max_rate;
+
+    const solver::ElasticOperator op(c.mesh, oo);
+    lts::LtsSolver serial(op, so, lo);
+    serial.add_source(&src);
+    serial.add_receiver(c.rx);
+    serial.run();
+    EXPECT_EQ(serial.clustering().n_classes, c.n_classes);
+    EXPECT_EQ(serial.n_steps(), c.n_steps);
+
+    const solver::SourceModel* sources[] = {&src};
+    const std::array<double, 3> rxs[] = {c.rx};
+    const par::Partition part = par::partition_sfc(c.mesh, 1);
+    par::ParallelSetup setup(c.mesh, part, oo, so);
+    const par::ParallelResult pr = setup.run_lts(so.t_end, sources, rxs, lo);
+
+    EXPECT_EQ(pr.n_steps, serial.n_steps());
+    ASSERT_EQ(pr.u_final.size(), serial.displacement().size());
+    EXPECT_EQ(std::memcmp(pr.u_final.data(), serial.displacement().data(),
+                          pr.u_final.size() * sizeof(double)),
+              0);
+    ASSERT_EQ(pr.receiver_histories[0].size(), serial.receivers()[0].u.size());
+    EXPECT_EQ(std::memcmp(pr.receiver_histories[0].data(),
+                          serial.receivers()[0].u.data(),
+                          pr.receiver_histories[0].size() * sizeof(double) * 3),
+              0);
+  }
+}
+
 TEST(LtsParallel, MultiRateMatchesGlobalWithinTolerance) {
   const auto mesh = small_basin_mesh();
   solver::OperatorOptions oo;
@@ -482,4 +552,146 @@ TEST(LtsParallel, RayleighDampingRejected) {
   lts::LtsOptions on;
   on.enabled = true;
   EXPECT_THROW(setup.run_lts(so.t_end, {}, {}, on), std::invalid_argument);
+}
+
+namespace {
+
+bool same_bits(const par::ParallelResult& a, const par::ParallelResult& b) {
+  if (a.u_final.size() != b.u_final.size() ||
+      a.receiver_histories.size() != b.receiver_histories.size() ||
+      a.steps_completed != b.steps_completed || a.cancelled != b.cancelled) {
+    return false;
+  }
+  if (std::memcmp(a.u_final.data(), b.u_final.data(),
+                  a.u_final.size() * sizeof(double)) != 0) {
+    return false;
+  }
+  for (std::size_t r = 0; r < a.receiver_histories.size(); ++r) {
+    const auto& ha = a.receiver_histories[r];
+    const auto& hb = b.receiver_histories[r];
+    if (ha.size() != hb.size() ||
+        std::memcmp(ha.data(), hb.data(), ha.size() * 3 * sizeof(double)) !=
+            0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+// One setup driven through every mode in turn — a 4-wide batch, a solo run
+// with a killed and in-place revived rank, a multi-class LTS run, a plain
+// solo run — must give each call exactly what a cold setup gives it. A
+// buffer that only grows, a cached plan or a log ring sized by an earlier
+// mode would leak into a later call and show here.
+TEST(LtsParallel, CrossModeReuseMatchesColdSetups) {
+  const auto mesh = small_basin_mesh();
+  solver::OperatorOptions oo;
+  oo.abc = fem::AbcType::kStacey;
+  solver::SolverOptions so;
+  so.t_end = 1.5;
+  so.cfl_fraction = 0.4;
+  const par::Partition part = par::partition_sfc(mesh, 4);
+
+  std::vector<solver::PointSource> srcs;
+  for (int s = 0; s < 4; ++s) {
+    srcs.emplace_back(mesh,
+                      std::array<double, 3>{6000.0 + 2000.0 * s,
+                                            14000.0 - 1500.0 * s, 3000.0},
+                      std::array<double, 3>{1.0, 0.5 * s, 0.2}, 1e12,
+                      0.03 + 0.002 * s, 40.0 - 2.0 * s);
+  }
+  const std::vector<std::array<double, 3>> rxs = {{14000.0, 9000.0, 0.0},
+                                                  {6000.0, 11000.0, 0.0}};
+  std::vector<par::BatchScenario> scenarios;
+  for (const auto& s : srcs) scenarios.push_back({{&s}, rxs});
+  const solver::SourceModel* one[] = {&srcs[0]};
+
+  par::ParallelSetup warm(mesh, part, oo, so);
+  const int n_steps = warm.n_steps(so.t_end);
+  ASSERT_GT(n_steps, 8);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "quake_cross_mode_reuse_test";
+  std::filesystem::remove_all(dir);
+  par::FaultPlan plan;
+  plan.kills.push_back({/*rank=*/2, /*step=*/2 * n_steps / 3});
+  par::FaultToleranceOptions ft;
+  ft.checkpoint_dir = dir.string();
+  ft.checkpoint_every = std::max(1, n_steps / 4);
+  ft.max_revives = 2;
+  ft.fault_plan = &plan;
+  lts::LtsOptions lo;
+  lo.enabled = true;
+  lo.max_rate = 32;
+
+  const auto batch = warm.run_batch(so.t_end, scenarios);
+  const par::ParallelResult killed = warm.run(so.t_end, one, rxs, ft);
+  EXPECT_GE(killed.revives_used, 1);
+  const par::ParallelResult lts_run = warm.run_lts(so.t_end, one, rxs, lo);
+  const par::ParallelResult plain = warm.run(so.t_end, one, rxs);
+
+  {
+    par::ParallelSetup cold(mesh, part, oo, so);
+    const auto want = cold.run_batch(so.t_end, scenarios);
+    ASSERT_EQ(batch.size(), want.size());
+    for (std::size_t s = 0; s < want.size(); ++s) {
+      EXPECT_TRUE(same_bits(batch[s], want[s])) << "batch lane " << s;
+    }
+  }
+  {
+    par::ParallelSetup cold(mesh, part, oo, so);
+    EXPECT_TRUE(same_bits(killed, cold.run(so.t_end, one, rxs, ft)))
+        << "killed run";
+  }
+  {
+    par::ParallelSetup cold(mesh, part, oo, so);
+    EXPECT_TRUE(same_bits(lts_run, cold.run_lts(so.t_end, one, rxs, lo)))
+        << "lts run";
+  }
+  {
+    par::ParallelSetup cold(mesh, part, oo, so);
+    EXPECT_TRUE(same_bits(plain, cold.run(so.t_end, one, rxs))) << "plain run";
+  }
+  // The killed run recovered to the undisturbed answer.
+  EXPECT_TRUE(same_bits(killed, plain));
+  std::filesystem::remove_all(dir);
+}
+
+// RunControl reaches run_lts: a pre-set cancel flag stops the solve at the
+// first agreement (step 0 with check_every 3) with nothing recorded, and the
+// setup stays reusable — the next run_lts equals a cold setup's.
+TEST(LtsParallel, CancelStopsAtAgreementAndSetupStaysReusable) {
+  const auto mesh = small_basin_mesh();
+  solver::OperatorOptions oo;
+  solver::SolverOptions so;
+  so.t_end = 1.0;
+  so.cfl_fraction = 0.4;
+  const solver::PointSource src(mesh, {10000.0, 10000.0, 4000.0},
+                                {1.0, 0.5, 0.2}, 1e12, 0.03, 40.0);
+  const solver::SourceModel* sources[] = {&src};
+  const std::array<double, 3> rxs[] = {{14000.0, 9000.0, 0.0}};
+  const par::Partition part = par::partition_sfc(mesh, 2);
+  lts::LtsOptions lo;
+  lo.enabled = true;
+  lo.max_rate = 32;
+
+  par::ParallelSetup setup(mesh, part, oo, so);
+  std::atomic<bool> cancel{true};
+  par::RunControl ctl;
+  ctl.cancel = &cancel;
+  ctl.check_every = 3;
+  const par::ParallelResult stopped =
+      setup.run_lts(so.t_end, sources, rxs, lo, ctl);
+  EXPECT_TRUE(stopped.cancelled);
+  EXPECT_EQ(stopped.steps_completed, 0);
+  EXPECT_LT(stopped.steps_completed, stopped.n_steps);
+  ASSERT_EQ(stopped.receiver_histories.size(), 1u);
+  EXPECT_TRUE(stopped.receiver_histories[0].empty());
+
+  const par::ParallelResult after = setup.run_lts(so.t_end, sources, rxs, lo);
+  par::ParallelSetup cold(mesh, part, oo, so);
+  const par::ParallelResult want = cold.run_lts(so.t_end, sources, rxs, lo);
+  EXPECT_FALSE(after.cancelled);
+  EXPECT_TRUE(same_bits(after, want));
 }
