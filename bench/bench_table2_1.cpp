@@ -692,28 +692,25 @@ int main(int argc, char** argv) {
       bool kill;
       int max_revives;
       int log_steps;  // FaultToleranceOptions::message_log_steps
-      bool async;     // FaultToleranceOptions::async_donation
       int victims;    // 0 = no kill, 1 = single, 2 = disjoint pair
     };
     // "recovery" is the full tier-1 path (donation + message-log replay);
     // "rollback" disables the message log so the same kill lands on the
     // tier-2 donation-aware rollback (the PR 4 behaviour); "full_restart"
-    // spends no revives and falls through to the supervisor. The
-    // "donation_sync"/"donation_async" pair are fault-free A/B controls
-    // isolating the donation-stream cost at each checkpoint cut: sync
-    // blocks on the buddy snapshot before the cut barrier, async posts
-    // fire-and-forget and drains opportunistically (recover/donate/wait
-    // is the measured difference). "multi_victim" kills a ghost-disjoint
-    // victim pair at the same checkpoint-aligned step so both restore
-    // from donations and replay concurrently in one recovery epoch.
-    const Mode modes[] = {{"clean", false, 0, 0, true, 0},
-                          {"recovery", true, 2, -1, true, 1},
-                          {"rollback", true, 2, 0, true, 1},
-                          {"full_restart", true, 0, 0, true, 1},
-                          {"donation_sync", false, 2, -1, false, 0},
-                          {"donation_async", false, 2, -1, true, 0},
-                          {"multi_victim", true, 2, -1, true, 2}};
-    constexpr int kModes = 7;
+    // spends no revives and falls through to the supervisor.
+    // "donation_async" is the fault-free control with donation armed: the
+    // donation stream posts fire-and-forget at each checkpoint cut and
+    // drains opportunistically (recover/donate/wait is its measured cost
+    // per cut). "multi_victim" kills a ghost-disjoint victim pair at the
+    // same checkpoint-aligned step so both restore from donations and
+    // replay concurrently in one recovery epoch.
+    const Mode modes[] = {{"clean", false, 0, 0, 0},
+                          {"recovery", true, 2, -1, 1},
+                          {"rollback", true, 2, 0, 1},
+                          {"full_restart", true, 0, 0, 1},
+                          {"donation_async", false, 2, -1, 0},
+                          {"multi_victim", true, 2, -1, 2}};
+    constexpr int kModes = 6;
 
     // The multi-victim row needs a victim pair that shares no ghost edge
     // (so every victim-victim replay span is survivor-served) and is
@@ -797,7 +794,6 @@ int main(int argc, char** argv) {
         ft.max_retries = 2;
         ft.max_revives = modes[m].max_revives;
         ft.message_log_steps = modes[m].log_steps;
-        ft.async_donation = modes[m].async;
         ft.fault_plan = modes[m].kill ? &plan : nullptr;
         util::Timer timer;
         par::ParallelResult pr = par::run_parallel(
@@ -889,7 +885,6 @@ int main(int argc, char** argv) {
                    .set("kill_step",
                         !modes[m].kill ? 0 : (mv ? kill_mv : kill_step))
                    .set("victims", modes[m].kill ? modes[m].victims : 0)
-                   .set("async_donation", modes[m].async ? 1 : 0)
                    .set("checkpoint_every", every)
                    .set("trials", trials));
       jrow.set("metrics", obs::Json::object()
@@ -931,10 +926,9 @@ int main(int argc, char** argv) {
                 "%.4f s vs %.4f s min-over-trials)\n",
                 rec < roll && rec < full ? "beats" : "does NOT beat", rec,
                 roll, full);
-    std::printf("(donation wait per cut, sync vs async: %.6f s vs %.6f s "
-                "mean; recovery log rings %.0f B stored / %.0f B raw = "
-                "%.2fx compression)\n",
-                acc[4].donate_wait_mean, acc[5].donate_wait_mean,
+    std::printf("(donation wait per cut: %.6f s mean; recovery log rings "
+                "%.0f B stored / %.0f B raw = %.2fx compression)\n",
+                acc[4].donate_wait_mean,
                 acc[1].log_bytes, acc[1].log_raw_bytes,
                 acc[1].log_bytes > 0.0
                     ? acc[1].log_raw_bytes / acc[1].log_bytes

@@ -14,12 +14,19 @@
 // interior while those messages are in flight, and only then drains and
 // sums — the classic interior/halo overlap of the paper's MPI solver.
 //
+// One step loop serves every mode. It is parameterized by a per-rank rate
+// schedule — global dt is the schedule with one rate class, clustered
+// local time stepping (run_lts) one with several — and by a lane count S,
+// the number of scenarios advanced in lockstep (run_batch; S = 1 is the
+// solo layout). run, run_batch and run_lts only choose these two.
+//
 // Determinism: the full sum at a shared node is accumulated in ascending
 // rank order on every copy, so all copies of a node compute bit-identical
 // updates, a run at a given rank count is exactly repeatable, and the
 // parallel run matches the serial run to rounding (not bitwise: each rank
 // pre-folds its own elements' contributions before the exchange, which
-// regroups the floating-point sum relative to the serial element order).
+// regroups the floating-point sum relative to the serial element order;
+// at one rank there is no exchange and the match is bitwise).
 
 #include <array>
 #include <atomic>
@@ -152,17 +159,13 @@ struct FaultToleranceOptions {
   // its state to buddy rank (r+1)%R, which holds it in (thread-local)
   // memory; on revival the buddy donates it back over the communicator so
   // the revived rank restores the newest checkpoint without touching disk.
-  // Only meaningful with in-place recovery armed (max_revives > 0).
+  // Only meaningful with in-place recovery armed (max_revives > 0). The
+  // snapshot stream is posted fire-and-forget at the checkpoint barrier
+  // and absorbed non-blockingly (the barrier bracketing the capture
+  // guarantees it is already in the mailbox), so donation adds no
+  // synchronous wait to the step loop — the `recover/donate/wait` scope
+  // records the (near-zero) absorb time.
   bool state_donation = true;
-
-  // Donation exchange mode. true (default): the snapshot stream is posted
-  // fire-and-forget at the checkpoint barrier and absorbed non-blockingly
-  // (the barrier bracketing the capture guarantees it is already in the
-  // mailbox), so donation adds no synchronous wait to the step loop — the
-  // `recover/donate/wait` scope records the (near-zero) absorb time.
-  // false: the pre-PR-9 blocking ring exchange, kept for A/B measurement
-  // (bench_table2_1's donation_sync/donation_async rows).
-  bool async_donation = true;
 
   // Outbound message log retained per neighbor for tier-1 replay, in steps:
   // -1 = auto (2 * checkpoint_every + 8: two checkpoint intervals plus
@@ -201,8 +204,9 @@ struct BatchScenario {
 // The reusable setup phase of the parallel solver — everything run_parallel
 // builds before the SPMD launch, amortized across many solves (the paper's
 // point: mesh/setup is expensive, each solve is O(N) per step). Holds the
-// ElasticOperator, the per-rank ghost plans, the communication-hiding
-// element split, the persistent exchange buffers, and the communicator;
+// ElasticOperator, the per-rank ghost plans, the global-dt schedule (with
+// the communication-hiding element split), the persistent exchange
+// buffers, and the communicator;
 // `run` executes one scenario (sources, receivers, duration) on that fixed
 // discretization. The referenced mesh and partition must outlive the setup.
 //
@@ -235,47 +239,53 @@ class ParallelSetup {
   // it to pick victim sets that provably do or do not share an edge.
   [[nodiscard]] std::vector<std::vector<int>> neighbor_ranks() const;
 
-  // One forward solve on the shared setup. A failed run (rank failure with
-  // retries exhausted) throws exactly as run_parallel does and leaves the
-  // setup reusable: the next run starts from clean per-request state.
+  // One forward solve on the shared setup: the step loop with the global-dt
+  // schedule and one lane. The only entry point that takes fault-tolerance
+  // options. A failed run (rank failure with retries exhausted) throws
+  // exactly as run_parallel does and leaves the setup reusable: the next
+  // run starts from clean per-request state.
   ParallelResult run(double t_end,
                      std::span<const solver::SourceModel* const> sources,
                      std::span<const std::array<double, 3>> receiver_positions,
                      const FaultToleranceOptions& ft = {},
                      const RunControl& control = {});
 
-  // S scenarios on the shared setup, advanced in lockstep: one element
-  // sweep, one constraint fold, and one ghost-exchange round per step
-  // service every scenario, with state scenario-major (lane s of dof d at
-  // index d * S + s) and each per-neighbor message carrying all S partial
-  // sums. Scenario s's result is bitwise identical to run() with that
-  // scenario's sources and receivers — the lane loop is innermost
-  // everywhere, so per-lane floating-point order never changes (see
-  // docs/BATCHING.md). At most fem::kMaxBatchLanes scenarios per call.
+  // S scenarios on the shared setup: the same step loop with the global-dt
+  // schedule and S lanes, advanced in lockstep. One element sweep, one
+  // constraint fold, and one ghost-exchange round per step service every
+  // scenario, with state scenario-major (lane s of dof d at index d * S +
+  // s) and each per-neighbor message carrying all S partial sums. Scenario
+  // s's result is bitwise identical to run() with that scenario's sources
+  // and receivers — the lane loop is innermost everywhere, so per-lane
+  // floating-point order never changes (see docs/BATCHING.md). Between 1
+  // and fem::kMaxBatchLanes scenarios per call (invalid_argument
+  // otherwise).
   //
-  // Fault tolerance is deliberately unsupported (checkpoint state would be
-  // S-entangled); the serving layer only batches requests that carry no FT
-  // options. RunControl cancellation/deadline applies to the whole batch:
-  // either every scenario runs to completion or all stop at the same step.
+  // Takes no fault-tolerance options (checkpoint state would be
+  // S-entangled); the serving layer only batches requests that carry none.
+  // RunControl cancellation/deadline applies to the whole batch: either
+  // every scenario runs to completion or all stop at the same step.
   std::vector<ParallelResult> run_batch(
       double t_end, std::span<const BatchScenario> scenarios,
       const RunControl& control = {});
 
   // One forward solve under clustered local time stepping (see docs/LTS.md
-  // and quake::lts). Elements are binned into power-of-two CFL rate
-  // clusters against the setup's shared dt; each node advances at its own
-  // rate, the boundary/interior split and coalesced exchange become
-  // per-(cluster, neighbor) payloads — at fine step k a message carries
-  // only the shared nodes whose rate divides k, so a quiet coarse cluster
-  // exchanges at its own rate and a step with no active shared nodes on an
-  // edge sends nothing at all. `rank_stats[r].element_updates` (and the
+  // and quake::lts): the same step loop with one lane and the schedule of
+  // the LTS clustering (built on first use per max_rate and cached).
+  // Elements are binned into power-of-two CFL rate classes against the
+  // setup's shared dt; each node advances at its own rate, and the
+  // boundary/interior split and coalesced exchange become per-(class,
+  // neighbor) payloads — at fine step k a message carries only the shared
+  // nodes whose rate divides k, so a quiet coarse class exchanges at its
+  // own rate and a step with no active shared nodes on an edge sends
+  // nothing at all. `rank_stats[r].element_updates` (and the
   // `par/element_updates` counter) measure the work actually done.
   //
-  // With `lts.enabled == false` this forwards to run() (bitwise-identical
-  // global-dt path); a mesh that clusters into a single rate is likewise
-  // bitwise-identical to run(). Multi-rate runs agree with run() within
-  // the tolerance tier documented in docs/LTS.md. Rayleigh damping and
-  // fault tolerance are not supported (invalid_argument).
+  // With `lts.enabled == false` this is run() without fault tolerance; a
+  // mesh that clusters into a single rate is likewise bitwise-identical to
+  // run(). Multi-rate runs agree with run() within the tolerance tier
+  // documented in docs/LTS.md. Takes no fault-tolerance options, and
+  // rejects Rayleigh damping (invalid_argument) even with one class.
   ParallelResult run_lts(double t_end,
                          std::span<const solver::SourceModel* const> sources,
                          std::span<const std::array<double, 3>> receiver_positions,

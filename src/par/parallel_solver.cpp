@@ -5,15 +5,15 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <deque>
 #include <filesystem>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -45,7 +45,9 @@ struct Neighbor {
 // serially in ParallelSetup's constructor and shared (immutably, except the
 // exchange buffers) by every solve through that setup. Per-scenario state
 // (displacement vectors, receiver assignments, histories) lives in
-// ParallelSetup::Impl::run so requests are isolated from each other.
+// ParallelSetup::Impl::solve so requests are isolated from each other. What
+// depends on the time-stepping rates (the communication-hiding split, the
+// per-rate sweep lists, the update's 1/lhs) lives in a Schedule.
 struct RankLocal {
   std::vector<mesh::ElemId> elems;
   std::vector<mesh::NodeId> nodes;  // sorted global ids
@@ -57,37 +59,20 @@ struct RankLocal {
   };
   std::vector<Face> faces;
   std::vector<LocalConstraint> cons;
-  std::vector<double> mass, am, bk, cab, inv_lhs;  // per local dof
-  std::vector<std::uint8_t> owned;                 // per local node
-  std::vector<Neighbor> neighbors;                 // ascending rank
-  std::vector<int> all_shared;                     // union of neighbor lists
+  std::vector<double> mass, am, bk, cab;  // per local dof
+  std::vector<std::uint8_t> owned;        // per local node
+  std::vector<Neighbor> neighbors;        // ascending rank
+  std::vector<int> all_shared;            // union of neighbor lists
+  std::vector<int> nb_of_rank;            // rank -> neighbor index or -1
 
-  // Communication-hiding split (see the step loop): an element/face/
-  // constraint is "boundary" iff it can contribute to a shared-node partial
-  // — directly, or through the hanging-node fold into a shared master. The
-  // boundary pieces are computed before the exchange is posted; everything
-  // interior runs while the messages are in flight. Each list preserves the
-  // original relative order, so per-rank partials stay bit-identical to an
-  // unsplit sweep.
-  std::vector<int> boundary_elems, interior_elems;  // indices into `elems`
-  std::vector<Face> boundary_faces, interior_faces;
-  std::vector<LocalConstraint> cons_boundary, cons_interior;
-
-  // Persistent exchange storage: send/recv buffers per neighbor and the
-  // first-occurrence map for re-inserting this rank's own partials, all
-  // sized at setup so the step loop performs no heap allocation. These are
-  // the one mutable piece of shared state, which is why runs through a
-  // setup are serialized.
+  // Persistent exchange storage: one send/recv buffer pair per neighbor,
+  // grown before each SPMD launch to the widest message that solve can
+  // post (a batch widens every message S-fold) and never shrunk. The step
+  // loop addresses them only through spans of the current message's
+  // length, so an earlier, wider solve leaves nothing behind. These are the
+  // one mutable piece of shared state, which is why runs through a setup
+  // are serialized.
   std::vector<std::vector<double>> sendbuf, recvbuf;
-  std::vector<std::vector<int>> own_first;  // per neighbor: first-occurrence
-                                            // indices into its shared list
-  std::vector<int> nb_of_rank;              // rank -> neighbor index or -1
-  std::size_t doubles_per_step = 0;         // exchange volume, setup-derived
-
-  // Batched-exchange siblings of sendbuf/recvbuf, sized pack * 3 *
-  // shared * S on each run_batch call (S varies per batch; resizing
-  // happens under run_mutex before the SPMD launch).
-  std::vector<std::vector<double>> sendbuf_b, recvbuf_b;
 
   // Per-neighbor arrival flags for the arrival-order drain, reset each
   // step; lives here (not on the step-loop stack) so the steady-state step
@@ -95,34 +80,77 @@ struct RankLocal {
   std::vector<std::uint8_t> nb_arrived;
 };
 
-// ForceSink that keeps only this rank's nodes.
-class RankForceSink final : public solver::ForceSink {
- public:
-  RankForceSink(const std::unordered_map<mesh::NodeId, int>& local_of,
-                std::vector<double>& f)
-      : local_of_(&local_of), f_(&f) {}
-  void add(mesh::NodeId node, int comp, double value) override {
-    auto it = local_of_->find(node);
-    if (it == local_of_->end()) return;
-    (*f_)[3 * static_cast<std::size_t>(it->second) +
-          static_cast<std::size_t>(comp)] += value;
-  }
+// The per-rank rate schedule the step loop runs (see docs/LTS.md): at fine
+// step k the rate classes lg <= cap(k) are active, visited in ascending lg
+// order. Global dt is the one-class instance — built once by
+// ParallelSetup's constructor, with every list whole and in setup order —
+// and run_lts builds a multi-class instance from the LTS clustering with
+// the same builder.
+struct Schedule {
+  int n_classes = 1;
+  // Per-rate update coefficients for dt_n = 2^lg * dt: dt_n^2 and dt_n / 2
+  // (ldexp is exact, so rate 0 reproduces the global-dt coefficients).
+  std::vector<double> dt2, hdt;
 
- private:
-  const std::unordered_map<mesh::NodeId, int>* local_of_;
-  std::vector<double>* f_;
+  struct Edge {
+    // Positions into the neighbor's `shared` list, grouped by node rate.
+    // A step-k message is the rate-major concatenation over active rates
+    // of 3 * S doubles per listed node — both sides derive the same layout
+    // from the same global rates, so lengths and node order agree without
+    // any handshake. With one class this is the shared list itself.
+    std::vector<std::vector<int>> sh_of_rate;
+    // The entries of each rate whose node first occurs on this edge (the
+    // own partial is re-inserted once per node), as {position in shared,
+    // slot in the concatenation}.
+    std::vector<std::vector<std::array<int, 2>>> own_of_rate;
+    // Shared-node count over rates <= lg: the step-k message carries
+    // count_upto[cap(k)] nodes; zero-length edges skip the send and the
+    // drain entirely.
+    std::vector<std::size_t> count_upto;
+  };
+
+  struct RankPart {
+    // Communication-hiding split: an element/face/constraint is "boundary"
+    // iff it can contribute to a shared-node partial — directly, or
+    // through the hanging-node fold into a shared master. The boundary
+    // pieces are computed before the exchange is posted; everything
+    // interior runs while the messages are in flight. Elements and faces
+    // are binned per compute class; every list keeps the setup order, so
+    // per-rank partials stay bit-identical to an unsplit sweep.
+    std::vector<std::vector<int>> bnd_elems, int_elems;  // into `elems`
+    std::vector<std::vector<RankLocal::Face>> bnd_faces, int_faces;
+    std::vector<int> cons_bnd, cons_int;  // indices into `cons`
+    std::size_t n_boundary_elems = 0, n_interior_elems = 0;
+    // Per-rate update lists: the local nodes as ascending [first, last)
+    // runs (one run per rank under global dt, so the update streams), the
+    // constraint groups whose nodes carry that rate (a group shares one
+    // rate by the clustering fold), and the shared nodes to re-zero after
+    // a post.
+    std::vector<std::vector<std::array<std::size_t, 2>>> node_runs;
+    std::vector<std::vector<int>> cons_of_rate, shared_of_rate;
+    std::vector<Edge> edges;            // per neighbor
+    std::vector<double> inv_lhs;        // per local dof, at the dof's rate
+    std::vector<std::uint8_t> node_lg;  // per local node
+  };
+  std::vector<RankPart> ranks;
+
+  // Highest active rate class at fine step k (k = 0 starts every class).
+  [[nodiscard]] int cap(int k) const {
+    return k == 0 ? n_classes - 1
+                  : std::min(n_classes - 1,
+                             std::countr_zero(static_cast<unsigned>(k)));
+  }
 };
 
-// As RankForceSink, writing one lane of a scenario-major batched force
-// vector (lane s of local dof d at index d * n_lanes + s).
+// ForceSink that keeps only this rank's nodes, writing one lane of a
+// scenario-major force vector (lane s of local dof d at index d * n_lanes +
+// s; one lane is the solo layout).
 class RankLaneForceSink final : public solver::ForceSink {
  public:
   RankLaneForceSink(const std::unordered_map<mesh::NodeId, int>& local_of,
-                    std::vector<double>& f, int n_lanes, int lane)
-      : local_of_(&local_of),
-        f_(&f),
-        lanes_(static_cast<std::size_t>(n_lanes)),
-        lane_(static_cast<std::size_t>(lane)) {}
+                    std::vector<double>& f, std::size_t n_lanes,
+                    std::size_t lane)
+      : local_of_(&local_of), f_(&f), lanes_(n_lanes), lane_(lane) {}
   void add(mesh::NodeId node, int comp, double value) override {
     auto it = local_of_->find(node);
     if (it == local_of_->end()) return;
@@ -136,6 +164,13 @@ class RankLaneForceSink final : public solver::ForceSink {
   const std::unordered_map<mesh::NodeId, int>* local_of_;
   std::vector<double>* f_;
   std::size_t lanes_, lane_;
+};
+
+// A receiver of one scenario, assigned to the rank owning its nearest node.
+struct RecvRef {
+  int lane;  // scenario index
+  int ri;    // receiver index within the scenario
+  int ln;    // local node on the owning rank
 };
 
 std::string ckpt_path(const std::string& dir, int rank) {
@@ -153,16 +188,16 @@ constexpr int kObsGatherTag = 9;
 constexpr int kDonationTag = 10;
 
 // A snapshot is usable by this rank iff its step is inside the run and its
-// state arrays match this rank's dof count and owned receiver set.
-bool snapshot_usable(const util::Snapshot& s, std::size_t nd, int n_steps,
-                     const std::vector<std::pair<int, int>>& receivers) {
+// state arrays match this rank's state length and owned receiver set.
+bool snapshot_usable(const util::Snapshot& s, std::size_t ns, int n_steps,
+                     const std::vector<RecvRef>& receivers) {
   if (s.step < 1 || s.step >= n_steps) return false;
-  if (s.field("u").size() != nd || s.field("u_prev").size() != nd ||
-      s.field("dku_prev").size() != nd) {
+  if (s.field("u").size() != ns || s.field("u_prev").size() != ns ||
+      s.field("dku_prev").size() != ns) {
     return false;
   }
-  for (const auto& [ri, ln] : receivers) {
-    if (s.field("recv" + std::to_string(ri)).size() !=
+  for (const RecvRef& rv : receivers) {
+    if (s.field("recv" + std::to_string(rv.ri)).size() !=
         3 * static_cast<std::size_t>(s.step)) {
       return false;
     }
@@ -174,10 +209,11 @@ bool snapshot_usable(const util::Snapshot& s, std::size_t nd, int n_steps,
 
 // ---------------------------------------------------------------------------
 // ParallelSetup: the amortizable half of run_parallel. The constructor is
-// the old serial setup phase verbatim (operator, ghost sets with constraint
-// closure, neighbor lists, boundary/interior split, exchange buffers); run()
-// is the old SPMD execution phase with all per-scenario state hoisted into
-// run-local variables.
+// the serial setup phase (operator, ghost sets with constraint closure,
+// neighbor lists, the global-dt schedule); solve() is the SPMD execution
+// phase with all per-scenario state in solve-local variables. run,
+// run_batch and run_lts are thin wrappers that pick the schedule and the
+// lane count.
 // ---------------------------------------------------------------------------
 
 struct ParallelSetup::Impl {
@@ -190,8 +226,14 @@ struct ParallelSetup::Impl {
   const double dt;
   const double cfl;
   std::vector<RankLocal> locals;
+  Schedule global;  // the one-class (global dt) schedule
   Communicator comm;
   std::mutex run_mutex;  // exchange buffers are shared: one solve at a time
+
+  // Lazily-built LTS schedule, cached across run_lts calls with the same
+  // max_rate. Guarded by run_mutex.
+  std::unique_ptr<Schedule> lts_sched;
+  int lts_sched_max_rate = 0;
 
   Impl(const mesh::HexMesh& mesh_in, const Partition& part_in,
        const solver::OperatorOptions& oo, const solver::SolverOptions& base)
@@ -280,7 +322,6 @@ struct ParallelSetup::Impl {
       L.am.resize(3 * nl);
       L.bk.resize(3 * nl);
       L.cab.resize(3 * nl);
-      L.inv_lhs.resize(3 * nl);
       L.owned.resize(nl);
       for (std::size_t i = 0; i < nl; ++i) {
         const std::size_t g = static_cast<std::size_t>(L.nodes[i]);
@@ -292,9 +333,6 @@ struct ParallelSetup::Impl {
           L.am[ld] = op.alpha_mass()[gd];
           L.bk[ld] = op.beta_k_diag()[gd];
           L.cab[ld] = op.cab_diag()[gd];
-          const double lhs =
-              L.mass[ld] + 0.5 * dt * (L.am[ld] + L.bk[ld] + L.cab[ld]);
-          L.inv_lhs[ld] = lhs > 0.0 ? 1.0 / lhs : 0.0;
         }
       }
     }
@@ -330,133 +368,237 @@ struct ParallelSetup::Impl {
       std::sort(
           L.neighbors.begin(), L.neighbors.end(),
           [](const Neighbor& a, const Neighbor& b) { return a.rank < b.rank; });
-    }
-
-    // Boundary/interior split and persistent exchange buffers. A node can
-    // contribute to a shared-node partial iff it is shared itself, or it is a
-    // hanging node with a contributing master (masters are never hanging —
-    // constraint chains are resolved at mesh build — so one pass suffices).
-    const std::size_t pack = rayleigh ? 2u : 1u;
-    for (std::size_t r = 0; r < static_cast<std::size_t>(R); ++r) {
-      RankLocal& L = locals[r];
-      std::vector<std::uint8_t> affects(L.nodes.size(), 0);
-      for (int li : L.all_shared) affects[static_cast<std::size_t>(li)] = 1;
-      for (const LocalConstraint& c : L.cons) {
-        if (affects[static_cast<std::size_t>(c.node)] != 0) continue;
-        for (int m = 0; m < c.n; ++m) {
-          if (affects[static_cast<std::size_t>(
-                  c.masters[static_cast<std::size_t>(m)])] != 0) {
-            affects[static_cast<std::size_t>(c.node)] = 1;
-            break;
-          }
-        }
-      }
-      std::vector<std::uint8_t> elem_boundary(L.elems.size(), 0);
-      for (std::size_t le = 0; le < L.elems.size(); ++le) {
-        for (int i = 0; i < 8; ++i) {
-          if (affects[static_cast<std::size_t>(
-                  L.conn[le][static_cast<std::size_t>(i)])] != 0) {
-            elem_boundary[le] = 1;
-            break;
-          }
-        }
-        (elem_boundary[le] != 0 ? L.boundary_elems : L.interior_elems)
-            .push_back(static_cast<int>(le));
-      }
-      for (const RankLocal::Face& face : L.faces) {
-        (elem_boundary[static_cast<std::size_t>(face.elem)] != 0
-             ? L.boundary_faces
-             : L.interior_faces)
-            .push_back(face);
-      }
-      for (const LocalConstraint& c : L.cons) {
-        (affects[static_cast<std::size_t>(c.node)] != 0 ? L.cons_boundary
-                                                        : L.cons_interior)
-            .push_back(c);
-      }
-
       L.sendbuf.resize(L.neighbors.size());
       L.recvbuf.resize(L.neighbors.size());
       L.nb_arrived.resize(L.neighbors.size());
-      L.own_first.resize(L.neighbors.size());
       L.nb_of_rank.assign(static_cast<std::size_t>(R), -1);
-      std::vector<std::uint8_t> seen(L.nodes.size(), 0);
       for (std::size_t nb = 0; nb < L.neighbors.size(); ++nb) {
-        const auto& sh = L.neighbors[nb].shared;
-        L.sendbuf[nb].resize(pack * 3 * sh.size());
-        L.recvbuf[nb].resize(pack * 3 * sh.size());
         L.nb_of_rank[static_cast<std::size_t>(L.neighbors[nb].rank)] =
             static_cast<int>(nb);
-        L.doubles_per_step += pack * 3 * sh.size();
-        for (std::size_t i = 0; i < sh.size(); ++i) {
-          const std::size_t li = static_cast<std::size_t>(sh[i]);
-          if (seen[li] != 0) continue;
-          seen[li] = 1;
-          L.own_first[nb].push_back(static_cast<int>(i));
+      }
+    }
+    global = build_schedule(nullptr);
+  }
+
+  // The rate schedule for a clustering (nullptr: one class, global dt).
+  [[nodiscard]] Schedule build_schedule(const lts::Clustering* cl) const;
+  const Schedule& lts_schedule(int max_rate);
+
+  // The one step loop: the scenarios advance in lockstep on `sched`, one
+  // lane each, with fault tolerance `ft` (only run() passes any) and
+  // cooperative control. Caller holds run_mutex.
+  std::vector<ParallelResult> solve(const Schedule& sched, double t_end,
+                                    std::span<const BatchScenario> scenarios,
+                                    const FaultToleranceOptions& ft,
+                                    const RunControl& control);
+};
+
+Schedule ParallelSetup::Impl::build_schedule(const lts::Clustering* cl) const {
+  Schedule sc;
+  sc.n_classes = cl != nullptr ? cl->n_classes : 1;
+  const std::size_t nc = static_cast<std::size_t>(sc.n_classes);
+  for (int lg = 0; lg < sc.n_classes; ++lg) {
+    const double dtn = std::ldexp(dt, lg);
+    sc.dt2.push_back(dtn * dtn);
+    sc.hdt.push_back(0.5 * dtn);
+  }
+
+  sc.ranks.resize(static_cast<std::size_t>(R));
+  for (std::size_t r = 0; r < static_cast<std::size_t>(R); ++r) {
+    const RankLocal& L = locals[r];
+    Schedule::RankPart& rp = sc.ranks[r];
+    const std::size_t nl = L.nodes.size();
+    rp.node_lg.assign(nl, 0);
+    if (cl != nullptr) {
+      for (std::size_t i = 0; i < nl; ++i) {
+        rp.node_lg[i] =
+            cl->node_rate_log2[static_cast<std::size_t>(L.nodes[i])];
+      }
+    }
+    const auto elem_class = [&](std::size_t le) -> std::size_t {
+      return cl != nullptr ? cl->elem_class_log2[static_cast<std::size_t>(
+                                 L.elems[le])]
+                           : 0u;
+    };
+
+    // A node can contribute to a shared-node partial iff it is shared
+    // itself, or it is a hanging node with a contributing master (masters
+    // are never hanging — constraint chains are resolved at mesh build —
+    // so one pass suffices).
+    std::vector<std::uint8_t> affects(nl, 0);
+    for (int li : L.all_shared) affects[static_cast<std::size_t>(li)] = 1;
+    for (const LocalConstraint& c : L.cons) {
+      if (affects[static_cast<std::size_t>(c.node)] != 0) continue;
+      for (int m = 0; m < c.n; ++m) {
+        if (affects[static_cast<std::size_t>(
+                c.masters[static_cast<std::size_t>(m)])] != 0) {
+          affects[static_cast<std::size_t>(c.node)] = 1;
+          break;
         }
       }
     }
+    rp.bnd_elems.resize(nc);
+    rp.int_elems.resize(nc);
+    rp.bnd_faces.resize(nc);
+    rp.int_faces.resize(nc);
+    std::vector<std::uint8_t> elem_boundary(L.elems.size(), 0);
+    for (std::size_t le = 0; le < L.elems.size(); ++le) {
+      for (int i = 0; i < 8; ++i) {
+        if (affects[static_cast<std::size_t>(
+                L.conn[le][static_cast<std::size_t>(i)])] != 0) {
+          elem_boundary[le] = 1;
+          break;
+        }
+      }
+      (elem_boundary[le] != 0 ? rp.bnd_elems : rp.int_elems)[elem_class(le)]
+          .push_back(static_cast<int>(le));
+      ++(elem_boundary[le] != 0 ? rp.n_boundary_elems : rp.n_interior_elems);
+    }
+    for (const RankLocal::Face& face : L.faces) {
+      const auto le = static_cast<std::size_t>(face.elem);
+      (elem_boundary[le] != 0 ? rp.bnd_faces : rp.int_faces)[elem_class(le)]
+          .push_back(face);
+    }
+
+    rp.node_runs.resize(nc);
+    rp.cons_of_rate.resize(nc);
+    rp.shared_of_rate.resize(nc);
+    for (std::size_t i = 0; i < nl; ++i) {
+      auto& runs = rp.node_runs[rp.node_lg[i]];
+      if (!runs.empty() && runs.back()[1] == i) {
+        ++runs.back()[1];
+      } else {
+        runs.push_back({i, i + 1});
+      }
+    }
+    for (std::size_t ci = 0; ci < L.cons.size(); ++ci) {
+      const auto node = static_cast<std::size_t>(L.cons[ci].node);
+      (affects[node] != 0 ? rp.cons_bnd : rp.cons_int)
+          .push_back(static_cast<int>(ci));
+      rp.cons_of_rate[rp.node_lg[node]].push_back(static_cast<int>(ci));
+    }
+    for (const int li : L.all_shared) {
+      rp.shared_of_rate[rp.node_lg[static_cast<std::size_t>(li)]].push_back(li);
+    }
+
+    rp.inv_lhs.resize(3 * nl);
+    for (std::size_t i = 0; i < nl; ++i) {
+      const double dtn = std::ldexp(dt, rp.node_lg[i]);
+      for (int c = 0; c < 3; ++c) {
+        const std::size_t d = 3 * i + static_cast<std::size_t>(c);
+        const double lhs =
+            L.mass[d] + 0.5 * dtn * (L.am[d] + L.bk[d] + L.cab[d]);
+        rp.inv_lhs[d] = lhs > 0.0 ? 1.0 / lhs : 0.0;
+      }
+    }
+
+    rp.edges.resize(L.neighbors.size());
+    std::vector<std::uint8_t> seen(nl, 0);
+    for (std::size_t nb = 0; nb < L.neighbors.size(); ++nb) {
+      const auto& sh = L.neighbors[nb].shared;
+      Schedule::Edge& ed = rp.edges[nb];
+      ed.sh_of_rate.resize(nc);
+      ed.own_of_rate.resize(nc);
+      ed.count_upto.assign(nc, 0);
+      for (std::size_t i = 0; i < sh.size(); ++i) {
+        ed.sh_of_rate[rp.node_lg[static_cast<std::size_t>(sh[i])]].push_back(
+            static_cast<int>(i));
+      }
+      // Concat slot of each position, rate-major — fixed across steps
+      // because active rates always form the prefix lg <= cap(k).
+      std::vector<int> slot_of(sh.size(), 0);
+      int slot = 0;
+      for (std::size_t lg = 0; lg < nc; ++lg) {
+        for (const int i : ed.sh_of_rate[lg]) {
+          slot_of[static_cast<std::size_t>(i)] = slot++;
+        }
+        ed.count_upto[lg] = static_cast<std::size_t>(slot);
+      }
+      for (std::size_t i = 0; i < sh.size(); ++i) {
+        const auto li = static_cast<std::size_t>(sh[i]);
+        if (seen[li] != 0) continue;
+        seen[li] = 1;
+        ed.own_of_rate[rp.node_lg[li]].push_back(
+            {static_cast<int>(i), slot_of[i]});
+      }
+    }
   }
+  return sc;
+}
 
-  ParallelResult run(double t_end,
-                     std::span<const solver::SourceModel* const> sources,
-                     std::span<const std::array<double, 3>> receiver_positions,
-                     const FaultToleranceOptions& ft,
-                     const RunControl& control);
+const Schedule& ParallelSetup::Impl::lts_schedule(int max_rate) {
+  if (lts_sched == nullptr || lts_sched_max_rate != max_rate) {
+    const lts::Clustering cl = lts::cluster_elements(mesh, dt, cfl, max_rate);
+    lts_sched = std::make_unique<Schedule>(build_schedule(&cl));
+    lts_sched_max_rate = max_rate;
+  }
+  return *lts_sched;
+}
 
-  std::vector<ParallelResult> run_batch(double t_end,
-                                        std::span<const BatchScenario> scenarios,
-                                        const RunControl& control);
-
-  ParallelResult run_lts(double t_end,
-                         std::span<const solver::SourceModel* const> sources,
-                         std::span<const std::array<double, 3>> receiver_positions,
-                         const lts::LtsOptions& lts, const RunControl& control);
-
-  // Lazily-built LTS plan (clustering + per-rank sweep/exchange sublists),
-  // cached across run_lts calls with the same max_rate. Guarded by run_mutex.
-  struct LtsPlan;
-  std::unique_ptr<LtsPlan> lts_plan;
-  int lts_plan_max_rate = 0;
-  const LtsPlan& get_lts_plan(int max_rate);
-};
-
-ParallelResult ParallelSetup::Impl::run(
-    double t_end, std::span<const solver::SourceModel* const> sources,
-    std::span<const std::array<double, 3>> receiver_positions,
-    const FaultToleranceOptions& ft, const RunControl& control) {
-  const std::lock_guard<std::mutex> run_lock(run_mutex);
+// The one SPMD step loop. Its two parameters are where the modes' bitwise
+// anchors come from:
+//  * Lanes. Lane s of every scenario-major array takes exactly the
+//    floating-point operation sequence one lane would (lane loops are
+//    innermost everywhere and the drain keeps its ascending-rank order),
+//    so a batch of S equals S solo runs bit for bit.
+//  * Schedule. With one class every list is whole and in setup order, the
+//    kernels read u itself and every bracket read takes u directly, so
+//    single-class LTS equals global dt bit for bit; several classes take
+//    the LTS scheme of quake::lts (state convention, interpolation
+//    bracket, scheduling invariant — see docs/LTS.md).
+std::vector<ParallelResult> ParallelSetup::Impl::solve(
+    const Schedule& sched, double t_end,
+    std::span<const BatchScenario> scenarios, const FaultToleranceOptions& ft,
+    const RunControl& control) {
+  const std::size_t n_lanes = scenarios.size();
   const int n_steps = static_cast<int>(std::ceil(t_end / dt));
+  const int n_classes = sched.n_classes;
+  const bool multi_rate = n_classes > 1;
+  const std::size_t pack = rayleigh ? 2u : 1u;
 
   // Per-scenario receiver assignment: each receiver goes to the owner of its
   // nearest node. Kept outside RankLocal so a request's histories cannot
   // leak into the next solve through the shared setup.
-  ParallelResult result;
-  result.dt = dt;
-  result.n_steps = n_steps;
-  result.steps_completed = n_steps;
-  result.receiver_histories.assign(receiver_positions.size(), {});
-  std::vector<std::vector<std::pair<int, int>>> recv_of(
-      static_cast<std::size_t>(R));
+  std::vector<ParallelResult> results(n_lanes);
+  std::vector<std::vector<RecvRef>> recv_of(static_cast<std::size_t>(R));
   const solver::NodeLocator nodes(mesh);
-  for (std::size_t ri = 0; ri < receiver_positions.size(); ++ri) {
-    const mesh::NodeId n = nodes.nearest(receiver_positions[ri]);
-    const int owner = part.node_owner[static_cast<std::size_t>(n)];
-    const auto it = locals[static_cast<std::size_t>(owner)].local_of.find(n);
-    if (it == locals[static_cast<std::size_t>(owner)].local_of.end()) {
-      // Only reachable when the nearest node is an orphan (touched by no
-      // element): it belongs to no rank's local set and has no dynamics.
-      throw std::invalid_argument(
-          "run_parallel: receiver " + std::to_string(ri) + " snaps to node " +
-          std::to_string(n) + ", which no element touches (orphan node)");
+  for (std::size_t s = 0; s < n_lanes; ++s) {
+    ParallelResult& res = results[s];
+    res.dt = dt;
+    res.n_steps = n_steps;
+    res.steps_completed = n_steps;
+    res.u_final.assign(3 * mesh.n_nodes(), 0.0);
+    res.rank_stats.assign(static_cast<std::size_t>(R), {});
+    res.receiver_histories.assign(scenarios[s].receivers.size(), {});
+    for (std::size_t ri = 0; ri < scenarios[s].receivers.size(); ++ri) {
+      const mesh::NodeId n = nodes.nearest(scenarios[s].receivers[ri]);
+      const int owner = part.node_owner[static_cast<std::size_t>(n)];
+      const auto& owner_local = locals[static_cast<std::size_t>(owner)];
+      const auto it = owner_local.local_of.find(n);
+      if (it == owner_local.local_of.end()) {
+        // Only reachable when the nearest node is an orphan (touched by no
+        // element): it belongs to no rank's local set and has no dynamics.
+        throw std::invalid_argument(
+            "run_parallel: scenario " + std::to_string(s) + " receiver " +
+            std::to_string(ri) + " snaps to node " + std::to_string(n) +
+            ", which no element touches (orphan node)");
+      }
+      recv_of[static_cast<std::size_t>(owner)].push_back(
+          {static_cast<int>(s), static_cast<int>(ri), it->second});
+      res.receiver_histories[ri].reserve(static_cast<std::size_t>(n_steps));
     }
-    recv_of[static_cast<std::size_t>(owner)].emplace_back(static_cast<int>(ri),
-                                                          it->second);
-    result.receiver_histories[ri].reserve(static_cast<std::size_t>(n_steps));
   }
 
-  result.u_final.assign(3 * mesh.n_nodes(), 0.0);
-  result.rank_stats.assign(static_cast<std::size_t>(R), {});
+  // Exchange buffers: the widest message this solve posts (every rate
+  // active, all lanes).
+  for (auto& L : locals) {
+    for (std::size_t nb = 0; nb < L.neighbors.size(); ++nb) {
+      const std::size_t len =
+          pack * 3 * L.neighbors[nb].shared.size() * n_lanes;
+      if (L.sendbuf[nb].size() < len) L.sendbuf[nb].resize(len);
+      if (L.recvbuf[nb].size() < len) L.recvbuf[nb].resize(len);
+    }
+  }
 
   const fem::HexReference& ref = fem::HexReference::get();
   const auto elem_damping = op.element_damping();
@@ -484,7 +626,6 @@ ParallelResult ParallelSetup::Impl::run(
   // the per-neighbor outbound message log. Both only pay their cost when
   // in-place recovery is armed.
   const bool donate_on = in_place && ft.state_donation && R > 1;
-  const bool donate_async = donate_on && ft.async_donation;
   // Auto capacity spans TWO checkpoint intervals: delta compression (see
   // util::DeltaRing) keeps the longer ring near the memory cost of one
   // uncompressed interval, and the extra reach keeps tier-1 feasible even
@@ -508,19 +649,40 @@ ParallelResult ParallelSetup::Impl::run(
   // successful attempt). Fresh per run: a request's report describes that
   // request only.
   std::vector<obs::Registry> rank_regs(static_cast<std::size_t>(R));
+  int agreed_stop = n_steps;  // written by rank 0, read after join
 
-  const auto spmd_body = [&](Rank& rank) {
+  // The rank body, generic over the lane count: instantiated once with S
+  // fixed at 1 (the solo layout, where every lane loop folds away) and
+  // once with S read at run time — one source loop either way. S keeps the
+  // argument's type, so in the first instantiation its value lives in the
+  // type (std::integral_constant) and stays a compile-time constant inside
+  // every nested lambda.
+  const auto body = [&](Rank& rank, auto lanes) {
+    const auto S = lanes;
     const std::size_t r = static_cast<std::size_t>(rank.id());
     const obs::ScopedRegistry obs_install(rank_regs[r]);
     obs::counter_add("ft/attempts", 1);
     if (rank.revived()) obs::counter_add("par/ranks_revived", 1);
     obs::gauge_set("par/epoch", static_cast<double>(rank.epoch()));
     RankLocal& L = locals[r];
-    const auto& RV = recv_of[r];  // this rank's (receiver, local node) pairs
+    const Schedule::RankPart& rp = sched.ranks[r];
+    const auto& RV = recv_of[r];  // this rank's receivers
+    const auto history = [&](const RecvRef& rv) -> auto& {
+      return results[static_cast<std::size_t>(rv.lane)]
+          .receiver_histories[static_cast<std::size_t>(rv.ri)];
+    };
+    // State is scenario-major: lane s of local dof d at d * S + s.
     const std::size_t nd = 3 * L.nodes.size();
-    std::vector<double> u(nd, 0.0), u_prev(nd, 0.0), u_next(nd, 0.0);
-    std::vector<double> f(nd, 0.0), ku(nd, 0.0), dku(nd, 0.0),
-        dku_prev(nd, 0.0);
+    const std::size_t ns = nd * S;
+    std::vector<double> u(ns, 0.0), u_prev(ns, 0.0), f(ns, 0.0), ku(ns, 0.0);
+    // Rayleigh damping carries the damping partials; checkpoints and
+    // donations carry dku_prev (zeros without damping) in their format.
+    std::vector<double> dku(rayleigh ? ns : 0, 0.0);
+    std::vector<double> dku_prev(rayleigh || ckpt_on ? ns : 0, 0.0);
+    // The time-k field the kernels read: with one class u itself; with
+    // several, every node's bracket (u_prev, u) evaluated at step k.
+    std::vector<double> un(multi_rate ? ns : 0, 0.0);
+    const std::vector<double>& uk = multi_rate ? un : u;
 
     // compute: all element/face/update work; exchange: post + drain;
     // overlap: the interior-compute window with messages in flight; drain:
@@ -529,10 +691,19 @@ ParallelResult ParallelSetup::Impl::run(
     std::uint64_t flops = 0;
     std::uint64_t elem_updates = 0;
     obs::gauge_set("par/dt", dt);
+    obs::gauge_set("par/batch_width", static_cast<double>(S));
+    obs::gauge_set("par/lts_n_classes", static_cast<double>(n_classes));
     // Seed the comm counters so every rank's registry (and hence every
     // merged report row, including 1-rank runs) carries them explicitly.
     obs::counter_add("comm/msgs_sent", 0);
     obs::counter_add("comm/bytes_sent", 0);
+
+    // Doubles in this rank's step message to neighbor nb when rates
+    // lg <= cap are active: the ku section, then (Rayleigh) the dku one.
+    const auto msg_len = [&](std::size_t nb, int cap) {
+      return pack * 3 * rp.edges[nb].count_upto[static_cast<std::size_t>(cap)] *
+             S;
+    };
 
     // In-memory rollback target: a copy of the state vectors taken at each
     // checkpoint barrier. On an in-place recovery, survivors roll back from
@@ -549,9 +720,9 @@ ParallelResult ParallelSetup::Impl::run(
     // (r+1)%R, which holds it HERE — in this thread's frame, so a buddy
     // that dies loses what it held, exactly like remote node memory. On
     // revival the buddy donates it back and the revived rank restores the
-    // newest checkpoint without touching disk. With async donation the
-    // stream is posted fire-and-forget and absorbed non-blockingly (the
-    // barrier bracketing the capture guarantees it has landed); the step
+    // newest checkpoint without touching disk. The stream is posted
+    // fire-and-forget and absorbed non-blockingly (the barrier bracketing
+    // the capture guarantees it has landed); the step
     // header is what lets the absorber date a payload it did not wait for,
     // and the communicator's epoch fence discards any donation posted
     // before a revival, so a stale pre-failure generation can never be
@@ -598,7 +769,7 @@ ParallelResult ParallelSetup::Impl::run(
     std::vector<util::DeltaRing> msg_log;
     msg_log.reserve(L.neighbors.size());
     for (std::size_t nb = 0; nb < L.neighbors.size(); ++nb) {
-      msg_log.emplace_back(L.sendbuf[nb].size(), log_cap);
+      msg_log.emplace_back(msg_len(nb, n_classes - 1), log_cap);
     }
 
     // Per-rank resume points of the last recovery agreement: rank s will
@@ -633,7 +804,7 @@ ParallelResult ParallelSetup::Impl::run(
           d.newest_corrupt = true;
         }
         if (st == util::SnapshotLoadStatus::kOk &&
-            snapshot_usable(s, nd, n_steps, RV)) {
+            snapshot_usable(s, ns, n_steps, RV)) {
           d.snaps.emplace_back(gen, std::move(s));
         }
       }
@@ -650,9 +821,9 @@ ParallelResult ParallelSetup::Impl::run(
       std::copy(su.begin(), su.end(), u.begin());
       std::copy(sp.begin(), sp.end(), u_prev.begin());
       std::copy(sd.begin(), sd.end(), dku_prev.begin());
-      for (const auto& [ri, ln] : RV) {
-        const auto flat = s.field("recv" + std::to_string(ri));
-        auto& hist = result.receiver_histories[static_cast<std::size_t>(ri)];
+      for (const RecvRef& rv : RV) {
+        const auto flat = s.field("recv" + std::to_string(rv.ri));
+        auto& hist = history(rv);
         hist.assign(static_cast<std::size_t>(k0), {});
         for (std::size_t i = 0; i < hist.size(); ++i) {
           hist[i] = {flat[3 * i], flat[3 * i + 1], flat[3 * i + 2]};
@@ -714,7 +885,7 @@ ParallelResult ParallelSetup::Impl::run(
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
               .count());
       const std::size_t want =
-          1 + 3 * nd + 3 * static_cast<std::size_t>(step) * rv_count;
+          1 + 3 * ns + 3 * static_cast<std::size_t>(step) * rv_count;
       if (pay.size() != want) {
         throw DonationError(
             "state donation payload mismatch on rank " +
@@ -723,13 +894,13 @@ ParallelResult ParallelSetup::Impl::run(
             std::to_string(want));
       }
       const auto b = pay.begin() + 1;
-      const auto n = static_cast<std::ptrdiff_t>(nd);
+      const auto n = static_cast<std::ptrdiff_t>(ns);
       std::copy(b, b + n, u.begin());
       std::copy(b + n, b + 2 * n, u_prev.begin());
       std::copy(b + 2 * n, b + 3 * n, dku_prev.begin());
-      std::size_t off = 1 + 3 * nd;
-      for (const auto& [ri, ln] : RV) {
-        auto& hist = result.receiver_histories[static_cast<std::size_t>(ri)];
+      std::size_t off = 1 + 3 * ns;
+      for (const RecvRef& rv : RV) {
+        auto& hist = history(rv);
         hist.assign(static_cast<std::size_t>(step), {});
         for (std::size_t i = 0; i < hist.size(); ++i) {
           hist[i] = {pay[off], pay[off + 1], pay[off + 2]};
@@ -811,9 +982,8 @@ ParallelResult ParallelSetup::Impl::run(
                       dku_prev.begin());
             // Histories are append-only and bit-identical across replays:
             // rolling back is a truncation.
-            for (const auto& [ri, ln] : RV) {
-              result.receiver_histories[static_cast<std::size_t>(ri)].resize(
-                  static_cast<std::size_t>(k0));
+            for (const RecvRef& rv : RV) {
+              history(rv).resize(static_cast<std::size_t>(k0));
             }
           } else if (from_donation) {
             try {
@@ -849,9 +1019,7 @@ ParallelResult ParallelSetup::Impl::run(
       } else {
         // Fresh (or retried-from-scratch) start: drop any partial histories
         // a failed attempt appended to this rank's owned receivers.
-        for (const auto& [ri, ln] : RV) {
-          result.receiver_histories[static_cast<std::size_t>(ri)].clear();
-        }
+        for (const RecvRef& rv : RV) history(rv).clear();
       }
       has_state = true;
       return k0;
@@ -1042,80 +1210,103 @@ ParallelResult ParallelSetup::Impl::run(
       return static_cast<int>(my_start);
     };
 
-    auto expand = [&](std::vector<double>& x) {
-      for (const LocalConstraint& c : L.cons) {
-        for (int comp = 0; comp < 3; ++comp) {
+    // Hanging-node fold (B^T) of one constraint group into its masters,
+    // and expansion (B) of the masters' values onto the hanging node.
+    const auto fold = [&](std::vector<double>& x, const LocalConstraint& c) {
+      for (int comp = 0; comp < 3; ++comp) {
+        const std::size_t hd = (3 * static_cast<std::size_t>(c.node) +
+                                static_cast<std::size_t>(comp)) *
+                               S;
+        for (int m = 0; m < c.n; ++m) {
+          const std::size_t md =
+              (3 * static_cast<std::size_t>(
+                       c.masters[static_cast<std::size_t>(m)]) +
+               static_cast<std::size_t>(comp)) *
+              S;
+          const double w = c.weights[static_cast<std::size_t>(m)];
+          for (std::size_t s = 0; s < S; ++s) x[md + s] += w * x[hd + s];
+        }
+        for (std::size_t s = 0; s < S; ++s) x[hd + s] = 0.0;
+      }
+    };
+    const auto fold_list = [&](const std::vector<int>& list) {
+      for (const int ci : list) {
+        const LocalConstraint& c = L.cons[static_cast<std::size_t>(ci)];
+        fold(ku, c);
+        if (rayleigh) fold(dku, c);
+      }
+    };
+    const auto expand = [&](const LocalConstraint& c) {
+      for (int comp = 0; comp < 3; ++comp) {
+        const std::size_t hd = (3 * static_cast<std::size_t>(c.node) +
+                                static_cast<std::size_t>(comp)) *
+                               S;
+        for (std::size_t s = 0; s < S; ++s) {
           double v = 0.0;
           for (int m = 0; m < c.n; ++m) {
             v += c.weights[static_cast<std::size_t>(m)] *
-                 x[3 * static_cast<std::size_t>(
+                 u[(3 * static_cast<std::size_t>(
                           c.masters[static_cast<std::size_t>(m)]) +
-                   static_cast<std::size_t>(comp)];
+                    static_cast<std::size_t>(comp)) *
+                       S +
+                   s];
           }
-          x[3 * static_cast<std::size_t>(c.node) +
-            static_cast<std::size_t>(comp)] = v;
-        }
-      }
-    };
-    auto accumulate = [&](std::vector<double>& x,
-                          const std::vector<LocalConstraint>& cons) {
-      for (const LocalConstraint& c : cons) {
-        for (int comp = 0; comp < 3; ++comp) {
-          const std::size_t hd = 3 * static_cast<std::size_t>(c.node) +
-                                 static_cast<std::size_t>(comp);
-          for (int m = 0; m < c.n; ++m) {
-            x[3 * static_cast<std::size_t>(
-                     c.masters[static_cast<std::size_t>(m)]) +
-              static_cast<std::size_t>(comp)] +=
-                c.weights[static_cast<std::size_t>(m)] * x[hd];
-          }
-          x[hd] = 0.0;
+          u[hd + s] = v;
         }
       }
     };
 
-    // One element-kernel application, shared by both phases of the split.
-    double ue[fem::kHexDofs], ye[fem::kHexDofs], de[fem::kHexDofs];
-    auto apply_elems = [&](const std::vector<int>& list) {
+    // Element-kernel sweep over one list: per node the 3 components x S
+    // lanes are one contiguous run. One lane takes the solo kernel, several
+    // the lane-innermost batch kernel; both are per lane bitwise equal to
+    // fem::hex_apply_ref.
+    double ue[fem::kHexDofs * fem::kMaxBatchLanes];
+    double ye[fem::kHexDofs * fem::kMaxBatchLanes];
+    double de[fem::kHexDofs * fem::kMaxBatchLanes];
+    const auto apply_elems = [&](const std::vector<int>& list) {
       for (const int le_i : list) {
         const std::size_t le = static_cast<std::size_t>(le_i);
         const std::size_t ge = static_cast<std::size_t>(L.elems[le]);
         const auto& c = L.conn[le];
         for (int i = 0; i < 8; ++i) {
           const std::size_t base =
-              3 * static_cast<std::size_t>(c[static_cast<std::size_t>(i)]);
-          ue[3 * i] = u[base];
-          ue[3 * i + 1] = u[base + 1];
-          ue[3 * i + 2] = u[base + 2];
+              3 * static_cast<std::size_t>(c[static_cast<std::size_t>(i)]) * S;
+          const std::size_t eb = 3 * static_cast<std::size_t>(i) * S;
+          for (std::size_t t = 0; t < 3 * S; ++t) ue[eb + t] = uk[base + t];
         }
-        std::fill(ye, ye + fem::kHexDofs, 0.0);
-        if (rayleigh) std::fill(de, de + fem::kHexDofs, 0.0);
+        std::fill(ye, ye + fem::kHexDofs * S, 0.0);
+        if (rayleigh) std::fill(de, de + fem::kHexDofs * S, 0.0);
         const double h = mesh.elem_size[ge];
         const vel::Material& mat = mesh.elem_mat[ge];
-        fem::hex_apply(ref, ue, h * mat.lambda, h * mat.mu, ye,
-                       rayleigh ? elem_damping[ge].beta : 0.0,
-                       rayleigh ? de : nullptr);
+        const double beta = rayleigh ? elem_damping[ge].beta : 0.0;
+        if (S == 1) {
+          fem::hex_apply(ref, ue, h * mat.lambda, h * mat.mu, ye, beta,
+                         rayleigh ? de : nullptr);
+        } else {
+          fem::hex_apply_batch(ref, ue, static_cast<int>(S), h * mat.lambda,
+                               h * mat.mu, ye, beta, rayleigh ? de : nullptr);
+        }
         for (int i = 0; i < 8; ++i) {
           const std::size_t base =
-              3 * static_cast<std::size_t>(c[static_cast<std::size_t>(i)]);
-          ku[base] += ye[3 * i];
-          ku[base + 1] += ye[3 * i + 1];
-          ku[base + 2] += ye[3 * i + 2];
+              3 * static_cast<std::size_t>(c[static_cast<std::size_t>(i)]) * S;
+          const std::size_t eb = 3 * static_cast<std::size_t>(i) * S;
+          for (std::size_t t = 0; t < 3 * S; ++t) ku[base + t] += ye[eb + t];
           if (rayleigh) {
-            dku[base] += de[3 * i];
-            dku[base + 1] += de[3 * i + 1];
-            dku[base + 2] += de[3 * i + 2];
+            for (std::size_t t = 0; t < 3 * S; ++t) dku[base + t] += de[eb + t];
           }
         }
-        flops += fem::hex_apply_flops(rayleigh);
+        flops += S * fem::hex_apply_flops(rayleigh);
       }
-      elem_updates += list.size();
+      // One element update per lane per element: S lanes advance together.
+      elem_updates += S * list.size();
       obs::counter_add("par/elements_processed",
                        static_cast<std::int64_t>(list.size()));
       obs::counter_add("par/element_updates",
-                       static_cast<std::int64_t>(list.size()));
+                       static_cast<std::int64_t>(S * list.size()));
     };
-    auto apply_faces = [&](const std::vector<RankLocal::Face>& list) {
+    // Stacey faces: the face kernel is tiny (4 nodes), so it runs per lane
+    // with strided gathers instead of being widened.
+    const auto apply_faces = [&](const std::vector<RankLocal::Face>& list) {
       if (op_opt.abc != fem::AbcType::kStacey) return;
       double uf[12], yf[12];
       for (const auto& face : list) {
@@ -1126,24 +1317,51 @@ ParallelResult ParallelSetup::Impl::run(
             L.elems[static_cast<std::size_t>(face.elem)]);
         const auto& fn = mesh::kFaceNodes[static_cast<std::size_t>(face.side)];
         const auto& c = L.conn[static_cast<std::size_t>(face.elem)];
-        for (int i = 0; i < 4; ++i) {
-          const std::size_t base = 3 * static_cast<std::size_t>(
-              c[static_cast<std::size_t>(fn[static_cast<std::size_t>(i)])]);
-          uf[3 * i] = u[base];
-          uf[3 * i + 1] = u[base + 1];
-          uf[3 * i + 2] = u[base + 2];
+        for (std::size_t s = 0; s < S; ++s) {
+          for (int i = 0; i < 4; ++i) {
+            const std::size_t base =
+                3 *
+                static_cast<std::size_t>(
+                    c[static_cast<std::size_t>(fn[static_cast<std::size_t>(i)])]) *
+                S;
+            uf[3 * i] = uk[base + s];
+            uf[3 * i + 1] = uk[base + S + s];
+            uf[3 * i + 2] = uk[base + 2 * S + s];
+          }
+          std::fill(yf, yf + 12, 0.0);
+          fem::face_stacey_apply(mesh.elem_mat[ge], mesh.elem_size[ge],
+                                 face.side, uf, yf);
+          for (int i = 0; i < 4; ++i) {
+            const std::size_t base =
+                3 *
+                static_cast<std::size_t>(
+                    c[static_cast<std::size_t>(fn[static_cast<std::size_t>(i)])]) *
+                S;
+            ku[base + s] += yf[3 * i];
+            ku[base + S + s] += yf[3 * i + 1];
+            ku[base + 2 * S + s] += yf[3 * i + 2];
+          }
+          flops += fem::face_stacey_flops();
         }
-        std::fill(yf, yf + 12, 0.0);
-        fem::face_stacey_apply(mesh.elem_mat[ge], mesh.elem_size[ge],
-                               face.side, uf, yf);
-        for (int i = 0; i < 4; ++i) {
-          const std::size_t base = 3 * static_cast<std::size_t>(
-              c[static_cast<std::size_t>(fn[static_cast<std::size_t>(i)])]);
-          ku[base] += yf[3 * i];
-          ku[base + 1] += yf[3 * i + 1];
-          ku[base + 2] += yf[3 * i + 2];
+      }
+    };
+
+    // Local node li's bracket (u_prev, u) evaluated at fine step k_target,
+    // all 3 * S values. A node of rate p active at k_target holds u =
+    // u^{k_target} exactly (m == 0 takes u directly — always, with one
+    // class); a stale node interpolates linearly inside its bracket.
+    const auto node_at = [&](std::size_t li, int k_target, double* out) {
+      const int lg = rp.node_lg[li];
+      const int m = k_target & ((1 << lg) - 1);
+      const std::size_t base = 3 * li * S;
+      if (m == 0) {
+        for (std::size_t t = 0; t < 3 * S; ++t) out[t] = u[base + t];
+      } else {
+        const double th =
+            static_cast<double>(m) / static_cast<double>(1 << lg);
+        for (std::size_t t = 0; t < 3 * S; ++t) {
+          out[t] = u_prev[base + t] + th * (u[base + t] - u_prev[base + t]);
         }
-        flops += fem::face_stacey_flops();
       }
     };
 
@@ -1184,61 +1402,90 @@ ParallelResult ParallelSetup::Impl::run(
 
       rank.fault_point(k);
       const double t_k = k * dt;
+      const int cap = sched.cap(k);
 
       {
-      QUAKE_OBS_SCOPE("compute");  // boundary elements + boundary ABC faces
+      QUAKE_OBS_SCOPE("compute");  // time-k field + boundary classes
       compute_watch.start();
+      if (multi_rate) {
+        for (std::size_t i = 0; i < L.nodes.size(); ++i) {
+          node_at(i, k, un.data() + 3 * i * S);
+        }
+      }
       std::fill(ku.begin(), ku.end(), 0.0);
       if (rayleigh) std::fill(dku.begin(), dku.end(), 0.0);
-      apply_elems(L.boundary_elems);
-      apply_faces(L.boundary_faces);
+      for (int c = 0; c <= cap; ++c) {
+        apply_elems(rp.bnd_elems[static_cast<std::size_t>(c)]);
+        apply_faces(rp.bnd_faces[static_cast<std::size_t>(c)]);
+      }
       // Fold the hanging-node partials that reach shared masters BEFORE the
       // exchange (B^T is linear, so projecting partials and summing
       // commutes with summing and projecting) — this keeps ghost sets
       // surface-sized. Every element feeding these folds is a boundary
-      // element, so the posted partials are complete.
-      accumulate(ku, L.cons_boundary);
-      if (rayleigh) accumulate(dku, L.cons_boundary);
+      // element, so the posted partials are complete. The fold is whole,
+      // active or not: an inactive constraint group shares one (inactive)
+      // cadence, so its garbage partials land only on inactive masters —
+      // never sent (compacted out of the message) and never read (the
+      // update skips them). Active groups fold complete partials by the
+      // scheduling invariant.
+      fold_list(rp.cons_bnd);
       compute_watch.stop();
       }
 
-      // ---- post: coalesced (ku [+ dku]) per-neighbor messages go out
-      // before any interior work, so they are in flight during it ----
+      // ---- post: coalesced per-neighbor messages go out before any
+      // interior work, so they are in flight during it. A message carries
+      // the active-rate shared nodes, rate-major, all S lanes each (ku, then
+      // dku with Rayleigh damping); a coarse-only edge goes quiet between
+      // its updates (zero-length messages are skipped on both sides) ----
       {
       QUAKE_OBS_SCOPE("exchange");
       exchange_watch.start();
       {
       QUAKE_OBS_SCOPE("post");
       for (std::size_t nb = 0; nb < L.neighbors.size(); ++nb) {
+        const std::size_t len = msg_len(nb, cap);
+        if (len == 0) continue;
+        const Schedule::Edge& ed = rp.edges[nb];
         auto& buf = L.sendbuf[nb];
         const auto& sh = L.neighbors[nb].shared;
-        for (std::size_t i = 0; i < sh.size(); ++i) {
-          const std::size_t base = 3 * static_cast<std::size_t>(sh[i]);
-          buf[3 * i] = ku[base];
-          buf[3 * i + 1] = ku[base + 1];
-          buf[3 * i + 2] = ku[base + 2];
-          if (rayleigh) {
-            const std::size_t off = 3 * sh.size();
-            buf[off + 3 * i] = dku[base];
-            buf[off + 3 * i + 1] = dku[base + 1];
-            buf[off + 3 * i + 2] = dku[base + 2];
+        const std::size_t half = len / pack;  // start of the dku section
+        std::size_t o = 0;
+        for (int lg = 0; lg <= cap; ++lg) {
+          for (const int i : ed.sh_of_rate[static_cast<std::size_t>(lg)]) {
+            const std::size_t base =
+                3 * static_cast<std::size_t>(sh[static_cast<std::size_t>(i)]) *
+                S;
+            for (std::size_t t = 0; t < 3 * S; ++t) buf[o + t] = ku[base + t];
+            if (rayleigh) {
+              for (std::size_t t = 0; t < 3 * S; ++t) {
+                buf[half + o + t] = dku[base + t];
+              }
+            }
+            o += 3 * S;
           }
         }
+        const std::span<const double> msg(buf.data(), len);
         // Post only to neighbors that have not already consumed this step
         // (a catching-up rank must not pollute an ahead neighbor's FIFO);
         // log unconditionally so a later recovery can re-serve any span.
         if (k >= start_of[static_cast<std::size_t>(L.neighbors[nb].rank)]) {
-          rank.send(L.neighbors[nb].rank, /*tag=*/0, buf);
+          rank.send(L.neighbors[nb].rank, /*tag=*/0, msg);
         }
-        if (log_on) msg_log[nb].push(k, buf);
+        if (log_on) msg_log[nb].push(k, msg);
       }
-      // Zero the shared entries now; interior work never touches them, and
-      // the drain re-accumulates in ascending rank order (sendbuf still
-      // holds this rank's own partials).
-      for (int li : L.all_shared) {
-        const std::size_t base = 3 * static_cast<std::size_t>(li);
-        ku[base] = ku[base + 1] = ku[base + 2] = 0.0;
-        if (rayleigh) dku[base] = dku[base + 1] = dku[base + 2] = 0.0;
+      // Zero the active shared entries now; interior work never touches
+      // them, and the drain re-accumulates in ascending rank order (sendbuf
+      // still holds this rank's own partials). Stale-rate entries keep
+      // their garbage, which the next full ku zero clears before anyone
+      // could read it.
+      for (int lg = 0; lg <= cap; ++lg) {
+        for (const int li : rp.shared_of_rate[static_cast<std::size_t>(lg)]) {
+          const std::size_t base = 3 * static_cast<std::size_t>(li) * S;
+          for (std::size_t t = 0; t < 3 * S; ++t) ku[base + t] = 0.0;
+          if (rayleigh) {
+            for (std::size_t t = 0; t < 3 * S; ++t) dku[base + t] = 0.0;
+          }
+        }
       }
       }
       exchange_watch.stop();
@@ -1252,13 +1499,18 @@ ParallelResult ParallelSetup::Impl::run(
       compute_watch.start();
       overlap_watch.start();
       std::fill(f.begin(), f.end(), 0.0);
-      RankForceSink sink(L.local_of, f);
-      for (const solver::SourceModel* s : sources) s->add_forces(t_k, sink);
-      accumulate(f, L.cons);
-      apply_elems(L.interior_elems);
-      apply_faces(L.interior_faces);
-      accumulate(ku, L.cons_interior);
-      if (rayleigh) accumulate(dku, L.cons_interior);
+      for (std::size_t s = 0; s < S; ++s) {
+        RankLaneForceSink sink(L.local_of, f, S, s);
+        for (const solver::SourceModel* src : scenarios[s].sources) {
+          src->add_forces(t_k, sink);
+        }
+      }
+      for (const LocalConstraint& c : L.cons) fold(f, c);
+      for (int c = 0; c <= cap; ++c) {
+        apply_elems(rp.int_elems[static_cast<std::size_t>(c)]);
+        apply_faces(rp.int_faces[static_cast<std::size_t>(c)]);
+      }
+      fold_list(rp.cons_int);
       overlap_watch.stop();
       compute_watch.stop();
       }
@@ -1289,8 +1541,16 @@ ParallelResult ParallelSetup::Impl::run(
           // kDelay message flush instead of spinning forever).
           QUAKE_OBS_SCOPE("wait");
           constexpr int kIdlePassLimit = 64;
-          std::fill(L.nb_arrived.begin(), L.nb_arrived.end(), 0);
-          std::size_t n_pending = L.neighbors.size();
+          std::size_t n_pending = 0;
+          for (std::size_t nb = 0; nb < L.neighbors.size(); ++nb) {
+            // Quiet edges (no active shared nodes) are pre-marked arrived.
+            const bool quiet = msg_len(nb, cap) == 0;
+            L.nb_arrived[nb] = quiet ? 1 : 0;
+            n_pending += quiet ? 0 : 1;
+          }
+          const auto inbox = [&](std::size_t nb) {
+            return std::span<double>(L.recvbuf[nb].data(), msg_len(nb, cap));
+          };
           int idle_passes = 0;
           while (n_pending > 0) {
             std::size_t progressed = 0;
@@ -1298,7 +1558,7 @@ ParallelResult ParallelSetup::Impl::run(
             for (std::size_t nb = 0; nb < L.neighbors.size(); ++nb) {
               if (L.nb_arrived[nb] != 0) continue;
               if (rank.try_recv_into(L.neighbors[nb].rank, /*tag=*/0,
-                                     L.recvbuf[nb])) {
+                                     inbox(nb))) {
                 L.nb_arrived[nb] = 1;
                 --n_pending;
                 ++progressed;
@@ -1312,35 +1572,44 @@ ParallelResult ParallelSetup::Impl::run(
               // Idle pass: absorb any in-flight buddy donation instead of
               // pure spinning, so the async stream never backs up behind
               // a slow neighbor.
-              if (donate_async) absorb_donations();
+              if (donate_on) absorb_donations();
               std::this_thread::yield();
             } else {
               rank.recv_into(L.neighbors[first_pending].rank, /*tag=*/0,
-                             L.recvbuf[first_pending]);
+                             inbox(first_pending));
               L.nb_arrived[first_pending] = 1;
               --n_pending;
               idle_passes = 0;
             }
           }
         }
+        // Adds 3 * S doubles of a message at `at` (and the matching dku
+        // section) onto local node li.
+        const auto add_node = [&](std::size_t li,
+                                  const std::vector<double>& msg,
+                                  std::size_t at, std::size_t half) {
+          const std::size_t base = 3 * li * S;
+          for (std::size_t t = 0; t < 3 * S; ++t) ku[base + t] += msg[at + t];
+          if (rayleigh) {
+            for (std::size_t t = 0; t < 3 * S; ++t) {
+              dku[base + t] += msg[half + at + t];
+            }
+          }
+        };
         for (int s = 0; s < R; ++s) {
           if (s == rank.id()) {
-            // Own partials: first occurrence across the neighbor lists,
-            // precomputed at setup.
+            // Own partials: once per node, at its first occurrence across
+            // the neighbor lists (precomputed in the schedule).
             for (std::size_t nb = 0; nb < L.neighbors.size(); ++nb) {
               const auto& sh = L.neighbors[nb].shared;
-              const auto& buf = L.sendbuf[nb];
-              for (const int i_first : L.own_first[nb]) {
-                const std::size_t i = static_cast<std::size_t>(i_first);
-                const std::size_t base = 3 * static_cast<std::size_t>(sh[i]);
-                ku[base] += buf[3 * i];
-                ku[base + 1] += buf[3 * i + 1];
-                ku[base + 2] += buf[3 * i + 2];
-                if (rayleigh) {
-                  const std::size_t off = 3 * sh.size();
-                  dku[base] += buf[off + 3 * i];
-                  dku[base + 1] += buf[off + 3 * i + 1];
-                  dku[base + 2] += buf[off + 3 * i + 2];
+              const std::size_t half = msg_len(nb, cap) / pack;
+              for (int lg = 0; lg <= cap; ++lg) {
+                for (const auto& [i, slot] :
+                     rp.edges[nb].own_of_rate[static_cast<std::size_t>(lg)]) {
+                  add_node(static_cast<std::size_t>(
+                               sh[static_cast<std::size_t>(i)]),
+                           L.sendbuf[nb],
+                           3 * static_cast<std::size_t>(slot) * S, half);
                 }
               }
             }
@@ -1348,18 +1617,17 @@ ParallelResult ParallelSetup::Impl::run(
           }
           const int nbi = L.nb_of_rank[static_cast<std::size_t>(s)];
           if (nbi < 0) continue;
-          const auto& msg = L.recvbuf[static_cast<std::size_t>(nbi)];
-          const auto& sh = L.neighbors[static_cast<std::size_t>(nbi)].shared;
-          for (std::size_t i = 0; i < sh.size(); ++i) {
-            const std::size_t base = 3 * static_cast<std::size_t>(sh[i]);
-            ku[base] += msg[3 * i];
-            ku[base + 1] += msg[3 * i + 1];
-            ku[base + 2] += msg[3 * i + 2];
-            if (rayleigh) {
-              const std::size_t off = 3 * sh.size();
-              dku[base] += msg[off + 3 * i];
-              dku[base + 1] += msg[off + 3 * i + 1];
-              dku[base + 2] += msg[off + 3 * i + 2];
+          const auto nb = static_cast<std::size_t>(nbi);
+          const auto& sh = L.neighbors[nb].shared;
+          const Schedule::Edge& ed = rp.edges[nb];
+          const std::size_t half = msg_len(nb, cap) / pack;
+          std::size_t o = 0;
+          for (int lg = 0; lg <= cap; ++lg) {
+            for (const int i : ed.sh_of_rate[static_cast<std::size_t>(lg)]) {
+              add_node(
+                  static_cast<std::size_t>(sh[static_cast<std::size_t>(i)]),
+                  L.recvbuf[nb], o, half);
+              o += 3 * S;
             }
           }
         }
@@ -1371,32 +1639,49 @@ ParallelResult ParallelSetup::Impl::run(
       {
       QUAKE_OBS_SCOPE("compute");  // diagonalized lumped update (eq. 2.4)
       compute_watch.start();
-      const double dt2 = dt * dt;
-      const double hdt = 0.5 * dt;
-      for (std::size_t d = 0; d < nd; ++d) {
-        double rhs = 2.0 * L.mass[d] * u[d] - dt2 * ku[d] + dt2 * f[d] +
-                     (hdt * L.am[d] - L.mass[d]) * u_prev[d] +
-                     hdt * L.cab[d] * u_prev[d];
-        if (rayleigh) {
-          rhs -= hdt * (dku[d] - L.bk[d] * u[d]);
-          rhs += hdt * dku_prev[d];
+      // Active rates in place (u_prev <- u, u <- new), lane loop innermost.
+      for (int lg = 0; lg <= cap; ++lg) {
+        const double dt2 = sched.dt2[static_cast<std::size_t>(lg)];
+        const double hdt = sched.hdt[static_cast<std::size_t>(lg)];
+        std::size_t n_updated = 0;
+        for (const auto& [first, last] :
+             rp.node_runs[static_cast<std::size_t>(lg)]) {
+          n_updated += last - first;
+          for (std::size_t d = 3 * first; d < 3 * last; ++d) {
+            const std::size_t b = d * S;
+            for (std::size_t s = 0; s < S; ++s) {
+              double rhs = 2.0 * L.mass[d] * u[b + s] - dt2 * ku[b + s] +
+                           dt2 * f[b + s] +
+                           (hdt * L.am[d] - L.mass[d]) * u_prev[b + s] +
+                           hdt * L.cab[d] * u_prev[b + s];
+              if (rayleigh) {
+                rhs -= hdt * (dku[b + s] - L.bk[d] * u[b + s]);
+                rhs += hdt * dku_prev[b + s];
+              }
+              u_prev[b + s] = u[b + s];
+              u[b + s] = rhs * rp.inv_lhs[d];
+            }
+          }
         }
-        u_next[d] = rhs * L.inv_lhs[d];
+        // Update arithmetic per dof (counted off the expression above):
+        // 14 flops for the undamped eq. 2.4 rhs + divide-by-lhs, 6 more on
+        // the Rayleigh branch.
+        flops += S * 3 * n_updated * (rayleigh ? 20ull : 14ull);
+        // Per-rate hanging-node expansion: the group shares this cadence,
+        // so its masters hold fresh u exactly when the group expands.
+        for (const int ci : rp.cons_of_rate[static_cast<std::size_t>(lg)]) {
+          expand(L.cons[static_cast<std::size_t>(ci)]);
+        }
       }
-      expand(u_next);
-      // Update arithmetic per dof (counted off the expression above):
-      // 14 flops for the undamped eq. 2.4 rhs + divide-by-lhs, 6 more on
-      // the Rayleigh branch.
-      flops += nd * (rayleigh ? 20ull : 14ull);
+      if (rayleigh) std::swap(dku_prev, dku);
 
-      std::swap(dku_prev, dku);
-      std::swap(u_prev, u);
-      std::swap(u, u_next);
-
-      for (const auto& [ri, ln] : RV) {
-        const std::size_t base = 3 * static_cast<std::size_t>(ln);
-        result.receiver_histories[static_cast<std::size_t>(ri)].push_back(
-            {u[base], u[base + 1], u[base + 2]});
+      // Receivers read the time-(k+1) field through the same bracket
+      // (direct u for rate-1 nodes).
+      for (const RecvRef& rv : RV) {
+        double v[3 * fem::kMaxBatchLanes];
+        node_at(static_cast<std::size_t>(rv.ln), k + 1, v);
+        const auto s = static_cast<std::size_t>(rv.lane);
+        history(rv).push_back({v[s], v[S + s], v[2 * S + s]});
       }
       compute_watch.stop();
       }
@@ -1420,14 +1705,13 @@ ParallelResult ParallelSetup::Impl::run(
         snap.add("u_prev", u_prev);
         snap.add("dku_prev", dku_prev);
         std::size_t ckpt_doubles = u.size() + u_prev.size() + dku_prev.size();
-        for (const auto& [ri, ln] : RV) {
-          const auto& hist =
-              result.receiver_histories[static_cast<std::size_t>(ri)];
+        for (const RecvRef& rv : RV) {
+          const auto& hist = history(rv);
           std::vector<double> flat;
           flat.reserve(3 * hist.size());
           for (const auto& s : hist) flat.insert(flat.end(), s.begin(), s.end());
           ckpt_doubles += flat.size();
-          snap.add("recv" + std::to_string(ri), std::move(flat));
+          snap.add("recv" + std::to_string(rv.ri), std::move(flat));
         }
         std::string ckpt_err;
         bool saved = false;
@@ -1469,47 +1753,29 @@ ParallelResult ParallelSetup::Impl::run(
         // the capture either completes on every rank or on none ----
         if (donate_on) {
           std::vector<double> pay;
-          pay.reserve(1 + 3 * nd +
+          pay.reserve(1 + 3 * ns +
                       3 * static_cast<std::size_t>(k + 1) * rv_count);
           pay.push_back(static_cast<double>(k + 1));
           pay.insert(pay.end(), u.begin(), u.end());
           pay.insert(pay.end(), u_prev.begin(), u_prev.end());
           pay.insert(pay.end(), dku_prev.begin(), dku_prev.end());
-          for (const auto& [ri, ln] : RV) {
-            const auto& hist =
-                result.receiver_histories[static_cast<std::size_t>(ri)];
-            for (const auto& s : hist) {
+          for (const RecvRef& rv : RV) {
+            for (const auto& s : history(rv)) {
               pay.insert(pay.end(), s.begin(), s.end());
             }
           }
           rank.send(buddy, kDonationTag, pay);
-          if (donate_async) {
-            // Asynchronous absorb: the closing barrier below proves pred's
-            // send already landed in this rank's mailbox, so the post-
-            // barrier drain is non-blocking and the measured wait is ~0.
-            // (Absorbing may also have happened opportunistically in the
-            // drain's idle passes.)
-            rank.barrier();
-            util::StopWatch w;
-            w.start();
-            absorb_donations();
-            w.stop();
-            obs::scope_record("recover/donate/wait", w.total_seconds());
-          } else {
-            // Synchronous baseline (A/B reference): block on the stream
-            // before releasing the barrier, charging the full ring-shift
-            // latency to the checkpoint.
-            util::StopWatch w;
-            w.start();
-            std::vector<double> got = rank.recv(pred, kDonationTag);
-            w.stop();
-            obs::scope_record("recover/donate/wait", w.total_seconds());
-            if (!got.empty()) {
-              held.step = static_cast<std::int64_t>(got[0]);
-              held.state = std::move(got);
-            }
-            rank.barrier();
-          }
+          // Asynchronous absorb: the closing barrier below proves pred's
+          // send already landed in this rank's mailbox, so the post-
+          // barrier drain is non-blocking and the measured wait is ~0.
+          // (Absorbing may also have happened opportunistically in the
+          // drain's idle passes.)
+          rank.barrier();
+          util::StopWatch w;
+          w.start();
+          absorb_donations();
+          w.stop();
+          obs::scope_record("recover/donate/wait", w.total_seconds());
         } else {
           rank.barrier();
         }
@@ -1522,14 +1788,19 @@ ParallelResult ParallelSetup::Impl::run(
     return n_steps;
     };  // step_loop
 
-    const auto finish = [&] {
-    // Gather: each rank writes its owned nodes (owners are unique).
+    const auto finish = [&](int stop_k) {
+    // Gather: each rank writes its owned nodes (owners are unique), every
+    // node's bracket evaluated at the stop step.
     for (std::size_t i = 0; i < L.nodes.size(); ++i) {
       if (L.owned[i] == 0) continue;
+      double v[3 * fem::kMaxBatchLanes] = {};
+      node_at(i, stop_k, v);
       const std::size_t g = 3 * static_cast<std::size_t>(L.nodes[i]);
-      result.u_final[g] = u[3 * i];
-      result.u_final[g + 1] = u[3 * i + 1];
-      result.u_final[g + 2] = u[3 * i + 2];
+      for (std::size_t s = 0; s < S; ++s) {
+        for (std::size_t c = 0; c < 3; ++c) {
+          results[s].u_final[g + c] = v[c * S + s];
+        }
+      }
     }
 
     // Fraction of the exchange hidden behind interior compute: of the time
@@ -1542,30 +1813,53 @@ ParallelResult ParallelSetup::Impl::run(
             ? 0.0
             : overlap_s / (overlap_s + drain_s);
 
-    auto& st = result.rank_stats[r];
+    // Mean exchange volume over the steps taken, from the schedule: the
+    // setup volume times S under global dt, less under LTS where quiet
+    // rates drop out of most messages.
+    const int steps_taken = std::max(1, stop_k);
+    std::size_t doubles_sent = 0;
+    for (int k = 0; k < steps_taken; ++k) {
+      for (std::size_t nb = 0; nb < L.neighbors.size(); ++nb) {
+        doubles_sent += msg_len(nb, sched.cap(k));
+      }
+    }
+
+    // Every lane shares the one execution, so each result carries the same
+    // per-rank stats.
+    ParallelResult::RankStats st;
     st.n_elems = L.elems.size();
-    st.n_boundary_elems = L.boundary_elems.size();
-    st.n_interior_elems = L.interior_elems.size();
+    st.n_boundary_elems = rp.n_boundary_elems;
+    st.n_interior_elems = rp.n_interior_elems;
     st.n_local_nodes = L.nodes.size();
     st.n_neighbors = L.neighbors.size();
-    st.doubles_sent_per_step = L.doubles_per_step;
+    st.doubles_sent_per_step =
+        doubles_sent / static_cast<std::size_t>(steps_taken);
     st.flops = flops;
     st.element_updates = elem_updates;
     st.compute_seconds = compute_watch.total_seconds();
     st.exchange_seconds = exchange_watch.total_seconds();
     st.overlap_fraction = overlap_fraction;
+    for (auto& res : results) res.rank_stats[r] = st;
 
     // Partition-shape gauges; their across-rank min/mean/max in the merged
     // report is the load-imbalance view of Table 2.1.
     obs::gauge_set("par/n_elems", static_cast<double>(L.elems.size()));
     obs::gauge_set("par/n_boundary_elems",
-                   static_cast<double>(L.boundary_elems.size()));
+                   static_cast<double>(st.n_boundary_elems));
     obs::gauge_set("par/n_interior_elems",
-                   static_cast<double>(L.interior_elems.size()));
+                   static_cast<double>(st.n_interior_elems));
     obs::gauge_set("par/n_local_nodes", static_cast<double>(L.nodes.size()));
     obs::gauge_set("par/n_neighbors", static_cast<double>(L.neighbors.size()));
     obs::gauge_set("par/doubles_sent_per_step",
-                   static_cast<double>(L.doubles_per_step));
+                   static_cast<double>(st.doubles_sent_per_step));
+    // Global-dt element updates over the ones actually performed, all
+    // lanes counted.
+    const std::uint64_t global_updates =
+        static_cast<std::uint64_t>(std::max(0, stop_k)) * S * L.elems.size();
+    obs::gauge_set("par/lts_updates_saved_ratio",
+                   elem_updates > 0 ? static_cast<double>(global_updates) /
+                                          static_cast<double>(elem_updates)
+                                    : 1.0);
     obs::gauge_set("par/compute_seconds", compute_watch.total_seconds());
     obs::gauge_set("par/exchange_seconds", exchange_watch.total_seconds());
     obs::gauge_set("par/overlap_fraction", overlap_fraction);
@@ -1583,9 +1877,11 @@ ParallelResult ParallelSetup::Impl::run(
       obs::gauge_set("par/log_raw_bytes", static_cast<double>(raw));
     }
 
-    // ---- telemetry gather: ship every registry to rank 0 and merge ------
-    // Registries are snapshotted/encoded BEFORE the gather messages move,
-    // so the reports describe the solve, not the gather itself.
+    // ---- telemetry gather: ship every registry to rank 0 and merge into
+    // the first lane's result (the solve ran once; duplicating reports per
+    // lane would double-count). Registries are snapshotted/encoded BEFORE
+    // the gather messages move, so the reports describe the solve, not the
+    // gather itself ----
     if (obs::enabled()) {
       if (rank.id() == 0) {
         std::vector<obs::RankReport> reports;
@@ -1594,8 +1890,8 @@ ParallelResult ParallelSetup::Impl::run(
         for (int s = 1; s < R; ++s) {
           reports.push_back(obs::decode_report(rank.recv(s, kObsGatherTag)));
         }
-        result.obs_summary = obs::merge_reports(reports);
-        result.obs_reports = std::move(reports);
+        results[0].obs_summary = obs::merge_reports(reports);
+        results[0].obs_reports = std::move(reports);
       } else {
         rank.send(0, kObsGatherTag,
                   obs::encode_report(obs::RankReport{rank.id(), rank_regs[r]}));
@@ -1642,20 +1938,17 @@ ParallelResult ParallelSetup::Impl::run(
         k_done = k0 - 1;
         k_progress = k0;
         const int stop_k = step_loop(k0);
-        finish();
+        finish(stop_k);
         // The cancel agreement guarantees every rank stops at the same
-        // step; rank 0 records it (threads are joined before run()
-        // returns, so this write is visible to the caller).
-        if (rank.id() == 0 && stop_k < n_steps) {
-          result.cancelled = true;
-          result.steps_completed = stop_k;
-        }
+        // step; rank 0 records it (threads are joined before solve()
+        // reads it).
+        if (rank.id() == 0) agreed_stop = stop_k;
         break;
       } catch (const RankFailedError&) {
         // A peer died. With in-place recovery armed, park this thread —
-        // state intact — until run()'s monitor revives the dead rank, then
-        // take another lap through the restore agreement. Otherwise (or
-        // when recovery is abandoned) rethrow into the full-restart
+        // state intact — until comm.run()'s monitor revives the dead rank,
+        // then take another lap through the restore agreement. Otherwise
+        // (or when recovery is abandoned) rethrow into the full-restart
         // supervisor.
         if (!in_place) throw;
         last_fail_step = k_progress;
@@ -1664,7 +1957,16 @@ ParallelResult ParallelSetup::Impl::run(
         recovering = true;
       }
     }
-  };
+  };  // body
+
+  // One lane runs the instantiation with S fixed at 1, several the one
+  // with S read at run time.
+  const std::function<void(Rank&)> spmd_body =
+      n_lanes == 1 ? std::function<void(Rank&)>([&](Rank& rank) {
+        body(rank, std::integral_constant<std::size_t, 1>{});
+      })
+                   : std::function<void(Rank&)>(
+                         [&](Rank& rank) { body(rank, n_lanes); });
 
   // ---- supervised execution: rewind to the last checkpoint and retry on
   // rank failure, with exponential backoff; deadlocks are deterministic
@@ -1688,7 +1990,13 @@ ParallelResult ParallelSetup::Impl::run(
       ++attempt;
     }
   }
-  result.revives_used = revives_total;
+  for (auto& res : results) {
+    res.revives_used = revives_total;
+    if (agreed_stop < n_steps) {
+      res.cancelled = true;
+      res.steps_completed = agreed_stop;
+    }
+  }
   if (ckpt_on) {
     // The run completed; its snapshots are obsolete (and would otherwise
     // short-circuit an unrelated future run pointed at the same directory).
@@ -1701,1210 +2009,7 @@ ParallelResult ParallelSetup::Impl::run(
     }
   }
 
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// run_batch: S scenarios through one SPMD step loop. The structure is run()
-// with every per-dof array widened to S lanes (scenario-major) and all
-// fault-tolerance machinery removed — batched requests carry no FT by the
-// serving layer's coalescing contract (see docs/BATCHING.md). Lane s of
-// every array takes exactly the floating-point operation sequence run()
-// would apply to scenario s alone (lane loops are innermost everywhere, and
-// the drain keeps its ascending-rank order), which is what makes batch
-// results bitwise identical to sequential ones.
-// ---------------------------------------------------------------------------
-
-std::vector<ParallelResult> ParallelSetup::Impl::run_batch(
-    double t_end, std::span<const BatchScenario> scenarios,
-    const RunControl& control) {
-  const std::lock_guard<std::mutex> run_lock(run_mutex);
-  const int S_i = static_cast<int>(scenarios.size());
-  if (S_i < 1 || S_i > fem::kMaxBatchLanes) {
-    throw std::invalid_argument("run_batch: scenario count must be in [1, " +
-                                std::to_string(fem::kMaxBatchLanes) + "]");
-  }
-  const std::size_t S = scenarios.size();
-  const int n_steps = static_cast<int>(std::ceil(t_end / dt));
-
-  std::vector<ParallelResult> results(S);
-  for (std::size_t s = 0; s < S; ++s) {
-    results[s].dt = dt;
-    results[s].n_steps = n_steps;
-    results[s].steps_completed = n_steps;
-    results[s].u_final.assign(3 * mesh.n_nodes(), 0.0);
-    results[s].rank_stats.assign(static_cast<std::size_t>(R), {});
-    results[s].receiver_histories.assign(scenarios[s].receivers.size(), {});
-  }
-
-  // Per-rank receiver assignment, now (lane, receiver, local node) triples.
-  struct RecvRef {
-    int lane;
-    int ri;
-    int ln;
-  };
-  std::vector<std::vector<RecvRef>> recv_of(static_cast<std::size_t>(R));
-  const solver::NodeLocator nodes(mesh);
-  for (std::size_t s = 0; s < S; ++s) {
-    for (std::size_t ri = 0; ri < scenarios[s].receivers.size(); ++ri) {
-      const mesh::NodeId n = nodes.nearest(scenarios[s].receivers[ri]);
-      const int owner = part.node_owner[static_cast<std::size_t>(n)];
-      const auto it = locals[static_cast<std::size_t>(owner)].local_of.find(n);
-      if (it == locals[static_cast<std::size_t>(owner)].local_of.end()) {
-        throw std::invalid_argument(
-            "run_batch: scenario " + std::to_string(s) + " receiver " +
-            std::to_string(ri) + " snaps to node " + std::to_string(n) +
-            ", which no element touches (orphan node)");
-      }
-      recv_of[static_cast<std::size_t>(owner)].push_back(
-          {static_cast<int>(s), static_cast<int>(ri), it->second});
-      results[s].receiver_histories[ri].reserve(
-          static_cast<std::size_t>(n_steps));
-    }
-  }
-
-  // Batched exchange buffers: the scalar buffers' layout with every entry
-  // widened to S lanes — ku section at [(3*i + c) * S + s], dku (when
-  // Rayleigh damping is on) at offset 3 * shared * S.
-  const std::size_t pack = rayleigh ? 2u : 1u;
-  for (auto& L : locals) {
-    L.sendbuf_b.resize(L.neighbors.size());
-    L.recvbuf_b.resize(L.neighbors.size());
-    for (std::size_t nb = 0; nb < L.neighbors.size(); ++nb) {
-      const std::size_t n_sh = L.neighbors[nb].shared.size();
-      L.sendbuf_b[nb].assign(pack * 3 * n_sh * S, 0.0);
-      L.recvbuf_b[nb].assign(pack * 3 * n_sh * S, 0.0);
-    }
-  }
-
-  // Plain-communicator policy: no injected faults, no deadline on blocking
-  // ops, no in-place recovery. A rank failure surfaces to the caller.
-  comm.clear_fault_plan();
-  comm.set_timeout(0.0);
-  comm.set_recovery({false, 0});
-
-  const bool ctl_active = control.active();
-  const int ctl_every = std::max(1, control.check_every);
-  const auto run_start = std::chrono::steady_clock::now();
-
-  const fem::HexReference& ref = fem::HexReference::get();
-  const auto elem_damping = op.element_damping();
-  std::vector<obs::Registry> rank_regs(static_cast<std::size_t>(R));
-  int agreed_stop = n_steps;  // written by rank 0, read after join
-
-  const auto spmd_body = [&](Rank& rank) {
-    const std::size_t r = static_cast<std::size_t>(rank.id());
-    const obs::ScopedRegistry obs_install(rank_regs[r]);
-    RankLocal& L = locals[r];
-    const auto& RV = recv_of[r];
-    const std::size_t nd = 3 * L.nodes.size();
-    const std::size_t nb_len = nd * S;
-    std::vector<double> u(nb_len, 0.0), u_prev(nb_len, 0.0),
-        u_next(nb_len, 0.0);
-    std::vector<double> f(nb_len, 0.0), ku(nb_len, 0.0), dku(nb_len, 0.0),
-        dku_prev(nb_len, 0.0);
-
-    util::StopWatch compute_watch, exchange_watch, overlap_watch, drain_watch;
-    std::uint64_t flops = 0;
-    std::uint64_t elem_updates = 0;
-    obs::counter_add("comm/msgs_sent", 0);
-    obs::counter_add("comm/bytes_sent", 0);
-    obs::gauge_set("par/dt", dt);
-    obs::gauge_set("par/batch_width", static_cast<double>(S));
-
-    auto expand_b = [&](std::vector<double>& x) {
-      for (const LocalConstraint& c : L.cons) {
-        for (int comp = 0; comp < 3; ++comp) {
-          const std::size_t hd =
-              (3 * static_cast<std::size_t>(c.node) +
-               static_cast<std::size_t>(comp)) *
-              S;
-          for (std::size_t s = 0; s < S; ++s) {
-            double v = 0.0;
-            for (int m = 0; m < c.n; ++m) {
-              v += c.weights[static_cast<std::size_t>(m)] *
-                   x[(3 * static_cast<std::size_t>(
-                            c.masters[static_cast<std::size_t>(m)]) +
-                      static_cast<std::size_t>(comp)) *
-                         S +
-                     s];
-            }
-            x[hd + s] = v;
-          }
-        }
-      }
-    };
-    auto accumulate_b = [&](std::vector<double>& x,
-                            const std::vector<LocalConstraint>& cons) {
-      for (const LocalConstraint& c : cons) {
-        for (int comp = 0; comp < 3; ++comp) {
-          const std::size_t hd =
-              (3 * static_cast<std::size_t>(c.node) +
-               static_cast<std::size_t>(comp)) *
-              S;
-          for (int m = 0; m < c.n; ++m) {
-            const std::size_t md =
-                (3 * static_cast<std::size_t>(
-                         c.masters[static_cast<std::size_t>(m)]) +
-                 static_cast<std::size_t>(comp)) *
-                S;
-            const double w = c.weights[static_cast<std::size_t>(m)];
-            for (std::size_t s = 0; s < S; ++s) x[md + s] += w * x[hd + s];
-          }
-          for (std::size_t s = 0; s < S; ++s) x[hd + s] = 0.0;
-        }
-      }
-    };
-
-    double ue[fem::kHexDofs * fem::kMaxBatchLanes];
-    double ye[fem::kHexDofs * fem::kMaxBatchLanes];
-    double de[fem::kHexDofs * fem::kMaxBatchLanes];
-    auto apply_elems_b = [&](const std::vector<int>& list) {
-      for (const int le_i : list) {
-        const std::size_t le = static_cast<std::size_t>(le_i);
-        const std::size_t ge = static_cast<std::size_t>(L.elems[le]);
-        const auto& c = L.conn[le];
-        for (int i = 0; i < 8; ++i) {
-          // Per node the 3 components x S lanes are one contiguous run.
-          const std::size_t base =
-              3 * static_cast<std::size_t>(c[static_cast<std::size_t>(i)]) * S;
-          std::copy(u.begin() + static_cast<std::ptrdiff_t>(base),
-                    u.begin() + static_cast<std::ptrdiff_t>(base + 3 * S),
-                    ue + 3 * static_cast<std::size_t>(i) * S);
-        }
-        std::fill(ye, ye + fem::kHexDofs * S, 0.0);
-        if (rayleigh) std::fill(de, de + fem::kHexDofs * S, 0.0);
-        const double h = mesh.elem_size[ge];
-        const vel::Material& mat = mesh.elem_mat[ge];
-        fem::hex_apply_batch(ref, ue, S_i, h * mat.lambda, h * mat.mu, ye,
-                             rayleigh ? elem_damping[ge].beta : 0.0,
-                             rayleigh ? de : nullptr);
-        for (int i = 0; i < 8; ++i) {
-          const std::size_t base =
-              3 * static_cast<std::size_t>(c[static_cast<std::size_t>(i)]) * S;
-          const std::size_t eb = 3 * static_cast<std::size_t>(i) * S;
-          for (std::size_t t = 0; t < 3 * S; ++t) ku[base + t] += ye[eb + t];
-          if (rayleigh) {
-            for (std::size_t t = 0; t < 3 * S; ++t) {
-              dku[base + t] += de[eb + t];
-            }
-          }
-        }
-        flops += S * fem::hex_apply_flops(rayleigh);
-      }
-      // One element update per lane per element: S lanes advance together.
-      elem_updates += S * list.size();
-      obs::counter_add("par/elements_processed",
-                       static_cast<std::int64_t>(list.size()));
-      obs::counter_add("par/element_updates",
-                       static_cast<std::int64_t>(S * list.size()));
-    };
-    auto apply_faces_b = [&](const std::vector<RankLocal::Face>& list) {
-      if (op_opt.abc != fem::AbcType::kStacey) return;
-      double uf[12], yf[12];
-      for (const auto& face : list) {
-        if (!op_opt.absorbing_sides[static_cast<std::size_t>(face.side)]) {
-          continue;
-        }
-        const std::size_t ge = static_cast<std::size_t>(
-            L.elems[static_cast<std::size_t>(face.elem)]);
-        const auto& fn = mesh::kFaceNodes[static_cast<std::size_t>(face.side)];
-        const auto& c = L.conn[static_cast<std::size_t>(face.elem)];
-        // The face kernel is tiny (4 nodes); run it per lane with strided
-        // gathers instead of widening it. Per-lane op order is the scalar
-        // kernel's, trivially.
-        for (std::size_t s = 0; s < S; ++s) {
-          for (int i = 0; i < 4; ++i) {
-            const std::size_t base =
-                3 *
-                static_cast<std::size_t>(
-                    c[static_cast<std::size_t>(fn[static_cast<std::size_t>(i)])]) *
-                S;
-            uf[3 * i] = u[base + s];
-            uf[3 * i + 1] = u[base + S + s];
-            uf[3 * i + 2] = u[base + 2 * S + s];
-          }
-          std::fill(yf, yf + 12, 0.0);
-          fem::face_stacey_apply(mesh.elem_mat[ge], mesh.elem_size[ge],
-                                 face.side, uf, yf);
-          for (int i = 0; i < 4; ++i) {
-            const std::size_t base =
-                3 *
-                static_cast<std::size_t>(
-                    c[static_cast<std::size_t>(fn[static_cast<std::size_t>(i)])]) *
-                S;
-            ku[base + s] += yf[3 * i];
-            ku[base + S + s] += yf[3 * i + 1];
-            ku[base + 2 * S + s] += yf[3 * i + 2];
-          }
-          flops += fem::face_stacey_flops();
-        }
-      }
-    };
-
-    int stop_k = n_steps;
-    for (int k = 0; k < n_steps; ++k) {
-      QUAKE_OBS_SCOPE("step");
-
-      // Whole-batch cancellation/deadline agreement, as in run().
-      if (ctl_active && k % ctl_every == 0) {
-        double want_stop = 0.0;
-        if (control.cancel != nullptr &&
-            control.cancel->load(std::memory_order_relaxed)) {
-          want_stop = 1.0;
-        }
-        if (control.deadline_seconds > 0.0 &&
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          run_start)
-                    .count() >= control.deadline_seconds) {
-          want_stop = 1.0;
-        }
-        if (rank.allreduce_max(want_stop) > 0.0) {
-          obs::counter_add("par/steps_cancelled", n_steps - k);
-          stop_k = k;
-          break;
-        }
-      }
-
-      const double t_k = k * dt;
-
-      {
-      QUAKE_OBS_SCOPE("compute");  // boundary elements + boundary ABC faces
-      compute_watch.start();
-      std::fill(ku.begin(), ku.end(), 0.0);
-      if (rayleigh) std::fill(dku.begin(), dku.end(), 0.0);
-      apply_elems_b(L.boundary_elems);
-      apply_faces_b(L.boundary_faces);
-      accumulate_b(ku, L.cons_boundary);
-      if (rayleigh) accumulate_b(dku, L.cons_boundary);
-      compute_watch.stop();
-      }
-
-      // ---- post: one coalesced message per neighbor carries all S lanes --
-      {
-      QUAKE_OBS_SCOPE("exchange");
-      exchange_watch.start();
-      {
-      QUAKE_OBS_SCOPE("post");
-      for (std::size_t nb = 0; nb < L.neighbors.size(); ++nb) {
-        auto& buf = L.sendbuf_b[nb];
-        const auto& sh = L.neighbors[nb].shared;
-        for (std::size_t i = 0; i < sh.size(); ++i) {
-          const std::size_t base = 3 * static_cast<std::size_t>(sh[i]) * S;
-          std::copy(ku.begin() + static_cast<std::ptrdiff_t>(base),
-                    ku.begin() + static_cast<std::ptrdiff_t>(base + 3 * S),
-                    buf.begin() + static_cast<std::ptrdiff_t>(3 * i * S));
-          if (rayleigh) {
-            const std::size_t off = 3 * sh.size() * S;
-            std::copy(dku.begin() + static_cast<std::ptrdiff_t>(base),
-                      dku.begin() + static_cast<std::ptrdiff_t>(base + 3 * S),
-                      buf.begin() +
-                          static_cast<std::ptrdiff_t>(off + 3 * i * S));
-          }
-        }
-        rank.send(L.neighbors[nb].rank, /*tag=*/0, buf);
-      }
-      for (int li : L.all_shared) {
-        const std::size_t base = 3 * static_cast<std::size_t>(li) * S;
-        for (std::size_t t = 0; t < 3 * S; ++t) ku[base + t] = 0.0;
-        if (rayleigh) {
-          for (std::size_t t = 0; t < 3 * S; ++t) dku[base + t] = 0.0;
-        }
-      }
-      }
-      exchange_watch.stop();
-      }
-
-      // ---- overlap window: per-lane sources, interior work ----
-      {
-      QUAKE_OBS_SCOPE("compute");
-      compute_watch.start();
-      overlap_watch.start();
-      std::fill(f.begin(), f.end(), 0.0);
-      for (std::size_t s = 0; s < S; ++s) {
-        RankLaneForceSink sink(L.local_of, f, S_i, static_cast<int>(s));
-        for (const solver::SourceModel* src : scenarios[s].sources) {
-          src->add_forces(t_k, sink);
-        }
-      }
-      accumulate_b(f, L.cons);
-      apply_elems_b(L.interior_elems);
-      apply_faces_b(L.interior_faces);
-      accumulate_b(ku, L.cons_interior);
-      if (rayleigh) accumulate_b(dku, L.cons_interior);
-      overlap_watch.stop();
-      compute_watch.stop();
-      }
-
-      // ---- drain: park payloads in arrival order, then accumulate in
-      // ascending rank order, 3*S contiguous doubles per shared node, so
-      // each lane's shared sum takes the scalar path's order ----
-      {
-      QUAKE_OBS_SCOPE("exchange");
-      exchange_watch.start();
-      drain_watch.start();
-      {
-        QUAKE_OBS_SCOPE("drain");
-        {
-          // Wait phase: identical protocol to run()'s drain (poll all
-          // pending edges, park arrivals, yield and re-poll on a fruitless
-          // pass, block on the lowest pending neighbor only after
-          // kIdlePassLimit passes in a row made no progress).
-          QUAKE_OBS_SCOPE("wait");
-          constexpr int kIdlePassLimit = 64;
-          std::fill(L.nb_arrived.begin(), L.nb_arrived.end(), 0);
-          std::size_t n_pending = L.neighbors.size();
-          int idle_passes = 0;
-          while (n_pending > 0) {
-            std::size_t progressed = 0;
-            std::size_t first_pending = L.neighbors.size();
-            for (std::size_t nb = 0; nb < L.neighbors.size(); ++nb) {
-              if (L.nb_arrived[nb] != 0) continue;
-              if (rank.try_recv_into(L.neighbors[nb].rank, /*tag=*/0,
-                                     L.recvbuf_b[nb])) {
-                L.nb_arrived[nb] = 1;
-                --n_pending;
-                ++progressed;
-              } else if (first_pending == L.neighbors.size()) {
-                first_pending = nb;
-              }
-            }
-            if (n_pending == 0 || progressed > 0) {
-              idle_passes = 0;
-            } else if (++idle_passes < kIdlePassLimit) {
-              std::this_thread::yield();
-            } else {
-              rank.recv_into(L.neighbors[first_pending].rank, /*tag=*/0,
-                             L.recvbuf_b[first_pending]);
-              L.nb_arrived[first_pending] = 1;
-              --n_pending;
-              idle_passes = 0;
-            }
-          }
-        }
-        for (int s = 0; s < R; ++s) {
-          if (s == rank.id()) {
-            for (std::size_t nb = 0; nb < L.neighbors.size(); ++nb) {
-              const auto& sh = L.neighbors[nb].shared;
-              const auto& buf = L.sendbuf_b[nb];
-              for (const int i_first : L.own_first[nb]) {
-                const std::size_t i = static_cast<std::size_t>(i_first);
-                const std::size_t base =
-                    3 * static_cast<std::size_t>(sh[i]) * S;
-                const std::size_t bb = 3 * i * S;
-                for (std::size_t t = 0; t < 3 * S; ++t) {
-                  ku[base + t] += buf[bb + t];
-                }
-                if (rayleigh) {
-                  const std::size_t off = 3 * sh.size() * S;
-                  for (std::size_t t = 0; t < 3 * S; ++t) {
-                    dku[base + t] += buf[off + bb + t];
-                  }
-                }
-              }
-            }
-            continue;
-          }
-          const int nbi = L.nb_of_rank[static_cast<std::size_t>(s)];
-          if (nbi < 0) continue;
-          const auto& msg = L.recvbuf_b[static_cast<std::size_t>(nbi)];
-          const auto& sh = L.neighbors[static_cast<std::size_t>(nbi)].shared;
-          for (std::size_t i = 0; i < sh.size(); ++i) {
-            const std::size_t base = 3 * static_cast<std::size_t>(sh[i]) * S;
-            const std::size_t bb = 3 * i * S;
-            for (std::size_t t = 0; t < 3 * S; ++t) {
-              ku[base + t] += msg[bb + t];
-            }
-            if (rayleigh) {
-              const std::size_t off = 3 * sh.size() * S;
-              for (std::size_t t = 0; t < 3 * S; ++t) {
-                dku[base + t] += msg[off + bb + t];
-              }
-            }
-          }
-        }
-      }
-      drain_watch.stop();
-      exchange_watch.stop();
-      }
-
-      {
-      QUAKE_OBS_SCOPE("compute");  // eq. 2.4, lane loop innermost
-      compute_watch.start();
-      const double dt2 = dt * dt;
-      const double hdt = 0.5 * dt;
-      for (std::size_t d = 0; d < nd; ++d) {
-        const std::size_t b = d * S;
-        for (std::size_t s = 0; s < S; ++s) {
-          double rhs = 2.0 * L.mass[d] * u[b + s] - dt2 * ku[b + s] +
-                       dt2 * f[b + s] +
-                       (hdt * L.am[d] - L.mass[d]) * u_prev[b + s] +
-                       hdt * L.cab[d] * u_prev[b + s];
-          if (rayleigh) {
-            rhs -= hdt * (dku[b + s] - L.bk[d] * u[b + s]);
-            rhs += hdt * dku_prev[b + s];
-          }
-          u_next[b + s] = rhs * L.inv_lhs[d];
-        }
-      }
-      expand_b(u_next);
-      // Same per-dof update count as run(), times the S lanes.
-      flops += S * nd * (rayleigh ? 20ull : 14ull);
-
-      std::swap(dku_prev, dku);
-      std::swap(u_prev, u);
-      std::swap(u, u_next);
-
-      for (const RecvRef& rv : RV) {
-        const std::size_t base = 3 * static_cast<std::size_t>(rv.ln) * S;
-        const std::size_t s = static_cast<std::size_t>(rv.lane);
-        results[s].receiver_histories[static_cast<std::size_t>(rv.ri)]
-            .push_back({u[base + s], u[base + S + s], u[base + 2 * S + s]});
-      }
-      compute_watch.stop();
-      }
-    }
-
-    // ---- finish: scatter each lane's owned nodes into its result ----
-    for (std::size_t i = 0; i < L.nodes.size(); ++i) {
-      if (L.owned[i] == 0) continue;
-      const std::size_t g = 3 * static_cast<std::size_t>(L.nodes[i]);
-      const std::size_t base = 3 * i * S;
-      for (std::size_t s = 0; s < S; ++s) {
-        results[s].u_final[g] = u[base + s];
-        results[s].u_final[g + 1] = u[base + S + s];
-        results[s].u_final[g + 2] = u[base + 2 * S + s];
-      }
-    }
-
-    const double overlap_s = overlap_watch.total_seconds();
-    const double drain_s = drain_watch.total_seconds();
-    const double overlap_fraction =
-        (L.neighbors.empty() || overlap_s + drain_s <= 0.0)
-            ? 0.0
-            : overlap_s / (overlap_s + drain_s);
-    // Every lane shares the one batched execution, so each result carries
-    // the same per-rank stats; the exchange volume is the batched message
-    // size (S times the scalar volume, for one message round).
-    ParallelResult::RankStats st;
-    st.n_elems = L.elems.size();
-    st.n_boundary_elems = L.boundary_elems.size();
-    st.n_interior_elems = L.interior_elems.size();
-    st.n_local_nodes = L.nodes.size();
-    st.n_neighbors = L.neighbors.size();
-    st.doubles_sent_per_step = L.doubles_per_step * S;
-    st.flops = flops;
-    st.element_updates = elem_updates;
-    st.compute_seconds = compute_watch.total_seconds();
-    st.exchange_seconds = exchange_watch.total_seconds();
-    st.overlap_fraction = overlap_fraction;
-    for (std::size_t s = 0; s < S; ++s) results[s].rank_stats[r] = st;
-
-    obs::gauge_set("par/n_elems", static_cast<double>(L.elems.size()));
-    obs::gauge_set("par/doubles_sent_per_step",
-                   static_cast<double>(L.doubles_per_step * S));
-    obs::gauge_set("par/compute_seconds", compute_watch.total_seconds());
-    obs::gauge_set("par/exchange_seconds", exchange_watch.total_seconds());
-    obs::gauge_set("par/overlap_fraction", overlap_fraction);
-
-    // Telemetry gather to rank 0, attached to the first lane's result (the
-    // batch ran once; duplicating reports per lane would double-count).
-    if (obs::enabled()) {
-      if (rank.id() == 0) {
-        std::vector<obs::RankReport> reports;
-        reports.reserve(static_cast<std::size_t>(R));
-        reports.push_back(obs::RankReport{0, rank_regs[0]});
-        for (int s = 1; s < R; ++s) {
-          reports.push_back(obs::decode_report(rank.recv(s, kObsGatherTag)));
-        }
-        results[0].obs_summary = obs::merge_reports(reports);
-        results[0].obs_reports = std::move(reports);
-      } else {
-        rank.send(0, kObsGatherTag,
-                  obs::encode_report(obs::RankReport{rank.id(), rank_regs[r]}));
-      }
-    }
-    if (rank.id() == 0) agreed_stop = stop_k;
-  };
-
-  comm.run(spmd_body);
-  if (agreed_stop < n_steps) {
-    for (auto& res : results) {
-      res.cancelled = true;
-      res.steps_completed = agreed_stop;
-    }
-  }
   return results;
-}
-
-// ---------------------------------------------------------------------------
-// run_lts: one solve under clustered local time stepping. The structure is
-// run() with the fault-tolerance machinery removed and every sweep list
-// replaced by its per-class (element/face) or per-rate (node/constraint/
-// exchange) sublists; at fine step k the classes/rates with lg <=
-// countr_zero(k) are active, visited in ascending lg order. A mesh that
-// clusters into a single class takes every list whole and in the original
-// order, so the run is bitwise identical to run() — the anchor lts_test
-// pins. See src/lts/include/quake/lts/lts_solver.hpp for the scheme (state
-// convention, interpolation bracket, scheduling invariant); docs/LTS.md for
-// the correctness argument.
-// ---------------------------------------------------------------------------
-
-// The clustering plus everything per-rank that derives from it. Built once
-// per max_rate (under run_mutex) and reused across run_lts calls on this
-// setup, like RankLocal is across run() calls.
-struct ParallelSetup::Impl::LtsPlan {
-  lts::Clustering cl;
-
-  struct NbPlan {
-    // Positions into the neighbor's `shared` list, grouped by node rate.
-    // A step-k message is the rate-major concatenation over active rates
-    // (lg ascending) of 3 doubles per listed node — both sides derive the
-    // same layout from the same global rates, so lengths and node order
-    // agree without any handshake.
-    std::vector<std::vector<int>> sh_of_rate;
-    // Of own_first (this rank's once-only own-partial positions), the
-    // entries of each rate, as {position in shared, slot in the concat}.
-    std::vector<std::vector<std::array<int, 2>>> own_of_rate;
-    // Shared-node count over rates <= lg: the step-k message holds
-    // 3 * count_upto[min(C_k, n-1)] doubles; zero-length edges skip the
-    // send and the drain entirely.
-    std::vector<std::size_t> count_upto;
-  };
-
-  struct RankPlan {
-    // Per-class sublists of the boundary/interior split, original order.
-    std::vector<std::vector<int>> bnd_elems, int_elems;
-    std::vector<std::vector<RankLocal::Face>> bnd_faces, int_faces;
-    // Per-rate update lists: local node indices (ascending) and the
-    // constraint groups whose nodes carry that rate (a group shares one
-    // rate by the clustering fold), in L.cons order.
-    std::vector<std::vector<int>> nodes_of_rate;
-    std::vector<std::vector<LocalConstraint>> cons_of_rate;
-    // all_shared filtered by rate: the entries to re-zero after a post.
-    std::vector<std::vector<int>> shared_of_rate;
-    std::vector<NbPlan> nbs;
-    // Per-local-dof update coefficients for dt_n = 2^lg * dt (ldexp is
-    // exact, so lg = 0 dofs reproduce run()'s coefficients bitwise).
-    std::vector<double> dt2n, hdtn, inv_lhs;
-    std::vector<std::uint8_t> node_lg;  // per local node
-  };
-  std::vector<RankPlan> ranks;
-};
-
-const ParallelSetup::Impl::LtsPlan& ParallelSetup::Impl::get_lts_plan(
-    int max_rate) {
-  if (lts_plan != nullptr && lts_plan_max_rate == max_rate) return *lts_plan;
-  auto plan = std::make_unique<LtsPlan>();
-  plan->cl = lts::cluster_elements(mesh, dt, cfl, max_rate);
-  const lts::Clustering& cl = plan->cl;
-  const std::size_t nc = static_cast<std::size_t>(cl.n_classes);
-
-  plan->ranks.resize(static_cast<std::size_t>(R));
-  for (std::size_t r = 0; r < static_cast<std::size_t>(R); ++r) {
-    const RankLocal& L = locals[r];
-    LtsPlan::RankPlan& rp = plan->ranks[r];
-
-    const auto elem_class = [&](int le) {
-      return cl.elem_class_log2[static_cast<std::size_t>(
-          L.elems[static_cast<std::size_t>(le)])];
-    };
-    rp.bnd_elems.resize(nc);
-    rp.int_elems.resize(nc);
-    rp.bnd_faces.resize(nc);
-    rp.int_faces.resize(nc);
-    for (const int le : L.boundary_elems) rp.bnd_elems[elem_class(le)].push_back(le);
-    for (const int le : L.interior_elems) rp.int_elems[elem_class(le)].push_back(le);
-    for (const RankLocal::Face& face : L.boundary_faces) {
-      rp.bnd_faces[elem_class(face.elem)].push_back(face);
-    }
-    for (const RankLocal::Face& face : L.interior_faces) {
-      rp.int_faces[elem_class(face.elem)].push_back(face);
-    }
-
-    const std::size_t nl = L.nodes.size();
-    rp.node_lg.resize(nl);
-    rp.nodes_of_rate.resize(nc);
-    for (std::size_t i = 0; i < nl; ++i) {
-      rp.node_lg[i] =
-          cl.node_rate_log2[static_cast<std::size_t>(L.nodes[i])];
-      rp.nodes_of_rate[rp.node_lg[i]].push_back(static_cast<int>(i));
-    }
-    rp.cons_of_rate.resize(nc);
-    for (const LocalConstraint& c : L.cons) {
-      rp.cons_of_rate[rp.node_lg[static_cast<std::size_t>(c.node)]].push_back(
-          c);
-    }
-    rp.shared_of_rate.resize(nc);
-    for (const int li : L.all_shared) {
-      rp.shared_of_rate[rp.node_lg[static_cast<std::size_t>(li)]].push_back(li);
-    }
-
-    rp.dt2n.resize(3 * nl);
-    rp.hdtn.resize(3 * nl);
-    rp.inv_lhs.resize(3 * nl);
-    for (std::size_t i = 0; i < nl; ++i) {
-      const double dtn = std::ldexp(dt, rp.node_lg[i]);
-      for (int c = 0; c < 3; ++c) {
-        const std::size_t d = 3 * i + static_cast<std::size_t>(c);
-        rp.dt2n[d] = dtn * dtn;
-        rp.hdtn[d] = 0.5 * dtn;
-        const double lhs =
-            L.mass[d] + 0.5 * dtn * (L.am[d] + L.bk[d] + L.cab[d]);
-        rp.inv_lhs[d] = lhs > 0.0 ? 1.0 / lhs : 0.0;
-      }
-    }
-
-    rp.nbs.resize(L.neighbors.size());
-    for (std::size_t nb = 0; nb < L.neighbors.size(); ++nb) {
-      const auto& sh = L.neighbors[nb].shared;
-      LtsPlan::NbPlan& np = rp.nbs[nb];
-      np.sh_of_rate.resize(nc);
-      np.own_of_rate.resize(nc);
-      np.count_upto.assign(nc, 0);
-      for (std::size_t i = 0; i < sh.size(); ++i) {
-        np.sh_of_rate[rp.node_lg[static_cast<std::size_t>(sh[i])]].push_back(
-            static_cast<int>(i));
-      }
-      // Concat slot of each position, rate-major — fixed across steps
-      // because active rates always form the prefix lg <= C_k.
-      std::vector<int> slot_of(sh.size(), 0);
-      int slot = 0;
-      for (std::size_t lg = 0; lg < nc; ++lg) {
-        for (const int i : np.sh_of_rate[lg]) {
-          slot_of[static_cast<std::size_t>(i)] = slot++;
-        }
-        np.count_upto[lg] =
-            static_cast<std::size_t>(slot);
-      }
-      for (const int i : L.own_first[nb]) {
-        const std::uint8_t lg =
-            rp.node_lg[static_cast<std::size_t>(sh[static_cast<std::size_t>(i)])];
-        np.own_of_rate[lg].push_back(
-            {i, slot_of[static_cast<std::size_t>(i)]});
-      }
-    }
-  }
-
-  lts_plan = std::move(plan);
-  lts_plan_max_rate = max_rate;
-  return *lts_plan;
-}
-
-ParallelResult ParallelSetup::Impl::run_lts(
-    double t_end, std::span<const solver::SourceModel* const> sources,
-    std::span<const std::array<double, 3>> receiver_positions,
-    const lts::LtsOptions& lts, const RunControl& control) {
-  if (!lts.enabled) {
-    // Global-dt path, untouched: same code, same bits as before LTS existed.
-    return run(t_end, sources, receiver_positions, FaultToleranceOptions{},
-               control);
-  }
-  if (rayleigh) {
-    throw std::invalid_argument(
-        "run_lts: Rayleigh damping couples u^{k-1} across rates; use the "
-        "global-dt path");
-  }
-  const std::lock_guard<std::mutex> run_lock(run_mutex);
-  const LtsPlan& plan = get_lts_plan(lts.max_rate);
-  const lts::Clustering& cl = plan.cl;
-  const int n_classes = cl.n_classes;
-  const int n_steps = static_cast<int>(std::ceil(t_end / dt));
-
-  ParallelResult result;
-  result.dt = dt;
-  result.n_steps = n_steps;
-  result.steps_completed = n_steps;
-  result.u_final.assign(3 * mesh.n_nodes(), 0.0);
-  result.rank_stats.assign(static_cast<std::size_t>(R), {});
-  result.receiver_histories.assign(receiver_positions.size(), {});
-
-  std::vector<std::vector<std::pair<int, int>>> recv_of(
-      static_cast<std::size_t>(R));
-  const solver::NodeLocator nodes(mesh);
-  for (std::size_t ri = 0; ri < receiver_positions.size(); ++ri) {
-    const mesh::NodeId n = nodes.nearest(receiver_positions[ri]);
-    const int owner = part.node_owner[static_cast<std::size_t>(n)];
-    const auto it = locals[static_cast<std::size_t>(owner)].local_of.find(n);
-    if (it == locals[static_cast<std::size_t>(owner)].local_of.end()) {
-      throw std::invalid_argument(
-          "run_lts: receiver " + std::to_string(ri) + " snaps to node " +
-          std::to_string(n) + ", which no element touches (orphan node)");
-    }
-    recv_of[static_cast<std::size_t>(owner)].push_back(
-        {static_cast<int>(ri), it->second});
-    result.receiver_histories[ri].reserve(static_cast<std::size_t>(n_steps));
-  }
-
-  // Plain-communicator policy, as in run_batch: no injected faults, no
-  // deadline on blocking ops, no in-place recovery.
-  comm.clear_fault_plan();
-  comm.set_timeout(0.0);
-  comm.set_recovery({false, 0});
-
-  const bool ctl_active = control.active();
-  const int ctl_every = std::max(1, control.check_every);
-  const auto run_start = std::chrono::steady_clock::now();
-
-  const fem::HexReference& ref = fem::HexReference::get();
-  std::vector<obs::Registry> rank_regs(static_cast<std::size_t>(R));
-  int agreed_stop = n_steps;  // written by rank 0, read after join
-
-  const auto spmd_body = [&](Rank& rank) {
-    const std::size_t r = static_cast<std::size_t>(rank.id());
-    const obs::ScopedRegistry obs_install(rank_regs[r]);
-    RankLocal& L = locals[r];
-    const LtsPlan::RankPlan& rp = plan.ranks[r];
-    const auto& RV = recv_of[r];
-    const std::size_t nd = 3 * L.nodes.size();
-    // un is the time-k field the kernels read: the interpolation bracket
-    // (u_prev, u) of every node evaluated at the current fine step.
-    std::vector<double> u(nd, 0.0), u_prev(nd, 0.0), un(nd, 0.0);
-    std::vector<double> f(nd, 0.0), ku(nd, 0.0);
-
-    util::StopWatch compute_watch, exchange_watch, overlap_watch, drain_watch;
-    std::uint64_t flops = 0;
-    std::uint64_t elem_updates = 0;
-    std::uint64_t doubles_sent = 0;
-    obs::counter_add("comm/msgs_sent", 0);
-    obs::counter_add("comm/bytes_sent", 0);
-    obs::gauge_set("par/dt", dt);
-    obs::gauge_set("par/lts_n_classes", static_cast<double>(n_classes));
-
-    // Active-cadence cap at fine step k: rates/classes lg <= cap(k) run.
-    const auto active_cap = [&](int k) {
-      return k == 0 ? n_classes - 1
-                    : std::min(n_classes - 1,
-                               std::countr_zero(static_cast<unsigned>(k)));
-    };
-
-    auto accumulate = [&](std::vector<double>& x,
-                          const std::vector<LocalConstraint>& cons) {
-      for (const LocalConstraint& c : cons) {
-        for (int comp = 0; comp < 3; ++comp) {
-          const std::size_t hd = 3 * static_cast<std::size_t>(c.node) +
-                                 static_cast<std::size_t>(comp);
-          for (int m = 0; m < c.n; ++m) {
-            x[3 * static_cast<std::size_t>(
-                     c.masters[static_cast<std::size_t>(m)]) +
-              static_cast<std::size_t>(comp)] +=
-                c.weights[static_cast<std::size_t>(m)] * x[hd];
-          }
-          x[hd] = 0.0;
-        }
-      }
-    };
-
-    double ue[fem::kHexDofs], ye[fem::kHexDofs];
-    auto apply_elems = [&](const std::vector<int>& list) {
-      for (const int le_i : list) {
-        const std::size_t le = static_cast<std::size_t>(le_i);
-        const std::size_t ge = static_cast<std::size_t>(L.elems[le]);
-        const auto& c = L.conn[le];
-        for (int i = 0; i < 8; ++i) {
-          const std::size_t base =
-              3 * static_cast<std::size_t>(c[static_cast<std::size_t>(i)]);
-          ue[3 * i] = un[base];
-          ue[3 * i + 1] = un[base + 1];
-          ue[3 * i + 2] = un[base + 2];
-        }
-        std::fill(ye, ye + fem::kHexDofs, 0.0);
-        const double h = mesh.elem_size[ge];
-        const vel::Material& mat = mesh.elem_mat[ge];
-        fem::hex_apply(ref, ue, h * mat.lambda, h * mat.mu, ye, 0.0, nullptr);
-        for (int i = 0; i < 8; ++i) {
-          const std::size_t base =
-              3 * static_cast<std::size_t>(c[static_cast<std::size_t>(i)]);
-          ku[base] += ye[3 * i];
-          ku[base + 1] += ye[3 * i + 1];
-          ku[base + 2] += ye[3 * i + 2];
-        }
-        flops += fem::hex_apply_flops(false);
-      }
-      elem_updates += list.size();
-      obs::counter_add("par/elements_processed",
-                       static_cast<std::int64_t>(list.size()));
-      obs::counter_add("par/element_updates",
-                       static_cast<std::int64_t>(list.size()));
-    };
-    auto apply_faces = [&](const std::vector<RankLocal::Face>& list) {
-      if (op_opt.abc != fem::AbcType::kStacey) return;
-      double uf[12], yf[12];
-      for (const auto& face : list) {
-        if (!op_opt.absorbing_sides[static_cast<std::size_t>(face.side)]) {
-          continue;
-        }
-        const std::size_t ge = static_cast<std::size_t>(
-            L.elems[static_cast<std::size_t>(face.elem)]);
-        const auto& fn = mesh::kFaceNodes[static_cast<std::size_t>(face.side)];
-        const auto& c = L.conn[static_cast<std::size_t>(face.elem)];
-        for (int i = 0; i < 4; ++i) {
-          const std::size_t base = 3 * static_cast<std::size_t>(
-              c[static_cast<std::size_t>(fn[static_cast<std::size_t>(i)])]);
-          uf[3 * i] = un[base];
-          uf[3 * i + 1] = un[base + 1];
-          uf[3 * i + 2] = un[base + 2];
-        }
-        std::fill(yf, yf + 12, 0.0);
-        fem::face_stacey_apply(mesh.elem_mat[ge], mesh.elem_size[ge],
-                               face.side, uf, yf);
-        for (int i = 0; i < 4; ++i) {
-          const std::size_t base = 3 * static_cast<std::size_t>(
-              c[static_cast<std::size_t>(fn[static_cast<std::size_t>(i)])]);
-          ku[base] += yf[3 * i];
-          ku[base + 1] += yf[3 * i + 1];
-          ku[base + 2] += yf[3 * i + 2];
-        }
-        flops += fem::face_stacey_flops();
-      }
-    };
-
-    // The node's bracket (u_prev, u) evaluated at fine step k_target, for
-    // one node. A node of rate p active at k_target holds u = u^{k_target}
-    // exactly (m == 0 takes u directly — bitwise for rate-1 nodes); a stale
-    // node interpolates linearly inside its bracket.
-    const auto node_at = [&](std::size_t li, int k_target, double* out) {
-      const int lg = rp.node_lg[li];
-      const int m = k_target & ((1 << lg) - 1);
-      const std::size_t base = 3 * li;
-      if (m == 0) {
-        out[0] = u[base];
-        out[1] = u[base + 1];
-        out[2] = u[base + 2];
-      } else {
-        const double th =
-            static_cast<double>(m) / static_cast<double>(1 << lg);
-        for (int c = 0; c < 3; ++c) {
-          out[c] = u_prev[base + static_cast<std::size_t>(c)] +
-                   th * (u[base + static_cast<std::size_t>(c)] -
-                         u_prev[base + static_cast<std::size_t>(c)]);
-        }
-      }
-    };
-
-    int stop_k = n_steps;
-    for (int k = 0; k < n_steps; ++k) {
-      QUAKE_OBS_SCOPE("step");
-
-      if (ctl_active && k % ctl_every == 0) {
-        double want_stop = 0.0;
-        if (control.cancel != nullptr &&
-            control.cancel->load(std::memory_order_relaxed)) {
-          want_stop = 1.0;
-        }
-        if (control.deadline_seconds > 0.0 &&
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          run_start)
-                    .count() >= control.deadline_seconds) {
-          want_stop = 1.0;
-        }
-        if (rank.allreduce_max(want_stop) > 0.0) {
-          obs::counter_add("par/steps_cancelled", n_steps - k);
-          stop_k = k;
-          break;
-        }
-      }
-
-      const double t_k = k * dt;
-      const int cap = active_cap(k);
-
-      {
-      QUAKE_OBS_SCOPE("compute");  // time-k gather + boundary classes
-      compute_watch.start();
-      for (std::size_t i = 0; i < L.nodes.size(); ++i) {
-        node_at(i, k, un.data() + 3 * i);
-      }
-      std::fill(ku.begin(), ku.end(), 0.0);
-      for (int c = 0; c <= cap; ++c) {
-        apply_elems(rp.bnd_elems[static_cast<std::size_t>(c)]);
-        apply_faces(rp.bnd_faces[static_cast<std::size_t>(c)]);
-      }
-      // Full boundary fold, active or not: an inactive constraint group
-      // shares one (inactive) cadence, so its garbage partials land only on
-      // inactive masters — never sent (compacted out of the message) and
-      // never read (the update skips them). Active groups fold complete
-      // partials by the scheduling invariant. Keeping the fold whole is
-      // what keeps the single-class run on run()'s exact operation order.
-      accumulate(ku, L.cons_boundary);
-      compute_watch.stop();
-      }
-
-      // ---- post: per-neighbor messages carry only active-rate shared
-      // nodes, rate-major; a coarse-only edge goes quiet between its
-      // updates (zero-length messages are skipped on both sides) ----
-      {
-      QUAKE_OBS_SCOPE("exchange");
-      exchange_watch.start();
-      {
-      QUAKE_OBS_SCOPE("post");
-      for (std::size_t nb = 0; nb < L.neighbors.size(); ++nb) {
-        const LtsPlan::NbPlan& np = rp.nbs[nb];
-        const std::size_t len =
-            3 * np.count_upto[static_cast<std::size_t>(cap)];
-        if (len == 0) continue;
-        auto& buf = L.sendbuf[nb];
-        const auto& sh = L.neighbors[nb].shared;
-        std::size_t o = 0;
-        for (int lg = 0; lg <= cap; ++lg) {
-          for (const int i : np.sh_of_rate[static_cast<std::size_t>(lg)]) {
-            const std::size_t base = 3 * static_cast<std::size_t>(
-                sh[static_cast<std::size_t>(i)]);
-            buf[o] = ku[base];
-            buf[o + 1] = ku[base + 1];
-            buf[o + 2] = ku[base + 2];
-            o += 3;
-          }
-        }
-        rank.send(L.neighbors[nb].rank, /*tag=*/0,
-                  std::span<const double>(buf.data(), len));
-        doubles_sent += len;
-      }
-      // Re-zero the active shared entries (the drain rebuilds them in
-      // ascending rank order); stale-rate entries keep their garbage, which
-      // the next full ku zero clears before anyone could read it.
-      for (int lg = 0; lg <= cap; ++lg) {
-        for (const int li : rp.shared_of_rate[static_cast<std::size_t>(lg)]) {
-          const std::size_t base = 3 * static_cast<std::size_t>(li);
-          ku[base] = ku[base + 1] = ku[base + 2] = 0.0;
-        }
-      }
-      }
-      exchange_watch.stop();
-      }
-
-      // ---- overlap window: sources, interior classes ----
-      {
-      QUAKE_OBS_SCOPE("compute");
-      compute_watch.start();
-      overlap_watch.start();
-      std::fill(f.begin(), f.end(), 0.0);
-      RankForceSink sink(L.local_of, f);
-      for (const solver::SourceModel* s : sources) s->add_forces(t_k, sink);
-      accumulate(f, L.cons);
-      for (int c = 0; c <= cap; ++c) {
-        apply_elems(rp.int_elems[static_cast<std::size_t>(c)]);
-        apply_faces(rp.int_faces[static_cast<std::size_t>(c)]);
-      }
-      accumulate(ku, L.cons_interior);
-      overlap_watch.stop();
-      compute_watch.stop();
-      }
-
-      // ---- drain: run()'s protocol over the edges that sent this step ----
-      {
-      QUAKE_OBS_SCOPE("exchange");
-      exchange_watch.start();
-      drain_watch.start();
-      {
-        QUAKE_OBS_SCOPE("drain");
-        {
-          QUAKE_OBS_SCOPE("wait");
-          constexpr int kIdlePassLimit = 64;
-          std::size_t n_pending = 0;
-          for (std::size_t nb = 0; nb < L.neighbors.size(); ++nb) {
-            // Quiet edges (no active shared nodes) are pre-marked arrived.
-            const std::size_t len =
-                3 * rp.nbs[nb].count_upto[static_cast<std::size_t>(cap)];
-            L.nb_arrived[nb] = len == 0 ? 1 : 0;
-            n_pending += len == 0 ? 0 : 1;
-          }
-          int idle_passes = 0;
-          while (n_pending > 0) {
-            std::size_t progressed = 0;
-            std::size_t first_pending = L.neighbors.size();
-            for (std::size_t nb = 0; nb < L.neighbors.size(); ++nb) {
-              if (L.nb_arrived[nb] != 0) continue;
-              const std::size_t len =
-                  3 * rp.nbs[nb].count_upto[static_cast<std::size_t>(cap)];
-              if (rank.try_recv_into(
-                      L.neighbors[nb].rank, /*tag=*/0,
-                      std::span<double>(L.recvbuf[nb].data(), len))) {
-                L.nb_arrived[nb] = 1;
-                --n_pending;
-                ++progressed;
-              } else if (first_pending == L.neighbors.size()) {
-                first_pending = nb;
-              }
-            }
-            if (n_pending == 0 || progressed > 0) {
-              idle_passes = 0;
-            } else if (++idle_passes < kIdlePassLimit) {
-              std::this_thread::yield();
-            } else {
-              const std::size_t len =
-                  3 * rp.nbs[first_pending]
-                          .count_upto[static_cast<std::size_t>(cap)];
-              rank.recv_into(
-                  L.neighbors[first_pending].rank, /*tag=*/0,
-                  std::span<double>(L.recvbuf[first_pending].data(), len));
-              L.nb_arrived[first_pending] = 1;
-              --n_pending;
-              idle_passes = 0;
-            }
-          }
-        }
-        for (int s = 0; s < R; ++s) {
-          if (s == rank.id()) {
-            for (std::size_t nb = 0; nb < L.neighbors.size(); ++nb) {
-              const auto& sh = L.neighbors[nb].shared;
-              const auto& buf = L.sendbuf[nb];
-              const LtsPlan::NbPlan& np = rp.nbs[nb];
-              for (int lg = 0; lg <= cap; ++lg) {
-                for (const auto& [i, slot] :
-                     np.own_of_rate[static_cast<std::size_t>(lg)]) {
-                  const std::size_t base = 3 * static_cast<std::size_t>(
-                      sh[static_cast<std::size_t>(i)]);
-                  const std::size_t bb = 3 * static_cast<std::size_t>(slot);
-                  ku[base] += buf[bb];
-                  ku[base + 1] += buf[bb + 1];
-                  ku[base + 2] += buf[bb + 2];
-                }
-              }
-            }
-            continue;
-          }
-          const int nbi = L.nb_of_rank[static_cast<std::size_t>(s)];
-          if (nbi < 0) continue;
-          const auto& msg = L.recvbuf[static_cast<std::size_t>(nbi)];
-          const auto& sh = L.neighbors[static_cast<std::size_t>(nbi)].shared;
-          const LtsPlan::NbPlan& np = rp.nbs[static_cast<std::size_t>(nbi)];
-          std::size_t o = 0;
-          for (int lg = 0; lg <= cap; ++lg) {
-            for (const int i : np.sh_of_rate[static_cast<std::size_t>(lg)]) {
-              const std::size_t base = 3 * static_cast<std::size_t>(
-                  sh[static_cast<std::size_t>(i)]);
-              ku[base] += msg[o];
-              ku[base + 1] += msg[o + 1];
-              ku[base + 2] += msg[o + 2];
-              o += 3;
-            }
-          }
-        }
-      }
-      drain_watch.stop();
-      exchange_watch.stop();
-      }
-
-      {
-      QUAKE_OBS_SCOPE("compute");  // eq. 2.4 over active rates, in place
-      compute_watch.start();
-      for (int lg = 0; lg <= cap; ++lg) {
-        const auto& list = rp.nodes_of_rate[static_cast<std::size_t>(lg)];
-        for (const int li : list) {
-          const std::size_t base = 3 * static_cast<std::size_t>(li);
-          for (int c = 0; c < 3; ++c) {
-            const std::size_t d = base + static_cast<std::size_t>(c);
-            const double rhs = 2.0 * L.mass[d] * u[d] - rp.dt2n[d] * ku[d] +
-                               rp.dt2n[d] * f[d] +
-                               (rp.hdtn[d] * L.am[d] - L.mass[d]) * u_prev[d] +
-                               rp.hdtn[d] * L.cab[d] * u_prev[d];
-            const double u_new = rhs * rp.inv_lhs[d];
-            u_prev[d] = u[d];
-            u[d] = u_new;
-          }
-        }
-        flops += 3ull * list.size() * 14ull;
-        // Per-rate hanging-node expansion: the group shares this cadence,
-        // so its masters hold fresh u exactly when the group expands.
-        for (const LocalConstraint& c :
-             rp.cons_of_rate[static_cast<std::size_t>(lg)]) {
-          for (int comp = 0; comp < 3; ++comp) {
-            double v = 0.0;
-            for (int m = 0; m < c.n; ++m) {
-              v += c.weights[static_cast<std::size_t>(m)] *
-                   u[3 * static_cast<std::size_t>(
-                            c.masters[static_cast<std::size_t>(m)]) +
-                     static_cast<std::size_t>(comp)];
-            }
-            u[3 * static_cast<std::size_t>(c.node) +
-              static_cast<std::size_t>(comp)] = v;
-          }
-        }
-      }
-
-      // Receivers read the time-(k+1) field through the same bracket
-      // (direct u for rate-1 nodes — bitwise against run()).
-      for (const auto& [ri, ln] : RV) {
-        double s[3];
-        node_at(static_cast<std::size_t>(ln), k + 1, s);
-        result.receiver_histories[static_cast<std::size_t>(ri)].push_back(
-            {s[0], s[1], s[2]});
-      }
-      compute_watch.stop();
-      }
-    }
-
-    // ---- finish: every node's bracket evaluated at the stop step (direct
-    // u on a class-1 run or wherever the rate divides stop_k) ----
-    for (std::size_t i = 0; i < L.nodes.size(); ++i) {
-      if (L.owned[i] == 0) continue;
-      double s[3];
-      node_at(i, stop_k, s);
-      const std::size_t g = 3 * static_cast<std::size_t>(L.nodes[i]);
-      result.u_final[g] = s[0];
-      result.u_final[g + 1] = s[1];
-      result.u_final[g + 2] = s[2];
-    }
-
-    const double overlap_s = overlap_watch.total_seconds();
-    const double drain_s = drain_watch.total_seconds();
-    const double overlap_fraction =
-        (L.neighbors.empty() || overlap_s + drain_s <= 0.0)
-            ? 0.0
-            : overlap_s / (overlap_s + drain_s);
-
-    auto& st = result.rank_stats[r];
-    st.n_elems = L.elems.size();
-    st.n_boundary_elems = L.boundary_elems.size();
-    st.n_interior_elems = L.interior_elems.size();
-    st.n_local_nodes = L.nodes.size();
-    st.n_neighbors = L.neighbors.size();
-    st.doubles_sent_per_step =
-        doubles_sent / static_cast<std::size_t>(std::max(1, stop_k));
-    st.flops = flops;
-    st.element_updates = elem_updates;
-    st.compute_seconds = compute_watch.total_seconds();
-    st.exchange_seconds = exchange_watch.total_seconds();
-    st.overlap_fraction = overlap_fraction;
-
-    const std::uint64_t global_updates =
-        static_cast<std::uint64_t>(std::max(0, stop_k)) *
-        static_cast<std::uint64_t>(L.elems.size());
-    obs::gauge_set("par/n_elems", static_cast<double>(L.elems.size()));
-    obs::gauge_set("par/doubles_sent_per_step",
-                   static_cast<double>(st.doubles_sent_per_step));
-    obs::gauge_set("par/lts_updates_saved_ratio",
-                   elem_updates > 0 ? static_cast<double>(global_updates) /
-                                          static_cast<double>(elem_updates)
-                                    : 1.0);
-    obs::gauge_set("par/compute_seconds", compute_watch.total_seconds());
-    obs::gauge_set("par/exchange_seconds", exchange_watch.total_seconds());
-    obs::gauge_set("par/overlap_fraction", overlap_fraction);
-
-    if (obs::enabled()) {
-      if (rank.id() == 0) {
-        std::vector<obs::RankReport> reports;
-        reports.reserve(static_cast<std::size_t>(R));
-        reports.push_back(obs::RankReport{0, rank_regs[0]});
-        for (int s = 1; s < R; ++s) {
-          reports.push_back(obs::decode_report(rank.recv(s, kObsGatherTag)));
-        }
-        result.obs_summary = obs::merge_reports(reports);
-        result.obs_reports = std::move(reports);
-      } else {
-        rank.send(0, kObsGatherTag,
-                  obs::encode_report(obs::RankReport{rank.id(), rank_regs[r]}));
-      }
-    }
-    if (rank.id() == 0) agreed_stop = stop_k;
-  };
-
-  comm.run(spmd_body);
-  if (agreed_stop < n_steps) {
-    result.cancelled = true;
-    result.steps_completed = agreed_stop;
-  }
-  return result;
 }
 
 ParallelSetup::ParallelSetup(const mesh::HexMesh& mesh, const Partition& part,
@@ -2942,20 +2047,46 @@ ParallelResult ParallelSetup::run(
     double t_end, std::span<const solver::SourceModel* const> sources,
     std::span<const std::array<double, 3>> receiver_positions,
     const FaultToleranceOptions& ft, const RunControl& control) {
-  return impl_->run(t_end, sources, receiver_positions, ft, control);
+  const BatchScenario one{
+      {sources.begin(), sources.end()},
+      {receiver_positions.begin(), receiver_positions.end()}};
+  const std::lock_guard<std::mutex> run_lock(impl_->run_mutex);
+  return std::move(
+      impl_->solve(impl_->global, t_end, {&one, 1}, ft, control).front());
 }
 
 std::vector<ParallelResult> ParallelSetup::run_batch(
     double t_end, std::span<const BatchScenario> scenarios,
     const RunControl& control) {
-  return impl_->run_batch(t_end, scenarios, control);
+  if (scenarios.empty() ||
+      scenarios.size() > static_cast<std::size_t>(fem::kMaxBatchLanes)) {
+    throw std::invalid_argument("run_batch: scenario count must be in [1, " +
+                                std::to_string(fem::kMaxBatchLanes) + "]");
+  }
+  const std::lock_guard<std::mutex> run_lock(impl_->run_mutex);
+  return impl_->solve(impl_->global, t_end, scenarios, {}, control);
 }
 
 ParallelResult ParallelSetup::run_lts(
     double t_end, std::span<const solver::SourceModel* const> sources,
     std::span<const std::array<double, 3>> receiver_positions,
     const lts::LtsOptions& lts, const RunControl& control) {
-  return impl_->run_lts(t_end, sources, receiver_positions, lts, control);
+  if (!lts.enabled) {
+    return run(t_end, sources, receiver_positions, FaultToleranceOptions{},
+               control);
+  }
+  if (impl_->rayleigh) {
+    throw std::invalid_argument(
+        "run_lts: Rayleigh damping couples u^{k-1} across rates; use the "
+        "global-dt path");
+  }
+  const BatchScenario one{
+      {sources.begin(), sources.end()},
+      {receiver_positions.begin(), receiver_positions.end()}};
+  const std::lock_guard<std::mutex> run_lock(impl_->run_mutex);
+  return std::move(impl_->solve(impl_->lts_schedule(lts.max_rate), t_end,
+                                {&one, 1}, {}, control)
+                       .front());
 }
 
 ParallelResult run_parallel(

@@ -287,25 +287,23 @@ bool check_throughput_contract(const Json& rows) {
 
 // The table2_1 --fault-sweep rows claim a recovery-latency comparison
 // across the three tiers (see DESIGN.md "Localized recovery"); when any
-// row carries a params.mode, all seven policies must be present and each
+// row carries a params.mode, all six policies must be present and each
 // must carry the wall-clock numbers, the recover/agree|restore|replay
-// |resume latency breakdown, the donation-wait split, and the compressed
-// log-ring accounting. The replay row must prove zero survivor rollback
-// (steps_rolled_back == 0, steps_replayed > 0 with the recover/replay
-// scope) and a live, compressing message log; the rollback row must
-// prove it actually rolled back; the donation_sync/donation_async pair
-// are fault-free controls (no recoveries, sync shows a nonzero blocking
-// wait); the multi_victim row must prove both victims restored from
-// donations in one concurrent tier-1 pass. Plain table rows (no
-// params.mode) are exempt, so the contract is inert for runs without
-// --fault-sweep.
+// |resume latency breakdown, the donation-wait numbers, and the
+// compressed log-ring accounting. The replay row must prove zero survivor
+// rollback (steps_rolled_back == 0, steps_replayed > 0 with the
+// recover/replay scope) and a live, compressing message log; the rollback
+// row must prove it actually rolled back; the donation_async row is a
+// fault-free control (no recoveries); the multi_victim row must prove
+// both victims restored from donations in one concurrent tier-1 pass.
+// Plain table rows (no params.mode) are exempt, so the contract is inert
+// for runs without --fault-sweep.
 bool check_table2_1_contract(const Json& rows) {
-  constexpr int kModes = 7;
+  constexpr int kModes = 6;
   const Json* sweep[kModes] = {};
-  const char* names[kModes] = {"clean",         "recovery",
-                               "rollback",      "full_restart",
-                               "donation_sync", "donation_async",
-                               "multi_victim"};
+  const char* names[kModes] = {"clean",          "recovery",
+                               "rollback",       "full_restart",
+                               "donation_async", "multi_victim"};
   bool any_mode = false;
   for (const Json& row : rows.items()) {
     if (row_param(row, "mode") == nullptr) continue;
@@ -358,16 +356,11 @@ bool check_table2_1_contract(const Json& rows) {
   if (bm->find("steps_rolled_back")->as_number() <= 0.0) {
     return fail("rollback row reports steps_rolled_back <= 0");
   }
-  const Json* sm = sweep[4]->find("metrics");
-  const Json* am = sweep[5]->find("metrics");
-  if (sm->find("recoveries")->as_number() != 0.0 ||
-      am->find("recoveries")->as_number() != 0.0) {
-    return fail("donation A/B rows must be fault-free (recoveries == 0)");
+  const Json* am = sweep[4]->find("metrics");
+  if (am->find("recoveries")->as_number() != 0.0) {
+    return fail("donation_async row must be fault-free (recoveries == 0)");
   }
-  if (sm->find("donate_wait_max_seconds")->as_number() <= 0.0) {
-    return fail("donation_sync row reports no blocking donation wait");
-  }
-  const Json* vm = sweep[6]->find("metrics");
+  const Json* vm = sweep[5]->find("metrics");
   if (vm->find("steps_rolled_back")->as_number() != 0.0) {
     return fail("multi_victim row reports steps_rolled_back != 0");
   }
