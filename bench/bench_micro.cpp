@@ -120,9 +120,10 @@ void BM_HexApplyRef(benchmark::State& state) {
 }
 BENCHMARK(BM_HexApplyRef)->Arg(0)->Arg(1);
 
-// Batched (scenario-lane) kernel A/B at the lane widths the dispatcher
-// specializes. arg 0 = lane count; damping always on (the solver's batch
-// path runs with Rayleigh damping in every Table 2-1 configuration).
+// Batched (scenario-lane) kernel A/B at lane widths 4, 8 (the serving
+// benchmark's max_batch) and 16 (kMaxBatchLanes). arg 0 = lane count;
+// damping always on (the solver's batch path runs with Rayleigh damping in
+// every Table 2-1 configuration).
 using HexBatchKernel = void (*)(const fem::HexReference&, const double*, int,
                                 double, double, double*, double, double*);
 

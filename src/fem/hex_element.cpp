@@ -86,8 +86,8 @@ HexReference compute_reference() {
 // Two doubles in one SSE2 (x86-64) or NEON (AArch64) register, through the
 // GCC/Clang vector extension. Arithmetic on it is lane-wise IEEE double
 // arithmetic, so each lane performs exactly the scalar operation written.
-// Loads and stores go through memcpy: the reference arrays and the caller's
-// vectors are only 8-byte aligned.
+// Contiguous loads go through memcpy: the reference arrays are only 8-byte
+// aligned.
 typedef double Vec2 __attribute__((vector_size(16)));
 
 Vec2 load2(const double* p) {
@@ -96,7 +96,75 @@ Vec2 load2(const double* p) {
   return v;
 }
 
-void store2(double* p, Vec2 v) { std::memcpy(p, &v, sizeof v); }
+// Rows r and r + 1 of a vector whose rows sit `stride` doubles apart; at
+// stride 1 these compile to one unaligned packed load or store.
+Vec2 load2(const double* p, std::size_t stride) {
+  return Vec2{p[0], p[stride]};
+}
+
+void store2(double* p, std::size_t stride, Vec2 v) {
+  p[0] = v[0];
+  p[stride] = v[1];
+}
+
+// The one elastic kernel body, shared by hex_apply (stride 1) and each lane
+// of hex_apply_batch (stride n_lanes): dof c is read at u[c * stride] and
+// row r written at y[r * stride]. Inlined at stride 1, the stride folds
+// away and the row-pair moves are packed.
+//
+// Row-blocked form of the fused dual matvec. A block of kRowBlock output
+// rows accumulates side by side, two rows per Vec2 register; input dof c
+// contributes to all of them with one broadcast of u[c] against contiguous
+// runs of the transposed matrices (k_*_t[c * 24 + r0 ...]). Those entries
+// are bitwise copies of k_*[r * 24 + c], the matrix entry stays the first
+// operand of each product (NaN payloads follow the first operand),
+// accumulators start at +0.0 and sum in ascending c, and the epilogue is
+// the reference's v = s_lambda * sl + s_mu * sm; y += v; y_damp += beta * v
+// — the exact operation sequence of hex_apply_ref per row, one row per
+// lane — so the kernel is bitwise identical to the reference.
+//
+// The explicit vector type is what makes the packed code certain. Written
+// as scalar arrays, this loop nest relies on GCC's SLP vectorizer, which
+// gives up on it at -O3 and emits scalar mulsd/addsd with spilled
+// accumulators; vector-extension arithmetic is packed by construction.
+// Batch lanes are not packed into the vector instead: that needs a second
+// kernel body with a matrix-entry broadcast per lane pair, and measured no
+// faster than this per-lane form (EXPERIMENTS.md).
+inline void hex_apply_rows(const HexReference& ref, const double* u,
+                           std::size_t stride, double scale_lambda,
+                           double scale_mu, double* y, double beta_e,
+                           double* y_damp) {
+  constexpr int kRowBlock = 8;
+  constexpr int kVecs = kRowBlock / 2;
+  static_assert(kHexDofs % kRowBlock == 0);
+  const Vec2 s_lambda = {scale_lambda, scale_lambda};
+  const Vec2 s_mu = {scale_mu, scale_mu};
+  const Vec2 beta = {beta_e, beta_e};
+  for (int r0 = 0; r0 < kHexDofs; r0 += kRowBlock) {
+    Vec2 sl[kVecs], sm[kVecs];
+    for (int j = 0; j < kVecs; ++j) sl[j] = sm[j] = Vec2{0.0, 0.0};
+    for (int c = 0; c < kHexDofs; ++c) {
+      const double uv = u[static_cast<std::size_t>(c) * stride];
+      const Vec2 uc = {uv, uv};
+      const std::size_t off =
+          static_cast<std::size_t>(c) * kHexDofs + static_cast<std::size_t>(r0);
+      const double* klc = &ref.k_lambda_t[off];
+      const double* kmc = &ref.k_mu_t[off];
+      for (int j = 0; j < kVecs; ++j) {
+        sl[j] += load2(klc + 2 * j) * uc;
+        sm[j] += load2(kmc + 2 * j) * uc;
+      }
+    }
+    for (int j = 0; j < kVecs; ++j) {
+      const Vec2 v = s_lambda * sl[j] + s_mu * sm[j];
+      const std::size_t r = static_cast<std::size_t>(r0 + 2 * j) * stride;
+      store2(y + r, stride, load2(y + r, stride) + v);
+      if (y_damp != nullptr) {
+        store2(y_damp + r, stride, load2(y_damp + r, stride) + beta * v);
+      }
+    }
+  }
+}
 
 void throw_bad_lane_count(int n_lanes) {
   throw std::invalid_argument(
@@ -113,50 +181,7 @@ const HexReference& HexReference::get() {
 
 void hex_apply(const HexReference& ref, const double* u_e, double scale_lambda,
                double scale_mu, double* y_e, double beta_e, double* y_damp) {
-  // Row-blocked form of the fused dual matvec. A block of kRowBlock output
-  // rows accumulates side by side, two rows per Vec2 register; input dof c
-  // contributes to all of them with one broadcast of u_e[c] against
-  // contiguous runs of the transposed matrices (k_*_t[c * 24 + r0 ...]).
-  // Those entries are bitwise copies of k_*[r * 24 + c], accumulators start
-  // at +0.0 and sum in ascending c, and the epilogue is the reference's
-  // v = s_lambda * sl + s_mu * sm; y += v; y_damp += beta * v — the exact
-  // operation sequence of hex_apply_ref per row, one row per lane — so the
-  // kernel is bitwise identical to the reference.
-  //
-  // The explicit vector type is what makes the packed code certain. Written
-  // as scalar arrays, this loop nest relies on GCC's SLP vectorizer, which
-  // gives up on it at -O3 and emits scalar mulsd/addsd with spilled
-  // accumulators; vector-extension arithmetic is packed by construction.
-  constexpr int kRowBlock = 8;
-  constexpr int kVecs = kRowBlock / 2;
-  static_assert(kHexDofs % kRowBlock == 0);
-  const Vec2 s_lambda = {scale_lambda, scale_lambda};
-  const Vec2 s_mu = {scale_mu, scale_mu};
-  const Vec2 beta = {beta_e, beta_e};
-  for (int r0 = 0; r0 < kHexDofs; r0 += kRowBlock) {
-    Vec2 sl[kVecs], sm[kVecs];
-    for (int j = 0; j < kVecs; ++j) sl[j] = sm[j] = Vec2{0.0, 0.0};
-    for (int c = 0; c < kHexDofs; ++c) {
-      const Vec2 uc = {u_e[c], u_e[c]};
-      const std::size_t off =
-          static_cast<std::size_t>(c) * kHexDofs + static_cast<std::size_t>(r0);
-      const double* klc = &ref.k_lambda_t[off];
-      const double* kmc = &ref.k_mu_t[off];
-      for (int j = 0; j < kVecs; ++j) {
-        sl[j] += load2(klc + 2 * j) * uc;
-        sm[j] += load2(kmc + 2 * j) * uc;
-      }
-    }
-    for (int j = 0; j < kVecs; ++j) {
-      const Vec2 v = s_lambda * sl[j] + s_mu * sm[j];
-      double* y = y_e + r0 + 2 * j;
-      store2(y, load2(y) + v);
-      if (y_damp != nullptr) {
-        double* d = y_damp + r0 + 2 * j;
-        store2(d, load2(d) + beta * v);
-      }
-    }
-  }
+  hex_apply_rows(ref, u_e, 1, scale_lambda, scale_mu, y_e, beta_e, y_damp);
 }
 
 void hex_apply_ref(const HexReference& ref, const double* u_e,
@@ -190,40 +215,14 @@ void hex_apply_elems(const HexReference& ref, const double* u_e, int n_elems,
 void hex_apply_batch(const HexReference& ref, const double* u_e, int n_lanes,
                      double scale_lambda, double scale_mu, double* y_e,
                      double beta_e, double* y_damp) {
-  // Lane s must see the exact operation sequence of hex_apply_ref on its
-  // own data: the column loop stays outermost and the lane loop runs
-  // innermost, so each lane's accumulators take the same adds in the same
-  // order while the inner loop is unit-stride across lanes. The lane loop
-  // keeps its runtime bound on purpose: fixed-width clones get fully
-  // unrolled, need 2*n_lanes live accumulators, and spill — the runtime
-  // vector loop measures at a multiple of their throughput (bench_micro
-  // BM_HexApplyBatch* rows). A real bounds check (not an assert): the
-  // per-row accumulators are stack arrays of kMaxBatchLanes, and release
-  // callers must not be able to overflow them.
+  // Lane s is the solo kernel on the dofs at u_e[s + c * n_lanes]. Kept as
+  // a real bounds check (not an assert) for release callers: the batch
+  // call sites size their element buffers by kMaxBatchLanes.
   if (n_lanes < 1 || n_lanes > kMaxBatchLanes) throw_bad_lane_count(n_lanes);
-  double sl[kMaxBatchLanes], sm[kMaxBatchLanes];
-  for (int r = 0; r < kHexDofs; ++r) {
-    const double* kl = &ref.k_lambda[static_cast<std::size_t>(r) * kHexDofs];
-    const double* km = &ref.k_mu[static_cast<std::size_t>(r) * kHexDofs];
-    for (int s = 0; s < n_lanes; ++s) sl[s] = sm[s] = 0.0;
-    for (int c = 0; c < kHexDofs; ++c) {
-      const double* uc = u_e + static_cast<std::size_t>(c) * n_lanes;
-      const double klc = kl[c];
-      const double kmc = km[c];
-      for (int s = 0; s < n_lanes; ++s) {
-        sl[s] += klc * uc[s];
-        sm[s] += kmc * uc[s];
-      }
-    }
-    double* yr = y_e + static_cast<std::size_t>(r) * n_lanes;
-    double* dr =
-        y_damp != nullptr ? y_damp + static_cast<std::size_t>(r) * n_lanes
-                          : nullptr;
-    for (int s = 0; s < n_lanes; ++s) {
-      const double v = scale_lambda * sl[s] + scale_mu * sm[s];
-      yr[s] += v;
-      if (dr != nullptr) dr[s] += beta_e * v;
-    }
+  const std::size_t stride = static_cast<std::size_t>(n_lanes);
+  for (std::size_t s = 0; s < stride; ++s) {
+    hex_apply_rows(ref, u_e + s, stride, scale_lambda, scale_mu, y_e + s,
+                   beta_e, y_damp != nullptr ? y_damp + s : nullptr);
   }
 }
 
@@ -232,8 +231,7 @@ void hex_apply_batch_ref(const HexReference& ref, const double* u_e,
                          double* y_e, double beta_e, double* y_damp) {
   // Ground truth by definition: deinterleave each lane, run the solo
   // reference kernel on it, reinterleave. This is what a caller without a
-  // batched kernel would do, so the bench_micro batch A/B measures exactly
-  // what the scenario-major interleaved layout buys.
+  // batched kernel would do, and the baseline of the bench_micro batch rows.
   if (n_lanes < 1 || n_lanes > kMaxBatchLanes) throw_bad_lane_count(n_lanes);
   double us[kHexDofs], ys[kHexDofs], ds[kHexDofs];
   for (int s = 0; s < n_lanes; ++s) {

@@ -20,8 +20,10 @@ namespace quake::fem {
 inline constexpr int kHexNodes = 8;
 inline constexpr int kHexDofs = 24;
 
-// Upper bound on the scenario-batch width the batched kernels accept (their
-// per-row accumulators live on the stack). Callers clamp batch sizes to it.
+// Upper bound on the scenario-batch width the batched kernels accept. The
+// batch call sites (par::ParallelSetup's step loop, solver::ElasticOperator)
+// gather each element into stack buffers of kHexDofs * kMaxBatchLanes
+// doubles; callers clamp batch sizes to it.
 inline constexpr int kMaxBatchLanes = 16;
 
 using HexMatrix = std::array<double, kHexDofs * kHexDofs>;       // row-major
@@ -60,7 +62,8 @@ struct HexReference {
 // compiled to scalar code. Each lane still takes the exact IEEE operation
 // sequence of hex_apply_ref for its row, so results are bitwise identical
 // to the reference kernel, NaN and signed-zero bit patterns included
-// (asserted in fem_test).
+// (asserted in fem_test). This is the one elastic kernel body: the batch
+// variant below runs it per lane.
 void hex_apply(const HexReference& ref, const double* u_e, double scale_lambda,
                double scale_mu, double* y_e, double beta_e, double* y_damp);
 
@@ -85,18 +88,14 @@ void hex_apply_elems(const HexReference& ref, const double* u_e, int n_elems,
 
 // Batched (scenario-major) variant: u_e / y_e (/ y_damp) carry `n_lanes`
 // independent right-hand sides interleaved per dof — lane s of dof d lives
-// at index d * n_lanes + s. Lane s undergoes exactly the floating-point
-// operation sequence hex_apply would perform on it alone (the lane loop is
-// innermost), so batched results are bitwise identical per lane; the layout
-// makes the inner loop unit-stride across lanes, which is what lets the
-// kernel vectorize across scenarios. The lane bound stays a runtime value
-// on purpose: fixed-trip-count clones fully unroll the lane loop, need
-// 2 * n_lanes live accumulators, and spill — measurably slower than the
-// runtime loop (see the bench_micro batch A/B).
+// at index d * n_lanes + s. Each lane runs hex_apply's kernel body on its
+// own dofs, read and written at stride n_lanes, so lane s takes exactly
+// the floating-point operation sequence hex_apply performs on it alone and
+// batched results are bitwise identical per lane by construction.
 //
-// Throws std::invalid_argument unless 1 <= n_lanes <= kMaxBatchLanes: the
-// per-row accumulators live on the stack, and an unchecked oversized width
-// would silently overflow them in release builds.
+// Throws std::invalid_argument unless 1 <= n_lanes <= kMaxBatchLanes, the
+// width the batch call sites size their element buffers for; a release
+// caller with an unchecked oversized width would overflow them.
 void hex_apply_batch(const HexReference& ref, const double* u_e, int n_lanes,
                      double scale_lambda, double scale_mu, double* y_e,
                      double beta_e, double* y_damp);
@@ -104,8 +103,8 @@ void hex_apply_batch(const HexReference& ref, const double* u_e, int n_lanes,
 // Reference implementation of hex_apply_batch: deinterleaves each lane,
 // applies the straight-line solo reference (hex_apply_ref), reinterleaves.
 // Ground truth by definition — lane s literally undergoes the solo
-// operation sequence — and the per-lane baseline the bench_micro batch A/B
-// measures the interleaved layout against. Same bounds check.
+// operation sequence — and the per-lane baseline of the bench_micro batch
+// rows. Same bounds check.
 void hex_apply_batch_ref(const HexReference& ref, const double* u_e,
                          int n_lanes, double scale_lambda, double scale_mu,
                          double* y_e, double beta_e, double* y_damp);

@@ -256,10 +256,10 @@ class ParallelSetup {
   // scenario, with state scenario-major (lane s of dof d at index d * S +
   // s) and each per-neighbor message carrying all S partial sums. Scenario
   // s's result is bitwise identical to run() with that scenario's sources
-  // and receivers — the lane loop is innermost everywhere, so per-lane
-  // floating-point order never changes (see docs/BATCHING.md). Between 1
-  // and fem::kMaxBatchLanes scenarios per call (invalid_argument
-  // otherwise).
+  // and receivers — the element kernel runs the solo kernel per lane and
+  // every other lane loop is innermost, so per-lane floating-point order
+  // never changes (see docs/BATCHING.md). Between 1 and
+  // fem::kMaxBatchLanes scenarios per call (invalid_argument otherwise).
   //
   // Takes no fault-tolerance options (checkpoint state would be
   // S-entangled); the serving layer only batches requests that carry none.

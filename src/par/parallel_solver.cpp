@@ -538,9 +538,10 @@ const Schedule& ParallelSetup::Impl::lts_schedule(int max_rate) {
 // The one SPMD step loop. Its two parameters are where the modes' bitwise
 // anchors come from:
 //  * Lanes. Lane s of every scenario-major array takes exactly the
-//    floating-point operation sequence one lane would (lane loops are
-//    innermost everywhere and the drain keeps its ascending-rank order),
-//    so a batch of S equals S solo runs bit for bit.
+//    floating-point operation sequence one lane would (the element kernel
+//    runs the solo kernel per lane, the other lane loops are innermost and
+//    the drain keeps its ascending-rank order), so a batch of S equals S
+//    solo runs bit for bit.
 //  * Schedule. With one class every list is whole and in setup order, the
 //    kernels read u itself and every bracket read takes u directly, so
 //    single-class LTS equals global dt bit for bit; several classes take
@@ -1258,8 +1259,8 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
 
     // Element-kernel sweep over one list: per node the 3 components x S
     // lanes are one contiguous run. One lane takes the solo kernel, several
-    // the lane-innermost batch kernel; both are per lane bitwise equal to
-    // fem::hex_apply_ref.
+    // the batch kernel, which runs the solo kernel per lane at stride S;
+    // both are per lane bitwise equal to fem::hex_apply_ref.
     double ue[fem::kHexDofs * fem::kMaxBatchLanes];
     double ye[fem::kHexDofs * fem::kMaxBatchLanes];
     double de[fem::kHexDofs * fem::kMaxBatchLanes];

@@ -68,7 +68,8 @@ void FaultSource2d::add_forces(const ShModel& model, const SourceParams2d& p,
   }
 }
 
-void FaultSource2d::add_forces_delta_mu(const ShModel& model,
+// b is linear in mu, so its derivative does not depend on the model.
+void FaultSource2d::add_forces_delta_mu(const ShModel& /*model*/,
                                         const SourceParams2d& p,
                                         std::span<const double> dmu, double t,
                                         std::span<double> f) const {

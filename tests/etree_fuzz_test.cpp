@@ -75,7 +75,9 @@ TEST_P(EtreeFuzz, MatchesReferenceModel) {
           key, std::as_writable_bytes(std::span<double, 1>(&got, 1)));
       auto it = ref.find(key);
       EXPECT_EQ(found, it != ref.end());
-      if (found && it != ref.end()) EXPECT_DOUBLE_EQ(got, it->second);
+      if (found && it != ref.end()) {
+        EXPECT_DOUBLE_EQ(got, it->second);
+      }
     }
     if (op % 500 == 499) check_scan();
     if (op == 2000) {

@@ -128,7 +128,9 @@ TEST(EtreeStore, RandomInsertionOrderScansSorted) {
   OctantLess less;
   Octant prev{};
   store.scan([&](const Octant& o, std::span<const std::byte>) {
-    if (idx > 0) EXPECT_TRUE(less(prev, o));
+    if (idx > 0) {
+      EXPECT_TRUE(less(prev, o));
+    }
     prev = o;
     ++idx;
   });

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <utility>
@@ -18,6 +20,8 @@
 namespace {
 
 using namespace quake::fem;
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 std::array<double, 3> corner(int i) {
   return {static_cast<double>(i & 1), static_cast<double>((i >> 1) & 1),
@@ -186,10 +190,10 @@ TEST(HexApplyVectorized, BitwiseMatchesReference) {
 }
 
 TEST(HexApplyVectorized, BatchBitwiseMatchesReferenceAllLanes) {
-  // Every lane width 1..kMaxBatchLanes (covering both the fixed-width
-  // dispatch cases and the generic fallback), damping on/off: the
-  // dispatched batch kernel must match hex_apply_batch_ref bitwise, and
-  // each lane must match a solo hex_apply_ref on its deinterleaved data.
+  // Every lane width 1..kMaxBatchLanes, damping on/off: the batch kernel
+  // must match hex_apply_batch_ref bit for bit, and each lane must match a
+  // solo hex_apply_ref on its deinterleaved data. Compared as bit patterns:
+  // EXPECT_EQ on the doubles would pass -0.0 == +0.0.
   const HexReference& ref = HexReference::get();
   quake::util::Rng rng(23);
   for (int lanes = 1; lanes <= kMaxBatchLanes; ++lanes) {
@@ -211,8 +215,10 @@ TEST(HexApplyVectorized, BatchBitwiseMatchesReferenceAllLanes) {
       hex_apply_batch_ref(ref, u.data(), lanes, sl, sm, y_b.data(), beta,
                           damp ? d_b.data() : nullptr);
       for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(y_a[i], y_b[i]) << "lanes=" << lanes << " i=" << i;
-        EXPECT_EQ(d_a[i], d_b[i]) << "lanes=" << lanes << " i=" << i;
+        EXPECT_EQ(bits(y_a[i]), bits(y_b[i]))
+            << "lanes=" << lanes << " i=" << i;
+        EXPECT_EQ(bits(d_a[i]), bits(d_b[i]))
+            << "lanes=" << lanes << " i=" << i;
       }
       // Per-lane identity against the solo reference kernel on the same
       // initial accumulators, deinterleaved.
@@ -228,9 +234,9 @@ TEST(HexApplyVectorized, BatchBitwiseMatchesReferenceAllLanes) {
                       damp ? ds.data() : nullptr);
         for (int dof = 0; dof < kHexDofs; ++dof) {
           const std::size_t bi = static_cast<std::size_t>(dof * lanes + s);
-          EXPECT_EQ(y_a[bi], ys[static_cast<std::size_t>(dof)])
+          EXPECT_EQ(bits(y_a[bi]), bits(ys[static_cast<std::size_t>(dof)]))
               << "lanes=" << lanes << " lane=" << s << " dof=" << dof;
-          EXPECT_EQ(d_a[bi], ds[static_cast<std::size_t>(dof)])
+          EXPECT_EQ(bits(d_a[bi]), bits(ds[static_cast<std::size_t>(dof)]))
               << "lanes=" << lanes << " lane=" << s << " dof=" << dof;
         }
       }
@@ -294,42 +300,52 @@ TEST(HexApplyVectorized, EdgeCaseInputsMatchReferenceBitPatterns) {
   // Bit-for-bit, not value equality: EXPECT_EQ would pass -0.0 == +0.0 and
   // fail NaN == NaN, so compare the bytes. Each lane of the packed kernel
   // must take the reference's IEEE operations in the reference's order, so
-  // signed zeros, subnormals, infinities and NaNs come out identical.
+  // signed zeros, subnormals, infinities and NaNs come out identical. Each
+  // case also runs the batch kernel at several widths with lane s carrying
+  // the vector of kind (kind + s) % 8, so NaN and Inf lanes sit next to
+  // finite ones.
   const HexReference& ref = HexReference::get();
   constexpr double kInf = std::numeric_limits<double>::infinity();
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   constexpr double kSub = std::numeric_limits<double>::denorm_min();
+  constexpr int kKinds = 8;
+  const auto edge_input = [&](int kind, quake::util::Rng& r) {
+    std::array<double, kHexDofs> u{};
+    for (std::size_t i = 0; i < u.size(); ++i) {
+      const double sign = (i % 3 == 0) ? -1.0 : 1.0;
+      if (kind == 0) {
+        u[i] = sign * 0.0;  // signed zeros
+      } else if (kind == 1) {
+        u[i] = sign * kSub * static_cast<double>(i + 1);  // subnormals
+      } else if (kind == 2) {
+        u[i] = r.uniform(-1.0, 1.0) * 1e-305;  // subnormal products
+      } else {
+        u[i] = r.uniform(-1.0, 1.0);
+      }
+    }
+    if (kind == 3) u[5] = kInf;
+    if (kind == 4) u[7] = -kInf;
+    if (kind == 5) u[11] = kNaN;
+    if (kind == 6) {  // +Inf and -Inf: Inf - Inf and Inf * 0 make NaNs
+      u[2] = kInf;
+      u[19] = -kInf;
+    }
+    if (kind == 7) {  // an input NaN meets NaNs the arithmetic makes
+      u[4] = kNaN;
+      u[13] = -kInf;
+    }
+    return u;
+  };
   const std::array<std::pair<double, double>, 6> scales = {{
       {1.0, 1.0}, {-2.5, 0.75}, {3.0, -1.25}, {-0.5, -4.0},
       {1e-300, 1e-300}, {-1e-12, 1e-12}}};
   quake::util::Rng rng(41);
-  for (int kind = 0; kind < 8; ++kind) {
+  quake::util::Rng rng_batch(47);
+  for (int kind = 0; kind < kKinds; ++kind) {
     for (const auto& [sl, sm] : scales) {
       for (const bool damp : {false, true}) {
-        std::array<double, kHexDofs> u{}, y_a{}, d_a{};
-        for (std::size_t i = 0; i < u.size(); ++i) {
-          const double sign = (i % 3 == 0) ? -1.0 : 1.0;
-          if (kind == 0) {
-            u[i] = sign * 0.0;  // signed zeros
-          } else if (kind == 1) {
-            u[i] = sign * kSub * static_cast<double>(i + 1);  // subnormals
-          } else if (kind == 2) {
-            u[i] = rng.uniform(-1.0, 1.0) * 1e-305;  // subnormal products
-          } else {
-            u[i] = rng.uniform(-1.0, 1.0);
-          }
-        }
-        if (kind == 3) u[5] = kInf;
-        if (kind == 4) u[7] = -kInf;
-        if (kind == 5) u[11] = kNaN;
-        if (kind == 6) {  // +Inf and -Inf: Inf - Inf and Inf * 0 make NaNs
-          u[2] = kInf;
-          u[19] = -kInf;
-        }
-        if (kind == 7) {  // an input NaN meets NaNs the arithmetic makes
-          u[4] = kNaN;
-          u[13] = -kInf;
-        }
+        const std::array<double, kHexDofs> u = edge_input(kind, rng);
+        std::array<double, kHexDofs> y_a{}, d_a{};
         for (std::size_t i = 0; i < y_a.size(); ++i) {
           y_a[i] = (i % 4 == 0) ? -0.0 : rng.uniform(-1.0, 1.0);
           d_a[i] = (i % 5 == 0) ? -0.0 : rng.uniform(-1.0, 1.0);
@@ -346,6 +362,36 @@ TEST(HexApplyVectorized, EdgeCaseInputsMatchReferenceBitPatterns) {
         EXPECT_EQ(std::memcmp(d_a.data(), d_b.data(), sizeof d_a), 0)
             << "kind=" << kind << " sl=" << sl << " sm=" << sm
             << " damp=" << damp;
+
+        for (const int lanes : {2, 3, 8, 16}) {
+          const std::size_t n_lanes = static_cast<std::size_t>(lanes);
+          const std::size_t n = static_cast<std::size_t>(kHexDofs) * n_lanes;
+          std::vector<double> ub(n), yb_a(n), db_a(n);
+          for (std::size_t s = 0; s < n_lanes; ++s) {
+            const auto us =
+                edge_input((kind + static_cast<int>(s)) % kKinds, rng_batch);
+            for (std::size_t dof = 0; dof < us.size(); ++dof) {
+              ub[dof * n_lanes + s] = us[dof];
+            }
+          }
+          for (std::size_t i = 0; i < n; ++i) {
+            yb_a[i] = (i % 4 == 0) ? -0.0 : rng_batch.uniform(-1.0, 1.0);
+            db_a[i] = (i % 5 == 0) ? -0.0 : rng_batch.uniform(-1.0, 1.0);
+          }
+          std::vector<double> yb_b = yb_a, db_b = db_a;
+          hex_apply_batch(ref, ub.data(), lanes, sl, sm, yb_a.data(), beta,
+                          damp ? db_a.data() : nullptr);
+          hex_apply_batch_ref(ref, ub.data(), lanes, sl, sm, yb_b.data(),
+                              beta, damp ? db_b.data() : nullptr);
+          EXPECT_EQ(std::memcmp(yb_a.data(), yb_b.data(), n * sizeof(double)),
+                    0)
+              << "lanes=" << lanes << " kind=" << kind << " sl=" << sl
+              << " sm=" << sm << " damp=" << damp;
+          EXPECT_EQ(std::memcmp(db_a.data(), db_b.data(), n * sizeof(double)),
+                    0)
+              << "lanes=" << lanes << " kind=" << kind << " sl=" << sl
+              << " sm=" << sm << " damp=" << damp;
+        }
       }
     }
   }

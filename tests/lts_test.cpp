@@ -181,7 +181,9 @@ TEST(LtsClustering, AdjacentRatesDifferByAtMostOneThroughHangingNodes) {
         lo = std::min<int>(lo, cl.elem_rate_log2[static_cast<std::size_t>(e)]);
         hi = std::max<int>(hi, cl.elem_rate_log2[static_cast<std::size_t>(e)]);
       }
-      if (!elems.empty()) EXPECT_LE(hi - lo, 1);
+      if (!elems.empty()) {
+        EXPECT_LE(hi - lo, 1);
+      }
     }
 
     // Node cadence = min rate over touching elements (folded above);

@@ -168,7 +168,7 @@ TEST(EtreeModel, MissingQueryThrows) {
   vel::EtreeModelOptions wrong = opt;
   wrong.level = 3;  // querying at the wrong level misses every record
   const vel::EtreeVelocityModel db(path, wrong);
-  EXPECT_THROW(db.at(500.0, 500.0, 500.0), std::runtime_error);
+  EXPECT_THROW((void)db.at(500.0, 500.0, 500.0), std::runtime_error);
 }
 
 }  // namespace

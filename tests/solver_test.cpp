@@ -765,9 +765,10 @@ TEST(Solver, CorruptedCheckpointIgnored) {
 // ---- scenario-batched stepping (docs/BATCHING.md) -------------------------
 
 // The batched operator sweep must reproduce the scalar sweep bit for bit on
-// every lane: the lane loop is innermost everywhere, so lane s's
-// floating-point op sequence is exactly the scalar one. Run on the hanging
-// mesh so constraint folding is exercised too.
+// every lane: the element kernel runs the solo kernel per lane and every
+// other lane loop is innermost, so lane s's floating-point op sequence is
+// exactly the scalar one. Run on the hanging mesh so constraint folding is
+// exercised too.
 TEST(Operator, ApplyStiffnessBatchMatchesScalarBitwise) {
   const auto mesh = hanging_mesh(100.0);
   ASSERT_GT(mesh.n_hanging(), 0u);

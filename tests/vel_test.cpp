@@ -81,7 +81,7 @@ TEST(ElementSize, WavelengthRule) {
   // 100 m/s gives 10 m elements.
   EXPECT_DOUBLE_EQ(element_size_for(100.0, 1.0, 10.0), 10.0);
   EXPECT_DOUBLE_EQ(element_size_for(3000.0, 2.0, 10.0), 150.0);
-  EXPECT_THROW(element_size_for(0.0, 1.0, 10.0), std::invalid_argument);
+  EXPECT_THROW((void)element_size_for(0.0, 1.0, 10.0), std::invalid_argument);
 }
 
 TEST(Material, PhysicalPoissonRatio) {
