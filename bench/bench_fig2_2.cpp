@@ -3,17 +3,18 @@
 // a stiff halfspace. The paper's visualization shows wave propagation in a
 // layer-over-halfspace due to an idealized source and reports excellent
 // agreement between the finite element simulation and the Green's function
-// solution; here the 3D hex code runs the problem as a 1D column (component
-// mask + layered model, see tests) and the surface seismogram is compared
-// against the exact ray-series response.
+// solution; here the 3D hex code (the step loop at one rank) runs the
+// problem as a 1D column (component mask + layered model, see tests) and
+// the surface seismogram is compared against the exact ray-series response.
 
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <vector>
 
 #include "quake/mesh/meshgen.hpp"
-#include "quake/solver/elastic_operator.hpp"
-#include "quake/solver/explicit_solver.hpp"
+#include "quake/par/parallel_solver.hpp"
+#include "quake/par/partition.hpp"
 #include "quake/solver/sh1d.hpp"
 #include "quake/util/io.hpp"
 #include "quake/util/stats.hpp"
@@ -49,31 +50,34 @@ int main() {
     solver::OperatorOptions oopt;
     oopt.abc = fem::AbcType::kLysmer;
     oopt.absorbing_sides = {false, false, false, false, false, true};
-    const solver::ElasticOperator op(mesh, oopt);
     solver::SolverOptions sopt;
     sopt.t_end = 2.5;
     sopt.cfl_fraction = 0.35;
-    solver::ExplicitSolver solver(op, sopt);
-    solver.set_fixed_components({true, false, true});
+    sopt.fixed_components = {true, false, true};
 
     // Upgoing displacement pulse in the halfspace.
     const double zc = 900.0, sigma = 250.0;
     auto pulse = [&](double z) {
       return std::exp(-std::pow((z - zc) / sigma, 2));
     };
-    std::vector<double> u0(op.n_dofs(), 0.0), v0(op.n_dofs(), 0.0);
+    std::vector<double> u0(3 * mesh.n_nodes(), 0.0), v0(u0.size(), 0.0);
     for (std::size_t n = 0; n < mesh.n_nodes(); ++n) {
       const double z = mesh.node_coords[n][2];
       u0[3 * n + 1] = pulse(z);
       v0[3 * n + 1] = vs2 * (-2.0 * (z - zc) / (sigma * sigma)) * pulse(z);
     }
-    solver.set_initial_conditions(u0, v0);
-    solver.add_receiver({L / 2, L / 2, 0.0});
-    solver.run();
+    par::RunControl ctl;
+    ctl.initial_u = u0;
+    ctl.initial_v = v0;
+    const std::array<double, 3> rx[] = {{L / 2, L / 2, 0.0}};
+    const par::Partition one_rank = par::partition_sfc(mesh, 1);
+    par::ParallelSetup setup(mesh, one_rank, oopt, sopt);
+    const par::ParallelResult pr = setup.run(sopt.t_end, {}, rx, {}, ctl);
 
     // Closed form: incident history at the interface depth H.
-    const auto rec = solver.receiver_component(0, 1);
-    const double dt = solver.dt();
+    std::vector<double> rec;
+    for (const auto& s : pr.receiver_histories[0]) rec.push_back(s[1]);
+    const double dt = pr.dt;
     solver::ShLayerParams p{H, rho1, vs1, rho2, vs2};
     // Incident displacement at the interface depth: u(H, t) = f(H + vs2 t)
     // for the upgoing wave u(z, t) = f(z + vs2 t).

@@ -23,8 +23,8 @@
 //
 // --lts-sweep appends interleaved local-time-stepping A/B rows (params.lts
 // = off | on, params.scheme = serial | par; see docs/LTS.md). The serial
-// pair reruns the Fig 2.2 layer-over-halfspace verification with the
-// global-dt ExplicitSolver and with LtsSolver on the same two-octree-level
+// pair reruns the Fig 2.2 layer-over-halfspace verification at one rank,
+// with global dt (run) and with LTS (run_lts) on the same two-octree-level
 // mesh, reporting the closed-form error of each plus the measured
 // updates_saved_ratio; the parallel pair drives ParallelSetup::run_lts
 // off/on over the basin mesh and reports the ratio alongside the drift of
@@ -62,14 +62,12 @@
 #include "quake/par/communicator.hpp"
 
 #include "quake/lts/clustering.hpp"
-#include "quake/lts/lts_solver.hpp"
 #include "quake/mesh/meshgen.hpp"
 #include "quake/obs/obs.hpp"
 #include "quake/obs/report.hpp"
 #include "quake/obs/sink.hpp"
 #include "quake/par/parallel_solver.hpp"
 #include "quake/par/partition.hpp"
-#include "quake/solver/explicit_solver.hpp"
 #include "quake/solver/sh1d.hpp"
 #include "quake/solver/source.hpp"
 #include "quake/util/stats.hpp"
@@ -433,18 +431,22 @@ int main(int argc, char** argv) {
     solver::OperatorOptions labc;
     labc.abc = fem::AbcType::kLysmer;
     labc.absorbing_sides = {false, false, false, false, false, true};
-    const solver::ElasticOperator lop(lmesh, labc);
     solver::SolverOptions lsopt;
     lsopt.t_end = quick ? 0.9 : 1.4;
     lsopt.cfl_fraction = 0.35;
+    lsopt.fixed_components = {true, false, true};
     const int kMaxRate = 32;
+    const par::Partition lpart = par::partition_sfc(lmesh, 1);
+    par::ParallelSetup lsetup(lmesh, lpart, labc, lsopt);
+    const lts::Clustering lcl = lts::cluster_elements(
+        lmesh, lsetup.dt(), lsopt.cfl_fraction, kMaxRate);
 
     // Upgoing displacement pulse in the halfspace (see bench_fig2_2).
     const double zc = 500.0, sigma = 150.0;
     const auto pulse = [&](double z) {
       return std::exp(-std::pow((z - zc) / sigma, 2));
     };
-    std::vector<double> u0(lop.n_dofs(), 0.0), v0(lop.n_dofs(), 0.0);
+    std::vector<double> u0(3 * lmesh.n_nodes(), 0.0), v0(u0.size(), 0.0);
     for (std::size_t n = 0; n < lmesh.n_nodes(); ++n) {
       const double z = lmesh.node_coords[n][2];
       u0[3 * n + 1] = pulse(z);
@@ -466,41 +468,30 @@ int main(int argc, char** argv) {
     std::printf("%8s %8s %12s %12s %10s %10s\n", "scheme", "lts",
                 "rel L2 err", "correlation", "saved", "classes");
 
+    par::RunControl lctl;
+    lctl.initial_u = u0;
+    lctl.initial_v = v0;
+    const std::array<double, 3> lrecv[] = {{Lc / 2, Lc / 2, 0.0}};
+
     std::vector<double> rec_off;
     double err_off = 0.0;
     for (int on = 0; on <= 1; ++on) {
+      lts::LtsOptions lo;
+      lo.enabled = on != 0;
+      lo.max_rate = kMaxRate;
+      const par::ParallelResult pr =
+          lsetup.run_lts(lsopt.t_end, {}, lrecv, lo, lctl);
       std::vector<double> rec;
-      double ratio = 1.0, predicted = 1.0, elem_updates = 0.0;
-      int n_classes = 1, n_steps = 0;
-      double dt = 0.0;
-      if (on == 0) {
-        solver::ExplicitSolver s(lop, lsopt);
-        s.set_fixed_components({true, false, true});
-        s.set_initial_conditions(u0, v0);
-        s.add_receiver({Lc / 2, Lc / 2, 0.0});
-        s.run();
-        rec = s.receiver_component(0, 1);
-        dt = s.dt();
-        n_steps = static_cast<int>(rec.size());
-        elem_updates = static_cast<double>(n_steps) *
-                       static_cast<double>(lmesh.n_elements());
-      } else {
-        lts::LtsOptions lo;
-        lo.enabled = true;
-        lo.max_rate = kMaxRate;
-        lts::LtsSolver s(lop, lsopt, lo);
-        s.set_fixed_components({true, false, true});
-        s.set_initial_conditions(u0, v0);
-        s.add_receiver({Lc / 2, Lc / 2, 0.0});
-        s.run();
-        rec = s.receiver_component(0, 1);
-        dt = s.dt();
-        n_steps = s.n_steps();
-        ratio = s.updates_saved_ratio();
-        predicted = s.clustering().predicted_updates_saved();
-        n_classes = s.clustering().n_classes;
-        elem_updates = static_cast<double>(s.element_updates());
-      }
+      for (const auto& s : pr.receiver_histories[0]) rec.push_back(s[1]);
+      const double dt = pr.dt;
+      const int n_steps = pr.n_steps;
+      const double elem_updates =
+          static_cast<double>(pr.rank_stats[0].element_updates);
+      const double ratio = static_cast<double>(n_steps) *
+                           static_cast<double>(lmesh.n_elements()) /
+                           elem_updates;
+      const double predicted = on ? lcl.predicted_updates_saved() : 1.0;
+      const int n_classes = on ? lcl.n_classes : 1;
       const std::vector<double> exact = exact_for(rec.size(), dt);
       const double err = util::rel_l2(rec, exact);
       const double corr = util::correlation(rec, exact);

@@ -4,7 +4,8 @@
 //   2. mesh it out of core (construct -> balance -> transform);
 //   3. persist the element/node databases (the transform step's output);
 //   4. reload the mesh — as a separate solver run would — and simulate a
-//      rupture scenario in parallel, recording seismograms and snapshots.
+//      rupture scenario in parallel, recording seismograms and surface
+//      snapshots in the same run.
 //
 // Every stage hands off through files, as in the paper's "mesh once,
 // simulate many earthquakes" workflow.
@@ -20,8 +21,6 @@
 #include "quake/mesh/meshgen.hpp"
 #include "quake/par/parallel_solver.hpp"
 #include "quake/par/partition.hpp"
-#include "quake/solver/elastic_operator.hpp"
-#include "quake/solver/explicit_solver.hpp"
 #include "quake/solver/source.hpp"
 #include "quake/solver/surface.hpp"
 #include "quake/util/io.hpp"
@@ -98,39 +97,37 @@ int main(int argc, char** argv) {
   sopt.t_end = 10.0;
   sopt.cfl_fraction = 0.4;
 
-  // Parallel run for the seismograms.
+  // One parallel run records the seismograms and, through the snapshot
+  // hook, the surface velocity images.
   timer.reset();
   const par::Partition part = par::partition_sfc(mesh, n_ranks);
+  par::ParallelSetup setup(mesh, part, oopt, sopt);
   const solver::SourceModel* sources[] = {&source};
   const std::array<double, 3> rxs[] = {{0.70 * extent, 0.55 * extent, 0.0},
                                        {0.45 * extent, 0.40 * extent, 0.0}};
-  const par::ParallelResult pr =
-      par::run_parallel(mesh, part, oopt, sopt, sources, rxs);
-  std::printf("[5] %d-rank simulation: %d steps, dt %.4f s (%.2f s wall)\n",
-              n_ranks, pr.n_steps, pr.dt, timer.seconds());
-
-  // Serial snapshot pass (same physics; writes the surface images).
-  const solver::ElasticOperator op(mesh, oopt);
-  solver::ExplicitSolver serial(op, sopt);
-  serial.add_source(&source);
   solver::SurfaceRaster raster(mesh, 128);
   int snap = 0;
-  serial.run(
-      [&](int, double t, std::span<const double>, std::span<const double> v) {
-        const auto mag = raster.velocity_magnitude(v);
-        raster.update_peak(mag);
-        char name[64];
-        std::snprintf(name, sizeof name, "/pipeline_snap_%02d_t%04.1f.pgm",
-                      snap++, t);
-        raster.write_pgm(dir + name, mag, 0.0, 0.5);
-      },
-      std::max(1, serial.n_steps() / 6));
+  par::RunControl ctl;
+  ctl.snapshot = [&](int, double t, std::span<const double>,
+                     std::span<const double> v) {
+    const auto mag = raster.velocity_magnitude(v);
+    raster.update_peak(mag);
+    char name[64];
+    std::snprintf(name, sizeof name, "/pipeline_snap_%02d_t%04.1f.pgm",
+                  snap++, t);
+    raster.write_pgm(dir + name, mag, 0.0, 0.5);
+  };
+  ctl.snapshot_every = std::max(1, setup.n_steps(sopt.t_end) / 6);
+  const par::ParallelResult pr =
+      setup.run(sopt.t_end, sources, rxs, {}, ctl);
+  std::printf("[5] %d-rank simulation: %d steps, dt %.4f s (%.2f s wall)\n",
+              n_ranks, pr.n_steps, pr.dt, timer.seconds());
   raster.write_pgm(dir + "/pipeline_peak_velocity.pgm", raster.peak(), 0.0,
                    1.0);
   std::printf("[6] wrote %d snapshots + peak-velocity map to %s\n", snap,
               dir.c_str());
 
-  // Seismogram CSV from the parallel run.
+  // Seismogram CSV.
   std::vector<std::string> names = {"t", "rx0_ux", "rx1_ux"};
   std::vector<std::vector<double>> cols(3);
   for (int k = 0; k < pr.n_steps; ++k) {

@@ -14,11 +14,16 @@
 // interior while those messages are in flight, and only then drains and
 // sums — the classic interior/halo overlap of the paper's MPI solver.
 //
-// One step loop serves every mode. It is parameterized by a per-rank rate
-// schedule — global dt is the schedule with one rate class, clustered
-// local time stepping (run_lts) one with several — and by a lane count S,
-// the number of scenarios advanced in lockstep (run_batch; S = 1 is the
-// solo layout). run, run_batch and run_lts only choose these two.
+// One step loop serves every mode and every rank count — a serial run is
+// this loop at one rank (partition_sfc(mesh, 1)), where there is no
+// exchange. It is parameterized by a per-rank rate schedule — global dt is
+// the schedule with one rate class, clustered local time stepping
+// (run_lts) one with several — and by a lane count S, the number of
+// scenarios advanced in lockstep (run_batch; S = 1 is the solo layout).
+// run, run_batch and run_lts only choose these two. Three per-run hooks
+// ride on every mode they compose with (see RunControl): initial
+// conditions, the component mask (SolverOptions::fixed_components), and a
+// snapshot callback every k steps.
 //
 // Determinism: the full sum at a shared node is accumulated in ascending
 // rank order on every copy, so all copies of a node compute bit-identical
@@ -31,6 +36,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -42,7 +48,6 @@
 #include "quake/obs/report.hpp"
 #include "quake/par/partition.hpp"
 #include "quake/solver/elastic_operator.hpp"
-#include "quake/solver/explicit_solver.hpp"
 #include "quake/solver/source.hpp"
 
 namespace quake::par {
@@ -177,17 +182,51 @@ struct FaultToleranceOptions {
   int message_log_steps = -1;
 };
 
-// Cooperative per-run control for service workloads: a cancel flag and a
-// wall-clock deadline, both checked at step boundaries. Every
-// `check_every` steps each rank evaluates its local stop condition and the
-// ranks agree by all-reduce, so all of them leave the step loop at the
-// same step and the exchange pattern never tears. With no flag and no
-// deadline the step loop carries zero extra synchronization.
+// Per-run control, taken by run, run_batch and run_lts alike. With none of
+// its fields set the step loop allocates nothing for it and does no extra
+// per-dof work.
+//
+// Cooperative stop (service workloads): a cancel flag and a wall-clock
+// deadline, both checked at step boundaries. Every `check_every` steps each
+// rank evaluates its local stop condition and the ranks agree by
+// all-reduce, so all of them leave the step loop at the same step and the
+// exchange pattern never tears. With no flag and no deadline the step loop
+// carries zero extra synchronization.
+//
+// Initial conditions: full-length (3 * n_nodes) displacement and velocity
+// at t = 0; an empty span is a quiescent field. The start is second order:
+// u^0 = B u0 and u^{-1} = u^0 - dt_n v0 + dt_n^2 / 2 a0, with
+// a0 = M^{-1} (f(0) - (K + K^AB) u^0) (damping is left out of a0; its
+// effect on the start is O(dt^3)) and dt_n each node's own step (dt under
+// global dt, 2^rate dt under LTS). They compose with every schedule and
+// with fault tolerance: a full restart starts over from them. A wrong
+// length, or initial conditions on a batch of more than one scenario,
+// throw std::invalid_argument.
+//
+// Snapshot: called every `snapshot_every` steps (after steps every,
+// 2 * every, ...) with the step index, t = step * dt, the displacement
+// u^step and the velocity (u^step - u^{step-1}) / dt, both gathered to
+// full length in global node order (views valid during the call only). It
+// runs on rank 0's thread between two barriers, so every rank waits for it. Supported under global dt with one
+// scenario at any rank count, together with cancel/deadline. It throws
+// std::invalid_argument with snapshot_every < 1, with fault-tolerance
+// options (checkpoint directory, retries or a fault plan: a replayed step
+// would fire twice), with more than one scenario, or on a multi-class LTS
+// schedule.
 struct RunControl {
   const std::atomic<bool>* cancel = nullptr;  // set by another thread
   double deadline_seconds = 0.0;  // wall-clock budget from run start; 0 = none
   int check_every = 1;            // step interval between agreements
 
+  std::span<const double> initial_u, initial_v;  // empty = quiescent
+
+  using SnapshotFn =
+      std::function<void(int step, double t, std::span<const double> u,
+                         std::span<const double> v)>;
+  SnapshotFn snapshot;     // empty = no snapshots
+  int snapshot_every = 0;  // steps between snapshot calls
+
+  // Whether the cooperative stop is armed.
   [[nodiscard]] bool active() const {
     return cancel != nullptr || deadline_seconds > 0.0;
   }
@@ -213,7 +252,11 @@ struct BatchScenario {
 // dt is part of the shared discretization: it is fixed at construction
 // (from `base.dt` or the CFL bound), so every scenario through one setup
 // integrates on the same time axis and a warm run is bit-identical to a
-// cold run with the same options.
+// cold run with the same options. So is the component mask
+// `base.fixed_components`. The constructor throws std::invalid_argument
+// when that dt is not positive and finite (e.g. cfl_fraction <= 0); run,
+// run_batch, run_lts and n_steps throw it for a t_end that is not
+// positive and finite, or that would take more than INT_MAX steps.
 //
 // Runs are serialized internally (the exchange buffers are part of the
 // shared state); concurrent callers queue on a mutex.

@@ -225,6 +225,7 @@ struct ParallelSetup::Impl {
   const bool rayleigh;
   const double dt;
   const double cfl;
+  const std::array<bool, 3> fixed;  // SolverOptions::fixed_components
   std::vector<RankLocal> locals;
   Schedule global;  // the one-class (global dt) schedule
   Communicator comm;
@@ -245,7 +246,13 @@ struct ParallelSetup::Impl {
         rayleigh(oo.rayleigh),
         dt(base.dt > 0.0 ? base.dt : op.stable_dt(base.cfl_fraction)),
         cfl(base.cfl_fraction),
+        fixed(base.fixed_components),
         comm(part_in.n_ranks) {
+    if (!(dt > 0.0 && std::isfinite(dt))) {
+      throw std::invalid_argument(
+          "ParallelSetup: time step " + std::to_string(dt) +
+          " is not positive and finite (check dt and cfl_fraction)");
+    }
     // ---- per-rank node sets with constraint closure ------------------------
     std::vector<std::vector<std::uint8_t>> has_node(
         static_cast<std::size_t>(R),
@@ -380,13 +387,27 @@ struct ParallelSetup::Impl {
     global = build_schedule(nullptr);
   }
 
+  // Steps a run of duration t_end takes; throws invalid_argument for a
+  // t_end that is not positive and finite or needs more than INT_MAX steps.
+  [[nodiscard]] int steps_for(double t_end) const {
+    const double steps = std::ceil(t_end / dt);
+    if (!(t_end > 0.0) || !std::isfinite(t_end) ||
+        !(steps <= std::numeric_limits<int>::max())) {
+      throw std::invalid_argument("ParallelSetup: t_end " +
+                                  std::to_string(t_end) +
+                                  " is not a positive, finite duration "
+                                  "within INT_MAX steps of dt");
+    }
+    return static_cast<int>(steps);
+  }
+
   // The rate schedule for a clustering (nullptr: one class, global dt).
   [[nodiscard]] Schedule build_schedule(const lts::Clustering* cl) const;
   const Schedule& lts_schedule(int max_rate);
 
   // The one step loop: the scenarios advance in lockstep on `sched`, one
-  // lane each, with fault tolerance `ft` (only run() passes any) and
-  // cooperative control. Caller holds run_mutex.
+  // lane each, with fault tolerance `ft` (only run() passes any) and the
+  // per-run control's stop and hooks. Caller holds run_mutex.
   std::vector<ParallelResult> solve(const Schedule& sched, double t_end,
                                     std::span<const BatchScenario> scenarios,
                                     const FaultToleranceOptions& ft,
@@ -552,10 +573,63 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
     std::span<const BatchScenario> scenarios, const FaultToleranceOptions& ft,
     const RunControl& control) {
   const std::size_t n_lanes = scenarios.size();
-  const int n_steps = static_cast<int>(std::ceil(t_end / dt));
+  const int n_steps = steps_for(t_end);
   const int n_classes = sched.n_classes;
   const bool multi_rate = n_classes > 1;
   const std::size_t pack = rayleigh ? 2u : 1u;
+  const bool masked = fixed[0] || fixed[1] || fixed[2];
+
+  // ---- per-run hooks (see RunControl): compose or reject up front ----
+  const std::size_t nd_global = op.n_dofs();
+  const bool ic_on = !control.initial_u.empty() || !control.initial_v.empty();
+  const bool snap_on = static_cast<bool>(control.snapshot);
+  const bool ft_on = !ft.checkpoint_dir.empty() || ft.max_retries > 0 ||
+                     ft.fault_plan != nullptr;
+  if (ic_on && n_lanes > 1) {
+    throw std::invalid_argument(
+        "initial conditions apply to one scenario, not a batch of " +
+        std::to_string(n_lanes));
+  }
+  for (const auto& field : {control.initial_u, control.initial_v}) {
+    if (!field.empty() && field.size() != nd_global) {
+      throw std::invalid_argument(
+          "initial condition has " + std::to_string(field.size()) +
+          " values, expected 3 * n_nodes = " + std::to_string(nd_global));
+    }
+  }
+  if (snap_on && (control.snapshot_every < 1 || ft_on || n_lanes > 1 ||
+                  multi_rate)) {
+    throw std::invalid_argument(
+        "the snapshot hook needs snapshot_every >= 1, one scenario, the "
+        "global-dt schedule and no fault-tolerance options");
+  }
+
+  // Initial state, computed once and serially on the setup's own operator
+  // with the projections of eq. 2.5: the expanded u0 and
+  // a0 = M^{-1} (f(0) - (K + K^AB) u0). Each rank body opens its nodes'
+  // brackets from these (see the IC fill at body entry).
+  std::vector<double> ic_u, ic_a;
+  if (ic_on) {
+    ic_u.assign(nd_global, 0.0);
+    std::copy(control.initial_u.begin(), control.initial_u.end(),
+              ic_u.begin());
+    op.expand_constraints(ic_u);
+    std::vector<double> ku(nd_global, 0.0), f0(nd_global, 0.0);
+    op.apply_stiffness(ic_u, ku, {});
+    op.accumulate_constraints(ku);
+    for (const solver::SourceModel* src : scenarios[0].sources) {
+      src->add_forces(0.0, f0);
+    }
+    op.accumulate_constraints(f0);
+    const auto mass = op.lumped_mass();
+    ic_a.resize(nd_global);
+    for (std::size_t d = 0; d < nd_global; ++d) {
+      ic_a[d] = mass[d] > 0.0 ? (f0[d] - ku[d]) / mass[d] : 0.0;
+    }
+  }
+  // Snapshot gather buffers: each rank writes its owned nodes.
+  std::vector<double> snap_u(snap_on ? nd_global : 0, 0.0);
+  std::vector<double> snap_v(snap_on ? nd_global : 0, 0.0);
 
   // Per-scenario receiver assignment: each receiver goes to the owner of its
   // nearest node. Kept outside RankLocal so a request's histories cannot
@@ -1237,7 +1311,7 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
         if (rayleigh) fold(dku, c);
       }
     };
-    const auto expand = [&](const LocalConstraint& c) {
+    const auto expand = [&](std::vector<double>& x, const LocalConstraint& c) {
       for (int comp = 0; comp < 3; ++comp) {
         const std::size_t hd = (3 * static_cast<std::size_t>(c.node) +
                                 static_cast<std::size_t>(comp)) *
@@ -1246,13 +1320,13 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
           double v = 0.0;
           for (int m = 0; m < c.n; ++m) {
             v += c.weights[static_cast<std::size_t>(m)] *
-                 u[(3 * static_cast<std::size_t>(
+                 x[(3 * static_cast<std::size_t>(
                           c.masters[static_cast<std::size_t>(m)]) +
                     static_cast<std::size_t>(comp)) *
                        S +
                    s];
           }
-          u[hd + s] = v;
+          x[hd + s] = v;
         }
       }
     };
@@ -1671,7 +1745,22 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
         // Per-rate hanging-node expansion: the group shares this cadence,
         // so its masters hold fresh u exactly when the group expands.
         for (const int ci : rp.cons_of_rate[static_cast<std::size_t>(lg)]) {
-          expand(L.cons[static_cast<std::size_t>(ci)]);
+          expand(u, L.cons[static_cast<std::size_t>(ci)]);
+        }
+        // Component mask: zero this rate's masked components right after
+        // its expansion, hanging nodes included.
+        if (masked) {
+          for (const auto& [first, last] :
+               rp.node_runs[static_cast<std::size_t>(lg)]) {
+            for (std::size_t i = first; i < last; ++i) {
+              for (std::size_t c = 0; c < 3; ++c) {
+                if (!fixed[c]) continue;
+                for (std::size_t s = 0; s < S; ++s) {
+                  u[(3 * i + c) * S + s] = 0.0;
+                }
+              }
+            }
+          }
         }
       }
       if (rayleigh) std::swap(dku_prev, dku);
@@ -1689,6 +1778,26 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
       // State and histories now fully describe step k: this is the resume
       // point a survivor advertises in recovery agreement (k_done + 1).
       k_done = k;
+
+      // ---- snapshot hook (one lane, global dt, no fault tolerance): gather
+      // the owned nodes' u and (u - u_prev) / dt in global order — local
+      // order differs when orphan nodes exist — and let rank 0 call the
+      // hook while every rank waits ----
+      if (snap_on && (k + 1) % control.snapshot_every == 0) {
+        for (std::size_t i = 0; i < L.nodes.size(); ++i) {
+          if (L.owned[i] == 0) continue;
+          const std::size_t g = 3 * static_cast<std::size_t>(L.nodes[i]);
+          for (std::size_t c = 0; c < 3; ++c) {
+            snap_u[g + c] = u[3 * i + c];
+            snap_v[g + c] = (u[3 * i + c] - u_prev[3 * i + c]) / dt;
+          }
+        }
+        rank.barrier();
+        if (rank.id() == 0) {
+          control.snapshot(k + 1, (k + 1) * dt, snap_u, snap_v);
+        }
+        rank.barrier();
+      }
 
       // ---- periodic snapshot, barrier-bracketed so the per-rank files of
       // a checkpoint generation form a consistent cut. Suppressed below the
@@ -1900,6 +2009,25 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
     }
     };  // finish
 
+    // ---- initial conditions (see RunControl): open every local node's
+    // bracket at its own step dt_n from the shared u0 / a0, then expand the
+    // local constraints. A restore below overwrites this; a full restart
+    // re-enters the body and so starts from it again. One lane only. ----
+    if (ic_on) {
+      for (std::size_t i = 0; i < L.nodes.size(); ++i) {
+        const double dtn = std::ldexp(dt, rp.node_lg[i]);
+        const std::size_t g = 3 * static_cast<std::size_t>(L.nodes[i]);
+        for (std::size_t c = 0; c < 3; ++c) {
+          const double v0 =
+              control.initial_v.empty() ? 0.0 : control.initial_v[g + c];
+          u[3 * i + c] = ic_u[g + c];
+          u_prev[3 * i + c] =
+              ic_u[g + c] - dtn * v0 + 0.5 * dtn * dtn * ic_a[g + c];
+        }
+      }
+      for (const LocalConstraint& c : L.cons) expand(u_prev, c);
+    }
+
     // ---- epoch loop: solve; on a rank failure (in-place recovery armed)
     // park until the communicator is repaired, then roll back and replay.
     // Survivors keep their partition, ghost plans, and exchange buffers —
@@ -2041,7 +2169,7 @@ std::vector<std::vector<int>> ParallelSetup::neighbor_ranks() const {
 }
 
 int ParallelSetup::n_steps(double t_end) const {
-  return static_cast<int>(std::ceil(t_end / impl_->dt));
+  return impl_->steps_for(t_end);
 }
 
 ParallelResult ParallelSetup::run(

@@ -1,7 +1,6 @@
 #include "quake/solver/elastic_operator.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "quake/fem/hex_element.hpp"
 #include "quake/obs/obs.hpp"
@@ -206,100 +205,6 @@ void ElasticOperator::apply_stiffness_impl(
   }
 }
 
-void ElasticOperator::apply_stiffness_batch(std::span<const double> u,
-                                            int n_lanes, std::span<double> y,
-                                            std::span<double> y_damp) const {
-  if (n_lanes < 1 || n_lanes > fem::kMaxBatchLanes) {
-    throw std::invalid_argument("apply_stiffness_batch: bad lane count");
-  }
-  const mesh::HexMesh& mesh = *mesh_;
-  const fem::HexReference& ref = fem::HexReference::get();
-  const bool damp = opt_.rayleigh && !y_damp.empty();
-  const std::size_t S = static_cast<std::size_t>(n_lanes);
-
-  QUAKE_OBS_SCOPE("op/stiffness");
-  obs::counter_add("op/elements_processed",
-                   static_cast<std::int64_t>(mesh.n_elements()));
-  if (damp) {
-    obs::counter_add("op/damped_applies", 1);
-  }
-
-  // Scenario-major element buffers: the 3 components x n_lanes values of a
-  // node are contiguous, so gather/scatter moves 3*S-double runs per node.
-  double ue[fem::kHexDofs * fem::kMaxBatchLanes];
-  double ye[fem::kHexDofs * fem::kMaxBatchLanes];
-  double de[fem::kHexDofs * fem::kMaxBatchLanes];
-  for (std::size_t e = 0; e < mesh.n_elements(); ++e) {
-    const auto& conn = mesh.elem_nodes[e];
-    for (int i = 0; i < 8; ++i) {
-      const std::size_t base =
-          3 * static_cast<std::size_t>(conn[static_cast<std::size_t>(i)]) * S;
-      std::copy(u.begin() + static_cast<std::ptrdiff_t>(base),
-                u.begin() + static_cast<std::ptrdiff_t>(base + 3 * S),
-                ue + static_cast<std::size_t>(3 * i) * S);
-    }
-    std::fill(ye, ye + fem::kHexDofs * S, 0.0);
-    if (damp) std::fill(de, de + fem::kHexDofs * S, 0.0);
-    const double h = mesh.elem_size[e];
-    const vel::Material& m = mesh.elem_mat[e];
-    fem::hex_apply_batch(ref, ue, n_lanes, h * m.lambda, h * m.mu, ye,
-                         damp ? elem_damping_[e].beta : 0.0,
-                         damp ? de : nullptr);
-    for (int i = 0; i < 8; ++i) {
-      const std::size_t base =
-          3 * static_cast<std::size_t>(conn[static_cast<std::size_t>(i)]) * S;
-      const double* yi = ye + static_cast<std::size_t>(3 * i) * S;
-      const double* di = de + static_cast<std::size_t>(3 * i) * S;
-      for (std::size_t t = 0; t < 3 * S; ++t) {
-        y[base + t] += yi[t];
-        if (damp) y_damp[base + t] += di[t];
-      }
-    }
-  }
-
-  if (opt_.abc == fem::AbcType::kStacey) {
-    QUAKE_OBS_SCOPE("abc");
-    obs::counter_add("op/abc_faces_processed",
-                     static_cast<std::int64_t>(mesh.boundary_faces.size()));
-    // The face dashpot kernel is small; gather each lane's 12-vector and
-    // run the scalar kernel per lane — the per-lane operation order is the
-    // unbatched one by construction.
-    double uf[12], yf[12];
-    for (const mesh::BoundaryFace& bf : mesh.boundary_faces) {
-      if (!opt_.absorbing_sides[static_cast<std::size_t>(bf.side)]) continue;
-      const std::size_t e = static_cast<std::size_t>(bf.elem);
-      const auto& fn = mesh::kFaceNodes[static_cast<std::size_t>(bf.side)];
-      for (std::size_t s = 0; s < S; ++s) {
-        for (int i = 0; i < 4; ++i) {
-          const std::size_t base =
-              3 *
-              static_cast<std::size_t>(
-                  mesh.elem_nodes[e][static_cast<std::size_t>(
-                      fn[static_cast<std::size_t>(i)])]) *
-              S;
-          uf[3 * i] = u[base + s];
-          uf[3 * i + 1] = u[base + S + s];
-          uf[3 * i + 2] = u[base + 2 * S + s];
-        }
-        std::fill(yf, yf + 12, 0.0);
-        fem::face_stacey_apply(mesh.elem_mat[e], mesh.elem_size[e], bf.side,
-                               uf, yf);
-        for (int i = 0; i < 4; ++i) {
-          const std::size_t base =
-              3 *
-              static_cast<std::size_t>(
-                  mesh.elem_nodes[e][static_cast<std::size_t>(
-                      fn[static_cast<std::size_t>(i)])]) *
-              S;
-          y[base + s] += yf[3 * i];
-          y[base + S + s] += yf[3 * i + 1];
-          y[base + 2 * S + s] += yf[3 * i + 2];
-        }
-      }
-    }
-  }
-}
-
 void ElasticOperator::expand_constraints(std::span<double> u) const {
   for (const mesh::Constraint& c : mesh_->constraints) {
     for (int comp = 0; comp < 3; ++comp) {
@@ -325,52 +230,6 @@ void ElasticOperator::accumulate_constraints(std::span<double> y) const {
             c.weights[static_cast<std::size_t>(m)] * y[hd];
       }
       y[hd] = 0.0;
-    }
-  }
-}
-
-void ElasticOperator::expand_constraints_batch(std::span<double> u,
-                                               int n_lanes) const {
-  const std::size_t S = static_cast<std::size_t>(n_lanes);
-  for (const mesh::Constraint& c : mesh_->constraints) {
-    for (int comp = 0; comp < 3; ++comp) {
-      for (std::size_t s = 0; s < S; ++s) {
-        double v = 0.0;
-        for (int m = 0; m < c.n_masters; ++m) {
-          v += c.weights[static_cast<std::size_t>(m)] *
-               u[(3 * static_cast<std::size_t>(
-                      c.masters[static_cast<std::size_t>(m)]) +
-                  static_cast<std::size_t>(comp)) *
-                     S +
-                 s];
-        }
-        u[(3 * static_cast<std::size_t>(c.node) +
-           static_cast<std::size_t>(comp)) *
-              S +
-          s] = v;
-      }
-    }
-  }
-}
-
-void ElasticOperator::accumulate_constraints_batch(std::span<double> y,
-                                                   int n_lanes) const {
-  const std::size_t S = static_cast<std::size_t>(n_lanes);
-  for (const mesh::Constraint& c : mesh_->constraints) {
-    for (int comp = 0; comp < 3; ++comp) {
-      const std::size_t hd = (3 * static_cast<std::size_t>(c.node) +
-                              static_cast<std::size_t>(comp)) *
-                             S;
-      for (int m = 0; m < c.n_masters; ++m) {
-        const std::size_t md =
-            (3 * static_cast<std::size_t>(
-                   c.masters[static_cast<std::size_t>(m)]) +
-             static_cast<std::size_t>(comp)) *
-            S;
-        const double w = c.weights[static_cast<std::size_t>(m)];
-        for (std::size_t s = 0; s < S; ++s) y[md + s] += w * y[hd + s];
-      }
-      for (std::size_t s = 0; s < S; ++s) y[hd + s] = 0.0;
     }
   }
 }

@@ -28,6 +28,18 @@ struct OperatorOptions {
   double damping_f_max = 1.0;
 };
 
+// Time axis of a forward solve (see par::ParallelSetup, which runs eq. 2.4
+// on it at any rank count).
+struct SolverOptions {
+  double dt = 0.0;            // time step [s]; 0 = choose from the CFL bound
+  double cfl_fraction = 0.4;  // safety factor on min(h / vp)
+  double t_end = 1.0;         // simulated duration [s]
+  // Displacement components forced to zero at every node after each
+  // update — the component mask that makes 1D column verification
+  // problems exact (the SH column tests, the Fig 2.2 bench).
+  std::array<bool, 3> fixed_components = {false, false, false};
+};
+
 class ElasticOperator {
  public:
   ElasticOperator(const mesh::HexMesh& mesh, const OperatorOptions& opt);
@@ -44,25 +56,16 @@ class ElasticOperator {
                        std::span<double> y_damp) const;
 
   // Stiffness restricted to a subset of elements and boundary faces (face
-  // values index into mesh().boundary_faces). The local time stepping
-  // scheduler uses this to sweep only the compute classes active at a fine
-  // step. Elements stream through the same pack-of-8 kernel as
-  // apply_stiffness, so calling it with every element index ascending and
-  // every face index is bitwise identical to apply_stiffness.
+  // values index into mesh().boundary_faces), e.g. the compute classes of a
+  // local-time-stepping schedule active at one fine step (the serial LTS
+  // reference stepper the tests compare the step loop against). Elements
+  // stream through the same pack-of-8 kernel as apply_stiffness, so calling
+  // it with every element index ascending and every face index is bitwise
+  // identical to apply_stiffness.
   void apply_stiffness_subset(std::span<const mesh::ElemId> elems,
                               std::span<const std::int32_t> faces,
                               std::span<const double> u, std::span<double> y,
                               std::span<double> y_damp) const;
-
-  // Scenario-batched apply: `u` / `y` / `y_damp` hold `n_lanes` independent
-  // fields in scenario-major layout (lane s of dof d at index
-  // d * n_lanes + s; see docs/BATCHING.md), so one element sweep services
-  // all lanes through fem::hex_apply_batch. Lane s is bitwise identical to
-  // apply_stiffness on that lane alone. n_lanes must not exceed
-  // fem::kMaxBatchLanes.
-  void apply_stiffness_batch(std::span<const double> u, int n_lanes,
-                             std::span<double> y,
-                             std::span<double> y_damp) const;
 
   // Projected diagonal vectors, full-length; hanging entries are zero.
   [[nodiscard]] std::span<const double> lumped_mass() const { return mass_; }
@@ -77,11 +80,6 @@ class ElasticOperator {
   void expand_constraints(std::span<double> u) const;
   // y_master += w_m * y_hanging, then y_hanging = 0 (the action of B^T).
   void accumulate_constraints(std::span<double> y) const;
-
-  // Scenario-major batched constraint projections (lane-for-lane bitwise
-  // identical to the unbatched forms).
-  void expand_constraints_batch(std::span<double> u, int n_lanes) const;
-  void accumulate_constraints_batch(std::span<double> y, int n_lanes) const;
 
   // CFL-limited stable time step: min over elements of h / vp, times the
   // given safety fraction.

@@ -5,13 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "quake/fem/hex_element.hpp"
 #include "quake/mesh/meshgen.hpp"
 #include "quake/octree/linear_octree.hpp"
 #include "quake/opt/frankel.hpp"
-#include "quake/solver/elastic_operator.hpp"
-#include "quake/solver/explicit_solver.hpp"
+#include "quake/par/parallel_solver.hpp"
+#include "quake/par/partition.hpp"
 #include "quake/solver/sh1d.hpp"
 #include "quake/solver/source.hpp"
 #include "quake/util/stats.hpp"
@@ -49,7 +53,7 @@ TEST(EdgeCases, MeshOptionsValidation) {
   EXPECT_THROW(mesh::generate_mesh(m, bad), std::invalid_argument);
 }
 
-TEST(EdgeCases, SolverRejectsBadTimeSetup) {
+mesh::HexMesh tiny_mesh() {
   const vel::HomogeneousModel m(
       vel::Material::from_velocities(2000.0, 1000.0, 2000.0));
   mesh::MeshOptions opt;
@@ -57,11 +61,51 @@ TEST(EdgeCases, SolverRejectsBadTimeSetup) {
   opt.f_max = 1e-9;
   opt.min_level = 1;
   opt.max_level = 1;
-  const auto mesh = mesh::generate_mesh(m, opt);
-  const solver::ElasticOperator op(mesh, {});
-  solver::SolverOptions so;
-  so.t_end = -1.0;
-  EXPECT_THROW(solver::ExplicitSolver(op, so), std::invalid_argument);
+  return mesh::generate_mesh(m, opt);
+}
+
+TEST(EdgeCases, SolverRejectsBadTimeSetup) {
+  const auto mesh = tiny_mesh();
+  const par::Partition part = par::partition_sfc(mesh, 1);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+
+  // A time step that is not positive and finite: a non-positive or NaN
+  // CFL fraction (dt chosen from the CFL bound) or an infinite dt.
+  for (const double cfl : {0.0, -0.4, nan}) {
+    solver::SolverOptions so;
+    so.cfl_fraction = cfl;
+    EXPECT_THROW(par::ParallelSetup(mesh, part, {}, so), std::invalid_argument)
+        << "cfl_fraction " << cfl;
+  }
+  solver::SolverOptions inf_dt;
+  inf_dt.dt = inf;
+  EXPECT_THROW(par::ParallelSetup(mesh, part, {}, inf_dt),
+               std::invalid_argument);
+
+  // A duration that is not positive and finite, or needs > INT_MAX steps:
+  // every entry point rejects it, with and without receivers.
+  par::ParallelSetup setup(mesh, part, {}, {});
+  const std::array<double, 3> rx[] = {{50.0, 50.0, 0.0}};
+  lts::LtsOptions lts_on;
+  lts_on.enabled = true;
+  for (const double t_end : {-1.0, 0.0, nan, inf, 1e300}) {
+    SCOPED_TRACE("t_end " + std::to_string(t_end));
+    EXPECT_THROW(static_cast<void>(setup.n_steps(t_end)),
+                 std::invalid_argument);
+    for (const std::size_t n_rx : {0u, 1u}) {
+      const std::span<const std::array<double, 3>> rxs(rx, n_rx);
+      EXPECT_THROW(setup.run(t_end, {}, rxs), std::invalid_argument);
+      EXPECT_THROW(setup.run_lts(t_end, {}, rxs, {}), std::invalid_argument);
+      EXPECT_THROW(setup.run_lts(t_end, {}, rxs, lts_on),
+                   std::invalid_argument);
+      const par::BatchScenario one{{}, {rxs.begin(), rxs.end()}};
+      EXPECT_THROW(setup.run_batch(t_end, {&one, 1}), std::invalid_argument);
+    }
+  }
+  // The setup stays usable after the rejections.
+  EXPECT_EQ(setup.run(0.01, {}, rx).receiver_histories[0].size(),
+            static_cast<std::size_t>(setup.n_steps(0.01)));
 }
 
 TEST(EdgeCases, PointSourceRejectsZeroDirection) {
@@ -155,21 +199,23 @@ TEST(EdgeCases, HexApplyFlopsAccounting) {
 }
 
 TEST(EdgeCases, InitialConditionSizeChecked) {
-  const vel::HomogeneousModel m(
-      vel::Material::from_velocities(2000.0, 1000.0, 2000.0));
-  mesh::MeshOptions opt;
-  opt.domain_size = 100.0;
-  opt.f_max = 1e-9;
-  opt.min_level = 1;
-  opt.max_level = 1;
-  const auto mesh = mesh::generate_mesh(m, opt);
-  const solver::ElasticOperator op(mesh, {});
-  solver::SolverOptions so;
-  so.t_end = 0.01;
-  solver::ExplicitSolver solver(op, so);
-  std::vector<double> wrong(5, 0.0);
-  EXPECT_THROW(solver.set_initial_conditions(wrong, wrong),
-               std::invalid_argument);
+  const auto mesh = tiny_mesh();
+  const par::Partition part = par::partition_sfc(mesh, 1);
+  par::ParallelSetup setup(mesh, part, {}, {});
+  const std::vector<double> wrong(5, 0.0), right(3 * mesh.n_nodes(), 0.0);
+  for (const auto& [u0, v0] : {std::pair{wrong, right}, std::pair{right, wrong},
+                               std::pair{wrong, std::vector<double>{}}}) {
+    par::RunControl ctl;
+    ctl.initial_u = u0;
+    ctl.initial_v = v0;
+    EXPECT_THROW(setup.run(0.01, {}, {}, {}, ctl), std::invalid_argument);
+  }
+  // Initial conditions belong to one scenario, not a batch.
+  par::RunControl ctl;
+  ctl.initial_u = right;
+  const std::vector<par::BatchScenario> two(2);
+  EXPECT_THROW(setup.run_batch(0.01, two, ctl), std::invalid_argument);
+  EXPECT_NO_THROW(setup.run(0.01, {}, {}, {}, ctl));
 }
 
 }  // namespace

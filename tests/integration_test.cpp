@@ -1,20 +1,21 @@
 // Cross-module integration tests: the full forward pipeline (model -> mesh
-// -> operator -> solver), multiresolution accuracy, attenuation behavior,
-// and out-of-core meshing feeding the solver.
+// -> operator -> the step loop at one rank), multiresolution accuracy,
+// attenuation behavior, and out-of-core meshing feeding the solver.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "quake/mesh/meshgen.hpp"
-#include "quake/solver/elastic_operator.hpp"
-#include "quake/solver/explicit_solver.hpp"
 #include "quake/solver/source.hpp"
 #include "quake/util/stats.hpp"
+#include "reference_stepper.hpp"
 
 namespace {
 
 using namespace quake;
+using testsupport::component;
+using testsupport::run_one_rank;
 
 // A small two-layer model with moderate contrast: the adaptive mesher puts
 // fine elements in the soft layer and coarse ones below.
@@ -26,21 +27,18 @@ vel::LayeredModel two_layer() {
 
 std::vector<double> run_scenario(const mesh::HexMesh& mesh, double t_end,
                                  double dt) {
-  solver::OperatorOptions oo;
-  const solver::ElasticOperator op(mesh, oo);
   solver::SolverOptions so;
   so.t_end = t_end;
   so.dt = dt;
-  solver::ExplicitSolver solver(op, so);
   const double L = mesh.domain.size;
   // Source inside the soft layer, where both meshes are equally fine; the
   // rock (coarse in the adaptive mesh) only carries the fast long waves.
   const solver::PointSource src(mesh, {0.5 * L, 0.5 * L, 200.0},
                                 {1.0, 0.0, 0.5}, 1e13, 1.2, 1.2);
-  solver.add_source(&src);
-  solver.add_receiver({0.3 * L, 0.5 * L, 0.0});
-  solver.run();
-  return solver.receiver_component(0, 0);
+  const solver::SourceModel* sources[] = {&src};
+  const std::array<double, 3> rxs[] = {{0.3 * L, 0.5 * L, 0.0}};
+  return component(
+      run_one_rank(mesh, {}, so, sources, rxs).receiver_histories[0], 0);
 }
 
 TEST(Pipeline, AdaptiveMeshMatchesUniformFineMesh) {
@@ -108,17 +106,15 @@ TEST(Pipeline, RayleighDampingAttenuates) {
     oo.rayleigh = damped;
     oo.damping_f_min = 0.1;
     oo.damping_f_max = 1.0;
-    const solver::ElasticOperator op(mesh, oo);
     solver::SolverOptions so;
     so.t_end = 3.0;
     so.dt = 0.008;
-    solver::ExplicitSolver solver(op, so);
     const solver::PointSource src(mesh, {1600.0, 1600.0, 1800.0},
                                   {1.0, 0.0, 0.0}, 1e13, 1.0, 1.2);
-    solver.add_source(&src);
-    solver.add_receiver({800.0, 1600.0, 0.0});
-    solver.run();
-    return util::norm_max(solver.receiver_component(0, 0));
+    const solver::SourceModel* sources[] = {&src};
+    const std::array<double, 3> rxs[] = {{800.0, 1600.0, 0.0}};
+    return util::norm_max(component(
+        run_one_rank(mesh, oo, so, sources, rxs).receiver_histories[0], 0));
   };
   const double peak_undamped = run(false);
   const double peak_damped = run(true);
@@ -150,18 +146,18 @@ TEST(Pipeline, FaultRuptureProducesDirectivity) {
   fs.slip = 1.0;
   const solver::FaultSource src(mesh, fs);
 
-  solver::OperatorOptions oo;
-  const solver::ElasticOperator op(mesh, oo);
   solver::SolverOptions so;
   so.t_end = 8.0;
   so.cfl_fraction = 0.4;
-  solver::ExplicitSolver solver(op, so);
-  solver.add_source(&src);
-  const std::size_t fwd = solver.add_receiver({9500.0, 6400.0, 0.0});
-  const std::size_t bwd = solver.add_receiver({1700.0, 6400.0, 0.0});
-  solver.run();
-  const double peak_fwd = util::norm_max(solver.receiver_component(fwd, 0));
-  const double peak_bwd = util::norm_max(solver.receiver_component(bwd, 0));
+  const solver::SourceModel* sources[] = {&src};
+  // Forward of the rupture, then behind it.
+  const std::array<double, 3> rxs[] = {{9500.0, 6400.0, 0.0},
+                                       {1700.0, 6400.0, 0.0}};
+  const par::ParallelResult pr = run_one_rank(mesh, {}, so, sources, rxs);
+  const double peak_fwd =
+      util::norm_max(component(pr.receiver_histories[0], 0));
+  const double peak_bwd =
+      util::norm_max(component(pr.receiver_histories[1], 0));
   EXPECT_GT(peak_fwd, 1.3 * peak_bwd);
 }
 
@@ -180,17 +176,15 @@ TEST(Pipeline, StaceyAndLysmerAgreeInInterior) {
   auto run = [&](fem::AbcType abc) {
     solver::OperatorOptions oo;
     oo.abc = abc;
-    const solver::ElasticOperator op(mesh, oo);
     solver::SolverOptions so;
     so.t_end = 2.5;
     so.dt = 0.008;
-    solver::ExplicitSolver solver(op, so);
     const solver::PointSource src(mesh, {1600.0, 1600.0, 1500.0},
                                   {0.7, 0.7, 0.0}, 1e13, 1.0, 1.0);
-    solver.add_source(&src);
-    solver.add_receiver({1400.0, 1700.0, 0.0});
-    solver.run();
-    return solver.receiver_component(0, 0);
+    const solver::SourceModel* sources[] = {&src};
+    const std::array<double, 3> rxs[] = {{1400.0, 1700.0, 0.0}};
+    return component(
+        run_one_rank(mesh, oo, so, sources, rxs).receiver_histories[0], 0);
   };
   const auto a = run(fem::AbcType::kStacey);
   const auto b = run(fem::AbcType::kLysmer);

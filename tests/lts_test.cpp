@@ -1,12 +1,12 @@
 // Tests for the local-time-stepping subsystem (src/lts, docs/LTS.md):
 // the clustering pass (per-element stable dt, power-of-two binning, +-1
-// adjacency normalization through hanging-node constraint groups), the
-// serial LtsSolver (bitwise-identical to ExplicitSolver with one class,
-// tolerance-equivalent to global dt with several), and the parallel
-// ParallelSetup::run_lts path (global-dt forwarding, single-class bitwise
-// anchor, the one-rank serial oracle, multi-rate equivalence, bitwise
-// determinism across repeats, cancellation, and reuse of one setup across
-// every execution mode).
+// adjacency normalization through hanging-node constraint groups) and
+// ParallelSetup::run_lts — serially at one rank (tolerance-equivalent to
+// global dt with several classes, element updates following the
+// schedule) and in parallel (global-dt forwarding, single-class bitwise
+// anchor, the one-rank reference-stepper oracle, multi-rate equivalence,
+// bitwise determinism across repeats, cancellation, and reuse of one setup
+// across every execution mode).
 
 #include <gtest/gtest.h>
 
@@ -14,26 +14,27 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <filesystem>
 #include <set>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "quake/lts/clustering.hpp"
-#include "quake/lts/lts_solver.hpp"
 #include "quake/mesh/meshgen.hpp"
 #include "quake/par/communicator.hpp"
 #include "quake/par/parallel_solver.hpp"
 #include "quake/par/partition.hpp"
 #include "quake/solver/elastic_operator.hpp"
-#include "quake/solver/explicit_solver.hpp"
 #include "quake/solver/source.hpp"
 #include "quake/util/stats.hpp"
 #include "quake/vel/model.hpp"
+#include "reference_stepper.hpp"
 
 namespace {
 
 using namespace quake;
+using testsupport::same_bits;
 
 // Uniform single-level mesh: one material, one octree level, so the
 // clustering must collapse to a single class and LTS must degenerate to
@@ -91,6 +92,21 @@ std::vector<std::set<mesh::ElemId>> node_to_elems(const mesh::HexMesh& mesh) {
     }
   }
   return of_node;
+}
+
+// SH-style upgoing pulse in the halfspace of two_rate_mesh (see
+// bench_table2_1 --lts-sweep): u0 and v0 on the y component.
+std::pair<std::vector<double>, std::vector<double>> sh_pulse(
+    const mesh::HexMesh& mesh) {
+  const double zc = 500.0, sigma = 120.0, vs2 = 1600.0;
+  std::vector<double> u0(3 * mesh.n_nodes(), 0.0), v0(u0.size(), 0.0);
+  for (std::size_t n = 0; n < mesh.n_nodes(); ++n) {
+    const double z = mesh.node_coords[n][2];
+    const double p = std::exp(-std::pow((z - zc) / sigma, 2));
+    u0[3 * n + 1] = p;
+    v0[3 * n + 1] = vs2 * (-2.0 * (z - zc) / (sigma * sigma)) * p;
+  }
+  return {u0, v0};
 }
 
 }  // namespace
@@ -232,85 +248,37 @@ TEST(LtsClustering, RejectsBadArguments) {
                std::invalid_argument);
 }
 
-TEST(LtsSerial, SingleClassBitwiseMatchesExplicitSolver) {
-  const auto mesh = uniform_mesh();
-  solver::OperatorOptions oo;
-  solver::SolverOptions so;
-  so.t_end = 0.5;
-  so.cfl_fraction = 0.4;
-  const solver::ElasticOperator op(mesh, oo);
-  const solver::PointSource src(mesh, {4000.0, 4000.0, 3000.0},
-                                {1.0, 0.5, 0.2}, 1e12, 0.03, 10.0);
-  const std::array<double, 3> rx = {6000.0, 3000.0, 0.0};
-
-  solver::ExplicitSolver ref(op, so);
-  ref.add_source(&src);
-  ref.add_receiver(rx);
-  ref.run();
-
-  lts::LtsOptions lo;
-  lo.enabled = true;
-  lo.max_rate = 32;
-  lts::LtsSolver sol(op, so, lo);
-  sol.add_source(&src);
-  sol.add_receiver(rx);
-  sol.run();
-
-  EXPECT_EQ(sol.clustering().n_classes, 1);
-  EXPECT_EQ(sol.n_steps(), ref.n_steps());
-  EXPECT_DOUBLE_EQ(sol.updates_saved_ratio(), 1.0);
-  ASSERT_EQ(sol.displacement().size(), ref.displacement().size());
-  EXPECT_EQ(std::memcmp(sol.displacement().data(), ref.displacement().data(),
-                        ref.displacement().size() * sizeof(double)),
-            0);
-  ASSERT_EQ(sol.receivers()[0].u.size(), ref.receivers()[0].u.size());
-  EXPECT_EQ(std::memcmp(sol.receivers()[0].u.data(), ref.receivers()[0].u.data(),
-                        ref.receivers()[0].u.size() * sizeof(double) * 3),
-            0);
-}
-
 TEST(LtsSerial, TwoRateMatchesGlobalWithinTolerance) {
   const auto mesh = two_rate_mesh();
   solver::OperatorOptions oo;
   solver::SolverOptions so;
   so.t_end = 0.6;
   so.cfl_fraction = 0.35;
-  const solver::ElasticOperator op(mesh, oo);
+  so.fixed_components = {true, false, true};
+  const auto [u0, v0] = sh_pulse(mesh);
+  par::RunControl ctl;
+  ctl.initial_u = u0;
+  ctl.initial_v = v0;
+  const std::array<double, 3> rxs[] = {{400.0, 400.0, 0.0}};
+  const par::Partition part = par::partition_sfc(mesh, 1);
+  par::ParallelSetup setup(mesh, part, oo, so);
 
-  // SH-style initial pulse in the halfspace (see bench_table2_1 --lts-sweep).
-  const double zc = 500.0, sigma = 120.0, vs2 = 1600.0;
-  std::vector<double> u0(op.n_dofs(), 0.0), v0(op.n_dofs(), 0.0);
-  for (std::size_t n = 0; n < mesh.n_nodes(); ++n) {
-    const double z = mesh.node_coords[n][2];
-    const double p = std::exp(-std::pow((z - zc) / sigma, 2));
-    u0[3 * n + 1] = p;
-    v0[3 * n + 1] = vs2 * (-2.0 * (z - zc) / (sigma * sigma)) * p;
-  }
-  const std::array<double, 3> rx = {400.0, 400.0, 0.0};
-
-  solver::ExplicitSolver ref(op, so);
-  ref.set_fixed_components({true, false, true});
-  ref.set_initial_conditions(u0, v0);
-  ref.add_receiver(rx);
-  ref.run();
-
+  const par::ParallelResult ref = setup.run(so.t_end, {}, rxs, {}, ctl);
   lts::LtsOptions lo;
   lo.enabled = true;
   lo.max_rate = 32;
-  lts::LtsSolver sol(op, so, lo);
-  sol.set_fixed_components({true, false, true});
-  sol.set_initial_conditions(u0, v0);
-  sol.add_receiver(rx);
-  sol.run();
+  const par::ParallelResult pr = setup.run_lts(so.t_end, {}, rxs, lo, ctl);
 
-  ASSERT_GE(sol.clustering().n_classes, 2);
-  EXPECT_GT(sol.updates_saved_ratio(), 1.0);
-  ASSERT_EQ(sol.displacement().size(), ref.displacement().size());
-  const double unorm = util::norm_l2(ref.displacement());
-  EXPECT_LT(util::diff_l2(sol.displacement(), ref.displacement()),
-            0.02 * (1.0 + unorm));
-  const auto rec_ref = ref.receiver_component(0, 1);
-  const auto rec_lts = sol.receiver_component(0, 1);
+  ASSERT_GE(lts::cluster_elements(mesh, setup.dt(), so.cfl_fraction, 32)
+                .n_classes,
+            2);
+  EXPECT_LT(pr.rank_stats[0].element_updates,
+            ref.rank_stats[0].element_updates);
+  ASSERT_EQ(pr.u_final.size(), ref.u_final.size());
+  const double unorm = util::norm_l2(ref.u_final);
+  EXPECT_LT(util::diff_l2(pr.u_final, ref.u_final), 0.02 * (1.0 + unorm));
+  const auto rec_ref = testsupport::component(ref.receiver_histories[0], 1);
+  const auto rec_lts = testsupport::component(pr.receiver_histories[0], 1);
   ASSERT_EQ(rec_ref.size(), rec_lts.size());
   EXPECT_LT(util::rel_l2(rec_lts, rec_ref), 0.02);
 }
@@ -321,23 +289,24 @@ TEST(LtsSerial, ElementUpdatesFollowTheSchedule) {
   solver::SolverOptions so;
   so.t_end = 0.3;
   so.cfl_fraction = 0.35;
-  const solver::ElasticOperator op(mesh, oo);
+  const par::Partition part = par::partition_sfc(mesh, 1);
+  par::ParallelSetup setup(mesh, part, oo, so);
   lts::LtsOptions lo;
   lo.enabled = true;
   lo.max_rate = 32;
-  lts::LtsSolver sol(op, so, lo);
-  sol.run();
+  const par::ParallelResult pr = setup.run_lts(so.t_end, {}, {}, lo);
 
   // Class c runs at fine steps k in [0, n_steps) with 2^c | k.
-  const lts::Clustering& cl = sol.clustering();
+  const lts::Clustering cl =
+      lts::cluster_elements(mesh, setup.dt(), so.cfl_fraction, lo.max_rate);
   std::uint64_t want = 0;
   for (int c = 0; c < cl.n_classes; ++c) {
     const std::uint64_t active =
-        static_cast<std::uint64_t>((sol.n_steps() - 1) >> c) + 1;
+        static_cast<std::uint64_t>((pr.n_steps - 1) >> c) + 1;
     want += active * cl.class_histogram[static_cast<std::size_t>(c)];
   }
-  EXPECT_EQ(sol.element_updates(), want);
-  EXPECT_LT(sol.element_updates(), sol.global_element_updates());
+  EXPECT_EQ(pr.rank_stats[0].element_updates, want);
+  EXPECT_LT(want, static_cast<std::uint64_t>(pr.n_steps) * mesh.n_elements());
 }
 
 TEST(LtsSerial, RayleighDampingRejected) {
@@ -346,12 +315,13 @@ TEST(LtsSerial, RayleighDampingRejected) {
   oo.rayleigh = true;
   oo.damping_f_min = 0.01;
   oo.damping_f_max = 0.05;
-  const solver::ElasticOperator op(mesh, oo);
   solver::SolverOptions so;
   so.t_end = 0.1;
+  const par::Partition part = par::partition_sfc(mesh, 1);
+  par::ParallelSetup setup(mesh, part, oo, so);
   lts::LtsOptions lo;
   lo.enabled = true;
-  EXPECT_THROW(lts::LtsSolver(op, so, lo), std::invalid_argument);
+  EXPECT_THROW(setup.run_lts(so.t_end, {}, {}, lo), std::invalid_argument);
 }
 
 TEST(LtsParallel, DisabledForwardsToGlobalRun) {
@@ -372,10 +342,7 @@ TEST(LtsParallel, DisabledForwardsToGlobalRun) {
   const par::ParallelResult pr =
       setup.run_lts(so.t_end, sources, rxs, lts::LtsOptions{});
 
-  ASSERT_EQ(pr.u_final.size(), ref.u_final.size());
-  EXPECT_EQ(std::memcmp(pr.u_final.data(), ref.u_final.data(),
-                        ref.u_final.size() * sizeof(double)),
-            0);
+  EXPECT_TRUE(same_bits(pr, ref));
   std::uint64_t updates = 0;
   for (const auto& s : pr.rank_stats) updates += s.element_updates;
   EXPECT_EQ(updates, static_cast<std::uint64_t>(pr.n_steps) *
@@ -403,22 +370,16 @@ TEST(LtsParallel, SingleClassBitwiseMatchesGlobalRun) {
   const par::ParallelResult pr = setup.run_lts(so.t_end, sources, rxs, lo);
 
   EXPECT_EQ(pr.n_steps, ref.n_steps);
-  ASSERT_EQ(pr.u_final.size(), ref.u_final.size());
-  EXPECT_EQ(std::memcmp(pr.u_final.data(), ref.u_final.data(),
-                        ref.u_final.size() * sizeof(double)),
-            0);
-  ASSERT_EQ(pr.receiver_histories[0].size(), ref.receiver_histories[0].size());
-  EXPECT_EQ(std::memcmp(pr.receiver_histories[0].data(),
-                        ref.receiver_histories[0].data(),
-                        ref.receiver_histories[0].size() * sizeof(double) * 3),
-            0);
+  EXPECT_TRUE(same_bits(pr, ref));
 }
 
 // The multi-class oracle: at one rank there is no exchange, so the
-// parallel loop's per-rate sweeps, bracket gather and in-place update must
-// reproduce the serial LtsSolver's recursion bit for bit. (The global-dt
-// anchor only holds to tolerance once there is more than one class.)
-TEST(LtsParallel, OneRankMatchesSerialLtsSolverBitwise) {
+// loop's per-rate sweeps, bracket gather and in-place update must
+// reproduce the reference stepper's window recursion bit for bit — from
+// rest with a point source, and from SH-pulse initial conditions under the
+// component mask. (The global-dt anchor only holds to tolerance once there
+// is more than one class.)
+TEST(LtsParallel, OneRankMatchesReferenceLtsStepperBitwise) {
   struct Case {
     const char* name;
     mesh::HexMesh mesh;
@@ -428,17 +389,20 @@ TEST(LtsParallel, OneRankMatchesSerialLtsSolverBitwise) {
     std::array<double, 3> src, rx;
     double fp, tc;
     int n_classes, n_steps;
+    bool sh_ic;  // SH-pulse initial conditions and mask, no source
   };
   const std::vector<Case> cases = {
       // 26 steps: the last 4-step window of the coarsest class is partial.
       {"basin/max_rate=32", small_basin_mesh(), 32, 2.0, 0.4,
        {10000.0, 10000.0, 4000.0}, {14000.0, 9000.0, 0.0}, 0.03, 40.0, 3,
-       26},
+       26, false},
       {"basin/max_rate=2", small_basin_mesh(), 2, 2.0, 0.4,
        {10000.0, 10000.0, 4000.0}, {14000.0, 9000.0, 0.0}, 0.03, 40.0, 2,
-       26},
+       26, false},
       {"two_rate", two_rate_mesh(), 32, 0.3, 0.4, {400.0, 400.0, 500.0},
-       {400.0, 400.0, 0.0}, 4.0, 0.05, 2, 48},
+       {400.0, 400.0, 0.0}, 4.0, 0.05, 2, 48, false},
+      {"two_rate/ic+mask", two_rate_mesh(), 32, 0.3, 0.35,
+       {400.0, 400.0, 500.0}, {400.0, 400.0, 0.0}, 4.0, 0.05, 2, 55, true},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
@@ -446,36 +410,38 @@ TEST(LtsParallel, OneRankMatchesSerialLtsSolverBitwise) {
     solver::SolverOptions so;
     so.t_end = c.t_end;
     so.cfl_fraction = c.cfl;
+    if (c.sh_ic) so.fixed_components = {true, false, true};
     const solver::PointSource src(c.mesh, c.src, {1.0, 0.5, 0.2}, 1e12, c.fp,
                                   c.tc);
+    const solver::SourceModel* sources[] = {&src};
+    const auto srcs = c.sh_ic ? std::span<const solver::SourceModel* const>()
+                              : std::span<const solver::SourceModel* const>(
+                                    sources);
+    const std::array<double, 3> rxs[] = {c.rx};
+    const auto [u0, v0] = sh_pulse(c.mesh);
+    par::RunControl ctl;
+    if (c.sh_ic) {
+      ctl.initial_u = u0;
+      ctl.initial_v = v0;
+    }
     lts::LtsOptions lo;
     lo.enabled = true;
     lo.max_rate = c.max_rate;
 
-    const solver::ElasticOperator op(c.mesh, oo);
-    lts::LtsSolver serial(op, so, lo);
-    serial.add_source(&src);
-    serial.add_receiver(c.rx);
-    serial.run();
-    EXPECT_EQ(serial.clustering().n_classes, c.n_classes);
-    EXPECT_EQ(serial.n_steps(), c.n_steps);
-
-    const solver::SourceModel* sources[] = {&src};
-    const std::array<double, 3> rxs[] = {c.rx};
     const par::Partition part = par::partition_sfc(c.mesh, 1);
     par::ParallelSetup setup(c.mesh, part, oo, so);
-    const par::ParallelResult pr = setup.run_lts(so.t_end, sources, rxs, lo);
+    const par::ParallelResult pr =
+        setup.run_lts(so.t_end, srcs, rxs, lo, ctl);
 
-    EXPECT_EQ(pr.n_steps, serial.n_steps());
-    ASSERT_EQ(pr.u_final.size(), serial.displacement().size());
-    EXPECT_EQ(std::memcmp(pr.u_final.data(), serial.displacement().data(),
-                          pr.u_final.size() * sizeof(double)),
-              0);
-    ASSERT_EQ(pr.receiver_histories[0].size(), serial.receivers()[0].u.size());
-    EXPECT_EQ(std::memcmp(pr.receiver_histories[0].data(),
-                          serial.receivers()[0].u.data(),
-                          pr.receiver_histories[0].size() * sizeof(double) * 3),
-              0);
+    const solver::ElasticOperator op(c.mesh, oo);
+    const lts::Clustering cl =
+        lts::cluster_elements(c.mesh, setup.dt(), c.cfl, c.max_rate);
+    EXPECT_EQ(cl.n_classes, c.n_classes);
+    const testsupport::Reference ref = testsupport::reference_lts(
+        op, so, cl, srcs, rxs, ctl.initial_u, ctl.initial_v);
+    EXPECT_EQ(ref.n_steps, c.n_steps);
+    EXPECT_EQ(pr.n_steps, ref.n_steps);
+    EXPECT_TRUE(same_bits(ref, pr));
   }
 }
 
@@ -529,15 +495,7 @@ TEST(LtsParallel, RepeatedMultiRankRunsBitIdentical) {
     par::ParallelSetup setup(mesh, part, oo, so);
     const par::ParallelResult a = setup.run_lts(so.t_end, sources, rxs, on);
     const par::ParallelResult b = setup.run_lts(so.t_end, sources, rxs, on);
-    ASSERT_EQ(a.u_final.size(), b.u_final.size());
-    EXPECT_EQ(std::memcmp(a.u_final.data(), b.u_final.data(),
-                          a.u_final.size() * sizeof(double)),
-              0);
-    ASSERT_EQ(a.receiver_histories[0].size(), b.receiver_histories[0].size());
-    EXPECT_EQ(std::memcmp(a.receiver_histories[0].data(),
-                          b.receiver_histories[0].data(),
-                          a.receiver_histories[0].size() * sizeof(double) * 3),
-              0);
+    EXPECT_TRUE(same_bits(a, b));
   }
 }
 
@@ -556,31 +514,6 @@ TEST(LtsParallel, RayleighDampingRejected) {
   EXPECT_THROW(setup.run_lts(so.t_end, {}, {}, on), std::invalid_argument);
 }
 
-namespace {
-
-bool same_bits(const par::ParallelResult& a, const par::ParallelResult& b) {
-  if (a.u_final.size() != b.u_final.size() ||
-      a.receiver_histories.size() != b.receiver_histories.size() ||
-      a.steps_completed != b.steps_completed || a.cancelled != b.cancelled) {
-    return false;
-  }
-  if (std::memcmp(a.u_final.data(), b.u_final.data(),
-                  a.u_final.size() * sizeof(double)) != 0) {
-    return false;
-  }
-  for (std::size_t r = 0; r < a.receiver_histories.size(); ++r) {
-    const auto& ha = a.receiver_histories[r];
-    const auto& hb = b.receiver_histories[r];
-    if (ha.size() != hb.size() ||
-        std::memcmp(ha.data(), hb.data(), ha.size() * 3 * sizeof(double)) !=
-            0) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
 
 // One setup driven through every mode in turn — a 4-wide batch, a solo run
 // with a killed and in-place revived rank, a multi-class LTS run, a plain

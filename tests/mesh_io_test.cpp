@@ -7,11 +7,10 @@
 
 #include "quake/mesh/mesh_io.hpp"
 #include "quake/mesh/meshgen.hpp"
-#include "quake/solver/elastic_operator.hpp"
-#include "quake/solver/explicit_solver.hpp"
 #include "quake/solver/source.hpp"
 #include "quake/util/stats.hpp"
 #include "quake/vel/etree_model.hpp"
+#include "reference_stepper.hpp"
 
 namespace {
 
@@ -72,18 +71,17 @@ TEST(MeshIo, LoadedMeshRunsIdentically) {
   const mesh::HexMesh b = mesh::load_mesh(path);
 
   auto run = [](const mesh::HexMesh& mesh) {
-    solver::OperatorOptions oo;
-    const solver::ElasticOperator op(mesh, oo);
     solver::SolverOptions so;
     so.t_end = 2.0;
     so.cfl_fraction = 0.4;
-    solver::ExplicitSolver solver(op, so);
     const solver::PointSource src(mesh, {8000.0, 8000.0, 3000.0},
                                   {1.0, 0.0, 0.0}, 1e13, 0.05, 10.0);
-    solver.add_source(&src);
-    solver.add_receiver({5000.0, 8000.0, 0.0});
-    solver.run();
-    return solver.receiver_component(0, 0);
+    const solver::SourceModel* sources[] = {&src};
+    const std::array<double, 3> rxs[] = {{5000.0, 8000.0, 0.0}};
+    return testsupport::component(
+        testsupport::run_one_rank(mesh, {}, so, sources, rxs)
+            .receiver_histories[0],
+        0);
   };
   const auto ra = run(a);
   const auto rb = run(b);

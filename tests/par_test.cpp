@@ -1,5 +1,7 @@
 // Tests for the SPMD substrate: communicator semantics, SFC partitioning,
-// and serial/parallel equivalence of the explicit solver.
+// equivalence of the step loop with the serial reference stepper, fault
+// tolerance, batching, and the per-run hooks (initial conditions, the
+// component mask, snapshots).
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,9 @@
 #include <numeric>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "quake/fem/hex_element.hpp"
 #include "quake/mesh/meshgen.hpp"
@@ -22,13 +27,14 @@
 #include "quake/par/communicator.hpp"
 #include "quake/par/parallel_solver.hpp"
 #include "quake/par/partition.hpp"
-#include "quake/solver/explicit_solver.hpp"
 #include "quake/util/stats.hpp"
+#include "reference_stepper.hpp"
 
 namespace {
 
 using namespace quake;
 using namespace quake::par;
+using testsupport::same_bits;
 
 TEST(Communicator, PingPong) {
   Communicator comm(2);
@@ -698,6 +704,23 @@ TEST(Partition, OrphanNodeClampedAndCounted) {
                std::invalid_argument);
 }
 
+// The equivalence tolerance across rank counts: each rank pre-folds its
+// own partials before the exchange, so results regroup sums at rounding.
+void expect_close(const ParallelResult& pr, const std::vector<double>& u_ref,
+                  const testsupport::History& rec_ref) {
+  const double unorm = quake::util::norm_l2(u_ref);
+  EXPECT_LT(quake::util::diff_l2(pr.u_final, u_ref), 1e-9 * (1.0 + unorm));
+  ASSERT_EQ(pr.receiver_histories[0].size(), rec_ref.size());
+  double max_err = 0.0;
+  for (std::size_t k = 0; k < rec_ref.size(); ++k) {
+    for (std::size_t c = 0; c < 3; ++c) {
+      max_err = std::max(
+          max_err, std::abs(pr.receiver_histories[0][k][c] - rec_ref[k][c]));
+    }
+  }
+  EXPECT_LT(max_err, 1e-9);
+}
+
 class ParallelEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(ParallelEquivalence, MatchesSerialSolver) {
@@ -718,49 +741,28 @@ TEST_P(ParallelEquivalence, MatchesSerialSolver) {
                                 {1.0, 0.5, 0.2}, 1e12, 0.03, 40.0);
   const std::array<double, 3> rx = {14000.0, 9000.0, 0.0};
 
-  // Serial reference.
+  // Serial reference: the straight-line eq. 2.4 stepper.
   const solver::ElasticOperator op(mesh, oo);
-  solver::ExplicitSolver serial(op, so);
-  serial.add_source(&src);
-  serial.add_receiver(rx);
-  serial.run();
+  const solver::SourceModel* sources[] = {&src};
+  const std::array<double, 3> rxs[] = {rx};
+  const testsupport::Reference serial =
+      testsupport::reference_global(op, so, sources, rxs);
 
   // Parallel run.
   const Partition part = partition_sfc(mesh, n_ranks);
-  const solver::SourceModel* sources[] = {&src};
-  const std::array<double, 3> rxs[] = {rx};
   const ParallelResult pr = run_parallel(mesh, part, oo, so, sources, rxs);
 
-  EXPECT_EQ(pr.n_steps, serial.n_steps());
-  ASSERT_EQ(pr.u_final.size(), serial.displacement().size());
+  EXPECT_EQ(pr.n_steps, serial.n_steps);
+  ASSERT_EQ(pr.u_final.size(), serial.u_final.size());
   ASSERT_EQ(pr.receiver_histories.size(), 1u);
-  ASSERT_EQ(pr.receiver_histories[0].size(), serial.receivers()[0].u.size());
+  ASSERT_EQ(pr.receiver_histories[0].size(), serial.receivers[0].size());
   if (n_ranks == 1) {
     // One rank has no exchange and folds in serial element order, so the
-    // parallel loop must reproduce the serial solver bit for bit.
-    EXPECT_EQ(std::memcmp(pr.u_final.data(), serial.displacement().data(),
-                          pr.u_final.size() * sizeof(double)),
-              0);
-    EXPECT_EQ(std::memcmp(pr.receiver_histories[0].data(),
-                          serial.receivers()[0].u.data(),
-                          pr.receiver_histories[0].size() * 3 * sizeof(double)),
-              0);
+    // step loop must reproduce the serial stepper bit for bit.
+    EXPECT_TRUE(same_bits(serial, pr));
     return;
   }
-  const double unorm = quake::util::norm_l2(serial.displacement());
-  EXPECT_LT(quake::util::diff_l2(pr.u_final, serial.displacement()),
-            1e-9 * (1.0 + unorm));
-
-  double max_err = 0.0;
-  for (std::size_t k = 0; k < pr.receiver_histories[0].size(); ++k) {
-    for (int c = 0; c < 3; ++c) {
-      max_err = std::max(
-          max_err,
-          std::abs(pr.receiver_histories[0][k][static_cast<std::size_t>(c)] -
-                   serial.receivers()[0].u[k][static_cast<std::size_t>(c)]));
-    }
-  }
-  EXPECT_LT(max_err, 1e-9);
+  expect_close(pr, serial.u_final, serial.receivers[0]);
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranks, ParallelEquivalence,
@@ -802,15 +804,7 @@ TEST(ParallelCheckpoint, KillAndRestartBitIdenticalToFaultFreeRun) {
   const ParallelResult pr = run_parallel(mesh, part, oo, so, sources, rxs, ft);
 
   EXPECT_EQ(pr.n_steps, ref.n_steps);
-  ASSERT_EQ(pr.u_final.size(), ref.u_final.size());
-  EXPECT_EQ(std::memcmp(pr.u_final.data(), ref.u_final.data(),
-                        ref.u_final.size() * sizeof(double)),
-            0);
-  ASSERT_EQ(pr.receiver_histories[0].size(), ref.receiver_histories[0].size());
-  EXPECT_EQ(std::memcmp(pr.receiver_histories[0].data(),
-                        ref.receiver_histories[0].data(),
-                        ref.receiver_histories[0].size() * sizeof(double) * 3),
-            0);
+  EXPECT_TRUE(same_bits(pr, ref));
   // Per-rank flop counters cover only the final (successful) attempt; a
   // genuine checkpoint resume re-runs strictly fewer steps than the whole
   // simulation, so this fails if the retry silently restarted from scratch.
@@ -840,15 +834,7 @@ TEST(ParallelDeterminism, RepeatedRunsBitIdentical) {
 
   const ParallelResult a = run_parallel(mesh, part, oo, so, sources, rxs);
   const ParallelResult b = run_parallel(mesh, part, oo, so, sources, rxs);
-  ASSERT_EQ(a.u_final.size(), b.u_final.size());
-  EXPECT_EQ(std::memcmp(a.u_final.data(), b.u_final.data(),
-                        a.u_final.size() * sizeof(double)),
-            0);
-  ASSERT_EQ(a.receiver_histories[0].size(), b.receiver_histories[0].size());
-  EXPECT_EQ(std::memcmp(a.receiver_histories[0].data(),
-                        b.receiver_histories[0].data(),
-                        a.receiver_histories[0].size() * sizeof(double) * 3),
-            0);
+  EXPECT_TRUE(same_bits(a, b));
 }
 
 // The full solver's arrival-order drain must be as deterministic as the old
@@ -874,15 +860,7 @@ TEST(ParallelDeterminism, ArrivalOrderDrainRepeatedRunsBitIdenticalPerRankCount)
     const Partition part = partition_sfc(mesh, R);
     const ParallelResult a = run_parallel(mesh, part, oo, so, sources, rxs);
     const ParallelResult b = run_parallel(mesh, part, oo, so, sources, rxs);
-    ASSERT_EQ(a.u_final.size(), b.u_final.size());
-    EXPECT_EQ(std::memcmp(a.u_final.data(), b.u_final.data(),
-                          a.u_final.size() * sizeof(double)),
-              0);
-    ASSERT_EQ(a.receiver_histories[0].size(), b.receiver_histories[0].size());
-    EXPECT_EQ(std::memcmp(a.receiver_histories[0].data(),
-                          b.receiver_histories[0].data(),
-                          a.receiver_histories[0].size() * sizeof(double) * 3),
-              0);
+    EXPECT_TRUE(same_bits(a, b));
   }
 }
 
@@ -954,15 +932,7 @@ TEST(ParallelCheckpoint, MidExchangeKillRestoresBitIdentically) {
   const ParallelResult pr = run_parallel(mesh, part, oo, so, sources, rxs, ft);
 
   EXPECT_EQ(pr.n_steps, ref.n_steps);
-  ASSERT_EQ(pr.u_final.size(), ref.u_final.size());
-  EXPECT_EQ(std::memcmp(pr.u_final.data(), ref.u_final.data(),
-                        ref.u_final.size() * sizeof(double)),
-            0);
-  ASSERT_EQ(pr.receiver_histories[0].size(), ref.receiver_histories[0].size());
-  EXPECT_EQ(std::memcmp(pr.receiver_histories[0].data(),
-                        ref.receiver_histories[0].data(),
-                        ref.receiver_histories[0].size() * sizeof(double) * 3),
-            0);
+  EXPECT_TRUE(same_bits(pr, ref));
   EXPECT_LT(pr.rank_stats[0].flops, ref.rank_stats[0].flops);
   std::filesystem::remove_all(dir);
 }
@@ -991,10 +961,7 @@ TEST(ParallelCheckpoint, RetryWithoutCheckpointsRestartsFromScratch) {
   ft.fault_plan = &plan;
   const ParallelResult pr = run_parallel(mesh, part, oo, so, sources, rxs, ft);
 
-  ASSERT_EQ(pr.receiver_histories[0].size(), ref.receiver_histories[0].size());
-  EXPECT_EQ(std::memcmp(pr.u_final.data(), ref.u_final.data(),
-                        ref.u_final.size() * sizeof(double)),
-            0);
+  EXPECT_TRUE(same_bits(pr, ref));
 }
 
 // Retries exhausted: the aggregated error surfaces.
@@ -1145,15 +1112,7 @@ TEST_F(ParallelRecovery, InPlaceRecoveryBitIdenticalWithoutSurvivorReSetup) {
   const ParallelResult pr = run_parallel(mesh, part, oo, so, sources, rxs, ft);
 
   EXPECT_EQ(pr.n_steps, ref.n_steps);
-  ASSERT_EQ(pr.u_final.size(), ref.u_final.size());
-  EXPECT_EQ(std::memcmp(pr.u_final.data(), ref.u_final.data(),
-                        ref.u_final.size() * sizeof(double)),
-            0);
-  ASSERT_EQ(pr.receiver_histories[0].size(), ref.receiver_histories[0].size());
-  EXPECT_EQ(std::memcmp(pr.receiver_histories[0].data(),
-                        ref.receiver_histories[0].data(),
-                        ref.receiver_histories[0].size() * sizeof(double) * 3),
-            0);
+  EXPECT_TRUE(same_bits(pr, ref));
 
   // Exactly one recovery round: the revived rank re-entered its body once,
   // every survivor ran its body exactly once (a full restart would bump
@@ -1236,17 +1195,7 @@ TEST_F(ParallelRecovery, SeededFaultSweepAcrossRankCounts) {
           run_parallel(mesh, part, oo, so, sources, rxs, ft);
 
       EXPECT_EQ(pr.n_steps, ref.n_steps);
-      ASSERT_EQ(pr.u_final.size(), ref.u_final.size());
-      EXPECT_EQ(std::memcmp(pr.u_final.data(), ref.u_final.data(),
-                            ref.u_final.size() * sizeof(double)),
-                0);
-      ASSERT_EQ(pr.receiver_histories[0].size(),
-                ref.receiver_histories[0].size());
-      EXPECT_EQ(
-          std::memcmp(pr.receiver_histories[0].data(),
-                      ref.receiver_histories[0].data(),
-                      ref.receiver_histories[0].size() * sizeof(double) * 3),
-          0);
+      EXPECT_TRUE(same_bits(pr, ref));
       ASSERT_TRUE(pr.obs_summary.counters.count("par/recoveries"));
       EXPECT_GE(pr.obs_summary.counters.at("par/recoveries").sum, 1.0);
       std::filesystem::remove_all(dir);
@@ -1285,15 +1234,7 @@ TEST_F(ParallelRecovery, FallsBackToFullRestartWithoutUsableCheckpoint) {
   ft.fault_plan = &plan;
   const ParallelResult pr = run_parallel(mesh, part, oo, so, sources, rxs, ft);
 
-  ASSERT_EQ(pr.u_final.size(), ref.u_final.size());
-  EXPECT_EQ(std::memcmp(pr.u_final.data(), ref.u_final.data(),
-                        ref.u_final.size() * sizeof(double)),
-            0);
-  ASSERT_EQ(pr.receiver_histories[0].size(), ref.receiver_histories[0].size());
-  EXPECT_EQ(std::memcmp(pr.receiver_histories[0].data(),
-                        ref.receiver_histories[0].data(),
-                        ref.receiver_histories[0].size() * sizeof(double) * 3),
-            0);
+  EXPECT_TRUE(same_bits(pr, ref));
   // Every rank's body ran twice (the full restart), plus once more on the
   // revived rank for the in-place attempt that was refused.
   ASSERT_EQ(pr.obs_reports.size(), 3u);
@@ -1397,17 +1338,7 @@ TEST_F(ParallelRecovery, ThreeTierKillSweepBitIdenticalAcrossRankCounts) {
           run_parallel(mesh, part, oo, so, sources, rxs, ft);
 
       EXPECT_EQ(pr.n_steps, ref.n_steps);
-      ASSERT_EQ(pr.u_final.size(), ref.u_final.size());
-      EXPECT_EQ(std::memcmp(pr.u_final.data(), ref.u_final.data(),
-                            ref.u_final.size() * sizeof(double)),
-                0);
-      ASSERT_EQ(pr.receiver_histories[0].size(),
-                ref.receiver_histories[0].size());
-      EXPECT_EQ(
-          std::memcmp(pr.receiver_histories[0].data(),
-                      ref.receiver_histories[0].data(),
-                      ref.receiver_histories[0].size() * sizeof(double) * 3),
-          0);
+      EXPECT_TRUE(same_bits(pr, ref));
 
       EXPECT_GE(counter_sum(pr, "par/recoveries"), 1.0);
       EXPECT_EQ(counter_sum(pr, "par/donation_restores"),
@@ -1496,15 +1427,7 @@ TEST_F(ParallelRecovery, CorruptNewestGenerationFallsBackToOlder) {
   ft2.checkpoint_every = std::max(1, n / 5);
   const ParallelResult pr = run_parallel(mesh, part, oo, so, sources, rxs, ft2);
 
-  ASSERT_EQ(pr.u_final.size(), ref.u_final.size());
-  EXPECT_EQ(std::memcmp(pr.u_final.data(), ref.u_final.data(),
-                        ref.u_final.size() * sizeof(double)),
-            0);
-  ASSERT_EQ(pr.receiver_histories[0].size(), ref.receiver_histories[0].size());
-  EXPECT_EQ(std::memcmp(pr.receiver_histories[0].data(),
-                        ref.receiver_histories[0].data(),
-                        ref.receiver_histories[0].size() * sizeof(double) * 3),
-            0);
+  EXPECT_TRUE(same_bits(pr, ref));
   EXPECT_EQ(counter_sum(pr, "checkpoint/generation_fallbacks"),
             static_cast<double>(R));
   EXPECT_EQ(counter_sum(pr, "ckpt/restores"), static_cast<double>(R));
@@ -1542,19 +1465,6 @@ std::vector<int> pick_disjoint_victims(
   std::vector<int> picked;
   extend_disjoint_victims(adj, R, want, picked);
   return picked;
-}
-
-void expect_bit_identical(const ParallelResult& pr, const ParallelResult& ref) {
-  ASSERT_EQ(pr.n_steps, ref.n_steps);
-  ASSERT_EQ(pr.u_final.size(), ref.u_final.size());
-  EXPECT_EQ(std::memcmp(pr.u_final.data(), ref.u_final.data(),
-                        ref.u_final.size() * sizeof(double)),
-            0);
-  ASSERT_EQ(pr.receiver_histories[0].size(), ref.receiver_histories[0].size());
-  EXPECT_EQ(std::memcmp(pr.receiver_histories[0].data(),
-                        ref.receiver_histories[0].data(),
-                        ref.receiver_histories[0].size() * sizeof(double) * 3),
-            0);
 }
 
 // Tentpole acceptance: several ranks killed at the SAME step, with disjoint
@@ -1615,7 +1525,7 @@ TEST_F(ParallelRecovery, SimultaneousDisjointVictimsReplayConcurrently) {
     const ParallelResult pr =
         run_parallel(mesh, part, oo, so, sources, rxs, ft);
 
-    expect_bit_identical(pr, ref);
+    EXPECT_TRUE(same_bits(pr, ref));
     // One recovery epoch: every parked survivor counts once (victims enter
     // the epoch via revival, not the survivor catch path).
     EXPECT_EQ(counter_sum(pr, "par/recoveries"),
@@ -1682,7 +1592,7 @@ TEST_F(ParallelRecovery, StaleDonationGenerationStillRepairsTier1) {
   ft.fault_plan = &plan;
   const ParallelResult pr = run_parallel(mesh, part, oo, so, sources, rxs, ft);
 
-  expect_bit_identical(pr, ref);
+  EXPECT_TRUE(same_bits(pr, ref));
   EXPECT_EQ(counter_sum(pr, "par/steps_rolled_back"), 0.0);
   EXPECT_EQ(counter_sum(pr, "par/replay_fallbacks"), 0.0);
   EXPECT_EQ(counter_sum(pr, "par/donation_restores"), 1.0);
@@ -1753,7 +1663,7 @@ TEST_F(ParallelRecovery, OverlappingVictimsDegradeToTier2) {
   ft.fault_plan = &plan;
   const ParallelResult pr = run_parallel(mesh, part, oo, so, sources, rxs, ft);
 
-  expect_bit_identical(pr, ref);
+  EXPECT_TRUE(same_bits(pr, ref));
   EXPECT_EQ(counter_sum(pr, "par/replay_fallbacks"), static_cast<double>(R));
   EXPECT_GE(counter_sum(pr, "par/steps_rolled_back"), 1.0);
   EXPECT_EQ(counter_sum(pr, "par/multi_victim_replays"), 0.0);
@@ -1803,7 +1713,7 @@ TEST_F(ParallelRecovery, DroppedDonorStreamTimesOutIntoTier2) {
   ft.fault_plan = &plan;
   const ParallelResult pr = run_parallel(mesh, part, oo, so, sources, rxs, ft);
 
-  expect_bit_identical(pr, ref);
+  EXPECT_TRUE(same_bits(pr, ref));
   // The stream was served (and lost); the victim's timed-out wait is
   // visible under the absolute recover/donate/wait scope.
   EXPECT_EQ(counter_sum(pr, "par/donations_served"), 1.0);
@@ -1950,20 +1860,7 @@ TEST_P(ParallelBatch, BatchMatchesSequentialBitwise) {
     const ParallelResult& b = batched[static_cast<std::size_t>(s)];
     EXPECT_FALSE(b.cancelled);
     EXPECT_EQ(b.n_steps, a.n_steps);
-    ASSERT_EQ(b.u_final.size(), a.u_final.size());
-    EXPECT_EQ(std::memcmp(b.u_final.data(), a.u_final.data(),
-                          a.u_final.size() * sizeof(double)),
-              0);
-    ASSERT_EQ(b.receiver_histories.size(), a.receiver_histories.size());
-    for (std::size_t r = 0; r < a.receiver_histories.size(); ++r) {
-      ASSERT_EQ(b.receiver_histories[r].size(),
-                a.receiver_histories[r].size());
-      EXPECT_EQ(std::memcmp(b.receiver_histories[r].data(),
-                            a.receiver_histories[r].data(),
-                            a.receiver_histories[r].size() * 3 *
-                                sizeof(double)),
-                0);
-    }
+    EXPECT_TRUE(same_bits(b, a)) << "scenario " << s;
   }
 
   // The batch reports the widened communication volume: every per-neighbor
@@ -2026,10 +1923,277 @@ TEST(ParallelBatchControl, CancelStopsAllScenariosTogether) {
   const solver::SourceModel* one[] = {&src};
   const ParallelResult after = setup.run(so.t_end, one, rxs);
   const ParallelResult cold = run_parallel(mesh, part, oo, so, one, rxs);
-  ASSERT_EQ(after.u_final.size(), cold.u_final.size());
-  EXPECT_EQ(std::memcmp(after.u_final.data(), cold.u_final.data(),
-                        cold.u_final.size() * sizeof(double)),
-            0);
+  EXPECT_TRUE(same_bits(after, cold));
+}
+
+// ---- per-run hooks: initial conditions, component mask, snapshots -------
+
+// A Gaussian displacement bump (x) and velocity bump (y) centered in the
+// small basin: initial conditions that cross every partition boundary and
+// the hanging-node constraints.
+std::pair<std::vector<double>, std::vector<double>> basin_bumps(
+    const mesh::HexMesh& mesh) {
+  std::vector<double> u0(3 * mesh.n_nodes(), 0.0), v0(u0.size(), 0.0);
+  for (std::size_t n = 0; n < mesh.n_nodes(); ++n) {
+    const auto& c = mesh.node_coords[n];
+    const double r2 = std::pow(c[0] - 10000.0, 2) +
+                      std::pow(c[1] - 10000.0, 2) + std::pow(c[2] - 4000.0, 2);
+    const double g = std::exp(-r2 / (3000.0 * 3000.0));
+    u0[3 * n] = g;
+    v0[3 * n + 1] = 0.5 * g;
+  }
+  return {u0, v0};
+}
+
+// The three bitwise cases of the step loop at one rank against the
+// straight-line stepper that involve the hooks: an SH column (initial
+// conditions plus the component mask) and the small basin (initial
+// conditions with a source, Rayleigh damping and Stacey faces across
+// hanging nodes), plus the mask composing with a batch.
+TEST(ParallelHooks, IcAndMaskMatchReferenceStepperBitwise) {
+  {
+    SCOPED_TRACE("SH column");
+    mesh::MeshOptions mo;
+    mo.domain_size = 1000.0;
+    mo.f_max = 1e-9;
+    mo.min_level = 4;
+    mo.max_level = 4;
+    const auto mesh = mesh::generate_mesh(
+        vel::HomogeneousModel(
+            vel::Material::from_velocities(1732.0, 1000.0, 2000.0)),
+        mo);
+    solver::OperatorOptions oo;
+    oo.abc = fem::AbcType::kLysmer;
+    oo.absorbing_sides = {false, false, false, false, false, true};
+    solver::SolverOptions so;
+    so.t_end = 0.5;
+    so.fixed_components = {true, false, true};
+    std::vector<double> u0(3 * mesh.n_nodes(), 0.0), v0(u0.size(), 0.0);
+    for (std::size_t n = 0; n < mesh.n_nodes(); ++n) {
+      const double z = mesh.node_coords[n][2];
+      const double p = std::exp(-std::pow((z - 550.0) / 120.0, 2));
+      u0[3 * n + 1] = p;
+      v0[3 * n + 1] = 1000.0 * (-2.0 * (z - 550.0) / (120.0 * 120.0)) * p;
+    }
+    RunControl ctl;
+    ctl.initial_u = u0;
+    ctl.initial_v = v0;
+    const std::array<double, 3> rxs[] = {{500.0, 500.0, 0.0},
+                                         {250.0, 750.0, 500.0}};
+    const ParallelResult pr =
+        testsupport::run_one_rank(mesh, oo, so, {}, rxs, ctl);
+    const testsupport::Reference ref = testsupport::reference_global(
+        solver::ElasticOperator(mesh, oo), so, {}, rxs, u0, v0);
+    EXPECT_TRUE(same_bits(ref, pr));
+    EXPECT_GT(quake::util::norm_max(pr.u_final), 0.1);
+  }
+  const auto mesh = small_basin_mesh();
+  ASSERT_GT(mesh.n_hanging(), 0u);
+  solver::OperatorOptions oo;
+  oo.abc = fem::AbcType::kStacey;
+  oo.rayleigh = true;
+  oo.damping_f_min = 0.01;
+  oo.damping_f_max = 0.05;
+  solver::SolverOptions so;
+  so.t_end = 1.0;
+  const solver::PointSource src(mesh, {10000.0, 10000.0, 4000.0},
+                                {1.0, 0.5, 0.2}, 1e12, 0.03, 0.0);
+  const solver::SourceModel* sources[] = {&src};
+  const std::vector<std::array<double, 3>> rxs = {{14000.0, 9000.0, 0.0}};
+  {
+    SCOPED_TRACE("basin");
+    const auto [u0, v0] = basin_bumps(mesh);
+    RunControl ctl;
+    ctl.initial_u = u0;
+    ctl.initial_v = v0;
+    const ParallelResult pr =
+        testsupport::run_one_rank(mesh, oo, so, sources, rxs, ctl);
+    const testsupport::Reference ref = testsupport::reference_global(
+        solver::ElasticOperator(mesh, oo), so, sources, rxs, u0, v0);
+    EXPECT_TRUE(same_bits(ref, pr));
+  }
+  {
+    SCOPED_TRACE("masked batch");
+    so.fixed_components = {false, true, false};
+    const Partition part = partition_sfc(mesh, 2);
+    ParallelSetup setup(mesh, part, oo, so);
+    const solver::PointSource other(mesh, {6000.0, 12000.0, 3000.0},
+                                    {0.2, 1.0, 0.5}, 1e12, 0.03, 0.0);
+    const std::vector<BatchScenario> batch = {{{&src}, rxs}, {{&other}, rxs}};
+    const std::vector<ParallelResult> lanes = setup.run_batch(so.t_end, batch);
+    for (std::size_t s = 0; s < batch.size(); ++s) {
+      EXPECT_TRUE(same_bits(
+          lanes[s], setup.run(so.t_end, batch[s].sources, rxs)))
+          << "lane " << s;
+    }
+    for (std::size_t n = 0; n < mesh.n_nodes(); ++n) {
+      ASSERT_EQ(lanes[1].u_final[3 * n + 1], 0.0);
+    }
+  }
+}
+
+// Initial conditions at several ranks: each rank opens its own nodes'
+// brackets and expands its own constraints, so a 4-rank run repeats
+// bitwise and matches the 1-rank run to the equivalence tolerance.
+TEST(ParallelHooks, InitialConditionsRepeatAcrossRanks) {
+  const auto mesh = small_basin_mesh();
+  solver::OperatorOptions oo;
+  oo.abc = fem::AbcType::kStacey;
+  oo.rayleigh = true;
+  oo.damping_f_min = 0.01;
+  oo.damping_f_max = 0.05;
+  solver::SolverOptions so;
+  so.t_end = 1.5;
+  const auto [u0, v0] = basin_bumps(mesh);
+  RunControl ctl;
+  ctl.initial_u = u0;
+  ctl.initial_v = v0;
+  const std::array<double, 3> rxs[] = {{14000.0, 9000.0, 0.0}};
+
+  const Partition p1 = partition_sfc(mesh, 1);
+  const ParallelResult one = ParallelSetup(mesh, p1, oo, so)
+                                 .run(so.t_end, {}, rxs, {}, ctl);
+  const Partition p4 = partition_sfc(mesh, 4);
+  ParallelSetup setup(mesh, p4, oo, so);
+  const ParallelResult a = setup.run(so.t_end, {}, rxs, {}, ctl);
+  const ParallelResult b = setup.run(so.t_end, {}, rxs, {}, ctl);
+  EXPECT_TRUE(same_bits(a, b));
+  expect_close(a, one.u_final, one.receiver_histories[0]);
+  EXPECT_GT(quake::util::norm_max(a.u_final), 1e-3);
+}
+
+// Initial conditions compose with fault tolerance: a killed rank repaired
+// by a full restart (which re-enters every rank body and so starts again
+// from the initial conditions, or from a checkpoint when there is one) or
+// revived in place reproduces the undisturbed run bitwise.
+TEST(ParallelHooks, InitialConditionsSurviveKillAndRecovery) {
+  const auto mesh = small_basin_mesh();
+  solver::OperatorOptions oo;
+  oo.abc = fem::AbcType::kStacey;
+  solver::SolverOptions so;
+  so.t_end = 2.0;
+  const auto [u0, v0] = basin_bumps(mesh);
+  RunControl ctl;
+  ctl.initial_u = u0;
+  ctl.initial_v = v0;
+  const std::array<double, 3> rxs[] = {{14000.0, 9000.0, 0.0}};
+  const Partition part = partition_sfc(mesh, 4);
+  ParallelSetup setup(mesh, part, oo, so);
+  const ParallelResult ref = setup.run(so.t_end, {}, rxs, {}, ctl);
+  ASSERT_GT(ref.n_steps, 8);
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "quake_ic_recovery_test";
+  for (const auto& [name, ckpt, revives] :
+       {std::tuple{"restart from the initial conditions", false, 0},
+        std::tuple{"restart from a checkpoint", true, 0},
+        std::tuple{"in-place revive", true, 2}}) {
+    SCOPED_TRACE(name);
+    std::filesystem::remove_all(dir);
+    FaultPlan plan;
+    plan.kills.push_back({/*rank=*/2, /*step=*/2 * ref.n_steps / 3});
+    FaultToleranceOptions ft;
+    if (ckpt) ft.checkpoint_dir = dir.string();
+    ft.checkpoint_every = std::max(1, ref.n_steps / 4);
+    ft.max_retries = 2;
+    ft.max_revives = revives;
+    ft.fault_plan = &plan;
+    const ParallelResult pr = setup.run(so.t_end, {}, rxs, ft, ctl);
+    EXPECT_TRUE(same_bits(pr, ref));
+    EXPECT_EQ(pr.revives_used, revives == 0 ? 0 : 1);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// The snapshot hook fires after steps every, 2 * every, ... with
+// t = step * dt and the gathered global field: at one rank and at four,
+// where the last snapshot equals the gathered final field bitwise and the
+// fields match the one-rank run to the equivalence tolerance.
+TEST(ParallelHooks, SnapshotFiresEveryKSteps) {
+  const auto mesh = small_basin_mesh();
+  solver::OperatorOptions oo;
+  oo.abc = fem::AbcType::kStacey;
+  solver::SolverOptions so;
+  const solver::PointSource src(mesh, {10000.0, 10000.0, 4000.0},
+                                {1.0, 0.5, 0.2}, 1e12, 0.03, 40.0);
+  const solver::SourceModel* sources[] = {&src};
+  std::vector<std::vector<double>> last_u, last_v;
+  for (const int R : {1, 4}) {
+    SCOPED_TRACE("ranks=" + std::to_string(R));
+    const Partition part = partition_sfc(mesh, R);
+    ParallelSetup setup(mesh, part, oo, so);
+    const double t_end = 23.5 * setup.dt();  // 24 steps
+    std::vector<int> steps;
+    std::vector<double> u_snap, v_snap;
+    RunControl ctl;
+    ctl.snapshot_every = 6;
+    ctl.snapshot = [&](int step, double t, std::span<const double> u,
+                       std::span<const double> v) {
+      steps.push_back(step);
+      EXPECT_EQ(t, step * setup.dt());
+      u_snap.assign(u.begin(), u.end());
+      v_snap.assign(v.begin(), v.end());
+    };
+    const ParallelResult pr = setup.run(t_end, sources, {}, {}, ctl);
+    ASSERT_EQ(pr.n_steps, 24);
+    EXPECT_EQ(steps, (std::vector<int>{6, 12, 18, 24}));
+    ASSERT_EQ(u_snap.size(), pr.u_final.size());
+    EXPECT_EQ(std::memcmp(u_snap.data(), pr.u_final.data(),
+                          u_snap.size() * sizeof(double)),
+              0);
+    EXPECT_GT(quake::util::norm_max(v_snap), 0.0);
+    last_u.push_back(u_snap);
+    last_v.push_back(v_snap);
+  }
+  const double unorm = quake::util::norm_l2(last_u[0]);
+  EXPECT_LT(quake::util::diff_l2(last_u[1], last_u[0]), 1e-9 * (1.0 + unorm));
+  const double vnorm = quake::util::norm_l2(last_v[0]);
+  EXPECT_LT(quake::util::diff_l2(last_v[1], last_v[0]), 1e-9 * (1.0 + vnorm));
+}
+
+// The snapshot hook composes only where a step runs exactly once and one
+// field exists: it is rejected, typed, with fault-tolerance options, a
+// batch of two, a multi-class LTS schedule or a non-positive cadence —
+// and accepted by a single-class LTS run and a batch of one.
+TEST(ParallelHooks, SnapshotRejectedWithFtBatchOrMultiRateLts) {
+  const auto mesh = small_basin_mesh();
+  solver::OperatorOptions oo;
+  solver::SolverOptions so;
+  so.t_end = 0.5;
+  const Partition part = partition_sfc(mesh, 2);
+  ParallelSetup setup(mesh, part, oo, so);
+  int calls = 0;
+  RunControl ctl;
+  ctl.snapshot = [&](int, double, std::span<const double>,
+                     std::span<const double>) { ++calls; };
+  ctl.snapshot_every = 1;
+
+  FaultPlan plan;
+  FaultToleranceOptions with_ckpt, with_retry, with_plan;
+  with_ckpt.checkpoint_dir =
+      (std::filesystem::temp_directory_path() / "quake_snapshot_ft").string();
+  with_retry.max_retries = 1;
+  with_plan.fault_plan = &plan;
+  for (const auto* ft : {&with_ckpt, &with_retry, &with_plan}) {
+    EXPECT_THROW(setup.run(so.t_end, {}, {}, *ft, ctl), std::invalid_argument);
+  }
+  const std::vector<BatchScenario> two(2), one(1);
+  EXPECT_THROW(setup.run_batch(so.t_end, two, ctl), std::invalid_argument);
+  lts::LtsOptions lts;
+  lts.enabled = true;
+  lts.max_rate = 32;
+  EXPECT_THROW(setup.run_lts(so.t_end, {}, {}, lts, ctl),
+               std::invalid_argument);
+  RunControl zero = ctl;
+  zero.snapshot_every = 0;
+  EXPECT_THROW(setup.run(so.t_end, {}, {}, {}, zero), std::invalid_argument);
+  EXPECT_EQ(calls, 0);
+
+  const int n_steps = setup.n_steps(so.t_end);
+  setup.run_batch(so.t_end, one, ctl);
+  lts.max_rate = 1;  // one rate class
+  setup.run_lts(so.t_end, {}, {}, lts, ctl);
+  EXPECT_EQ(calls, 2 * n_steps);
 }
 
 }  // namespace

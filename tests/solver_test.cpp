@@ -1,6 +1,7 @@
-// Tests for the explicit elastodynamic solver: engine equivalence, energy
-// behavior, absorbing boundaries, sources, and 1D-column verification
-// against the SH closed form.
+// Tests for the elastodynamic operator and the forward solver (the step
+// loop of par::ParallelSetup, run at one rank): engine equivalence, energy
+// behavior, absorbing boundaries, sources, checkpoint/restart, and
+// 1D-column verification against the SH closed form.
 
 #include <gtest/gtest.h>
 
@@ -15,19 +16,24 @@
 
 #include "quake/fem/hex_element.hpp"
 #include "quake/mesh/meshgen.hpp"
+#include "quake/par/communicator.hpp"
+#include "quake/par/parallel_solver.hpp"
+#include "quake/par/partition.hpp"
 #include "quake/solver/elastic_operator.hpp"
-#include "quake/solver/explicit_solver.hpp"
 #include "quake/solver/locator.hpp"
 #include "quake/solver/sh1d.hpp"
 #include "quake/solver/source.hpp"
 #include "quake/solver/sparse_engine.hpp"
 #include "quake/util/rng.hpp"
 #include "quake/util/stats.hpp"
+#include "reference_stepper.hpp"
 
 namespace {
 
 using namespace quake;
 using namespace quake::solver;
+using testsupport::component;
+using testsupport::run_one_rank;
 
 vel::HomogeneousModel rock() {
   return vel::HomogeneousModel(
@@ -169,6 +175,18 @@ TEST(Operator, ProjectedMassConservesTotalMass)
   }
 }
 
+// Gaussian bump centered in a 1000 m cube, one component per node.
+std::vector<double> bump(const mesh::HexMesh& mesh) {
+  std::vector<double> b(3 * mesh.n_nodes(), 0.0);
+  for (std::size_t n = 0; n < mesh.n_nodes(); ++n) {
+    const auto& c = mesh.node_coords[n];
+    const double r2 = std::pow(c[0] - 500.0, 2) + std::pow(c[1] - 500.0, 2) +
+                      std::pow(c[2] - 500.0, 2);
+    b[3 * n] = std::exp(-r2 / (150.0 * 150.0));
+  }
+  return b;
+}
+
 TEST(Solver, EnergyConservedWithoutDampingOrAbc) {
   const auto mesh = uniform_mesh(3, 1000.0);
   OperatorOptions oo;
@@ -177,120 +195,58 @@ TEST(Solver, EnergyConservedWithoutDampingOrAbc) {
   SolverOptions so;
   so.t_end = 0.3;
   so.cfl_fraction = 0.3;
-  ExplicitSolver solver(op, so);
   // Initial displacement bump in the interior, zero velocity.
-  std::vector<double> u0(op.n_dofs(), 0.0), v0(op.n_dofs(), 0.0);
-  for (std::size_t n = 0; n < mesh.n_nodes(); ++n) {
-    const auto& c = mesh.node_coords[n];
-    const double r2 = std::pow(c[0] - 500.0, 2) + std::pow(c[1] - 500.0, 2) +
-                      std::pow(c[2] - 500.0, 2);
-    u0[3 * n] = std::exp(-r2 / (150.0 * 150.0));
-  }
-  solver.set_initial_conditions(u0, v0);
+  const std::vector<double> u0 = bump(mesh);
+  const double dt = op.stable_dt(so.cfl_fraction);
   std::vector<double> energies;
-  solver.run(
-      [&](int, double, std::span<const double>, std::span<const double>) {
-        energies.push_back(solver.energy());
-      },
-      2);
+  par::RunControl ctl;
+  ctl.initial_u = u0;
+  ctl.snapshot = [&](int, double, std::span<const double> u,
+                     std::span<const double> v) {
+    energies.push_back(testsupport::energy(op, u, v, dt));
+  };
+  ctl.snapshot_every = 2;
+  run_one_rank(mesh, oo, so, {}, {}, ctl);
   ASSERT_GE(energies.size(), 3u);
   for (double e : energies) {
     EXPECT_NEAR(e, energies.front(), 0.02 * energies.front());
   }
 }
 
-TEST(Solver, ResetThenRerunIsBitIdentical) {
-  // reset() must return the solver to its just-constructed state: a second
-  // run after reset matches a fresh solver bitwise (state vectors, receiver
-  // histories, timing/flop accounting all cleared; registrations kept).
+// A kinetic initial condition radiates all its energy as body waves (a
+// static displacement bump would leave a slowly-relaxing near field the
+// dashpots cannot absorb): after several crossing times the final energy,
+// taken from a snapshot at the last step, is a small fraction of the start.
+void expect_absorbed(fem::AbcType abc) {
   const auto mesh = uniform_mesh(3, 1000.0);
   OperatorOptions oo;
-  oo.abc = fem::AbcType::kStacey;
-  const ElasticOperator op(mesh, oo);
-  SolverOptions so;
-  so.t_end = 0.3;
-  so.cfl_fraction = 0.3;
-  const PointSource src(mesh, {500.0, 500.0, 400.0}, {1.0, 0.0, 0.5}, 1e9,
-                        20.0, 0.05);
-  const std::array<double, 3> rx = {700.0, 500.0, 0.0};
-
-  ExplicitSolver fresh(op, so);
-  fresh.add_source(&src);
-  fresh.add_receiver(rx);
-  fresh.run();
-
-  ExplicitSolver reused(op, so);
-  reused.add_source(&src);
-  reused.add_receiver(rx);
-  reused.run();
-  // Dirty state everywhere: displacement, histories, elapsed time, flops.
-  ASSERT_FALSE(reused.receivers()[0].u.empty());
-  reused.reset();
-  EXPECT_TRUE(reused.receivers()[0].u.empty());
-  for (double v : reused.displacement()) EXPECT_EQ(v, 0.0);
-  reused.run();
-
-  ASSERT_EQ(reused.displacement().size(), fresh.displacement().size());
-  EXPECT_EQ(std::memcmp(reused.displacement().data(),
-                        fresh.displacement().data(),
-                        fresh.displacement().size() * sizeof(double)),
-            0);
-  ASSERT_EQ(reused.receivers()[0].u.size(), fresh.receivers()[0].u.size());
-  EXPECT_EQ(std::memcmp(reused.receivers()[0].u.data(),
-                        fresh.receivers()[0].u.data(),
-                        fresh.receivers()[0].u.size() * 3 * sizeof(double)),
-            0);
-}
-
-TEST(Solver, EnergyDecaysWithAbsorbingBoundaries) {
-  const auto mesh = uniform_mesh(3, 1000.0);
-  OperatorOptions oo;
-  oo.abc = fem::AbcType::kLysmer;
-  const ElasticOperator op(mesh, oo);
-  SolverOptions so;
-  so.t_end = 2.5;  // several crossing times
-  so.cfl_fraction = 0.3;
-  ExplicitSolver solver(op, so);
-  // Kinetic initial condition: all energy radiates as body waves (a static
-  // displacement bump would leave a slowly-relaxing near field the
-  // dashpots cannot absorb).
-  std::vector<double> u0(op.n_dofs(), 0.0), v0(op.n_dofs(), 0.0);
-  for (std::size_t n = 0; n < mesh.n_nodes(); ++n) {
-    const auto& c = mesh.node_coords[n];
-    const double r2 = std::pow(c[0] - 500.0, 2) + std::pow(c[1] - 500.0, 2) +
-                      std::pow(c[2] - 500.0, 2);
-    v0[3 * n] = std::exp(-r2 / (150.0 * 150.0));
-  }
-  solver.set_initial_conditions(u0, v0);
-  const double e0 = solver.energy();
-  solver.run();
-  EXPECT_LT(solver.energy(), 0.1 * e0);
-}
-
-TEST(Solver, StaceyAlsoAbsorbs) {
-  const auto mesh = uniform_mesh(3, 1000.0);
-  OperatorOptions oo;
-  oo.abc = fem::AbcType::kStacey;
+  oo.abc = abc;
   const ElasticOperator op(mesh, oo);
   SolverOptions so;
   so.t_end = 2.5;
   so.cfl_fraction = 0.3;
-  ExplicitSolver solver(op, so);
-  // Kinetic initial condition: all energy radiates as body waves (a static
-  // displacement bump would leave a slowly-relaxing near field the
-  // dashpots cannot absorb).
-  std::vector<double> u0(op.n_dofs(), 0.0), v0(op.n_dofs(), 0.0);
-  for (std::size_t n = 0; n < mesh.n_nodes(); ++n) {
-    const auto& c = mesh.node_coords[n];
-    const double r2 = std::pow(c[0] - 500.0, 2) + std::pow(c[1] - 500.0, 2) +
-                      std::pow(c[2] - 500.0, 2);
-    v0[3 * n] = std::exp(-r2 / (150.0 * 150.0));
-  }
-  solver.set_initial_conditions(u0, v0);
-  const double e0 = solver.energy();
-  solver.run();
-  EXPECT_LT(solver.energy(), 0.1 * e0);
+  const std::vector<double> v0 = bump(mesh);
+  const std::vector<double> u0(v0.size(), 0.0);
+  const double dt = op.stable_dt(so.cfl_fraction);
+  const double e0 = testsupport::energy(op, u0, v0, dt);
+  double e_end = -1.0;
+  par::RunControl ctl;
+  ctl.initial_v = v0;
+  ctl.snapshot = [&](int, double, std::span<const double> u,
+                     std::span<const double> v) {
+    e_end = testsupport::energy(op, u, v, dt);
+  };
+  ctl.snapshot_every = static_cast<int>(std::ceil(so.t_end / dt));
+  run_one_rank(mesh, oo, so, {}, {}, ctl);
+  EXPECT_GE(e_end, 0.0);
+  EXPECT_LT(e_end, 0.1 * e0);
 }
+
+TEST(Solver, EnergyDecaysWithAbsorbingBoundaries) {
+  expect_absorbed(fem::AbcType::kLysmer);
+}
+
+TEST(Solver, StaceyAlsoAbsorbs) { expect_absorbed(fem::AbcType::kStacey); }
 
 TEST(Solver, SecondOrderInTime) {
   // Fixed mesh, shrinking dt: the difference from a fine-dt reference
@@ -298,23 +254,19 @@ TEST(Solver, SecondOrderInTime) {
   const auto mesh = uniform_mesh(2, 1000.0);
   OperatorOptions oo;
   oo.abc = fem::AbcType::kNone;
-  const ElasticOperator op(mesh, oo);
-
+  std::vector<double> u0(3 * mesh.n_nodes(), 0.0);
+  for (std::size_t n = 0; n < mesh.n_nodes(); ++n) {
+    const auto& c = mesh.node_coords[n];
+    u0[3 * n] =
+        std::sin(c[0] / 1000.0 * 3.14159) * std::sin(c[2] / 1000.0 * 3.14159);
+  }
   auto run_with_dt = [&](double dt) {
     SolverOptions so;
     so.dt = dt;
     so.t_end = 0.2;
-    ExplicitSolver solver(op, so);
-    std::vector<double> u0(op.n_dofs(), 0.0), v0(op.n_dofs(), 0.0);
-    for (std::size_t n = 0; n < mesh.n_nodes(); ++n) {
-      const auto& c = mesh.node_coords[n];
-      u0[3 * n] = std::sin(c[0] / 1000.0 * 3.14159) *
-                  std::sin(c[2] / 1000.0 * 3.14159);
-    }
-    solver.set_initial_conditions(u0, v0);
-    solver.run();
-    return std::vector<double>(solver.displacement().begin(),
-                               solver.displacement().end());
+    par::RunControl ctl;
+    ctl.initial_u = u0;
+    return run_one_rank(mesh, oo, so, {}, {}, ctl).u_final;
   };
 
   const double dt0 = 0.2 / 32.0;
@@ -339,18 +291,16 @@ TEST(Solver, ShColumnMatchesHalfspaceClosedForm) {
   // Column problem: absorb only at the bottom; the lateral faces are
   // traction-free, which the component mask makes exact.
   oo.absorbing_sides = {false, false, false, false, false, true};
-  const ElasticOperator op(mesh, oo);
   SolverOptions so;
   so.t_end = 0.9;
   so.cfl_fraction = 0.4;
-  ExplicitSolver solver(op, so);
-  solver.set_fixed_components({true, false, true});
+  so.fixed_components = {true, false, true};
 
   const double zc = 550.0, sigma = 120.0, amp = 1.0;
   auto pulse = [&](double z) {
     return amp * std::exp(-std::pow((z - zc) / sigma, 2));
   };
-  std::vector<double> u0(op.n_dofs(), 0.0), v0(op.n_dofs(), 0.0);
+  std::vector<double> u0(3 * mesh.n_nodes(), 0.0), v0(u0.size(), 0.0);
   for (std::size_t n = 0; n < mesh.n_nodes(); ++n) {
     const double z = mesh.node_coords[n][2];
     u0[3 * n + 1] = pulse(z);
@@ -358,15 +308,16 @@ TEST(Solver, ShColumnMatchesHalfspaceClosedForm) {
     v0[3 * n + 1] =
         vs * (-2.0 * (z - zc) / (sigma * sigma)) * pulse(z);
   }
-  solver.set_initial_conditions(u0, v0);
-  solver.add_receiver({L / 2.0, L / 2.0, 0.0});
-  solver.run();
+  par::RunControl ctl;
+  ctl.initial_u = u0;
+  ctl.initial_v = v0;
+  const std::array<double, 3> rxs[] = {{L / 2.0, L / 2.0, 0.0}};
+  const par::ParallelResult pr = run_one_rank(mesh, oo, so, {}, rxs, ctl);
 
-  const auto rec = solver.receiver_component(0, 1);
-  const double dt = solver.dt();
+  const auto rec = component(pr.receiver_histories[0], 1);
   std::vector<double> exact(rec.size());
   for (std::size_t k = 0; k < exact.size(); ++k) {
-    const double t = (static_cast<double>(k) + 1.0) * dt;
+    const double t = (static_cast<double>(k) + 1.0) * pr.dt;
     // Incident wave u = f(z + vs t) evaluated at the surface z = 0,
     // doubled by the free-surface reflection.
     exact[k] = 2.0 * pulse(vs * t);
@@ -657,15 +608,14 @@ TEST(Solver, FlopAccountingPositive) {
   const ElasticOperator op(mesh, oo);
   SolverOptions so;
   so.t_end = 0.01;
-  ExplicitSolver solver(op, so);
-  solver.run();
-  EXPECT_GT(solver.total_flops(), 0u);
+  EXPECT_GT(run_one_rank(mesh, oo, so, {}, {}).rank_stats[0].flops, 0u);
   EXPECT_GT(op.flops_per_apply(), 0u);
 }
 
-// Checkpoint/restart of the serial time-stepper: a run that resumes from a
-// mid-flight CRC32-verified snapshot reproduces the uninterrupted run
-// bit-for-bit (state, receiver histories).
+// Checkpoint/restart at one rank: a run whose only rank is killed after a
+// checkpoint resumes from the mid-flight CRC32-verified snapshot and
+// reproduces the uninterrupted run bit-for-bit (state, receiver
+// histories), with Rayleigh damping and Stacey faces on a hanging mesh.
 TEST(Solver, CheckpointResumeBitIdentical) {
   const auto mesh = hanging_mesh(100.0);
   OperatorOptions oo;
@@ -673,218 +623,77 @@ TEST(Solver, CheckpointResumeBitIdentical) {
   oo.rayleigh = true;
   oo.damping_f_min = 1.0;
   oo.damping_f_max = 20.0;
-  const ElasticOperator op(mesh, oo);
   SolverOptions so;
   so.t_end = 0.05;
   const PointSource src(mesh, {50.0, 50.0, 50.0}, {1.0, 0.5, 0.2}, 2.0, 40.0,
                         0.01);
+  const SourceModel* sources[] = {&src};
+  const std::array<double, 3> rxs[] = {{80.0, 20.0, 0.0}};
+  const par::Partition part = par::partition_sfc(mesh, 1);
+  par::ParallelSetup setup(mesh, part, oo, so);
+  const par::ParallelResult ref = setup.run(so.t_end, sources, rxs);
+  ASSERT_GT(ref.n_steps, 4);
 
-  // Uninterrupted reference.
-  ExplicitSolver ref(op, so);
-  ref.add_source(&src);
-  ref.add_receiver({80.0, 20.0, 0.0});
-  ref.run();
-  ASSERT_GT(ref.n_steps(), 4);
-
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "quake_solver_test.ckpt")
-          .string();
-  std::remove(path.c_str());
-
-  // First run writes periodic snapshots; the last lands before the end.
-  {
-    ExplicitSolver first(op, so);
-    first.add_source(&src);
-    first.add_receiver({80.0, 20.0, 0.0});
-    first.set_checkpoint(path, std::max(1, ref.n_steps() / 3));
-    first.run();
-  }
-  ASSERT_TRUE(std::filesystem::exists(path));
-
-  // Second run resumes from the snapshot mid-flight and finishes.
-  ExplicitSolver resumed(op, so);
-  resumed.add_source(&src);
-  resumed.add_receiver({80.0, 20.0, 0.0});
-  resumed.set_checkpoint(path, 0);  // resume only, no further writes
-  resumed.run();
-
-  ASSERT_EQ(resumed.displacement().size(), ref.displacement().size());
-  EXPECT_EQ(std::memcmp(resumed.displacement().data(),
-                        ref.displacement().data(),
-                        ref.displacement().size() * sizeof(double)),
-            0);
-  ASSERT_EQ(resumed.receivers()[0].u.size(), ref.receivers()[0].u.size());
-  EXPECT_EQ(std::memcmp(resumed.receivers()[0].u.data(),
-                        ref.receivers()[0].u.data(),
-                        ref.receivers()[0].u.size() * sizeof(double) * 3),
-            0);
-  std::remove(path.c_str());
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "quake_solver_ckpt_test";
+  std::filesystem::remove_all(dir);
+  par::FaultPlan plan;
+  plan.kills.push_back({/*rank=*/0, /*step=*/2 * ref.n_steps / 3});
+  par::FaultToleranceOptions ft;
+  ft.checkpoint_dir = dir.string();
+  ft.checkpoint_every = std::max(1, ref.n_steps / 3);
+  ft.max_retries = 1;
+  ft.fault_plan = &plan;
+  const par::ParallelResult resumed = setup.run(so.t_end, sources, rxs, ft);
+  EXPECT_TRUE(testsupport::same_bits(resumed, ref));
+  // The retry resumed mid-flight rather than starting over.
+  EXPECT_LT(resumed.rank_stats[0].flops, ref.rank_stats[0].flops);
+  std::filesystem::remove_all(dir);
 }
 
-// A corrupted snapshot must be rejected (CRC) and the run must start over
-// from step zero rather than integrate garbage.
+// Snapshots whose every retained generation is corrupt must all be
+// rejected (CRC) and the run must start over from step zero — bitwise the
+// from-scratch run — rather than integrate garbage.
 TEST(Solver, CorruptedCheckpointIgnored) {
   const auto mesh = uniform_mesh(2, 100.0);
-  OperatorOptions oo;
-  const ElasticOperator op(mesh, oo);
   SolverOptions so;
   so.t_end = 0.02;
+  const par::Partition part = par::partition_sfc(mesh, 1);
+  par::ParallelSetup setup(mesh, part, {}, so);
+  const par::ParallelResult ref = setup.run(so.t_end, {}, {});
+  ASSERT_GE(ref.n_steps, 3);
 
-  ExplicitSolver ref(op, so);
-  ref.run();
-
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "quake_solver_bad.ckpt")
-          .string();
-  {
-    ExplicitSolver first(op, so);
-    first.set_checkpoint(path, std::max(1, ref.n_steps() / 2));
-    first.run();
-  }
-  ASSERT_TRUE(std::filesystem::exists(path));
-  // Flip one byte in the middle of the file.
-  {
-    std::FILE* f = std::fopen(path.c_str(), "r+b");
+  // A run killed at its last step with retries exhausted leaves both
+  // retained checkpoint generations on disk.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "quake_solver_bad_ckpt_test";
+  std::filesystem::remove_all(dir);
+  par::FaultPlan plan;
+  plan.kills.push_back({/*rank=*/0, /*step=*/ref.n_steps - 1});
+  par::FaultToleranceOptions ft;
+  ft.checkpoint_dir = dir.string();
+  ft.checkpoint_every = 1;
+  ft.fault_plan = &plan;
+  EXPECT_THROW(setup.run(so.t_end, {}, {}, ft), par::RankFailedError);
+  // Flip one byte in the middle of every generation.
+  int corrupted = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::FILE* f = std::fopen(entry.path().c_str(), "r+b");
     ASSERT_NE(f, nullptr);
     std::fseek(f, 64, SEEK_SET);
     const int c = std::fgetc(f);
     std::fseek(f, 64, SEEK_SET);
     std::fputc(c ^ 0xFF, f);
     std::fclose(f);
+    ++corrupted;
   }
-  ExplicitSolver resumed(op, so);
-  resumed.set_checkpoint(path, 0);
-  resumed.run();  // restore rejected -> full run from scratch
-  EXPECT_EQ(std::memcmp(resumed.displacement().data(),
-                        ref.displacement().data(),
-                        ref.displacement().size() * sizeof(double)),
-            0);
-  std::remove(path.c_str());
-}
+  ASSERT_EQ(corrupted, ft.checkpoint_keep);
 
-// ---- scenario-batched stepping (docs/BATCHING.md) -------------------------
-
-// The batched operator sweep must reproduce the scalar sweep bit for bit on
-// every lane: the element kernel runs the solo kernel per lane and every
-// other lane loop is innermost, so lane s's floating-point op sequence is
-// exactly the scalar one. Run on the hanging mesh so constraint folding is
-// exercised too.
-TEST(Operator, ApplyStiffnessBatchMatchesScalarBitwise) {
-  const auto mesh = hanging_mesh(100.0);
-  ASSERT_GT(mesh.n_hanging(), 0u);
-  OperatorOptions oo;
-  oo.abc = fem::AbcType::kStacey;
-  oo.rayleigh = true;
-  oo.damping_f_min = 0.01;
-  oo.damping_f_max = 0.05;
-  const ElasticOperator op(mesh, oo);
-  const std::size_t nd = op.n_dofs();
-  const int S = 3;
-
-  util::Rng rng(7);
-  std::vector<std::vector<double>> u_s(static_cast<std::size_t>(S));
-  std::vector<double> ub(nd * static_cast<std::size_t>(S));
-  for (int s = 0; s < S; ++s) {
-    auto& u = u_s[static_cast<std::size_t>(s)];
-    u.resize(nd);
-    for (double& v : u) v = rng.uniform(-1.0, 1.0);
-    op.expand_constraints(u);
-    for (std::size_t d = 0; d < nd; ++d) {
-      ub[d * static_cast<std::size_t>(S) + static_cast<std::size_t>(s)] = u[d];
-    }
-  }
-
-  std::vector<double> yb(nd * static_cast<std::size_t>(S), 0.0);
-  std::vector<double> db(nd * static_cast<std::size_t>(S), 0.0);
-  op.apply_stiffness_batch(ub, S, yb, db);
-
-  for (int s = 0; s < S; ++s) {
-    std::vector<double> y(nd, 0.0), d(nd, 0.0);
-    op.apply_stiffness(u_s[static_cast<std::size_t>(s)], y, d);
-    for (std::size_t i = 0; i < nd; ++i) {
-      const std::size_t b = i * static_cast<std::size_t>(S) +
-                            static_cast<std::size_t>(s);
-      ASSERT_EQ(yb[b], y[i]) << "lane " << s << " dof " << i;
-      ASSERT_EQ(db[b], d[i]) << "lane " << s << " dof " << i;
-    }
-  }
-}
-
-// An S-lane ExplicitSolver advances S independent scenarios per step; each
-// lane's seismograms and final field must be bitwise identical to a scalar
-// solver run on that scenario alone.
-TEST(BatchSolver, LanesMatchScalarSolversBitwise) {
-  const auto mesh = hanging_mesh(100.0);
-  OperatorOptions oo;
-  oo.abc = fem::AbcType::kStacey;
-  oo.rayleigh = true;
-  oo.damping_f_min = 0.01;
-  oo.damping_f_max = 0.05;
-  const ElasticOperator op(mesh, oo);
-  SolverOptions so;
-  so.t_end = 0.05;
-  so.cfl_fraction = 0.4;
-
-  const int S = 2;
-  std::vector<PointSource> srcs;
-  srcs.reserve(static_cast<std::size_t>(S));
-  for (int s = 0; s < S; ++s) {
-    srcs.emplace_back(mesh, std::array<double, 3>{30.0 + 40.0 * s, 50.0, 20.0},
-                      std::array<double, 3>{1.0, 0.0, 0.5 * s}, 1e9,
-                      50.0 + 10.0 * s, 0.01);
-  }
-  const std::array<double, 3> rx = {70.0, 30.0, 0.0};
-
-  ExplicitSolver batched(op, so, S);
-  for (int s = 0; s < S; ++s) {
-    batched.add_source(&srcs[static_cast<std::size_t>(s)], s);
-  }
-  batched.add_receiver(rx);
-  batched.run();
-  ASSERT_EQ(batched.n_lanes(), S);
-
-  for (int s = 0; s < S; ++s) {
-    ExplicitSolver scalar(op, so);
-    scalar.add_source(&srcs[static_cast<std::size_t>(s)]);
-    scalar.add_receiver(rx);
-    scalar.run();
-
-    const std::vector<double> lane = batched.displacement_lane(s);
-    ASSERT_EQ(lane.size(), scalar.displacement().size());
-    EXPECT_EQ(std::memcmp(lane.data(), scalar.displacement().data(),
-                          lane.size() * sizeof(double)),
-              0)
-        << "lane " << s;
-    for (int c = 0; c < 3; ++c) {
-      const std::vector<double> got = batched.receiver_component(0, c, s);
-      const std::vector<double> want = scalar.receiver_component(0, c);
-      ASSERT_EQ(got.size(), want.size());
-      EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                            want.size() * sizeof(double)),
-                0)
-          << "lane " << s << " comp " << c;
-    }
-  }
-}
-
-// Batch-mode guard rails: the lane count is validated against
-// fem::kMaxBatchLanes, and the scalar-only features (checkpointing, initial
-// conditions, energy accounting) refuse a multi-lane solver instead of
-// silently misbehaving.
-TEST(BatchSolver, GuardRails) {
-  const auto mesh = uniform_mesh(2, 100.0);
-  OperatorOptions oo;
-  const ElasticOperator op(mesh, oo);
-  SolverOptions so;
-  so.t_end = 0.05;
-
-  EXPECT_THROW(ExplicitSolver(op, so, 0), std::invalid_argument);
-  EXPECT_THROW(ExplicitSolver(op, so, fem::kMaxBatchLanes + 1),
-               std::invalid_argument);
-
-  ExplicitSolver batched(op, so, 2);
-  EXPECT_THROW(batched.set_checkpoint("/tmp/nope", 2), std::invalid_argument);
-  EXPECT_THROW(static_cast<void>(batched.energy()), std::logic_error);
+  ft.fault_plan = nullptr;
+  const par::ParallelResult resumed = setup.run(so.t_end, {}, {}, ft);
+  EXPECT_TRUE(testsupport::same_bits(resumed, ref));
+  EXPECT_EQ(resumed.rank_stats[0].flops, ref.rank_stats[0].flops);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
