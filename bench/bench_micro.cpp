@@ -20,6 +20,7 @@
 #include "quake/solver/elastic_operator.hpp"
 #include "quake/solver/sparse_engine.hpp"
 #include "quake/util/rng.hpp"
+#include "hex_apply_ref.hpp"
 
 namespace {
 
@@ -116,7 +117,7 @@ void BM_HexApplyBlocked(benchmark::State& state) {
 BENCHMARK(BM_HexApplyBlocked)->Arg(0)->Arg(1);
 
 void BM_HexApplyRef(benchmark::State& state) {
-  hex_apply_ab(state, &fem::hex_apply_ref);
+  hex_apply_ab(state, &testsupport::hex_apply_ref);
 }
 BENCHMARK(BM_HexApplyRef)->Arg(0)->Arg(1);
 
@@ -157,7 +158,7 @@ void BM_HexApplyBatchBlocked(benchmark::State& state) {
 BENCHMARK(BM_HexApplyBatchBlocked)->Arg(4)->Arg(8)->Arg(16);
 
 void BM_HexApplyBatchRef(benchmark::State& state) {
-  hex_apply_batch_ab(state, &fem::hex_apply_batch_ref);
+  hex_apply_batch_ab(state, &testsupport::hex_apply_batch_ref);
 }
 BENCHMARK(BM_HexApplyBatchRef)->Arg(4)->Arg(8)->Arg(16);
 

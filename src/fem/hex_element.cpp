@@ -120,8 +120,9 @@ void store2(double* p, std::size_t stride, Vec2 v) {
 // operand of each product (NaN payloads follow the first operand),
 // accumulators start at +0.0 and sum in ascending c, and the epilogue is
 // the reference's v = s_lambda * sl + s_mu * sm; y += v; y_damp += beta * v
-// — the exact operation sequence of hex_apply_ref per row, one row per
-// lane — so the kernel is bitwise identical to the reference.
+// — the exact operation sequence of the straight-line reference per row
+// (testsupport::hex_apply_ref in tests/support), one row per lane — so the
+// kernel is bitwise identical to it.
 //
 // The explicit vector type is what makes the packed code certain. Written
 // as scalar arrays, this loop nest relies on GCC's SLP vectorizer, which
@@ -184,23 +185,6 @@ void hex_apply(const HexReference& ref, const double* u_e, double scale_lambda,
   hex_apply_rows(ref, u_e, 1, scale_lambda, scale_mu, y_e, beta_e, y_damp);
 }
 
-void hex_apply_ref(const HexReference& ref, const double* u_e,
-                   double scale_lambda, double scale_mu, double* y_e,
-                   double beta_e, double* y_damp) {
-  for (int r = 0; r < kHexDofs; ++r) {
-    const double* kl = &ref.k_lambda[static_cast<std::size_t>(r) * kHexDofs];
-    const double* km = &ref.k_mu[static_cast<std::size_t>(r) * kHexDofs];
-    double sl = 0.0, sm = 0.0;
-    for (int c = 0; c < kHexDofs; ++c) {
-      sl += kl[c] * u_e[c];
-      sm += km[c] * u_e[c];
-    }
-    const double v = scale_lambda * sl + scale_mu * sm;
-    y_e[r] += v;
-    if (y_damp != nullptr) y_damp[r] += beta_e * v;
-  }
-}
-
 void hex_apply_elems(const HexReference& ref, const double* u_e, int n_elems,
                      const double* scale_lambda, const double* scale_mu,
                      double* y_e, const double* beta_e, double* y_damp) {
@@ -223,33 +207,6 @@ void hex_apply_batch(const HexReference& ref, const double* u_e, int n_lanes,
   for (std::size_t s = 0; s < stride; ++s) {
     hex_apply_rows(ref, u_e + s, stride, scale_lambda, scale_mu, y_e + s,
                    beta_e, y_damp != nullptr ? y_damp + s : nullptr);
-  }
-}
-
-void hex_apply_batch_ref(const HexReference& ref, const double* u_e,
-                         int n_lanes, double scale_lambda, double scale_mu,
-                         double* y_e, double beta_e, double* y_damp) {
-  // Ground truth by definition: deinterleave each lane, run the solo
-  // reference kernel on it, reinterleave. This is what a caller without a
-  // batched kernel would do, and the baseline of the bench_micro batch rows.
-  if (n_lanes < 1 || n_lanes > kMaxBatchLanes) throw_bad_lane_count(n_lanes);
-  double us[kHexDofs], ys[kHexDofs], ds[kHexDofs];
-  for (int s = 0; s < n_lanes; ++s) {
-    for (int d = 0; d < kHexDofs; ++d) {
-      const std::size_t idx = static_cast<std::size_t>(d) * n_lanes +
-                              static_cast<std::size_t>(s);
-      us[d] = u_e[idx];
-      ys[d] = y_e[idx];
-      if (y_damp != nullptr) ds[d] = y_damp[idx];
-    }
-    hex_apply_ref(ref, us, scale_lambda, scale_mu, ys, beta_e,
-                  y_damp != nullptr ? ds : nullptr);
-    for (int d = 0; d < kHexDofs; ++d) {
-      const std::size_t idx = static_cast<std::size_t>(d) * n_lanes +
-                              static_cast<std::size_t>(s);
-      y_e[idx] = ys[d];
-      if (y_damp != nullptr) y_damp[idx] = ds[d];
-    }
   }
 }
 

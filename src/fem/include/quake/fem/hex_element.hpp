@@ -60,19 +60,13 @@ struct HexReference {
 // transposed reference matrices. The explicit vector type is what makes
 // the packed code certain; left to the auto-vectorizer, the same loop nest
 // compiled to scalar code. Each lane still takes the exact IEEE operation
-// sequence of hex_apply_ref for its row, so results are bitwise identical
-// to the reference kernel, NaN and signed-zero bit patterns included
-// (asserted in fem_test). This is the one elastic kernel body: the batch
-// variant below runs it per lane.
+// sequence of the straight-line reference for its row (the test oracle
+// testsupport::hex_apply_ref in tests/support), so results are bitwise
+// identical to it, NaN and signed-zero bit patterns included (asserted in
+// fem_test). This is the one elastic kernel body: the batch variant below
+// runs it per lane.
 void hex_apply(const HexReference& ref, const double* u_e, double scale_lambda,
                double scale_mu, double* y_e, double beta_e, double* y_damp);
-
-// Straight-line reference implementation (row-major dot products). Kept as
-// the floating-point ground truth for the blocked kernel's equivalence
-// tests and the bench_micro A/B; not used on the hot path.
-void hex_apply_ref(const HexReference& ref, const double* u_e,
-                   double scale_lambda, double scale_mu, double* y_e,
-                   double beta_e, double* y_damp);
 
 // Element-batch entry point: `n_elems` elements packed back to back
 // (element e's 24-vector at u_e + e*24, likewise y_e / y_damp) with
@@ -95,19 +89,11 @@ void hex_apply_elems(const HexReference& ref, const double* u_e, int n_elems,
 //
 // Throws std::invalid_argument unless 1 <= n_lanes <= kMaxBatchLanes, the
 // width the batch call sites size their element buffers for; a release
-// caller with an unchecked oversized width would overflow them.
+// caller with an unchecked oversized width would overflow them. Its test
+// oracle is testsupport::hex_apply_batch_ref (tests/support).
 void hex_apply_batch(const HexReference& ref, const double* u_e, int n_lanes,
                      double scale_lambda, double scale_mu, double* y_e,
                      double beta_e, double* y_damp);
-
-// Reference implementation of hex_apply_batch: deinterleaves each lane,
-// applies the straight-line solo reference (hex_apply_ref), reinterleaves.
-// Ground truth by definition — lane s literally undergoes the solo
-// operation sequence — and the per-lane baseline of the bench_micro batch
-// rows. Same bounds check.
-void hex_apply_batch_ref(const HexReference& ref, const double* u_e,
-                         int n_lanes, double scale_lambda, double scale_mu,
-                         double* y_e, double beta_e, double* y_damp);
 
 // Diagonal of K_e = h (lambda K_lambda + mu K_mu), 24 entries.
 void hex_diagonal(const HexReference& ref, double scale_lambda,

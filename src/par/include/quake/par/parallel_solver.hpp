@@ -144,9 +144,8 @@ struct ParallelResult {
 //    snapshot or a disk generation for the revived rank.
 //  * Tier 3 (full restart): when no common state exists or the revival
 //    budget is spent, the supervisor rewinds every rank to the last
-//    agreed snapshot and re-runs, up to `max_retries` times with
-//    exponential backoff. Detected deadlocks are never retried (they are
-//    deterministic program errors).
+//    agreed snapshot and re-runs, up to `max_retries` times. Detected
+//    deadlocks are never retried (they are deterministic program errors).
 //
 // All tiers resume bit-identically to an uninterrupted run.
 struct FaultToleranceOptions {
@@ -156,7 +155,6 @@ struct FaultToleranceOptions {
   int max_retries = 0;                // supervised restarts on rank failure
   int max_revives = 0;                // in-place rank revivals before full
                                       // restart (0 = always full-restart)
-  double backoff_base_seconds = 0.0;  // sleep base, doubled per retry
   double timeout_seconds = 0.0;       // per blocking comm op (0 = infinite)
   const FaultPlan* fault_plan = nullptr;  // injected faults (testing)
 

@@ -1334,7 +1334,8 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
     // Element-kernel sweep over one list: per node the 3 components x S
     // lanes are one contiguous run. One lane takes the solo kernel, several
     // the batch kernel, which runs the solo kernel per lane at stride S;
-    // both are per lane bitwise equal to fem::hex_apply_ref.
+    // both are per lane bitwise equal to the straight-line test oracle
+    // testsupport::hex_apply_ref (tests/support).
     double ue[fem::kHexDofs * fem::kMaxBatchLanes];
     double ye[fem::kHexDofs * fem::kMaxBatchLanes];
     double de[fem::kHexDofs * fem::kMaxBatchLanes];
@@ -2098,8 +2099,8 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
                          [&](Rank& rank) { body(rank, n_lanes); });
 
   // ---- supervised execution: rewind to the last checkpoint and retry on
-  // rank failure, with exponential backoff; deadlocks are deterministic
-  // program errors and surface immediately ----
+  // rank failure; deadlocks are deterministic program errors and surface
+  // immediately ----
   int attempt = 0;
   int revives_total = 0;
   for (;;) {
@@ -2112,10 +2113,6 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
     } catch (const RankFailedError&) {
       revives_total += comm.revives_used();
       if (attempt >= ft.max_retries) throw;
-      if (ft.backoff_base_seconds > 0.0) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(
-            ft.backoff_base_seconds * std::ldexp(1.0, attempt)));
-      }
       ++attempt;
     }
   }

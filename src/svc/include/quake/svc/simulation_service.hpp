@@ -33,7 +33,6 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "quake/obs/obs.hpp"
@@ -80,21 +79,19 @@ struct ScenarioRequest {
 
   // Service-level degradation: when the solve's own revival/restart budget
   // is spent (ParallelSetup::run throws a rank-failure), the worker retries
-  // the whole request up to `max_attempts` times total, sleeping
-  // `retry_backoff_seconds * 2^(attempt-1)` between attempts. Only
-  // recoverable faults are retried — deadlocks and setup errors are
-  // deterministic and fail immediately. Each extra attempt bumps
-  // `svc/retries` and marks the service degraded until a request completes
-  // on its first attempt.
+  // the whole request up to `max_attempts` times total. Only recoverable
+  // faults are retried — deadlocks and setup errors are deterministic and
+  // fail immediately. Each extra attempt bumps `svc/retries` and marks the
+  // service degraded until a request completes on its first attempt.
   int max_attempts = 1;
-  double retry_backoff_seconds = 0.0;
 };
 
 enum class RequestStatus {
   kCompleted,         // ran to t_end
   kCancelled,         // cancel(id) hit it, queued or at a step boundary
   kDeadlineExceeded,  // end-to-end deadline expired, queued or mid-solve
-  kFailed,            // the solve threw; see `error`
+  kFailed,            // a source could not be built or the solve threw;
+                      // see `error`
 };
 
 struct ScenarioResult {
@@ -118,7 +115,8 @@ struct ScenarioResult {
 };
 
 // Point-in-time health snapshot (see health()): queue pressure, the
-// degraded flag, and the recovery footprint of the last executed request —
+// degraded flag, and the recovery footprint of the last executed request
+// (the last pickup that ran a solve; a batch's head member stands for it) —
 // what an operator polls to decide whether the service is riding out
 // faults or needs intervention.
 struct ServiceHealth {
@@ -130,7 +128,9 @@ struct ServiceHealth {
   std::int64_t retries_total = 0;  // svc/retries counter
   std::int64_t failed_total = 0;   // svc/requests_failed counter
 
-  // Last executed request's recovery footprint.
+  // Last executed request's recovery footprint. A batch reports its head's
+  // id, attempts and solve time, and no recovery (it carries no fault
+  // tolerance).
   std::uint64_t last_id = 0;          // 0 = nothing executed yet
   int last_attempts = 0;              // service-level attempts it consumed
   int last_revives_used = 0;          // in-place revivals its solve consumed
@@ -151,7 +151,6 @@ struct ServiceOptions {
   std::size_t queue_bound = 16;  // waiting requests admitted PER SHARD
                                  // before shedding (each lane has its own
                                  // shard of the admission queue)
-  int cancel_check_every = 1;    // steps between cancel/deadline agreements
   bool start_paused = false;     // admit but hold execution until resume()
 
   // Worker lanes. Each lane owns a full ParallelSetup replica (operator,
@@ -235,7 +234,8 @@ class SimulationService {
 
   // Structured health snapshot: queue depth, degraded flag, and the last
   // executed request's recovery footprint (revival budget consumed and
-  // remaining, recoveries, rolled-back/replayed steps).
+  // remaining, recoveries, rolled-back/replayed steps). A pickup settled
+  // without a solve (cancelled or out of budget) leaves it unchanged.
   [[nodiscard]] ServiceHealth health() const;
 
  private:
@@ -243,9 +243,8 @@ class SimulationService {
   struct Lane;
 
   void worker_loop(Lane& lane);
-  ScenarioResult execute(par::ParallelSetup& setup, Pending& p,
-                         std::uint64_t exec_index);
-  void execute_batch(Lane& lane, std::vector<std::unique_ptr<Pending>> batch);
+  // One pickup: a solo request or a coalesced batch, run as one solve.
+  void execute(Lane& lane, std::vector<std::unique_ptr<Pending>> group);
 
   par::ParallelSetup setup_;  // lane 0's setup (the setup() accessor)
   std::vector<std::unique_ptr<par::ParallelSetup>> replica_setups_;  // lanes 1+
@@ -276,7 +275,8 @@ class SimulationService {
   std::atomic<std::int64_t> batched_requests_{0};  // requests they carried
 
   // Degradation state + last executed request's recovery footprint, written
-  // by the worker after each request, read by health()/metrics().
+  // by the worker after each pickup that ran a solve, read by
+  // health()/metrics().
   mutable std::mutex health_mu_;
   bool degraded_ = false;
   ServiceHealth last_exec_;
@@ -286,8 +286,6 @@ class SimulationService {
   // recording thread).
   mutable std::mutex agg_mu_;
   obs::Registry agg_;
-
-  std::thread worker_;
 };
 
 }  // namespace quake::svc

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
+#include <thread>
 
 #include "quake/fem/hex_element.hpp"
 #include "quake/par/communicator.hpp"
@@ -414,32 +414,7 @@ void SimulationService::worker_loop(Lane& lane) {
       }
     }
 
-    if (batch.size() == 1) {
-      std::unique_ptr<Pending> p = std::move(batch.front());
-      batch.clear();
-      const std::uint64_t exec_index =
-          exec_counter_.fetch_add(1, std::memory_order_relaxed) + 1;
-      lane.requests.fetch_add(1, std::memory_order_relaxed);
-      last_batch_width_.store(1, std::memory_order_relaxed);
-      ScenarioResult res = execute(*lane.setup, *p, exec_index);
-      switch (res.status) {
-        case RequestStatus::kCompleted:
-          completed_.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case RequestStatus::kCancelled:
-          cancelled_.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case RequestStatus::kDeadlineExceeded:
-          deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case RequestStatus::kFailed:
-          failed_.fetch_add(1, std::memory_order_relaxed);
-          break;
-      }
-      p->promise.set_value(std::move(res));
-    } else {
-      execute_batch(lane, std::move(batch));
-    }
+    execute(lane, std::move(batch));
 
     {
       const std::lock_guard<std::mutex> lk(mu_);
@@ -451,16 +426,39 @@ void SimulationService::worker_loop(Lane& lane) {
   }
 }
 
-ScenarioResult SimulationService::execute(par::ParallelSetup& setup,
-                                          Pending& p,
-                                          std::uint64_t exec_index) {
-  ScenarioResult res;
-  res.id = p.id;
-  res.exec_index = exec_index;
-  const Clock::time_point picked = Clock::now();
-  res.queue_seconds = seconds_between(p.admitted, picked);
+// One worker pickup: a group of 1..max_batch requests. A group of one is a
+// ParallelSetup::run with the request's fault tolerance and remaining
+// budget; a larger group is one run_batch solve whose members advance in
+// lockstep, each bitwise identical to a solo run (docs/BATCHING.md). The
+// members of a larger group are batchable(): no deadline, no retry budget,
+// no fault tolerance.
+void SimulationService::execute(Lane& lane,
+                                std::vector<std::unique_ptr<Pending>> group) {
+  const std::size_t B = group.size();
+  const Pending& head = *group.front();
+  par::ParallelSetup& setup = *lane.setup;
+  const std::uint64_t exec_base =
+      exec_counter_.fetch_add(B, std::memory_order_relaxed) + 1;
+  lane.requests.fetch_add(static_cast<std::int64_t>(B),
+                          std::memory_order_relaxed);
+  if (B > 1) {
+    lane.batches.fetch_add(1, std::memory_order_relaxed);
+    batches_.fetch_add(1, std::memory_order_relaxed);
+    batched_requests_.fetch_add(static_cast<std::int64_t>(B),
+                                std::memory_order_relaxed);
+  }
+  last_batch_width_.store(static_cast<std::int64_t>(B),
+                          std::memory_order_relaxed);
 
-  // All request-scoped telemetry lands in a registry local to this request,
+  const Clock::time_point picked = Clock::now();
+  std::vector<ScenarioResult> results(B);
+  for (std::size_t i = 0; i < B; ++i) {
+    results[i].id = group[i]->id;
+    results[i].exec_index = exec_base + i;  // consecutive pickup order
+    results[i].queue_seconds = seconds_between(group[i]->admitted, picked);
+  }
+
+  // All request-scoped telemetry lands in a registry local to this pickup,
   // merged into the service aggregate afterwards — metrics() never reads a
   // registry a thread is still writing.
   obs::Registry req_reg;
@@ -468,260 +466,173 @@ ScenarioResult SimulationService::execute(par::ParallelSetup& setup,
     const obs::ScopedRegistry install(req_reg);
     QUAKE_OBS_SCOPE("svc/request");
 
-    // An end-to-end deadline covers queueing: what is left of the budget
-    // after the wait is what the solve gets.
-    double remaining_budget = 0.0;
-    bool run_it = true;
-    if (p.req.deadline_seconds > 0.0) {
-      remaining_budget = p.req.deadline_seconds - res.queue_seconds;
-      if (remaining_budget <= 0.0) {
-        res.status = RequestStatus::kDeadlineExceeded;
-        run_it = false;
+    // Settle, then solve. A member whose end-to-end budget (which covers
+    // queueing) is spent is settled kDeadlineExceeded, otherwise a
+    // cancelled one kCancelled. The solve runs unless every member is
+    // settled, and then decides every member's status: a batch member
+    // cancelled alone completes with its batch.
+    bool run_it = false;
+    for (std::size_t i = 0; i < B; ++i) {
+      const ScenarioRequest& req = group[i]->req;
+      if (req.deadline_seconds > 0.0 &&
+          req.deadline_seconds - results[i].queue_seconds <= 0.0) {
+        results[i].status = RequestStatus::kDeadlineExceeded;
+      } else if (group[i]->cancel_flag->load(std::memory_order_relaxed)) {
+        results[i].status = RequestStatus::kCancelled;
+      } else {
+        run_it = true;
       }
-    }
-    if (run_it && p.cancel_flag->load(std::memory_order_relaxed)) {
-      res.status = RequestStatus::kCancelled;
-      run_it = false;
     }
 
     if (run_it) {
-      // Materialize the request's sources against the service's mesh; this
+      // Materialize each member's sources against the service's mesh; this
       // (plus receiver snapping inside the solve) is all the per-request
-      // setup there is — the expensive state is shared.
-      std::vector<std::unique_ptr<solver::SourceModel>> sources;
-      {
-        QUAKE_OBS_SCOPE("setup");
-        sources.reserve(p.req.point_sources.size() +
-                        p.req.fault_sources.size());
-        for (const PointSourceSpec& s : p.req.point_sources) {
-          sources.push_back(std::make_unique<solver::PointSource>(
-              setup.mesh(), s.position, s.direction, s.amplitude, s.fp,
-              s.tc));
-        }
-        for (const solver::FaultSource::Spec& s : p.req.fault_sources) {
-          sources.push_back(
-              std::make_unique<solver::FaultSource>(setup.mesh(), s));
-        }
-      }
-      std::vector<const solver::SourceModel*> src_ptrs;
-      src_ptrs.reserve(sources.size());
-      for (const auto& s : sources) src_ptrs.push_back(s.get());
-
-      par::RunControl ctl;
-      ctl.cancel = p.cancel_flag.get();
-      ctl.deadline_seconds = remaining_budget;
-      ctl.check_every = opt_.cancel_check_every;
-
-      const Clock::time_point t0 = Clock::now();
-      // Service-level degradation: when the solve's own revival/restart
-      // budget is spent (a rank-failure escapes ParallelSetup::run), retry
-      // the whole request up to req.max_attempts times with exponential
-      // backoff. Only recoverable faults are retried; deadlocks and setup
-      // errors are deterministic and fail immediately. The run leaves the
-      // shared setup reusable after a failure, so a retry starts clean.
-      const int max_attempts = std::max(1, p.req.max_attempts);
-      for (;;) {
-        ++res.attempts;
-        try {
-          QUAKE_OBS_SCOPE("solve");
-          res.solve = setup.run(p.req.t_end, src_ptrs, p.req.receivers,
-                                p.req.ft, ctl);
-          break;
-        } catch (const par::DeadlockError& e) {
-          res.status = RequestStatus::kFailed;
-          res.error = e.what();
-          break;
-        } catch (const par::RankFailedError& e) {
-          res.status = RequestStatus::kFailed;
-          res.error = e.what();
-          if (res.attempts >= max_attempts) break;
-          if (p.cancel_flag->load(std::memory_order_relaxed)) break;
-          if (p.req.deadline_seconds > 0.0 &&
-              seconds_between(p.admitted, Clock::now()) >=
-                  p.req.deadline_seconds) {
-            break;  // the end-to-end budget is gone; a retry cannot finish
-          }
-          retries_.fetch_add(1, std::memory_order_relaxed);
-          if (p.req.retry_backoff_seconds > 0.0) {
-            std::this_thread::sleep_for(std::chrono::duration<double>(
-                p.req.retry_backoff_seconds *
-                std::ldexp(1.0, res.attempts - 1)));
-          }
-          res.status = RequestStatus::kCompleted;  // reset for the retry
-          res.error.clear();
-        } catch (const std::exception& e) {
-          // Request-level failure (bad receiver, unusable checkpoint, ...):
-          // this request fails, the service — and the shared setup — keep
-          // serving.
-          res.status = RequestStatus::kFailed;
-          res.error = e.what();
-          break;
-        }
-      }
-      res.solve_seconds = seconds_between(t0, Clock::now());
-
-      {
-        QUAKE_OBS_SCOPE("extract");
-        if (res.status != RequestStatus::kFailed && res.solve.cancelled) {
-          // Both stop conditions funnel through the same step-boundary
-          // agreement; the cancel flag tells them apart.
-          res.status = p.cancel_flag->load(std::memory_order_relaxed)
-                           ? RequestStatus::kCancelled
-                           : RequestStatus::kDeadlineExceeded;
-        }
-      }
-    }
-    res.total_seconds = seconds_between(p.admitted, Clock::now());
-  }
-
-  if (res.attempts > 0) {
-    // Health bookkeeping for requests that actually ran: the service is
-    // degraded while requests need service-level retries (or fail), and
-    // recovers as soon as one completes on its first attempt.
-    const std::lock_guard<std::mutex> lk(health_mu_);
-    degraded_ = res.attempts > 1 || res.status == RequestStatus::kFailed;
-    last_exec_.last_id = res.id;
-    last_exec_.last_attempts = res.attempts;
-    last_exec_.last_revives_used = res.solve.revives_used;
-    last_exec_.last_revives_budget = p.req.ft.max_revives;
-    last_exec_.last_revives_remaining =
-        std::max(0, p.req.ft.max_revives - res.solve.revives_used);
-    last_exec_.last_recoveries =
-        counter_sum(res.solve.obs_summary, "par/recoveries");
-    last_exec_.last_steps_rolled_back =
-        counter_sum(res.solve.obs_summary, "par/steps_rolled_back");
-    last_exec_.last_steps_replayed =
-        counter_sum(res.solve.obs_summary, "par/steps_replayed");
-    last_exec_.last_donation_restores =
-        counter_sum(res.solve.obs_summary, "par/donation_restores");
-    last_exec_.last_multi_victim_replays =
-        counter_sum(res.solve.obs_summary, "par/multi_victim_replays");
-    last_exec_.last_solve_seconds = res.solve_seconds;
-  }
-
-  {
-    const std::lock_guard<std::mutex> lk(agg_mu_);
-    agg_.merge_from(req_reg);
-    agg_.series["svc/latency_seconds"].push_back(res.total_seconds);
-    agg_.series["svc/queue_seconds"].push_back(res.queue_seconds);
-    agg_.series["svc/solve_seconds"].push_back(res.solve_seconds);
-  }
-  return res;
-}
-
-// One coalesced solve for `batch.size()` requests. Members advance through
-// ParallelSetup::run_batch in lockstep; each member's result is bitwise
-// identical to what a solo run would have produced (docs/BATCHING.md). All
-// members are batchable by construction: no deadlines, no retries, no FT.
-void SimulationService::execute_batch(Lane& lane,
-                                      std::vector<std::unique_ptr<Pending>> batch) {
-  const std::size_t B = batch.size();
-  const std::uint64_t exec_base =
-      exec_counter_.fetch_add(B, std::memory_order_relaxed) + 1;
-  lane.requests.fetch_add(static_cast<std::int64_t>(B),
-                          std::memory_order_relaxed);
-  lane.batches.fetch_add(1, std::memory_order_relaxed);
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  batched_requests_.fetch_add(static_cast<std::int64_t>(B),
-                              std::memory_order_relaxed);
-  last_batch_width_.store(static_cast<std::int64_t>(B),
-                          std::memory_order_relaxed);
-
-  const Clock::time_point picked = Clock::now();
-  std::vector<ScenarioResult> results(B);
-  for (std::size_t i = 0; i < B; ++i) {
-    results[i].id = batch[i]->id;
-    results[i].exec_index = exec_base + i;  // consecutive pickup order
-    results[i].queue_seconds = seconds_between(batch[i]->admitted, picked);
-  }
-
-  obs::Registry req_reg;
-  {
-    const obs::ScopedRegistry install(req_reg);
-    QUAKE_OBS_SCOPE("svc/request");
-
-    bool all_cancelled = true;
-    for (const auto& p : batch) {
-      if (!p->cancel_flag->load(std::memory_order_relaxed)) {
-        all_cancelled = false;
-        break;
-      }
-    }
-    if (all_cancelled) {
-      for (auto& r : results) r.status = RequestStatus::kCancelled;
-    } else {
-      // Materialize every member's sources; each becomes one scenario lane.
+      // setup there is — the expensive state is shared. A source the mesh
+      // cannot hold (a zero force direction, a fault with no patch inside
+      // the mesh) fails the pickup without a solve, as a bad receiver
+      // fails it inside one.
       std::vector<std::vector<std::unique_ptr<solver::SourceModel>>> owned(B);
       std::vector<par::BatchScenario> scenarios(B);
-      {
+      std::string error;
+      bool sources_built = true;
+      try {
         QUAKE_OBS_SCOPE("setup");
         for (std::size_t i = 0; i < B; ++i) {
-          const ScenarioRequest& req = batch[i]->req;
-          owned[i].reserve(req.point_sources.size() +
-                           req.fault_sources.size());
+          const ScenarioRequest& req = group[i]->req;
           for (const PointSourceSpec& s : req.point_sources) {
             owned[i].push_back(std::make_unique<solver::PointSource>(
-                lane.setup->mesh(), s.position, s.direction, s.amplitude,
-                s.fp, s.tc));
+                setup.mesh(), s.position, s.direction, s.amplitude, s.fp,
+                s.tc));
           }
           for (const solver::FaultSource::Spec& s : req.fault_sources) {
             owned[i].push_back(
-                std::make_unique<solver::FaultSource>(lane.setup->mesh(), s));
+                std::make_unique<solver::FaultSource>(setup.mesh(), s));
           }
-          scenarios[i].sources.reserve(owned[i].size());
           for (const auto& s : owned[i]) {
             scenarios[i].sources.push_back(s.get());
           }
           scenarios[i].receivers = req.receivers;
         }
+      } catch (const std::exception& e) {
+        error = e.what();
+        sources_built = false;
       }
 
+      // The lane's pickup-wide cancel flag: a solo request's own flag, or
+      // for a batch one that fires only once every member is cancelled.
+      // Only a solo request carries a deadline; the solve gets what is
+      // left of it after the wait.
       par::RunControl ctl;
       ctl.cancel = lane.running_batch_cancel.get();
-      ctl.check_every = opt_.cancel_check_every;
+      if (head.req.deadline_seconds > 0.0) {
+        ctl.deadline_seconds =
+            head.req.deadline_seconds - results.front().queue_seconds;
+      }
 
+      // Service-level degradation: when the solve's own revival/restart
+      // budget is spent (a rank failure escapes the setup), retry the whole
+      // pickup up to the head's max_attempts times. Only recoverable faults
+      // are retried; deadlocks and setup errors are deterministic and fail
+      // immediately. A failed run leaves the shared setup reusable, so a
+      // retry starts clean. Batch members carry no retry budget, so a
+      // batch runs once, and a failure fails every member: they shared one
+      // solve.
+      const int max_attempts = std::max(1, head.req.max_attempts);
+      std::vector<par::ParallelResult> solves;  // stays empty on failure
+      int attempts = 0;
       const Clock::time_point t0 = Clock::now();
-      try {
-        QUAKE_OBS_SCOPE("solve");
-        std::vector<par::ParallelResult> solves =
-            lane.setup->run_batch(batch.front()->req.t_end, scenarios, ctl);
-        for (std::size_t i = 0; i < B; ++i) {
-          // The batch stops early only when every member was cancelled; a
-          // member flagged after the solve finished completes normally,
-          // mirroring the solo cancel race.
-          results[i].status = solves[i].cancelled ? RequestStatus::kCancelled
-                                                  : RequestStatus::kCompleted;
-          results[i].solve = std::move(solves[i]);
-        }
-      } catch (const std::exception& e) {
-        // One failure fails the whole batch: the members shared one solve.
-        for (auto& r : results) {
-          r.status = RequestStatus::kFailed;
-          r.error = e.what();
+      while (sources_built) {
+        ++attempts;
+        try {
+          QUAKE_OBS_SCOPE("solve");
+          if (B == 1) {
+            solves.push_back(setup.run(head.req.t_end, scenarios[0].sources,
+                                       scenarios[0].receivers, head.req.ft,
+                                       ctl));
+          } else {
+            solves = setup.run_batch(head.req.t_end, scenarios, ctl);
+          }
+          break;
+        } catch (const par::DeadlockError& e) {
+          error = e.what();
+          break;
+        } catch (const par::RankFailedError& e) {
+          error = e.what();
+          if (attempts >= max_attempts) break;
+          if (head.cancel_flag->load(std::memory_order_relaxed)) break;
+          if (head.req.deadline_seconds > 0.0 &&
+              seconds_between(head.admitted, Clock::now()) >=
+                  head.req.deadline_seconds) {
+            break;  // the end-to-end budget is gone; a retry cannot finish
+          }
+          retries_.fetch_add(1, std::memory_order_relaxed);
+        } catch (const std::exception& e) {
+          // Request-level failure (bad receiver, unusable checkpoint, ...):
+          // the pickup fails, the service — and the shared setup — keep
+          // serving.
+          error = e.what();
+          break;
         }
       }
-      const double solve_s = seconds_between(t0, Clock::now());
-      for (std::size_t i = 0; i < B; ++i) {
-        results[i].attempts = 1;
-        results[i].solve_seconds = solve_s;
+      const double solve_seconds = seconds_between(t0, Clock::now());
+
+      {
+        QUAKE_OBS_SCOPE("extract");
+        for (std::size_t i = 0; i < B; ++i) {
+          ScenarioResult& r = results[i];
+          r.attempts = attempts;
+          r.solve_seconds = solve_seconds;
+          if (solves.empty()) {
+            r.status = RequestStatus::kFailed;
+            r.error = error;
+            continue;
+          }
+          r.solve = std::move(solves[i]);
+          r.status = RequestStatus::kCompleted;
+          if (r.solve.cancelled) {
+            // Both stop conditions funnel through the same step-boundary
+            // agreement; the cancel flag the solve watched tells them apart.
+            r.status = ctl.cancel->load(std::memory_order_relaxed)
+                           ? RequestStatus::kCancelled
+                           : RequestStatus::kDeadlineExceeded;
+          }
+        }
       }
     }
     const Clock::time_point done = Clock::now();
     for (std::size_t i = 0; i < B; ++i) {
-      results[i].total_seconds = seconds_between(batch[i]->admitted, done);
+      results[i].total_seconds = seconds_between(group[i]->admitted, done);
     }
   }
 
-  {
-    // Health bookkeeping: batched runs carry no FT, so the recovery
-    // footprint is empty; the head member stands for the batch.
+  const ScenarioResult& first = results.front();
+  if (first.attempts > 0) {
+    // Health describes the last pickup that ran a solve, the head standing
+    // for a batch (whose recovery footprint is zero: it carries no fault
+    // tolerance). The service is degraded while requests need service-level
+    // retries (or fail), and recovers as soon as one completes on its
+    // first attempt.
     const std::lock_guard<std::mutex> lk(health_mu_);
-    degraded_ = results.front().status == RequestStatus::kFailed;
-    last_exec_ = ServiceHealth{};
-    last_exec_.last_id = results.front().id;
-    last_exec_.last_attempts = results.front().attempts;
-    last_exec_.last_solve_seconds = results.front().solve_seconds;
+    degraded_ = first.attempts > 1 || first.status == RequestStatus::kFailed;
+    last_exec_.last_id = first.id;
+    last_exec_.last_attempts = first.attempts;
+    last_exec_.last_revives_used = first.solve.revives_used;
+    last_exec_.last_revives_budget = head.req.ft.max_revives;
+    last_exec_.last_revives_remaining =
+        std::max(0, head.req.ft.max_revives - first.solve.revives_used);
+    last_exec_.last_recoveries =
+        counter_sum(first.solve.obs_summary, "par/recoveries");
+    last_exec_.last_steps_rolled_back =
+        counter_sum(first.solve.obs_summary, "par/steps_rolled_back");
+    last_exec_.last_steps_replayed =
+        counter_sum(first.solve.obs_summary, "par/steps_replayed");
+    last_exec_.last_donation_restores =
+        counter_sum(first.solve.obs_summary, "par/donation_restores");
+    last_exec_.last_multi_victim_replays =
+        counter_sum(first.solve.obs_summary, "par/multi_victim_replays");
+    last_exec_.last_solve_seconds = first.solve_seconds;
   }
+
   {
     const std::lock_guard<std::mutex> lk(agg_mu_);
     agg_.merge_from(req_reg);
@@ -747,7 +658,7 @@ void SimulationService::execute_batch(Lane& lane,
         failed_.fetch_add(1, std::memory_order_relaxed);
         break;
     }
-    batch[i]->promise.set_value(std::move(results[i]));
+    group[i]->promise.set_value(std::move(results[i]));
   }
 }
 

@@ -16,10 +16,13 @@
 #include "quake/fem/hex_element.hpp"
 #include "quake/fem/rayleigh.hpp"
 #include "quake/util/rng.hpp"
+#include "hex_apply_ref.hpp"
 
 namespace {
 
 using namespace quake::fem;
+using quake::testsupport::hex_apply_batch_ref;
+using quake::testsupport::hex_apply_ref;
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 

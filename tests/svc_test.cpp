@@ -7,6 +7,7 @@
 #include <array>
 #include <chrono>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -436,6 +437,31 @@ TEST(SimulationService, DeadlocksAreNotRetried) {
   EXPECT_EQ(service.metrics().counters.at("svc/retries"), 0);
 }
 
+// A source the mesh cannot hold (here a zero force direction) fails its
+// request before any solve: kFailed with the reason and no attempt
+// consumed. The service keeps serving, and the next request matches a cold
+// run bitwise.
+TEST(SimulationService, UnbuildableSourceFailsAlone) {
+  const Fixture f;
+  const par::ParallelResult cold_b = f.cold(f.src_b);
+
+  svc::SimulationService service(f.mesh, f.part, f.oo, f.so);
+  svc::ScenarioRequest bad = f.request(f.src_a);
+  bad.point_sources[0].direction = {0.0, 0.0, 0.0};
+  const svc::ScenarioResult rb = service.submit(bad).result.get();
+  EXPECT_EQ(rb.status, svc::RequestStatus::kFailed);
+  EXPECT_FALSE(rb.error.empty());
+  EXPECT_EQ(rb.attempts, 0);
+
+  const svc::ScenarioResult ok =
+      service.submit(f.request(f.src_b)).result.get();
+  ASSERT_EQ(ok.status, svc::RequestStatus::kCompleted);
+  EXPECT_TRUE(bitwise_equal(ok.solve.receiver_histories,
+                            cold_b.receiver_histories));
+  EXPECT_TRUE(bitwise_equal(ok.solve.u_final, cold_b.u_final));
+  EXPECT_EQ(service.metrics().counters.at("svc/requests_failed"), 1);
+}
+
 // health() exposes the last request's recovery footprint: a kill absorbed
 // by the revival budget completes on the first service-level attempt (not
 // degraded) and reports the budget consumed — and with tier-1 replay the
@@ -624,39 +650,42 @@ TEST(MultiLane, CancelAndDeadlineRaceAcrossLanes) {
 
 // A paused shard filled with batchable requests drains as coalesced
 // run_batch solves — counted as such, and bitwise identical to the cold
-// one-at-a-time baseline.
+// one-at-a-time baseline — at widths 2 and 4.
 TEST(ScenarioBatching, BatchedResultsMatchColdBitwise) {
   const Fixture f;
   const par::ParallelResult cold_a = f.cold(f.src_a);
   const par::ParallelResult cold_b = f.cold(f.src_b);
 
-  svc::ServiceOptions opt;
-  opt.max_batch = 2;
-  opt.start_paused = true;
-  svc::SimulationService service(f.mesh, f.part, f.oo, f.so, opt);
+  for (const int width : {2, 4}) {
+    SCOPED_TRACE("max_batch " + std::to_string(width));
+    svc::ServiceOptions opt;
+    opt.max_batch = width;
+    opt.start_paused = true;
+    svc::SimulationService service(f.mesh, f.part, f.oo, f.so, opt);
 
-  std::vector<svc::SimulationService::Ticket> tickets;
-  for (int i = 0; i < 4; ++i) {
-    tickets.push_back(
-        service.submit(f.request(i % 2 == 0 ? f.src_a : f.src_b)));
-  }
-  service.resume();
-  for (int i = 0; i < 4; ++i) {
-    const svc::ScenarioResult r = tickets[static_cast<std::size_t>(i)]
-                                      .result.get();
-    ASSERT_EQ(r.status, svc::RequestStatus::kCompleted);
-    const par::ParallelResult& cold = i % 2 == 0 ? cold_a : cold_b;
-    EXPECT_TRUE(bitwise_equal(r.solve.receiver_histories,
-                              cold.receiver_histories));
-    EXPECT_TRUE(bitwise_equal(r.solve.u_final, cold.u_final));
-  }
-  service.wait_idle();
+    std::vector<svc::SimulationService::Ticket> tickets;
+    for (int i = 0; i < 4; ++i) {
+      tickets.push_back(
+          service.submit(f.request(i % 2 == 0 ? f.src_a : f.src_b)));
+    }
+    service.resume();
+    for (int i = 0; i < 4; ++i) {
+      const svc::ScenarioResult r = tickets[static_cast<std::size_t>(i)]
+                                        .result.get();
+      ASSERT_EQ(r.status, svc::RequestStatus::kCompleted);
+      const par::ParallelResult& cold = i % 2 == 0 ? cold_a : cold_b;
+      EXPECT_TRUE(bitwise_equal(r.solve.receiver_histories,
+                                cold.receiver_histories));
+      EXPECT_TRUE(bitwise_equal(r.solve.u_final, cold.u_final));
+    }
+    service.wait_idle();
 
-  const obs::Registry m = service.metrics();
-  EXPECT_EQ(m.counters.at("svc/batches"), 2);          // two width-2 solves
-  EXPECT_EQ(m.counters.at("svc/batched_requests"), 4);
-  EXPECT_EQ(m.gauges.at("svc/batch_size"), 2.0);       // last solve's width
-  EXPECT_EQ(m.counters.at("svc/requests_completed"), 4);
+    const obs::Registry m = service.metrics();
+    EXPECT_EQ(m.counters.at("svc/batches"), 4 / width);  // width-wide solves
+    EXPECT_EQ(m.counters.at("svc/batched_requests"), 4);
+    EXPECT_EQ(m.gauges.at("svc/batch_size"), width);  // last solve's width
+    EXPECT_EQ(m.counters.at("svc/requests_completed"), 4);
+  }
 }
 
 // Batch members get consecutive pickup order: the coalesced requests share
@@ -763,6 +792,111 @@ TEST(ScenarioBatching, CancellingAllMembersStopsBatch) {
     EXPECT_EQ(r1.solve.steps_completed, r2.solve.steps_completed);
     EXPECT_LT(r1.solve.steps_completed, r1.solve.n_steps);
   }
+}
+
+// Blocks until the worker has picked up everything queued: the head of a
+// batchable pickup then holds its batch open in the aggregation window.
+void wait_until_picked(const svc::SimulationService& service) {
+  while (service.queue_depth() != 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+// Settle, then solve: a head cancelled while its batch waits in the
+// aggregation window is settled, but its partner is not, so the solve runs
+// and decides both statuses — the cancelled head completes with its batch,
+// bitwise equal to a cold run. A lone cancelled head has nothing to run
+// for: it resolves kCancelled without a solve.
+TEST(ScenarioBatching, HeadCancelledInWindowCompletesWithItsPartner) {
+  const Fixture f;
+  const par::ParallelResult cold_a = f.cold(f.src_a);
+  const par::ParallelResult cold_b = f.cold(f.src_b);
+
+  svc::ServiceOptions opt;
+  opt.max_batch = 2;
+  opt.batch_window_seconds = 2.0;  // closes early once full
+  svc::SimulationService service(f.mesh, f.part, f.oo, f.so, opt);
+
+  auto head = service.submit(f.request(f.src_a));
+  wait_until_picked(service);
+  EXPECT_TRUE(service.cancel(head.id));
+  auto partner = service.submit(f.request(f.src_b));
+  const svc::ScenarioResult rh = head.result.get();
+  const svc::ScenarioResult rp = partner.result.get();
+  ASSERT_EQ(rh.status, svc::RequestStatus::kCompleted);
+  EXPECT_EQ(rh.attempts, 1);
+  EXPECT_TRUE(bitwise_equal(rh.solve.receiver_histories,
+                            cold_a.receiver_histories));
+  EXPECT_TRUE(bitwise_equal(rh.solve.u_final, cold_a.u_final));
+  ASSERT_EQ(rp.status, svc::RequestStatus::kCompleted);
+  EXPECT_TRUE(bitwise_equal(rp.solve.u_final, cold_b.u_final));
+  EXPECT_EQ(service.metrics().counters.at("svc/batches"), 1);
+
+  auto lone = service.submit(f.request(f.src_a));
+  wait_until_picked(service);
+  EXPECT_TRUE(service.cancel(lone.id));
+  const svc::ScenarioResult rl = lone.result.get();  // when the window ends
+  EXPECT_EQ(rl.status, svc::RequestStatus::kCancelled);
+  EXPECT_EQ(rl.attempts, 0);
+  EXPECT_NE(rl.exec_index, 0u);  // picked up, unlike a cancel while queued
+  EXPECT_TRUE(rl.solve.receiver_histories.empty());
+}
+
+// health() describes the last pickup that ran a solve, the head standing
+// for a batch: its id, one attempt, no recovery footprint (a batch carries
+// no fault tolerance), not degraded. A batch whose members were all
+// cancelled in the aggregation window never runs and leaves health() as it
+// was.
+TEST(ScenarioBatching, HealthDescribesLastBatchThatRan) {
+  const Fixture f;
+  svc::ServiceOptions opt;
+  opt.max_batch = 3;
+  opt.batch_window_seconds = 2.0;
+  opt.start_paused = true;
+  svc::SimulationService service(f.mesh, f.part, f.oo, f.so, opt);
+
+  std::vector<svc::SimulationService::Ticket> tickets;
+  for (int i = 0; i < 3; ++i) {
+    tickets.push_back(
+        service.submit(f.request(i % 2 == 0 ? f.src_a : f.src_b)));
+  }
+  service.resume();  // a full batch: no window wait
+  for (auto& t : tickets) {
+    ASSERT_EQ(t.result.get().status, svc::RequestStatus::kCompleted);
+  }
+  service.wait_idle();
+  EXPECT_EQ(service.metrics().counters.at("svc/batches"), 1);
+  const svc::ServiceHealth ran = service.health();
+  EXPECT_EQ(ran.last_id, tickets.front().id);
+  EXPECT_EQ(ran.last_attempts, 1);
+  EXPECT_EQ(ran.last_revives_used, 0);
+  EXPECT_EQ(ran.last_revives_budget, 0);
+  EXPECT_EQ(ran.last_revives_remaining, 0);
+  EXPECT_EQ(ran.last_recoveries, 0.0);
+  EXPECT_EQ(ran.last_steps_rolled_back, 0.0);
+  EXPECT_GT(ran.last_solve_seconds, 0.0);
+  EXPECT_FALSE(ran.degraded);
+
+  // Two members gathered into the open window, both cancelled before it
+  // closes.
+  auto a = service.submit(f.request(f.src_a));
+  wait_until_picked(service);
+  auto b = service.submit(f.request(f.src_b));
+  wait_until_picked(service);
+  EXPECT_TRUE(service.cancel(a.id));
+  EXPECT_TRUE(service.cancel(b.id));
+  for (auto* t : {&a, &b}) {
+    const svc::ScenarioResult r = t->result.get();
+    EXPECT_EQ(r.status, svc::RequestStatus::kCancelled);
+    EXPECT_EQ(r.attempts, 0);
+    EXPECT_NE(r.exec_index, 0u);
+  }
+  service.wait_idle();
+  const svc::ServiceHealth after = service.health();
+  EXPECT_EQ(after.last_id, ran.last_id);
+  EXPECT_EQ(after.last_attempts, ran.last_attempts);
+  EXPECT_EQ(after.last_solve_seconds, ran.last_solve_seconds);
+  EXPECT_EQ(after.degraded, ran.degraded);
 }
 
 }  // namespace

@@ -10,18 +10,14 @@
 // arrays), and that every --require dotted path (e.g. "ranks" or
 // "series.gn/cg_iters" — metric names use '/', so '.' is a safe separator)
 // is present in every row. Bench-specific contracts keyed on the bench
-// name pin evidence obligations: "throughput" (warm A/B numbers, zero
-// failed requests in the clean trial, a lane sweep at >= 2 lane counts
-// with bitwise-checked requests/sec, batch rows bitwise identical to
-// unbatched with at least one coalesced solve, bitwise kill isolation),
-// "fig2_1"
-// (per-phase store statistics with sane pool hit rates), and "table2_1"
-// (fault-sweep rows carry all four recovery policies with the
-// recover/agree|restore|replay|resume breakdown, a zero-rollback replay
-// row, and a rolled-back rollback row; ladder rows carry the global-dt
-// element-update accounting, and --lts-sweep rows carry the off/on LTS
-// evidence — see check_table2_1_lts_contract). Exits 0 on success, 1 with
-// a diagnostic on the first violation.
+// name pin evidence obligations: "fig2_1" (per-phase store statistics with
+// sane pool hit rates) and "table2_1" (fault-sweep rows carry all four
+// recovery policies with the recover/agree|restore|replay|resume
+// breakdown, a zero-rollback replay row, and a rolled-back rollback row;
+// ladder rows carry the global-dt element-update accounting, and
+// --lts-sweep rows carry the off/on LTS evidence — see
+// check_table2_1_lts_contract). Exits 0 on success, 1 with a diagnostic on
+// the first violation.
 
 #include <cstdio>
 #include <cstring>
@@ -165,124 +161,6 @@ bool param_is(const Json& row, const char* key, const char* want) {
   const Json* p = row_param(row, key);
   return p != nullptr && p->type() == Json::Type::kString &&
          p->as_string() == want;
-}
-
-// The throughput bench (bench_throughput, docs/SERVICE.md and
-// docs/BATCHING.md) claims setup amortization, lane/batch scaling, and
-// failure isolation; its report must carry the evidence. The warm row
-// needs the A/B numbers and a clean service (zero failed requests); the
-// lane sweep needs >= 2 distinct lane counts, each with a requests/sec
-// figure and a bitwise match against the single-lane baseline; every batch
-// row must prove the batched results are bitwise identical to unbatched,
-// and at least one must have actually batched (batch_size > 1); the kill
-// row must prove bitwise isolation of the surviving requests. This pins
-// the serving contract so a service regression cannot ship a green-looking
-// report.
-bool check_throughput_contract(const Json& rows) {
-  const Json* warm = nullptr;
-  const Json* kill = nullptr;
-  std::vector<const Json*> lane_rows;
-  std::vector<const Json*> batch_rows;
-  for (const Json& row : rows.items()) {
-    if (param_is(row, "mode", "warm")) warm = &row;
-    if (param_is(row, "mode", "kill")) kill = &row;
-    if (param_is(row, "mode", "lanes")) lane_rows.push_back(&row);
-    if (param_is(row, "mode", "batch")) batch_rows.push_back(&row);
-  }
-  g_context += " (throughput contract)";
-  if (warm == nullptr) return fail("no row with params.mode == \"warm\"");
-  if (kill == nullptr) return fail("no row with params.mode == \"kill\"");
-  const Json* wm = warm->find("metrics");
-  for (const char* key :
-       {"requests_completed", "warm_wall_seconds", "cold_wall_seconds",
-        "svc_requests_failed"}) {
-    if (wm == nullptr || !is_number(wm->find(key))) {
-      return fail(std::string("warm row needs numeric metrics.") + key);
-    }
-  }
-  if (wm->find("requests_completed")->as_number() <= 0.0) {
-    return fail("warm row completed zero requests");
-  }
-  if (wm->find("svc_requests_failed")->as_number() != 0.0) {
-    return fail("clean warm trial reports svc_requests_failed != 0");
-  }
-  const Json* km = kill->find("metrics");
-  const Json* iso = km == nullptr ? nullptr : km->find("kill_isolation_bitwise");
-  if (!is_number(iso)) {
-    return fail("kill row needs numeric metrics.kill_isolation_bitwise");
-  }
-  if (iso->as_number() != 1.0) {
-    return fail("kill row reports kill_isolation_bitwise != 1");
-  }
-
-  // Lane sweep: >= 2 distinct lane counts, each bitwise-clean with a
-  // throughput figure (the ISSUE's requests/sec-vs-lanes evidence).
-  std::vector<double> lane_counts;
-  for (const Json* row : lane_rows) {
-    const Json* lanes = row_param(*row, "lanes");
-    if (!is_number(lanes)) return fail("lanes row needs numeric params.lanes");
-    const double L = lanes->as_number();
-    bool seen = false;
-    for (const double v : lane_counts) seen = seen || v == L;
-    if (!seen) lane_counts.push_back(L);
-    const Json* m = row->find("metrics");
-    for (const char* key : {"requests_per_second", "requests_completed",
-                            "matches_single_lane_bitwise",
-                            "svc_requests_failed"}) {
-      if (m == nullptr || !is_number(m->find(key))) {
-        return fail(std::string("lanes row needs numeric metrics.") + key);
-      }
-    }
-    if (m->find("requests_completed")->as_number() <= 0.0) {
-      return fail("lanes row completed zero requests");
-    }
-    if (m->find("matches_single_lane_bitwise")->as_number() != 1.0) {
-      return fail("lanes row reports matches_single_lane_bitwise != 1");
-    }
-    if (m->find("svc_requests_failed")->as_number() != 0.0) {
-      return fail("lanes row reports svc_requests_failed != 0");
-    }
-  }
-  if (lane_counts.size() < 2) {
-    return fail("need rows with params.mode == \"lanes\" at >= 2 distinct "
-                "lane counts");
-  }
-
-  // Batch sweep: every row bitwise-identical to unbatched; at least one row
-  // must have actually coalesced (batch_size > 1 with batches > 0).
-  if (batch_rows.empty()) {
-    return fail("no row with params.mode == \"batch\"");
-  }
-  bool any_batched = false;
-  for (const Json* row : batch_rows) {
-    const Json* size = row_param(*row, "batch_size");
-    if (!is_number(size)) {
-      return fail("batch row needs numeric params.batch_size");
-    }
-    const Json* m = row->find("metrics");
-    for (const char* key :
-         {"requests_per_second", "requests_completed", "batches",
-          "batched_requests", "batch_matches_unbatched_bitwise",
-          "svc_requests_failed"}) {
-      if (m == nullptr || !is_number(m->find(key))) {
-        return fail(std::string("batch row needs numeric metrics.") + key);
-      }
-    }
-    if (m->find("batch_matches_unbatched_bitwise")->as_number() != 1.0) {
-      return fail("batch row reports batch_matches_unbatched_bitwise != 1");
-    }
-    if (m->find("svc_requests_failed")->as_number() != 0.0) {
-      return fail("batch row reports svc_requests_failed != 0");
-    }
-    if (size->as_number() > 1.0 && m->find("batches")->as_number() > 0.0) {
-      any_batched = true;
-    }
-  }
-  if (!any_batched) {
-    return fail("no batch row with params.batch_size > 1 and metrics.batches "
-                "> 0 (batching never exercised)");
-  }
-  return true;
 }
 
 // The table2_1 --fault-sweep rows claim a recovery-latency comparison
@@ -695,11 +573,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  g_context = file;
-  if (bench->as_string() == "throughput" &&
-      !check_throughput_contract(*rows)) {
-    return 1;
-  }
   g_context = file;
   if (bench->as_string() == "fig2_1" && !check_fig2_1_contract(*rows)) {
     return 1;
