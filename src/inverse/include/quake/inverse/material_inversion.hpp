@@ -33,7 +33,6 @@ struct MaterialInversionOptions {
   double mu_min = 1e6;          // barrier floor [Pa]
   double barrier_kappa = 0.0;   // 0: rely on the fraction-to-boundary cap
   double grad_tol = 1e-2;       // relative gradient reduction per stage
-  double misfit_tol = 0.0;      // absolute misfit stop (0: disabled)
   double initial_mu = 0.0;      // homogeneous first-stage guess [Pa]
   bool precondition = true;
   int frankel_sweeps = 0;       // L-BFGS seeding sweeps per stage

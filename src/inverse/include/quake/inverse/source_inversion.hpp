@@ -23,7 +23,6 @@ struct SourceInversionOptions {
   double t0_min = 0.05;    // rise times stay above this [s]
   double T_min = -0.02;    // delays stay (essentially) causal [s]
   double grad_tol = 1e-3;  // relative gradient reduction
-  double misfit_tol = 0.0;
   // Initial guesses (constant along the fault).
   double u0_init = 1.0;
   double t0_init = 1.0;

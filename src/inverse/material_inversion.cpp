@@ -121,10 +121,7 @@ MaterialInversionResult invert_material(const InversionProblem& prob,
       report.grad_reduction = g0_norm > 0.0 ? gnorm / g0_norm : 1.0;
       QUAKE_LOG_DEBUG("stage %dx%d newton %d: J=%.6e misfit=%.6e |g|=%.3e", gx,
                       gz, newton, j, fwd.misfit, gnorm);
-      if (gnorm <= opt.grad_tol * g0_norm ||
-          (opt.misfit_tol > 0.0 && fwd.misfit < opt.misfit_tol)) {
-        break;
-      }
+      if (gnorm <= opt.grad_tol * g0_norm) break;
 
       // Gauss-Newton Hessian-vector product in material-grid space
       // (J^T W J with W = B^T B when band-limited).

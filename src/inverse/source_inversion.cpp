@@ -55,10 +55,7 @@ SourceInversionResult invert_source(const InversionProblem& prob,
     if (g0_norm < 0.0) g0_norm = gnorm;
     QUAKE_LOG_DEBUG("source newton %d: J=%.6e misfit=%.6e |g|=%.3e", newton, j,
                     fwd.misfit, gnorm);
-    if (gnorm <= opt.grad_tol * g0_norm ||
-        (opt.misfit_tol > 0.0 && fwd.misfit < opt.misfit_tol)) {
-      break;
-    }
+    if (gnorm <= opt.grad_tol * g0_norm) break;
 
     opt::LinOp hvp = [&](std::span<const double> v, std::span<double> hv) {
       prob.gauss_newton_source(model, p, v, hv);

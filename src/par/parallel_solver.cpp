@@ -187,22 +187,21 @@ constexpr int kObsGatherTag = 9;
 // recovery. Distinct from the ghost exchange (0) and the obs gather (9).
 constexpr int kDonationTag = 10;
 
-// A snapshot is usable by this rank iff its step is inside the run and its
-// state arrays match this rank's state length and owned receiver set.
-bool snapshot_usable(const util::Snapshot& s, std::size_t ns, int n_steps,
-                     const std::vector<RecvRef>& receivers) {
-  if (s.step < 1 || s.step >= n_steps) return false;
-  if (s.field("u").size() != ns || s.field("u_prev").size() != ns ||
-      s.field("dku_prev").size() != ns) {
-    return false;
-  }
-  for (const RecvRef& rv : receivers) {
-    if (s.field("recv" + std::to_string(rv.ri)).size() !=
-        3 * static_cast<std::size_t>(s.step)) {
-      return false;
-    }
-  }
-  return true;
+// A rank's checkpoint cut is the one format of its disk snapshot, its
+// in-memory rollback shadow and the copy its buddy holds:
+//   [step | u | u_prev | dku_prev | owned receiver histories]
+// Each state vector holds ns doubles; each owned receiver's history holds 3
+// doubles per step, in the rank's receiver order. A cut fits this run iff
+// its step is an integer in [1, n_steps) and its length is exactly what
+// that step implies, so a cut of another shape (another partition or
+// receiver set) never restores.
+bool cut_fits(std::span<const double> cut, std::size_t ns, int n_steps,
+              std::size_t n_receivers) {
+  if (cut.empty()) return false;
+  const double step = cut[0];
+  return step >= 1.0 && step < n_steps && step == std::floor(step) &&
+         cut.size() ==
+             1 + 3 * ns + 3 * static_cast<std::size_t>(step) * n_receivers;
 }
 
 }  // namespace
@@ -780,52 +779,46 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
              S;
     };
 
-    // In-memory rollback target: a copy of the state vectors taken at each
-    // checkpoint barrier. On an in-place recovery, survivors roll back from
-    // this shadow without touching disk — only the revived rank (whose
-    // thread, and hence shadow, died with it) reads its snapshot back.
-    struct Shadow {
-      std::int64_t step = -1;  // -1 = nothing captured yet
-      std::vector<double> u, u_prev, dku_prev;
-    } shadow;
+    // In-memory rollback target: this rank's newest cut (see cut_fits),
+    // captured at each checkpoint barrier and kept by every restore (empty
+    // until then). On an in-place recovery, survivors roll back from this
+    // shadow without touching disk — only the revived rank (whose thread,
+    // and hence shadow, died with it) reads a cut back from its buddy or
+    // its disk generations.
+    std::vector<double> shadow;
     const std::string path = ckpt_path(ft.checkpoint_dir, rank.id());
+    const auto cut_step = [](const std::vector<double>& cut) {
+      return cut.empty() ? std::int64_t{-1}
+                         : static_cast<std::int64_t>(cut[0]);
+    };
 
-    // Buddy-held donation state: at each checkpoint barrier rank r streams
-    // [step | u | u_prev | dku_prev | flattened owned histories] to rank
-    // (r+1)%R, which holds it HERE — in this thread's frame, so a buddy
-    // that dies loses what it held, exactly like remote node memory. On
-    // revival the buddy donates it back and the revived rank restores the
-    // newest checkpoint without touching disk. The stream is posted
-    // fire-and-forget and absorbed non-blockingly (the barrier bracketing
-    // the capture guarantees it has landed); the step
-    // header is what lets the absorber date a payload it did not wait for,
-    // and the communicator's epoch fence discards any donation posted
-    // before a revival, so a stale pre-failure generation can never be
-    // absorbed after one (the absorb falls back to the previous absorbed
-    // generation, which the two-interval log ring still covers).
-    struct BuddyHeld {
-      std::int64_t step = -1;  // -1 = holding nothing
-      std::vector<double> state;  // headered payload, streamed back as-is
-    } held;
+    // The cut this rank holds for its predecessor: at each checkpoint
+    // barrier rank r streams its shadow to rank (r+1)%R, which holds it
+    // HERE — in this thread's frame, so a buddy that dies loses what it
+    // held, exactly like remote node memory. On revival the buddy donates
+    // it back and the revived rank restores the newest checkpoint without
+    // touching disk. The stream is posted fire-and-forget and absorbed
+    // non-blockingly (the barrier bracketing the capture guarantees it has
+    // landed); the cut's step header is what lets the absorber date a
+    // payload it did not wait for, and the communicator's epoch fence
+    // discards any donation posted before a revival, so a stale pre-failure
+    // generation can never be absorbed after one (the absorb falls back to
+    // the previous absorbed generation, which the two-interval log ring
+    // still covers).
+    std::vector<double> held;
     const int buddy = (rank.id() + 1) % R;          // I donate to buddy
     const int pred = (rank.id() + R - 1) % R;       // I hold pred's state
-    const auto rv_count = static_cast<std::size_t>(RV.size());
 
     // Non-blocking absorb of any donation parked on the pred edge; keeps
-    // the newest by header step. Returns true if something was absorbed.
+    // the newest by header step.
     std::vector<double> donation_buf;
-    const auto absorb_donations = [&]() -> bool {
-      bool got = false;
+    const auto absorb_donations = [&]() {
       try {
         while (rank.try_recv(pred, kDonationTag, donation_buf)) {
-          if (donation_buf.empty()) continue;
-          const auto step = static_cast<std::int64_t>(donation_buf[0]);
-          if (step > held.step) {
-            held.step = step;
-            held.state = std::move(donation_buf);
+          if (cut_step(donation_buf) > cut_step(held)) {
+            held = std::move(donation_buf);  // frees the older cut
             donation_buf.clear();
           }
-          got = true;
         }
       } catch (const RankFailedError&) {
         // The absorb is opportunistic, never a failure-detection point:
@@ -833,7 +826,6 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
         // reach their own fault points, and survivors' next REAL comm op
         // sees the poison anyway. Whatever was absorbed stands.
       }
-      return got;
     };
 
     // Tier-1 outbound message log: per neighbor, the last `log_cap` posted
@@ -863,65 +855,61 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
     // state until recovery gives it some.
     bool has_state = false;
 
-    // Retained disk generations that load and fit this rank, newest first,
+    // Retained disk generations that load and fit this run, newest first,
     // with the corruption flag the generation-fallback counter needs.
     struct DiskCands {
-      std::vector<std::pair<int, util::Snapshot>> snaps;  // (gen, snapshot)
+      std::vector<std::pair<int, std::vector<double>>> cuts;  // (gen, cut)
       bool newest_corrupt = false;
     };
     const auto load_disk_candidates = [&]() -> DiskCands {
       DiskCands d;
       for (int gen = 0; gen < ckpt_keep; ++gen) {
-        util::Snapshot s;
+        std::vector<double> cut;
         const util::SnapshotLoadStatus st = util::load_snapshot_status(
-            util::snapshot_generation_path(path, gen), &s);
+            util::snapshot_generation_path(path, gen), &cut);
         if (gen == 0 && st == util::SnapshotLoadStatus::kCorrupt) {
           d.newest_corrupt = true;
         }
         if (st == util::SnapshotLoadStatus::kOk &&
-            snapshot_usable(s, ns, n_steps, RV)) {
-          d.snaps.emplace_back(gen, std::move(s));
+            cut_fits(cut, ns, n_steps, RV.size())) {
+          d.cuts.emplace_back(gen, std::move(cut));
         }
       }
       return d;
     };
 
-    // Restore this rank's vectors and owned histories from a full disk
-    // snapshot, seeding the rollback shadow with the restored cut.
-    const auto restore_from_snapshot = [&](const util::Snapshot& s) {
-      const int k0 = static_cast<int>(s.step);
-      const auto su = s.field("u");
-      const auto sp = s.field("u_prev");
-      const auto sd = s.field("dku_prev");
-      std::copy(su.begin(), su.end(), u.begin());
-      std::copy(sp.begin(), sp.end(), u_prev.begin());
-      std::copy(sd.begin(), sd.end(), dku_prev.begin());
+    // The one restore, for disk generations, donations and the shadow
+    // alike: load this rank's vectors and owned histories from a fitting
+    // cut and keep the cut as the rollback shadow. Histories are
+    // append-only and bit-identical across replays, so a survivor rolling
+    // back rewrites its history prefix with the bits it already holds.
+    const auto restore = [&](std::vector<double> cut) {
+      const auto k0 = static_cast<std::size_t>(cut[0]);
+      const double* c = cut.data() + 1;
+      std::copy(c, c + ns, u.begin());
+      std::copy(c + ns, c + 2 * ns, u_prev.begin());
+      std::copy(c + 2 * ns, c + 3 * ns, dku_prev.begin());
+      c += 3 * ns;
       for (const RecvRef& rv : RV) {
-        const auto flat = s.field("recv" + std::to_string(rv.ri));
         auto& hist = history(rv);
-        hist.assign(static_cast<std::size_t>(k0), {});
-        for (std::size_t i = 0; i < hist.size(); ++i) {
-          hist[i] = {flat[3 * i], flat[3 * i + 1], flat[3 * i + 2]};
+        hist.resize(k0);
+        for (auto& sample : hist) {
+          std::copy(c, c + 3, sample.begin());
+          c += 3;
         }
       }
-      shadow.step = k0;
-      shadow.u = u;
-      shadow.u_prev = u_prev;
-      shadow.dku_prev = dku_prev;
+      shadow = std::move(cut);
     };
 
-    // Receive the donated buddy snapshot from rank (r+1)%R and restore
-    // state + owned histories from it. The payload layout mirrors the
-    // capture in the checkpoint block: [step | u | u_prev | dku_prev |
-    // flattened owned histories]. The wait is a non-blocking poll with a
-    // deadline rather than a blocking recv: a donor that dies mid-stream
-    // poisons the communicator and the poll throws RankFailedError, while
-    // a donor whose stream silently never arrives (dropped message, donor
-    // wedged) runs the poll into the deadline — the victim can no longer
-    // hang here. The deadline and any size/step mismatch throw
-    // DonationError, which the recovery agreement's confirmation round
-    // turns into a collective tier-2 fallback instead of aborting the
-    // recovery outright.
+    // Receive the cut rank (r+1)%R holds for this rank and restore it. The
+    // wait is a non-blocking poll with a deadline rather than a blocking
+    // recv: a donor that dies mid-stream poisons the communicator and the
+    // poll throws RankFailedError, while a donor whose stream silently never
+    // arrives (dropped message, donor wedged) runs the poll into the
+    // deadline — the victim can no longer hang here. The deadline and a cut
+    // that does not fit throw DonationError, which the recovery agreement's
+    // confirmation round turns into a collective tier-2 fallback instead of
+    // aborting the recovery outright.
     const auto restore_from_donation = [&](int step) {
       constexpr double kDonationWaitSeconds = 2.0;
       constexpr int kDonationYieldPasses = 64;
@@ -930,9 +918,7 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
       int passes = 0;
       for (;;) {
         if (rank.try_recv(buddy, kDonationTag, pay)) {
-          if (!pay.empty() && static_cast<std::int64_t>(pay[0]) == step) {
-            break;
-          }
+          if (cut_step(pay) == step) break;
           // A leftover generation on this edge (the epoch fence already
           // dropped anything from before the revival): discard, keep
           // draining — the donor streams the advertised step behind it.
@@ -959,33 +945,14 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
           "recover/donate/wait",
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
               .count());
-      const std::size_t want =
-          1 + 3 * ns + 3 * static_cast<std::size_t>(step) * rv_count;
-      if (pay.size() != want) {
-        throw DonationError(
-            "state donation payload mismatch on rank " +
-            std::to_string(rank.id()) + ": got " +
-            std::to_string(pay.size()) + " doubles, expected " +
-            std::to_string(want));
+      if (!cut_fits(pay, ns, n_steps, RV.size())) {
+        throw DonationError("state donation payload mismatch on rank " +
+                            std::to_string(rank.id()) + ": " +
+                            std::to_string(pay.size()) +
+                            " doubles do not fit a step-" +
+                            std::to_string(step) + " cut");
       }
-      const auto b = pay.begin() + 1;
-      const auto n = static_cast<std::ptrdiff_t>(ns);
-      std::copy(b, b + n, u.begin());
-      std::copy(b + n, b + 2 * n, u_prev.begin());
-      std::copy(b + 2 * n, b + 3 * n, dku_prev.begin());
-      std::size_t off = 1 + 3 * ns;
-      for (const RecvRef& rv : RV) {
-        auto& hist = history(rv);
-        hist.assign(static_cast<std::size_t>(step), {});
-        for (std::size_t i = 0; i < hist.size(); ++i) {
-          hist[i] = {pay[off], pay[off + 1], pay[off + 2]};
-          off += 3;
-        }
-      }
-      shadow.step = step;
-      shadow.u = u;
-      shadow.u_prev = u_prev;
-      shadow.dku_prev = dku_prev;
+      restore(std::move(pay));
       obs::counter_add("par/donation_restores", 1);
     };
 
@@ -1005,33 +972,28 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
       if (ckpt_on) {
         std::optional<obs::ScopeTimer> agree_scope;
         if (recovering) agree_scope.emplace("agree");
-        const DiskCands disk = load_disk_candidates();
-        double proposal =
-            shadow.step >= 1 ? static_cast<double>(shadow.step) : -1.0;
+        DiskCands disk = load_disk_candidates();
+        double proposal = static_cast<double>(cut_step(shadow));
         if (donated >= 1) {
           proposal = std::max(proposal, static_cast<double>(donated));
         }
-        for (const auto& [gen, s] : disk.snaps) {
-          proposal = std::max(proposal, static_cast<double>(s.step));
+        for (const auto& [gen, cut] : disk.cuts) {
+          proposal = std::max(proposal, cut[0]);
         }
         const double agreed = rank.allreduce_min(proposal);
-        const bool from_shadow =
-            shadow.step >= 1 && static_cast<double>(shadow.step) == agreed;
+        const bool from_shadow = !shadow.empty() && shadow[0] == agreed;
         const bool from_donation = !from_shadow && donated >= 1 &&
                                    static_cast<double>(donated) == agreed;
-        const util::Snapshot* chosen = nullptr;
-        int chosen_gen = 0;
+        auto chosen = disk.cuts.end();
         if (!from_shadow && !from_donation) {
-          for (const auto& [gen, s] : disk.snaps) {
-            if (static_cast<double>(s.step) == agreed) {
-              chosen = &s;
-              chosen_gen = gen;
-              break;
-            }
-          }
+          chosen = std::find_if(disk.cuts.begin(), disk.cuts.end(),
+                                [&](const auto& gc) {
+                                  return gc.second[0] == agreed;
+                                });
         }
         const double all_can = rank.allreduce_min(
-            agreed >= 1.0 && (from_shadow || from_donation || chosen != nullptr)
+            agreed >= 1.0 && (from_shadow || from_donation ||
+                              chosen != disk.cuts.end())
                 ? 1.0
                 : 0.0);
         if (all_can == 1.0 && recovering) {
@@ -1040,7 +1002,7 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
           const std::vector<double> wants =
               rank.allgather(from_donation ? 1.0 : 0.0);
           if (donate_on && wants[static_cast<std::size_t>(pred)] == 1.0) {
-            rank.send(pred, kDonationTag, held.state);
+            rank.send(pred, kDonationTag, held);
             obs::counter_add("par/donations_served", 1);
           }
         }
@@ -1050,16 +1012,7 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
           if (recovering) restore_scope.emplace("restore");
           k0 = static_cast<int>(agreed);
           if (from_shadow) {
-            std::copy(shadow.u.begin(), shadow.u.end(), u.begin());
-            std::copy(shadow.u_prev.begin(), shadow.u_prev.end(),
-                      u_prev.begin());
-            std::copy(shadow.dku_prev.begin(), shadow.dku_prev.end(),
-                      dku_prev.begin());
-            // Histories are append-only and bit-identical across replays:
-            // rolling back is a truncation.
-            for (const RecvRef& rv : RV) {
-              history(rv).resize(static_cast<std::size_t>(k0));
-            }
+            restore(std::move(shadow));
           } else if (from_donation) {
             try {
               restore_from_donation(k0);
@@ -1071,8 +1024,8 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
                                        e.what());
             }
           } else {
-            restore_from_snapshot(*chosen);
-            if (disk.newest_corrupt && chosen_gen > 0) {
+            restore(std::move(chosen->second));
+            if (disk.newest_corrupt && chosen->first > 0) {
               // The newest generation existed but failed its CRC; the
               // rotation chain carried an older intact cut instead.
               obs::counter_add("checkpoint/generation_fallbacks", 1);
@@ -1121,22 +1074,21 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
       std::optional<obs::ScopeTimer> agree_scope(std::in_place, "agree");
       // Round 1: donation inventory. Every rank advertises the step it
       // holds for its predecessor; victim v reads slot (v+1)%R.
-      const std::vector<double> held_steps =
-          rank.allgather(donate_on ? static_cast<double>(held.step) : -1.0);
+      const std::vector<double> held_steps = rank.allgather(
+          donate_on ? static_cast<double>(cut_step(held)) : -1.0);
       std::int64_t donated = -1;
       if (victim && held_steps[static_cast<std::size_t>(buddy)] >= 1.0) {
         donated = static_cast<std::int64_t>(
             held_steps[static_cast<std::size_t>(buddy)]);
       }
 
-      // Each victim picks its replay source: the donated snapshot if one
-      // is held (a victim whose buddy died with it falls to disk — the
-      // buddy's fresh thread advertises -1), else its newest full disk
-      // generation. Survivors resume where they stopped (k_done + 1)
-      // without touching their state.
+      // Each victim picks its replay source: the donated cut if one is held
+      // (a victim whose buddy died with it falls to disk — the buddy's fresh
+      // thread advertises -1), else its newest disk generation. Survivors
+      // resume where they stopped (k_done + 1) without touching their state.
       std::int64_t my_start = -1;
       bool use_donation = false;
-      std::optional<util::Snapshot> disk_pick;
+      std::vector<double> disk_pick;
       bool disk_gen_fallback = false;
       if (!victim) {
         my_start = k_done + 1;
@@ -1145,11 +1097,11 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
         my_start = donated;
         if (!use_donation) {
           DiskCands disk = load_disk_candidates();
-          for (auto& [gen, s] : disk.snaps) {
-            if (s.step > my_start) {
-              my_start = s.step;
+          for (auto& [gen, cut] : disk.cuts) {
+            if (cut_step(cut) > my_start) {
+              my_start = cut_step(cut);
               disk_gen_fallback = disk.newest_corrupt && gen > 0;
-              disk_pick = std::move(s);
+              disk_pick = std::move(cut);
             }
           }
         }
@@ -1191,26 +1143,15 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
       }
       const bool all_ok = rank.allreduce_min(ok ? 1.0 : 0.0) == 1.0;
 
-      if (!all_ok) {
-        // Tier 2: donation-aware rollback.
-        agree_scope.reset();
-        obs::counter_add("par/replay_fallbacks", 1);
-        const int k0 = attempt_restore(/*recovering=*/true, donated);
-        for (auto& ring : msg_log) ring.clear();
-        std::fill(start_of.begin(), start_of.end(), k0);
-        frontier = k0;
-        return k0;
-      }
-
       // Tier 1. Donors stream what they hold; victims restore; survivors
       // keep their current state.
-      if (donate_on && roles[static_cast<std::size_t>(pred)] == 1.0) {
-        rank.send(pred, kDonationTag, held.state);
-        obs::counter_add("par/donations_served", 1);
-      }
-      agree_scope.reset();
-      bool restore_ok = true;
-      {
+      bool restored = all_ok;
+      if (all_ok) {
+        if (donate_on && roles[static_cast<std::size_t>(pred)] == 1.0) {
+          rank.send(pred, kDonationTag, held);
+          obs::counter_add("par/donations_served", 1);
+        }
+        agree_scope.reset();
         std::optional<obs::ScopeTimer> restore_scope(std::in_place,
                                                      "restore");
         if (victim) {
@@ -1218,7 +1159,7 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
             if (use_donation) {
               restore_from_donation(static_cast<int>(my_start));
             } else {
-              restore_from_snapshot(*disk_pick);
+              restore(std::move(disk_pick));
               if (disk_gen_fallback) {
                 obs::counter_add("checkpoint/generation_fallbacks", 1);
               }
@@ -1228,23 +1169,29 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
                              static_cast<std::int64_t>(my_start));
             has_state = true;
           } catch (const DonationError& e) {
-            // Broken donation (missed deadline, bad size/step): vote the
-            // restore down instead of aborting — every rank degrades to
-            // tier-2 together in the confirmation round below.
+            // Broken donation (missed deadline, cut that does not fit):
+            // vote the restore down instead of aborting — every rank
+            // degrades to tier-2 together in the confirmation round below.
             std::fprintf(stderr, "[quake::par] rank %d: %s\n", rank.id(),
                          e.what());
-            restore_ok = false;
+            restored = false;
           }
         }
+        restore_scope.reset();
+        // Confirmation round, BEFORE any log is served: had a victim's
+        // restore failed after survivors already re-served their logs, the
+        // replayed messages would sit in FIFO order ahead of the tier-2
+        // resume's live traffic and corrupt it. Only a unanimous restore
+        // lets replay proceed.
+        restored = rank.allreduce_min(restored ? 1.0 : 0.0) == 1.0;
       }
-      // Confirmation round, BEFORE any log is served: had a victim's
-      // restore failed after survivors already re-served their logs, the
-      // replayed messages would sit in FIFO order ahead of the tier-2
-      // resume's live traffic and corrupt it. Only a unanimous restore
-      // lets replay proceed.
-      if (rank.allreduce_min(restore_ok ? 1.0 : 0.0) != 1.0) {
+      if (!restored) {
+        // Tier 2: donation-aware rollback, unless the donation is what just
+        // failed to restore.
+        agree_scope.reset();
         obs::counter_add("par/replay_fallbacks", 1);
-        const int k0 = attempt_restore(/*recovering=*/true, /*donated=*/-1);
+        const int k0 = attempt_restore(/*recovering=*/true,
+                                       all_ok ? -1 : donated);
         for (auto& ring : msg_log) ring.clear();
         std::fill(start_of.begin(), start_of.end(), k0);
         frontier = k0;
@@ -1810,19 +1757,21 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
           k >= frontier) {
         QUAKE_OBS_SCOPE("checkpoint");
         rank.barrier();
-        util::Snapshot snap;
-        snap.step = k + 1;
-        snap.add("u", u);
-        snap.add("u_prev", u_prev);
-        snap.add("dku_prev", dku_prev);
-        std::size_t ckpt_doubles = u.size() + u_prev.size() + dku_prev.size();
+        // Capture the cut once, into the shadow: it is the rollback target
+        // even when the disk write below fails (survivors roll back from
+        // memory, disk only serves a revived rank), and both the disk
+        // write and the buddy donation read it.
+        shadow.clear();
+        shadow.reserve(1 + 3 * ns +
+                       3 * static_cast<std::size_t>(k + 1) * RV.size());
+        shadow.push_back(static_cast<double>(k + 1));
+        shadow.insert(shadow.end(), u.begin(), u.end());
+        shadow.insert(shadow.end(), u_prev.begin(), u_prev.end());
+        shadow.insert(shadow.end(), dku_prev.begin(), dku_prev.end());
         for (const RecvRef& rv : RV) {
-          const auto& hist = history(rv);
-          std::vector<double> flat;
-          flat.reserve(3 * hist.size());
-          for (const auto& s : hist) flat.insert(flat.end(), s.begin(), s.end());
-          ckpt_doubles += flat.size();
-          snap.add("recv" + std::to_string(rv.ri), std::move(flat));
+          for (const auto& s : history(rv)) {
+            shadow.insert(shadow.end(), s.begin(), s.end());
+          }
         }
         std::string ckpt_err;
         bool saved = false;
@@ -1833,12 +1782,14 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
             obs::counter_add("checkpoint/write_retries", 1);
             std::this_thread::sleep_for(std::chrono::milliseconds(1 << (a - 1)));
           }
-          saved = util::save_snapshot_rotating(path, snap, ckpt_keep, &ckpt_err);
+          saved =
+              util::save_snapshot_rotating(path, shadow, ckpt_keep, &ckpt_err);
         }
         if (saved) {
           obs::counter_add("ckpt/writes", 1);
+          // State and histories; the step header is not counted.
           obs::counter_add("ckpt/bytes_written",
-                           static_cast<std::int64_t>(8 * ckpt_doubles));
+                           static_cast<std::int64_t>(8 * (shadow.size() - 1)));
         } else {
           // Persistent disk pressure (ENOSPC, permissions) is survivable:
           // the rotation left the previous generation intact as the restore
@@ -1849,33 +1800,13 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
                        "failed (%s); continuing on previous snapshot\n",
                        rank.id(), k + 1, ckpt_err.c_str());
         }
-        // The in-memory rollback shadow tracks the snapshot cadence even
-        // when the disk write fails — survivors roll back from memory, disk
-        // only serves the revived rank.
-        shadow.step = k + 1;
-        shadow.u = u;
-        shadow.u_prev = u_prev;
-        shadow.dku_prev = dku_prev;
-        // ---- survivor state donation: every rank streams this cut
-        // ([step | state | owned histories], self-contained for a restore)
-        // to its buddy (r+1)%R and holds its predecessor's in thread-local
-        // memory. Sends are mailbox posts, so the ring-shift exchange
-        // cannot deadlock; both barriers bracketing this block guarantee
-        // the capture either completes on every rank or on none ----
+        // ---- survivor state donation: every rank streams this cut to its
+        // buddy (r+1)%R and holds its predecessor's in thread-local memory.
+        // Sends are mailbox posts, so the ring-shift exchange cannot
+        // deadlock; both barriers bracketing this block guarantee the
+        // capture either completes on every rank or on none ----
         if (donate_on) {
-          std::vector<double> pay;
-          pay.reserve(1 + 3 * ns +
-                      3 * static_cast<std::size_t>(k + 1) * rv_count);
-          pay.push_back(static_cast<double>(k + 1));
-          pay.insert(pay.end(), u.begin(), u.end());
-          pay.insert(pay.end(), u_prev.begin(), u_prev.end());
-          pay.insert(pay.end(), dku_prev.begin(), dku_prev.end());
-          for (const RecvRef& rv : RV) {
-            for (const auto& s : history(rv)) {
-              pay.insert(pay.end(), s.begin(), s.end());
-            }
-          }
-          rank.send(buddy, kDonationTag, pay);
+          rank.send(buddy, kDonationTag, shadow);
           // Asynchronous absorb: the closing barrier below proves pred's
           // send already landed in this rank's mailbox, so the post-
           // barrier drain is non-blocking and the measured wait is ~0.

@@ -1,18 +1,16 @@
 #pragma once
 
-// CRC32-verified binary snapshots for checkpoint/restart of long-running
-// solvers (see DESIGN.md "Fault tolerance & checkpointing"). A Snapshot is
-// a step counter plus named double arrays ("u", "u_prev", receiver
-// histories, ...). Files are written atomically (temp file + rename) with a
-// trailing CRC32 of the whole payload, so a crash mid-write never yields a
-// snapshot that loads: load_snapshot treats missing, truncated, or
-// corrupted files as "no checkpoint" and returns false.
+// CRC32-verified, atomically rotated storage for one double array — the
+// on-disk copy of a rank's checkpoint cut (see DESIGN.md "Checkpoint/
+// restart"). A file is a 16-byte header (magic, format version, element
+// count), the array, and a trailing CRC32 of header and array. Files are
+// written to a temp file and renamed into place, so a crash mid-write never
+// yields a file that loads: a missing, truncated or corrupted file never
+// decodes to an array.
 
 #include <cstdint>
 #include <span>
 #include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
 
 namespace quake::util {
@@ -22,23 +20,8 @@ namespace quake::util {
 std::uint32_t crc32(std::span<const unsigned char> data,
                     std::uint32_t seed = 0);
 
-struct Snapshot {
-  std::int64_t step = 0;
-  std::vector<std::pair<std::string, std::vector<double>>> fields;
-
-  void add(std::string name, std::vector<double> data) {
-    fields.emplace_back(std::move(name), std::move(data));
-  }
-  // Empty span if the field is absent.
-  [[nodiscard]] std::span<const double> field(std::string_view name) const;
-};
-
-// Writes `snap` to `path` via `path + ".tmp"` and rename; throws
-// std::runtime_error on any I/O failure (open, short write, close).
-void save_snapshot(const std::string& path, const Snapshot& snap);
-
-// Retention-aware save: writes the snapshot to disk first, then rotates
-// the generation chain `path` -> `path + ".1"` -> ... -> `path + ".<keep-1>"`
+// Retention-aware save: writes `data` to disk first, then rotates the
+// generation chain `path` -> `path + ".1"` -> ... -> `path + ".<keep-1>"`
 // (the oldest generation is pruned by the rotation's atomic rename) and
 // renames the fresh file into `path`. On ANY failure — ENOSPC on the temp
 // write, a failed rename — returns false with the previous generation
@@ -46,24 +29,22 @@ void save_snapshot(const std::string& path, const Snapshot& snap);
 // solve under disk pressure instead of aborting (see run_parallel's
 // `checkpoint/write_failures` counter). `keep` < 1 is treated as 1; when
 // `error` is non-null it receives a description of the failure.
-bool save_snapshot_rotating(const std::string& path, const Snapshot& snap,
-                            int keep, std::string* error = nullptr);
+bool save_snapshot_rotating(const std::string& path,
+                            std::span<const double> data, int keep,
+                            std::string* error = nullptr);
 
 // The on-disk name of retention generation `gen` (0 = newest = `path`).
 std::string snapshot_generation_path(const std::string& path, int gen);
 
-// Loads a snapshot; returns false (leaving *out* untouched) if the file is
-// missing, truncated, has a wrong magic/version, or fails CRC verification.
-bool load_snapshot(const std::string& path, Snapshot* out);
-
-// load_snapshot with the failure cause split out: kMissing (no file at
-// `path`) vs kCorrupt (a file exists but is truncated, mis-tagged, or fails
-// CRC verification). Restore agreement uses the distinction to count
+// Loads the array at `path` into *out, which is written only on kOk. The
+// failure cause is split out: kMissing (no file at `path`) vs kCorrupt (a
+// file exists but is truncated, mis-tagged, of another format version, or
+// fails CRC verification). Restore agreement uses the distinction to count
 // generation fallbacks — skipping a corrupt newest generation for an older
 // intact one is an event worth surfacing; skipping a file that was never
 // written is not.
 enum class SnapshotLoadStatus { kOk, kMissing, kCorrupt };
 SnapshotLoadStatus load_snapshot_status(const std::string& path,
-                                        Snapshot* out);
+                                        std::vector<double>* out);
 
 }  // namespace quake::util

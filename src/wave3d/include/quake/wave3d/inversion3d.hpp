@@ -86,17 +86,12 @@ struct Inversion3dOptions {
   int gx = 2, gy = 2, gz = 2;  // material grid (cells)
   int max_newton = 12;
   opt::CgOptions cg{30, 0.5};
-  double beta_h1 = 0.0;   // absolute H1 (smoothness) weight
-  // Relative H1 weight: beta = beta_h1_rel * ||H v|| / ||L v|| measured on
-  // a probe direction at the first Newton step (data-Hessian scale is
-  // problem-dependent). Used when > 0; overrides beta_h1.
+  // Relative H1 (smoothness) weight: beta = beta_h1_rel * ||H v|| / ||L v||
+  // measured on a probe direction at the first Newton step (data-Hessian
+  // scale is problem-dependent). 0: no smoothness term.
   double beta_h1_rel = 0.0;
   double mu_min = 1e6;
   double initial_mu = 0.0;
-  // Warm start (multiscale continuation): element mu field from a coarser
-  // stage; material-grid nodes are initialized by sampling it. Overrides
-  // initial_mu when non-empty.
-  std::vector<double> initial_mu_field;
   double grad_tol = 1e-2;
 };
 

@@ -241,27 +241,10 @@ Inversion3dReport invert_material3d(const ScalarInversion3d& prob,
 
   Inversion3dReport report;
   report.n_params = np;
-  double beta_h1 = opt.beta_h1;  // possibly rescaled at the first iteration
+  double beta_h1 = 0.0;  // calibrated from beta_h1_rel at the first iteration
   // Morales-Nocedal refresh: precondition with the previous CG's pairs.
   opt::LbfgsOperator lbfgs_prev(np, 30), lbfgs_next(np, 30);
   std::vector<double> m(np, opt.initial_mu);
-  if (!opt.initial_mu_field.empty()) {
-    // Sample the coarser stage's element field at the material-grid nodes.
-    const auto& g = setup.grid;
-    for (int k = 0; k <= opt.gz; ++k) {
-      for (int j = 0; j <= opt.gy; ++j) {
-        for (int i = 0; i <= opt.gx; ++i) {
-          const int ei = std::min(g.nx - 1, i * g.nx / std::max(1, opt.gx));
-          const int ej = std::min(g.ny - 1, j * g.ny / std::max(1, opt.gy));
-          const int ek = std::min(g.nz - 1, k * g.nz / std::max(1, opt.gz));
-          m[static_cast<std::size_t>(
-              (k * (opt.gy + 1) + j) * (opt.gx + 1) + i)] =
-              opt.initial_mu_field[static_cast<std::size_t>(
-                  g.elem(ei, ej, ek))];
-        }
-      }
-    }
-  }
   std::vector<double> mu(ne), ge(ne), g(np), d(np);
 
   auto h1_value = [&](std::span<const double> mm) {

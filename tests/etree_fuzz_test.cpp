@@ -32,10 +32,10 @@ TEST_P(EtreeFuzz, MatchesReferenceModel) {
 
   // Key universe: all octants of a few levels (collisions with existing
   // keys are then frequent, exercising overwrite and erase paths).
+  const auto tree =
+      build_octree([](const Octant& q) { return q.level < 3; }, 3);
   std::vector<Octant> universe;
-  for (const Octant& o :
-       build_octree([](const Octant& q) { return q.level < 3; }, 3)
-           .leaves()) {
+  for (const Octant& o : tree.leaves()) {
     universe.push_back(o);
     universe.push_back(o.parent());
   }

@@ -1434,6 +1434,53 @@ TEST_F(ParallelRecovery, CorruptNewestGenerationFallsBackToOlder) {
   std::filesystem::remove_all(dir);
 }
 
+// A leftover snapshot of another run must not restore into this one. A
+// two-receiver run dies after checkpointing and leaves its cuts behind; a
+// fault-free rerun in the same directory asks for one of those receivers.
+// The leftover cuts do not fit the rerun's receiver set, so the agreement
+// starts fresh and the result is bit-identical to a clean run.
+TEST_F(ParallelRecovery, LeftoverSnapshotOfAnotherRunIsSkipped) {
+  const auto mesh = small_basin_mesh();
+  solver::OperatorOptions oo;
+  solver::SolverOptions so;
+  so.t_end = 1.0;
+  so.cfl_fraction = 0.4;
+  const solver::PointSource src(mesh, {10000.0, 10000.0, 4000.0},
+                                {1.0, 0.5, 0.2}, 1e12, 0.03, 40.0);
+  const solver::SourceModel* sources[] = {&src};
+  const std::array<double, 3> two[] = {{15000.0, 9000.0, 0.0},
+                                       {14000.0, 9000.0, 0.0}};
+  const std::array<double, 3> one[] = {{14000.0, 9000.0, 0.0}};
+  const Partition part = partition_sfc(mesh, 3);
+
+  const ParallelResult ref = run_parallel(mesh, part, oo, so, sources, one);
+  ASSERT_GT(ref.n_steps, 8);
+  const int n = ref.n_steps;
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "quake_leftover_ckpt_test";
+  std::filesystem::remove_all(dir);
+  FaultPlan plan;
+  plan.kills.push_back({/*rank=*/0, /*step=*/n - 1});
+  FaultToleranceOptions ft;
+  ft.checkpoint_dir = dir.string();
+  ft.checkpoint_every = std::max(1, n / 4);
+  ft.max_retries = 0;
+  ft.fault_plan = &plan;
+  EXPECT_THROW(run_parallel(mesh, part, oo, so, sources, two, ft),
+               RankFailedError);
+  ASSERT_TRUE(std::filesystem::exists(dir / "rank0.ckpt"));
+
+  FaultToleranceOptions ft2;
+  ft2.checkpoint_dir = dir.string();
+  ft2.checkpoint_every = ft.checkpoint_every;
+  const ParallelResult pr = run_parallel(mesh, part, oo, so, sources, one, ft2);
+
+  EXPECT_TRUE(same_bits(pr, ref));
+  EXPECT_EQ(counter_sum(pr, "ckpt/restores"), 0.0);
+  std::filesystem::remove_all(dir);
+}
+
 // Victim sets for multi-victim recovery tests: pairwise non-adjacent in the
 // ghost graph (so every victim-victim span is survivor-served) and
 // non-consecutive in the buddy ring (so every victim's donor survives).

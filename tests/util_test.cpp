@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <numbers>
 
@@ -230,72 +232,99 @@ TEST(Crc32, KnownAnswer) {
 
 TEST(Checkpoint, SnapshotRoundTrip) {
   const std::string path = testing::TempDir() + "/quake_snap_test.ckpt";
-  Snapshot snap;
-  snap.step = 1234;
-  snap.add("u", {1.0, -2.5, 3.25});
-  snap.add("hist", {});
-  snap.add("v", {0.125});
-  save_snapshot(path, snap);
+  const std::vector<double> data = {1234.0, 1.0, -2.5, 3.25, 0.125};
+  ASSERT_TRUE(save_snapshot_rotating(path, data, 1));
 
-  Snapshot loaded;
-  ASSERT_TRUE(load_snapshot(path, &loaded));
-  EXPECT_EQ(loaded.step, 1234);
-  ASSERT_EQ(loaded.fields.size(), 3u);
-  const auto u = loaded.field("u");
-  ASSERT_EQ(u.size(), 3u);
-  EXPECT_EQ(u[0], 1.0);
-  EXPECT_EQ(u[1], -2.5);
-  EXPECT_EQ(u[2], 3.25);
-  EXPECT_EQ(loaded.field("hist").size(), 0u);
-  EXPECT_EQ(loaded.field("v").size(), 1u);
-  EXPECT_EQ(loaded.field("absent").size(), 0u);
+  std::vector<double> loaded;
+  ASSERT_EQ(load_snapshot_status(path, &loaded), SnapshotLoadStatus::kOk);
+  EXPECT_EQ(loaded, data);
+  // An empty array round-trips too: the file is header and CRC only.
+  ASSERT_TRUE(save_snapshot_rotating(path, {}, 1));
+  ASSERT_EQ(load_snapshot_status(path, &loaded), SnapshotLoadStatus::kOk);
+  EXPECT_TRUE(loaded.empty());
   std::remove(path.c_str());
 }
 
-TEST(Checkpoint, CorruptionAndTruncationRejected) {
-  const std::string path = testing::TempDir() + "/quake_snap_bad.ckpt";
-  Snapshot snap;
-  snap.step = 7;
-  snap.add("u", {1.0, 2.0, 3.0, 4.0});
-  save_snapshot(path, snap);
+// Seeded mutation test of the snapshot decoder (the etree_fuzz_test
+// pattern, no external fuzzer). Every single-byte flip and every truncation
+// of a valid file is kCorrupt and leaves *out untouched; a version-1 header
+// is kCorrupt even under a recomputed valid CRC; random multi-byte
+// mutations never crash and never decode to a different array.
+TEST(Checkpoint, MutatedSnapshotsNeverDecodeWrong) {
+  const std::string path = testing::TempDir() + "/quake_snap_mut.ckpt";
+  Rng rng(2026);
+  std::vector<double> data(12);
+  for (auto& v : data) v = rng.normal();
+  ASSERT_TRUE(save_snapshot_rotating(path, data, 1));
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<unsigned char> good{std::istreambuf_iterator<char>(in),
+                                        std::istreambuf_iterator<char>()};
+  ASSERT_EQ(good.size(), 16 + 8 * data.size() + 4);
 
-  // Flip one payload byte: CRC must reject.
-  {
-    std::FILE* f = std::fopen(path.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, 24, SEEK_SET);
-    const int c = std::fgetc(f);
-    std::fseek(f, 24, SEEK_SET);
-    std::fputc(c ^ 0x01, f);
-    std::fclose(f);
+  const std::vector<double> sentinel = {-7.0};
+  // Writes `bytes` as the file and loads it into a sentinel-filled array.
+  const auto load_bytes = [&](std::span<const unsigned char> bytes,
+                              std::vector<double>* out) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        .write(reinterpret_cast<const char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
+    *out = sentinel;
+    return load_snapshot_status(path, out);
+  };
+  std::vector<double> out;
+  for (std::size_t off = 0; off < good.size(); ++off) {
+    for (const unsigned char mask : {0x01, 0x80, 0xFF}) {
+      std::vector<unsigned char> bad = good;
+      bad[off] ^= mask;
+      ASSERT_EQ(load_bytes(bad, &out), SnapshotLoadStatus::kCorrupt)
+          << "offset " << off << " mask " << int{mask};
+      ASSERT_EQ(out, sentinel);
+    }
   }
-  Snapshot out;
-  EXPECT_FALSE(load_snapshot(path, &out));
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    ASSERT_EQ(load_bytes({good.data(), len}, &out),
+              SnapshotLoadStatus::kCorrupt)
+        << "length " << len;
+    ASSERT_EQ(out, sentinel);
+  }
+  // Version 1 under a valid CRC: the format version alone rejects it.
+  std::vector<unsigned char> v1 = good;
+  const std::uint32_t version = 1;
+  std::memcpy(v1.data() + 4, &version, sizeof version);
+  const std::uint32_t crc = crc32({v1.data(), v1.size() - 4});
+  std::memcpy(v1.data() + v1.size() - 4, &crc, sizeof crc);
+  EXPECT_EQ(load_bytes(v1, &out), SnapshotLoadStatus::kCorrupt);
+  EXPECT_EQ(out, sentinel);
 
-  // Truncation must reject too.
-  save_snapshot(path, snap);
-  std::filesystem::resize_file(path, std::filesystem::file_size(path) / 2);
-  EXPECT_FALSE(load_snapshot(path, &out));
-
-  // Missing file: plain false, no throw.
+  // Random multi-byte overwrites, some also truncated or extended.
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<unsigned char> bad = good;
+    const std::uint64_t n_mut = 1 + rng.next_u64() % 8;
+    for (std::uint64_t m = 0; m < n_mut; ++m) {
+      bad[rng.next_u64() % bad.size()] =
+          static_cast<unsigned char>(rng.next_u64());
+    }
+    if (rng.uniform() < 0.25) bad.resize(rng.next_u64() % (bad.size() + 16));
+    const SnapshotLoadStatus st = load_bytes(bad, &out);
+    ASSERT_NE(st, SnapshotLoadStatus::kMissing) << "trial " << trial;
+    ASSERT_EQ(out, st == SnapshotLoadStatus::kOk ? data : sentinel)
+        << "trial " << trial;
+  }
   std::remove(path.c_str());
-  EXPECT_FALSE(load_snapshot(path, &out));
 }
 
 TEST(Checkpoint, LoadStatusSplitsMissingFromCorrupt) {
   const std::string path = testing::TempDir() + "/quake_snap_status.ckpt";
   std::remove(path.c_str());
-  Snapshot out;
+  std::vector<double> out;
 
   // No file at all: kMissing — nothing was ever written here.
   EXPECT_EQ(load_snapshot_status(path, &out), SnapshotLoadStatus::kMissing);
 
-  Snapshot snap;
-  snap.step = 42;
-  snap.add("u", {1.0, 2.0, 3.0});
-  save_snapshot(path, snap);
+  const std::vector<double> snap = {42.0, 1.0, 2.0, 3.0};
+  ASSERT_TRUE(save_snapshot_rotating(path, snap, 1));
   EXPECT_EQ(load_snapshot_status(path, &out), SnapshotLoadStatus::kOk);
-  EXPECT_EQ(out.step, 42);
+  EXPECT_EQ(out[0], 42.0);
 
   // A flipped byte fails CRC: kCorrupt, not kMissing.
   {
@@ -310,7 +339,7 @@ TEST(Checkpoint, LoadStatusSplitsMissingFromCorrupt) {
   EXPECT_EQ(load_snapshot_status(path, &out), SnapshotLoadStatus::kCorrupt);
 
   // Truncation is corruption too — the file exists but cannot be decoded.
-  save_snapshot(path, snap);
+  ASSERT_TRUE(save_snapshot_rotating(path, snap, 1));
   std::filesystem::resize_file(path, 3);
   EXPECT_EQ(load_snapshot_status(path, &out), SnapshotLoadStatus::kCorrupt);
   std::remove(path.c_str());
@@ -323,20 +352,19 @@ TEST(Checkpoint, RotatingSaveKeepsLastKGenerations) {
   }
   const int keep = 3;
   for (int step = 1; step <= 5; ++step) {
-    Snapshot snap;
-    snap.step = step;
-    snap.add("u", {static_cast<double>(step)});
+    const std::vector<double> snap = {static_cast<double>(step)};
     ASSERT_TRUE(save_snapshot_rotating(path, snap, keep));
   }
   // Newest three survive (steps 5, 4, 3), older generations are pruned.
+  std::vector<double> out;
   for (int gen = 0; gen < keep; ++gen) {
-    Snapshot out;
-    ASSERT_TRUE(load_snapshot(snapshot_generation_path(path, gen), &out))
+    ASSERT_EQ(load_snapshot_status(snapshot_generation_path(path, gen), &out),
+              SnapshotLoadStatus::kOk)
         << "generation " << gen;
-    EXPECT_EQ(out.step, 5 - gen);
+    EXPECT_EQ(out[0], 5 - gen);
   }
-  Snapshot out;
-  EXPECT_FALSE(load_snapshot(snapshot_generation_path(path, keep), &out));
+  EXPECT_EQ(load_snapshot_status(snapshot_generation_path(path, keep), &out),
+            SnapshotLoadStatus::kMissing);
   for (int gen = 0; gen < keep; ++gen) {
     std::remove(snapshot_generation_path(path, gen).c_str());
   }
@@ -347,23 +375,21 @@ TEST(Checkpoint, RotatingSaveFailureLeavesPreviousChainIntact) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const std::string path = dir + "/state.ckpt";
-  Snapshot snap;
-  snap.step = 11;
-  snap.add("u", {1.0, 2.0});
+  std::vector<double> snap = {11.0, 1.0, 2.0};
   ASSERT_TRUE(save_snapshot_rotating(path, snap, 2));
 
   // Squat on the temp-file name with a directory so the next write fails
   // (EISDIR) the way a full disk would; the existing generation must stay
   // loadable. (Permission tricks don't work here: tests may run as root.)
   std::filesystem::create_directories(path + ".tmp");
-  snap.step = 12;
+  snap[0] = 12.0;
   std::string error;
   EXPECT_FALSE(save_snapshot_rotating(path, snap, 2, &error));
   EXPECT_FALSE(error.empty());
   std::filesystem::remove_all(path + ".tmp");
-  Snapshot out;
-  ASSERT_TRUE(load_snapshot(path, &out));
-  EXPECT_EQ(out.step, 11);  // the failed save cost nothing
+  std::vector<double> out;
+  ASSERT_EQ(load_snapshot_status(path, &out), SnapshotLoadStatus::kOk);
+  EXPECT_EQ(out[0], 11.0);  // the failed save cost nothing
   std::filesystem::remove_all(dir);
 }
 
