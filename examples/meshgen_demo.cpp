@@ -1,17 +1,71 @@
 // Etree mesh-generation walkthrough (Fig 2.1): construct -> balance ->
-// transform, in core and out of core, with database statistics.
+// transform, in core and out of core, with database statistics. Exits 1
+// unless the out-of-core mesh equals the in-core one field for field and
+// the balanced store holds exactly the balanced leaves.
 //
 //   ./meshgen_demo [work_dir]
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <string>
+#include <vector>
 
 #include "quake/mesh/meshgen.hpp"
 #include "quake/octree/etree_store.hpp"
 #include "quake/util/timer.hpp"
 
+namespace {
+
+using namespace quake;
+
+// Byte equality of two arrays of padding-free records (doubles compare by
+// bit pattern).
+template <class T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+// The first HexMesh field in which `a` and `b` differ, or nullptr.
+const char* first_difference(const mesh::HexMesh& a, const mesh::HexMesh& b) {
+  if (std::memcmp(&a.domain.size, &b.domain.size, sizeof(double)) != 0) {
+    return "domain";
+  }
+  if (!same_bytes(a.elem_nodes, b.elem_nodes)) return "elem_nodes";
+  if (!same_bytes(a.elem_size, b.elem_size)) return "elem_size";
+  if (!same_bytes(a.elem_level, b.elem_level)) return "elem_level";
+  if (!same_bytes(a.elem_mat, b.elem_mat)) return "elem_mat";
+  if (!same_bytes(a.node_coords, b.node_coords)) return "node_coords";
+  if (!same_bytes(a.node_hanging, b.node_hanging)) return "node_hanging";
+  // Constraint and BoundaryFace have padding: compare member by member.
+  const auto same_constraint = [](const mesh::Constraint& x,
+                                  const mesh::Constraint& y) {
+    return x.node == y.node && x.n_masters == y.n_masters &&
+           x.masters == y.masters &&
+           std::memcmp(x.weights.data(), y.weights.data(),
+                       sizeof x.weights) == 0;
+  };
+  if (!std::equal(a.constraints.begin(), a.constraints.end(),
+                  b.constraints.begin(), b.constraints.end(),
+                  same_constraint)) {
+    return "constraints";
+  }
+  const auto same_face = [](const mesh::BoundaryFace& x,
+                            const mesh::BoundaryFace& y) {
+    return x.elem == y.elem && x.side == y.side;
+  };
+  if (!std::equal(a.boundary_faces.begin(), a.boundary_faces.end(),
+                  b.boundary_faces.begin(), b.boundary_faces.end(),
+                  same_face)) {
+    return "boundary_faces";
+  }
+  return nullptr;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  using namespace quake;
   const std::string work_dir = argc > 1 ? argv[1] : "/tmp";
 
   const double extent = 20000.0;
@@ -58,6 +112,11 @@ int main(int argc, char** argv) {
   const mesh::HexMesh ooc = mesh::generate_mesh_out_of_core(model, opt, store_path);
   std::printf("out-of-core pipeline: %zu elements (%.3f s), store at %s\n",
               ooc.n_elements(), timer.seconds(), store_path.c_str());
+  if (const char* field = first_difference(mesh, ooc)) {
+    std::fprintf(stderr, "out-of-core mesh differs from in-core in %s\n",
+                 field);
+    return 1;
+  }
   {
     octree::EtreeStore store(store_path + ".balanced", sizeof(double), 32,
                              /*create=*/false);
@@ -67,6 +126,12 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(store.count()),
                 static_cast<unsigned long long>(st.page_reads),
                 static_cast<unsigned long long>(st.cache_hits));
+    if (store.count() != balanced.size()) {
+      std::fprintf(stderr, "balanced store holds %llu records, tree %zu\n",
+                   static_cast<unsigned long long>(store.count()),
+                   balanced.size());
+      return 1;
+    }
   }
 
   const auto stats = mesh::compute_stats(mesh, model, opt);

@@ -3,7 +3,9 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <array>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
@@ -66,7 +68,16 @@ struct FileHeader {
   std::uint64_t record_count;
 };
 
-using Page = std::vector<std::byte>;
+// Internal layout: nkeys keys then nkeys+1 children, with the child area at
+// a fixed offset sized for capacity.
+constexpr std::size_t kInternalCapacity =
+    (kPageDataSize - kHeaderSize - kChildSize) / (kKeySize + kChildSize);
+constexpr std::size_t kChildrenOffset =
+    kHeaderSize + kInternalCapacity * kKeySize;
+
+// A page image staged outside the pool: a page built before its frame is
+// installed, or a leaf copied out for a scan callback.
+using PageBuffer = std::array<std::byte, kPageSize>;
 
 void store_key(std::byte* p, const Key& k) {
   std::memcpy(p, &k.morton, 8);
@@ -92,9 +103,9 @@ class EtreeStore::Impl {
     if (fd_ < 0) throw std::runtime_error("EtreeStore: cannot open " + path_);
     if (create) {
       header_ = FileHeader{kMagic, kFormatVersion, value_size, 1, 2, 0};
-      Page root(kPageSize, std::byte{0});
-      set_header(root, PageHeader{kLeaf, 0, kInvalidPage});
-      put_page(1, root);
+      PageBuffer root{};
+      set_header(root.data(), PageHeader{kLeaf, 0, kInvalidPage});
+      put_page(1, root.data());
       write_file_header();
     } else {
       read_file_header();
@@ -113,9 +124,6 @@ class EtreeStore::Impl {
     }
     leaf_entry_ = kKeySize + header_.value_size;
     leaf_capacity_ = (kPageDataSize - kHeaderSize) / leaf_entry_;
-    // Internal layout: nkeys keys then nkeys+1 children.
-    internal_capacity_ =
-        (kPageDataSize - kHeaderSize - kChildSize) / (kKeySize + kChildSize);
   }
 
   ~Impl() {
@@ -130,16 +138,16 @@ class EtreeStore::Impl {
 
   void put(const Octant& o, std::span<const std::byte> value) {
     require_value_size(value.size());
-    std::vector<std::uint32_t> path;
-    const std::uint32_t leaf = descend(key_of(o), &path);
-    insert_into_leaf(leaf, key_of(o), value, path);
+    path_buf_.clear();
+    const std::uint32_t leaf = descend(key_of(o), &path_buf_);
+    insert_into_leaf(leaf, key_of(o), value);
   }
 
   bool get(const Octant& o, std::span<std::byte> value_out) {
     require_value_size(value_out.size());
     const Key k = key_of(o);
     const std::uint32_t leaf = descend(k, nullptr);
-    Page page = fetch(leaf);
+    const std::byte* page = fetch(leaf);
     const PageHeader h = get_header(page);
     const int pos = leaf_lower_bound(page, h, k);
     if (pos >= h.nkeys || !(leaf_key(page, pos) == k)) return false;
@@ -151,16 +159,16 @@ class EtreeStore::Impl {
   bool erase(const Octant& o) {
     const Key k = key_of(o);
     const std::uint32_t leaf = descend(k, nullptr);
-    Page page = fetch(leaf);
+    std::byte* page = fetch(leaf);
     PageHeader h = get_header(page);
     const int pos = leaf_lower_bound(page, h, k);
     if (pos >= h.nkeys || !(leaf_key(page, pos) == k)) return false;
-    std::byte* base = page.data() + kHeaderSize;
+    std::byte* base = page + kHeaderSize;
     std::memmove(base + pos * leaf_entry_, base + (pos + 1) * leaf_entry_,
                  (h.nkeys - pos - 1) * leaf_entry_);
     h.nkeys -= 1;
     set_header(page, h);
-    put_page(leaf, page);
+    mark_dirty(leaf);
     header_.record_count -= 1;
     header_dirty_ = true;
     return true;
@@ -175,17 +183,21 @@ class EtreeStore::Impl {
     // Leftmost leaf, then follow sibling links.
     std::uint32_t id = header_.root_page;
     for (;;) {
-      Page page = fetch(id);
-      const PageHeader h = get_header(page);
-      if (h.type == kLeaf) break;
+      const std::byte* page = fetch(id);
+      if (get_header(page).type == kLeaf) break;
       id = internal_child(page, 0);
     }
+    // Each leaf is copied out before the callback runs: `fn` may call back
+    // into the store, and any fetch may evict the leaf's frame.
+    PageBuffer leaf;
     while (id != kInvalidPage) {
-      Page page = fetch(id);
+      const std::byte* page = fetch(id);
       const PageHeader h = get_header(page);
+      if (h.nkeys > leaf_capacity_) throw corrupt_page(id);
+      std::memcpy(leaf.data(), page, kHeaderSize + h.nkeys * leaf_entry_);
       for (int i = 0; i < h.nkeys; ++i) {
-        fn(octant_of(leaf_key(page, i)),
-           std::span<const std::byte>(leaf_value_ptr(page, i),
+        fn(octant_of(leaf_key(leaf.data(), i)),
+           std::span<const std::byte>(leaf_value_ptr(leaf.data(), i),
                                       header_.value_size));
       }
       id = h.next;
@@ -193,21 +205,33 @@ class EtreeStore::Impl {
   }
 
   void flush() {
-    for (auto& [id, frame] : pool_) {
-      if (frame.dirty) {
-        write_page_to_disk(id, frame.data);
-        frame.dirty = false;
+    for (Frame& f : frames_) {
+      if (f.id != kInvalidPage && f.dirty) {
+        write_page_to_disk(f.id, f.data.get());
+        f.dirty = false;
       }
     }
     if (header_dirty_) write_file_header();
   }
 
  private:
+  // One buffer-pool frame. Pages are read, modified and written in place;
+  // a pointer into `data` stays valid only until the next fetch or put_page,
+  // either of which may evict the frame and reuse it for another page.
   struct Frame {
-    Page data;
+    std::unique_ptr<std::byte[]> data;
+    std::uint32_t id = kInvalidPage;  // kInvalidPage: free
     bool dirty = false;
     std::uint64_t lru = 0;
   };
+
+  // A page whose key count exceeds its capacity (a checksum only proves
+  // the page is what was written).
+  std::runtime_error corrupt_page(std::uint32_t id) const {
+    return std::runtime_error("EtreeStore: corrupt page " +
+                              std::to_string(id) + " in " + path_ +
+                              " (key count exceeds page capacity)");
+  }
 
   void require_value_size(std::size_t n) const {
     if (n != header_.value_size) {
@@ -217,46 +241,42 @@ class EtreeStore::Impl {
 
   // -- page accessors ---------------------------------------------------
 
-  static PageHeader get_header(const Page& p) {
+  static PageHeader get_header(const std::byte* p) {
     PageHeader h;
-    std::memcpy(&h, p.data(), sizeof h);
+    std::memcpy(&h, p, sizeof h);
     return h;
   }
-  static void set_header(Page& p, const PageHeader& h) {
-    std::memcpy(p.data(), &h, sizeof h);
+  static void set_header(std::byte* p, const PageHeader& h) {
+    std::memcpy(p, &h, sizeof h);
   }
 
-  Key leaf_key(const Page& p, int i) const {
-    return load_key(p.data() + kHeaderSize + i * leaf_entry_);
+  Key leaf_key(const std::byte* p, int i) const {
+    return load_key(p + kHeaderSize + i * leaf_entry_);
   }
-  const std::byte* leaf_value_ptr(const Page& p, int i) const {
-    return p.data() + kHeaderSize + i * leaf_entry_ + kKeySize;
+  const std::byte* leaf_value_ptr(const std::byte* p, int i) const {
+    return p + kHeaderSize + i * leaf_entry_ + kKeySize;
   }
-  std::byte* leaf_value_ptr(Page& p, int i) const {
-    return p.data() + kHeaderSize + i * leaf_entry_ + kKeySize;
+  std::byte* leaf_value_ptr(std::byte* p, int i) const {
+    return p + kHeaderSize + i * leaf_entry_ + kKeySize;
   }
 
-  // Internal page: keys at [header, header + nkeys*kKeySize), children after
-  // the key area sized for capacity (fixed offset).
-  std::size_t children_offset() const {
-    return kHeaderSize + internal_capacity_ * kKeySize;
+  static Key internal_key(const std::byte* p, int i) {
+    return load_key(p + kHeaderSize + i * kKeySize);
   }
-  Key internal_key(const Page& p, int i) const {
-    return load_key(p.data() + kHeaderSize + i * kKeySize);
+  static void set_internal_key(std::byte* p, int i, const Key& k) {
+    store_key(p + kHeaderSize + i * kKeySize, k);
   }
-  void set_internal_key(Page& p, int i, const Key& k) const {
-    store_key(p.data() + kHeaderSize + i * kKeySize, k);
-  }
-  std::uint32_t internal_child(const Page& p, int i) const {
+  static std::uint32_t internal_child(const std::byte* p, int i) {
     std::uint32_t c;
-    std::memcpy(&c, p.data() + children_offset() + i * kChildSize, 4);
+    std::memcpy(&c, p + kChildrenOffset + i * kChildSize, 4);
     return c;
   }
-  void set_internal_child(Page& p, int i, std::uint32_t c) const {
-    std::memcpy(p.data() + children_offset() + i * kChildSize, &c, 4);
+  static void set_internal_child(std::byte* p, int i, std::uint32_t c) {
+    std::memcpy(p + kChildrenOffset + i * kChildSize, &c, 4);
   }
 
-  int leaf_lower_bound(const Page& p, const PageHeader& h, const Key& k) const {
+  int leaf_lower_bound(const std::byte* p, const PageHeader& h,
+                       const Key& k) const {
     int lo = 0, hi = h.nkeys;
     while (lo < hi) {
       const int mid = (lo + hi) / 2;
@@ -276,7 +296,7 @@ class EtreeStore::Impl {
   std::uint32_t descend(const Key& k, std::vector<std::uint32_t>* path) {
     std::uint32_t id = header_.root_page;
     for (;;) {
-      Page page = fetch(id);
+      const std::byte* page = fetch(id);
       const PageHeader h = get_header(page);
       if (h.type == kLeaf) return id;
       if (path) path->push_back(id);
@@ -294,18 +314,19 @@ class EtreeStore::Impl {
     }
   }
 
+  // Inserts (k, value) into leaf `leaf_id`, whose internal ancestors are in
+  // path_buf_ (root first).
   void insert_into_leaf(std::uint32_t leaf_id, const Key& k,
-                        std::span<const std::byte> value,
-                        std::vector<std::uint32_t>& path) {
-    Page page = fetch(leaf_id);
+                        std::span<const std::byte> value) {
+    std::byte* page = fetch(leaf_id);
     PageHeader h = get_header(page);
     const int pos = leaf_lower_bound(page, h, k);
     if (pos < h.nkeys && leaf_key(page, pos) == k) {
       std::memcpy(leaf_value_ptr(page, pos), value.data(), value.size());
-      put_page(leaf_id, page);
+      mark_dirty(leaf_id);
       return;
     }
-    std::byte* base = page.data() + kHeaderSize;
+    std::byte* base = page + kHeaderSize;
     if (static_cast<std::size_t>(h.nkeys) < leaf_capacity_) {
       std::memmove(base + (pos + 1) * leaf_entry_, base + pos * leaf_entry_,
                    (h.nkeys - pos) * leaf_entry_);
@@ -314,28 +335,28 @@ class EtreeStore::Impl {
                   value.size());
       h.nkeys += 1;
       set_header(page, h);
-      put_page(leaf_id, page);
+      mark_dirty(leaf_id);
     } else {
       // Split: left keeps the lower half, a new right leaf takes the upper
       // half, then the entry goes to whichever side owns its range.
       const int half = h.nkeys / 2;
       const std::uint32_t right_id = alloc_page();
-      Page right(kPageSize, std::byte{0});
+      PageBuffer right{};
       PageHeader rh{kLeaf, static_cast<std::uint16_t>(h.nkeys - half), h.next};
       std::memcpy(right.data() + kHeaderSize, base + half * leaf_entry_,
                   (h.nkeys - half) * leaf_entry_);
-      set_header(right, rh);
+      set_header(right.data(), rh);
       h.nkeys = static_cast<std::uint16_t>(half);
       h.next = right_id;
       set_header(page, h);
       const Key sep = load_key(right.data() + kHeaderSize);
-      put_page(leaf_id, page);
-      put_page(right_id, right);
-      insert_separator(path, sep, right_id);
+      mark_dirty(leaf_id);
+      put_page(right_id, right.data());
+      insert_separator(sep, right_id);
       // Retry on the proper side (both pages now have room).
-      std::vector<std::uint32_t> path2;
-      const std::uint32_t target = descend(k, &path2);
-      insert_into_leaf(target, k, value, path2);
+      path_buf_.clear();
+      const std::uint32_t target = descend(k, &path_buf_);
+      insert_into_leaf(target, k, value);
       return;
     }
     header_.record_count += 1;
@@ -343,31 +364,30 @@ class EtreeStore::Impl {
   }
 
   // Inserts separator `sep` with right child `right_id` into the parent at
-  // the back of `path`, splitting upward as needed.
-  void insert_separator(std::vector<std::uint32_t>& path, Key sep,
-                        std::uint32_t right_id) {
+  // the back of path_buf_, splitting upward as needed.
+  void insert_separator(Key sep, std::uint32_t right_id) {
     while (true) {
-      if (path.empty()) {
+      if (path_buf_.empty()) {
         // Height grows: new root with one key and two children.
         const std::uint32_t new_root = alloc_page();
-        Page root(kPageSize, std::byte{0});
-        set_header(root, PageHeader{kInternal, 1, kInvalidPage});
-        set_internal_key(root, 0, sep);
-        set_internal_child(root, 0, header_.root_page);
-        set_internal_child(root, 1, right_id);
-        put_page(new_root, root);
+        PageBuffer root{};
+        set_header(root.data(), PageHeader{kInternal, 1, kInvalidPage});
+        set_internal_key(root.data(), 0, sep);
+        set_internal_child(root.data(), 0, header_.root_page);
+        set_internal_child(root.data(), 1, right_id);
+        put_page(new_root, root.data());
         header_.root_page = new_root;
         header_dirty_ = true;
         return;
       }
-      const std::uint32_t parent_id = path.back();
-      path.pop_back();
-      Page parent = fetch(parent_id);
+      const std::uint32_t parent_id = path_buf_.back();
+      path_buf_.pop_back();
+      std::byte* parent = fetch(parent_id);
       PageHeader h = get_header(parent);
       // Slot for sep.
       int pos = 0;
       while (pos < h.nkeys && internal_key(parent, pos) < sep) ++pos;
-      if (static_cast<std::size_t>(h.nkeys) < internal_capacity_) {
+      if (static_cast<std::size_t>(h.nkeys) < kInternalCapacity) {
         for (int i = h.nkeys; i > pos; --i) {
           set_internal_key(parent, i, internal_key(parent, i - 1));
         }
@@ -378,11 +398,12 @@ class EtreeStore::Impl {
         set_internal_child(parent, pos + 1, right_id);
         h.nkeys += 1;
         set_header(parent, h);
-        put_page(parent_id, parent);
+        mark_dirty(parent_id);
         return;
       }
       // Split the internal node. Gather keys/children with the new entry
       // placed, push up the median.
+      if (h.nkeys > kInternalCapacity) throw corrupt_page(parent_id);
       const int n = h.nkeys;
       std::vector<Key> keys;
       std::vector<std::uint32_t> kids;
@@ -395,25 +416,27 @@ class EtreeStore::Impl {
       const int mid = static_cast<int>(keys.size()) / 2;
       const Key up = keys[mid];
 
-      PageHeader lh{kInternal, static_cast<std::uint16_t>(mid), kInvalidPage};
-      Page left(kPageSize, std::byte{0});
-      set_header(left, lh);
-      for (int i = 0; i < mid; ++i) set_internal_key(left, i, keys[i]);
-      for (int i = 0; i <= mid; ++i) set_internal_child(left, i, kids[i]);
+      // The left half is rebuilt in the parent's own frame.
+      std::memset(parent, 0, kPageSize);
+      set_header(parent, PageHeader{kInternal, static_cast<std::uint16_t>(mid),
+                                    kInvalidPage});
+      for (int i = 0; i < mid; ++i) set_internal_key(parent, i, keys[i]);
+      for (int i = 0; i <= mid; ++i) set_internal_child(parent, i, kids[i]);
 
       const int rn = static_cast<int>(keys.size()) - mid - 1;
       const std::uint32_t new_right = alloc_page();
-      Page right(kPageSize, std::byte{0});
-      set_header(right, PageHeader{kInternal, static_cast<std::uint16_t>(rn),
-                                   kInvalidPage});
+      PageBuffer right{};
+      set_header(right.data(), PageHeader{kInternal,
+                                          static_cast<std::uint16_t>(rn),
+                                          kInvalidPage});
       for (int i = 0; i < rn; ++i) {
-        set_internal_key(right, i, keys[mid + 1 + i]);
+        set_internal_key(right.data(), i, keys[mid + 1 + i]);
       }
       for (int i = 0; i <= rn; ++i) {
-        set_internal_child(right, i, kids[mid + 1 + i]);
+        set_internal_child(right.data(), i, kids[mid + 1 + i]);
       }
-      put_page(parent_id, left);
-      put_page(new_right, right);
+      mark_dirty(parent_id);
+      put_page(new_right, right.data());
       sep = up;
       right_id = new_right;
       // Loop continues one level up.
@@ -422,19 +445,22 @@ class EtreeStore::Impl {
 
   // -- buffer pool --------------------------------------------------------
 
-  Page fetch(std::uint32_t id) {
-    auto it = pool_.find(id);
-    if (it != pool_.end()) {
+  // The frame holding page `id`, read from disk on a miss.
+  std::byte* fetch(std::uint32_t id) {
+    auto it = frame_of_.find(id);
+    if (it != frame_of_.end()) {
       ++stats_.cache_hits;
       note_pool_access();
-      it->second.lru = ++lru_clock_;
-      return it->second.data;
+      Frame& f = frames_[it->second];
+      f.lru = ++lru_clock_;
+      return f.data.get();
     }
-    Page page(kPageSize);
-    read_page_from_disk(id, page);
+    const std::size_t slot = claim_frame();
+    Frame& f = frames_[slot];
+    read_page_from_disk(id, f.data.get());  // on throw the frame stays free
     note_pool_access();
-    install(id, page, /*dirty=*/false);
-    return page;
+    assign(slot, id, /*dirty=*/false);
+    return f.data.get();
   }
 
   // Running buffer-pool hit rate over every page lookup so far (hits over
@@ -449,35 +475,51 @@ class EtreeStore::Impl {
     }
   }
 
-  void put_page(std::uint32_t id, const Page& page) {
-    auto it = pool_.find(id);
-    if (it != pool_.end()) {
-      it->second.data = page;
-      it->second.dirty = true;
-      it->second.lru = ++lru_clock_;
-      return;
-    }
-    install(id, page, /*dirty=*/true);
+  // Marks the resident page `id`, just modified in its frame, dirty and
+  // most recently used.
+  void mark_dirty(std::uint32_t id) {
+    Frame& f = frames_[frame_of_.at(id)];
+    f.dirty = true;
+    f.lru = ++lru_clock_;
   }
 
-  void install(std::uint32_t id, const Page& page, bool dirty) {
-    if (pool_.size() >= pool_capacity_) evict_one();
-    Frame f;
-    f.data = page;
+  // Stores a page image built outside the pool as page `id`.
+  void put_page(std::uint32_t id, const std::byte* page) {
+    auto it = frame_of_.find(id);
+    const std::size_t slot =
+        it != frame_of_.end() ? it->second : claim_frame();
+    std::memcpy(frames_[slot].data.get(), page, kPageSize);
+    assign(slot, id, /*dirty=*/true);
+  }
+
+  // A free frame: a new one while the pool is below capacity, else the
+  // least recently used one, written back first if dirty.
+  std::size_t claim_frame() {
+    if (frames_.size() < pool_capacity_) {
+      frames_.push_back(Frame{std::make_unique<std::byte[]>(kPageSize)});
+      return frames_.size() - 1;
+    }
+    std::size_t victim = 0;
+    for (std::size_t i = 1; i < frames_.size(); ++i) {
+      if (frames_[i].lru < frames_[victim].lru) victim = i;
+    }
+    Frame& f = frames_[victim];
+    if (f.id != kInvalidPage) {
+      if (f.dirty) write_page_to_disk(f.id, f.data.get());
+      frame_of_.erase(f.id);
+      f.id = kInvalidPage;
+      f.dirty = false;
+      f.lru = 0;
+    }
+    return victim;
+  }
+
+  void assign(std::size_t slot, std::uint32_t id, bool dirty) {
+    Frame& f = frames_[slot];
+    f.id = id;
     f.dirty = dirty;
     f.lru = ++lru_clock_;
-    pool_.emplace(id, std::move(f));
-  }
-
-  void evict_one() {
-    auto victim = pool_.begin();
-    for (auto it = pool_.begin(); it != pool_.end(); ++it) {
-      if (it->second.lru < victim->second.lru) victim = it;
-    }
-    if (victim->second.dirty) {
-      write_page_to_disk(victim->first, victim->second.data);
-    }
-    pool_.erase(victim);
+    frame_of_[id] = slot;
   }
 
   std::uint32_t alloc_page() {
@@ -488,15 +530,15 @@ class EtreeStore::Impl {
 
   // -- raw file I/O ---------------------------------------------------------
 
-  void read_page_from_disk(std::uint32_t id, Page& page) {
+  void read_page_from_disk(std::uint32_t id, std::byte* page) {
     ++stats_.page_reads;
     obs::counter_add("etree/page_reads", 1);
     const auto off = static_cast<off_t>(id) * static_cast<off_t>(kPageSize);
-    const ssize_t n = ::pread(fd_, page.data(), kPageSize, off);
+    const ssize_t n = ::pread(fd_, page, kPageSize, off);
     if (n < 0) throw std::runtime_error("EtreeStore: pread failed");
     if (static_cast<std::size_t>(n) == 0) {
       // Past EOF: a freshly allocated page that was never flushed.
-      std::fill(page.begin(), page.end(), std::byte{0});
+      std::memset(page, 0, kPageSize);
       return;
     }
     if (static_cast<std::size_t>(n) < kPageSize) {
@@ -512,8 +554,8 @@ class EtreeStore::Impl {
   // zeroes is a hole in the sparse file (allocated, never flushed) and is
   // accepted as fresh — a genuinely written page always carries a nonzero
   // checksum, since CRC32 of the zero data area is nonzero.
-  void verify_page(std::uint32_t id, const Page& page) {
-    const auto* bytes = reinterpret_cast<const unsigned char*>(page.data());
+  void verify_page(std::uint32_t id, const std::byte* page) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(page);
     std::uint32_t stored = 0;
     std::memcpy(&stored, bytes + kPageDataSize, sizeof stored);
     if (stored == 0) {
@@ -540,30 +582,30 @@ class EtreeStore::Impl {
     obs::counter_add("etree/pages_verified", 1);
   }
 
-  void write_page_to_disk(std::uint32_t id, const Page& page) {
+  // Stamps the page's trailing CRC32 in place, then writes it.
+  void write_page_to_disk(std::uint32_t id, std::byte* page) {
     ++stats_.page_writes;
     obs::counter_add("etree/page_writes", 1);
-    Page stamped = page;
-    const auto* data = reinterpret_cast<const unsigned char*>(stamped.data());
+    const auto* data = reinterpret_cast<const unsigned char*>(page);
     const std::uint32_t crc = util::crc32({data, kPageDataSize});
-    std::memcpy(stamped.data() + kPageDataSize, &crc, sizeof crc);
+    std::memcpy(page + kPageDataSize, &crc, sizeof crc);
     const auto off = static_cast<off_t>(id) * static_cast<off_t>(kPageSize);
-    if (::pwrite(fd_, stamped.data(), kPageSize, off) !=
+    if (::pwrite(fd_, page, kPageSize, off) !=
         static_cast<ssize_t>(kPageSize)) {
       throw std::runtime_error("EtreeStore: pwrite failed");
     }
   }
 
   void write_file_header() {
-    Page page(kPageSize, std::byte{0});
+    PageBuffer page{};
     std::memcpy(page.data(), &header_, sizeof header_);
-    write_page_to_disk(0, page);
+    write_page_to_disk(0, page.data());
     header_dirty_ = false;
   }
 
   void read_file_header() {
-    Page page(kPageSize);
-    read_page_from_disk(0, page);
+    PageBuffer page;
+    read_page_from_disk(0, page.data());
     std::memcpy(&header_, page.data(), sizeof header_);
   }
 
@@ -573,11 +615,12 @@ class EtreeStore::Impl {
   bool header_dirty_ = false;
   std::size_t leaf_entry_ = 0;
   std::size_t leaf_capacity_ = 0;
-  std::size_t internal_capacity_ = 0;
 
   std::size_t pool_capacity_;
-  std::unordered_map<std::uint32_t, Frame> pool_;
+  std::vector<Frame> frames_;
+  std::unordered_map<std::uint32_t, std::size_t> frame_of_;  // page -> frame
   std::uint64_t lru_clock_ = 0;
+  std::vector<std::uint32_t> path_buf_;  // descend's path during one put
   Stats stats_;
 };
 

@@ -20,7 +20,9 @@ class LinearOctree {
  public:
   LinearOctree() = default;
 
-  // Takes ownership of `leaves`; sorts them into space-filling-curve order.
+  // Takes ownership of `leaves` and sorts them into space-filling-curve
+  // order (one linear check when they already arrive sorted, as they do
+  // from build_octree and EtreeStore::scan).
   // Pre: leaves are pairwise disjoint (checked in debug via validate()).
   explicit LinearOctree(std::vector<Octant> leaves);
 
@@ -75,8 +77,13 @@ enum class BalanceScope { kFaces, kFacesEdges, kAll };
 // level.
 bool is_balanced(const LinearOctree& tree, BalanceScope scope);
 
-// Work-queue balancing: only octants whose neighborhoods changed are
-// re-examined. This is the production algorithm.
+// Work-queue balancing, the production algorithm. Every leaf is probed
+// once: for each direction in `scope` that leaves its parent (at most 7 of
+// the 26, since neighbours sharing a parent-level cell share one probe) it
+// asks a flat table of the tree's nodes whether the parent's neighbour is a
+// leaf or an interior node. Only a failed probe splits the coarse leaf
+// around it, and only split children and the failing leaf are re-examined.
+// Returns `tree` unchanged when no probe fails.
 LinearOctree balance(const LinearOctree& tree, BalanceScope scope);
 
 // Baseline: repeated full sweeps over all leaves until a fixed point; the
@@ -86,7 +93,8 @@ LinearOctree balance_global_sweeps(const LinearOctree& tree,
 
 // The paper's local balancing: partition the domain into 8^block_level
 // equal blocks, balance each block internally, then resolve inter-block
-// boundaries (§2.3: "internal balancing" + "boundary balancing").
+// boundaries (§2.3: "internal balancing" + "boundary balancing"). Both
+// phases run balance()'s probe-and-split queue.
 LinearOctree balance_local(const LinearOctree& tree, BalanceScope scope,
                            int block_level);
 

@@ -48,6 +48,7 @@ void Communicator::install_fault_plan(const FaultPlan& plan) {
   plan_ = plan;
   has_plan_ = true;
   kill_fired_.assign(plan_.kills.size(), 0);
+  kill_armed_.assign(plan_.kills.size(), 0);
   msg_fired_.assign(plan_.msg_faults.size(), 0);
 }
 
@@ -55,6 +56,7 @@ void Communicator::clear_fault_plan() {
   std::lock_guard<std::mutex> lock(mu_);
   has_plan_ = false;
   kill_fired_.clear();
+  kill_armed_.clear();
   msg_fired_.clear();
 }
 
@@ -141,6 +143,16 @@ void Communicator::fault_point(int rank, int step) {
     if (kill_fired_[i] >= plan_.kills[i].times) continue;
     if (plan_.kills[i].rank != rank || plan_.kills[i].step != step) continue;
     ++kill_fired_[i];
+    kill_armed_[i] = 0;
+    // Arm the other kills planned for this step: a victim still finishing
+    // step k - 1 when this one dies must die as planned, in this recovery
+    // epoch, rather than recover as a survivor and die in the next.
+    for (std::size_t j = 0; j < plan_.kills.size(); ++j) {
+      if (plan_.kills[j].step == step && plan_.kills[j].rank != rank &&
+          kill_fired_[j] < plan_.kills[j].times) {
+        kill_armed_[j] = 1;
+      }
+    }
     // fault_point runs on the victim's own thread, so the event lands in
     // the victim rank's registry.
     obs::counter_add("comm/fault_kills", 1);
@@ -150,9 +162,21 @@ void Communicator::fault_point(int rank, int step) {
   }
 }
 
-void Communicator::throw_if_down_locked() {
+void Communicator::throw_if_down_locked(int rank) {
   if (deadlocked_) throw DeadlockError(deadlock_report_);
   if (poisoned_) {
+    // An armed planned kill (see fault_point) fires where its rank would
+    // otherwise learn of the failure as a survivor.
+    for (std::size_t i = 0; i < kill_armed_.size(); ++i) {
+      if (kill_armed_[i] == 0 || plan_.kills[i].rank != rank) continue;
+      kill_armed_[i] = 0;
+      ++kill_fired_[i];
+      obs::counter_add("comm/fault_kills", 1);
+      throw InjectedFaultError("injected fault: kill rank " +
+                               std::to_string(rank) + " at step " +
+                               std::to_string(plan_.kills[i].step) +
+                               " (with the step's first victim)");
+    }
     throw RankFailedError("communicator poisoned: " +
                               failure_report(failures_),
                           failed_ids(failures_));
@@ -227,6 +251,8 @@ void Communicator::revive_locked(int rank, std::uint64_t new_epoch) {
   gather_count_ = 0;
   if (new_epoch > epoch_.load(std::memory_order_relaxed)) {
     epoch_.store(new_epoch, std::memory_order_relaxed);
+    // Kills armed for the epoch that ended and not fired are dropped.
+    std::fill(kill_armed_.begin(), kill_armed_.end(), 0);
   }
 }
 
@@ -330,7 +356,7 @@ void Communicator::check_deadlock_locked() {
 void Communicator::post(int src, int dst, int tag, std::vector<double> msg) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    throw_if_down_locked();
+    throw_if_down_locked(src);
     const auto key = std::tuple<int, int, int>{src, dst, tag};
     const int occurrence = edge_sends_[key]++;
     FaultPlan::MsgAction action = FaultPlan::MsgAction::kDrop;
@@ -414,7 +440,7 @@ std::size_t Communicator::drop_stale_locked(Mailbox& box) {
 void Communicator::wait_for_message(std::unique_lock<std::mutex>& lock,
                                     int src, int dst, int tag,
                                     double timeout_sec) {
-  throw_if_down_locked();
+  throw_if_down_locked(dst);
   const auto key = std::tuple<int, int, int>{src, dst, tag};
   std::size_t stale = 0;
   const auto ready = [&] {
@@ -443,7 +469,7 @@ void Communicator::wait_for_message(std::unique_lock<std::mutex>& lock,
     obs::counter_add("comm/stale_msgs_discarded",
                      static_cast<std::int64_t>(stale));
   }
-  throw_if_down_locked();
+  throw_if_down_locked(dst);
 }
 
 std::vector<double> Communicator::take(int src, int dst, int tag,
@@ -505,7 +531,7 @@ bool Communicator::try_take_into(int src, int dst, int tag,
   std::vector<double> msg;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    throw_if_down_locked();
+    throw_if_down_locked(dst);
     const auto it = boxes_.find(std::tuple<int, int, int>{src, dst, tag});
     if (it == boxes_.end()) return false;
     const std::size_t stale = drop_stale_locked(it->second);
@@ -532,7 +558,7 @@ bool Communicator::try_take_into(int src, int dst, int tag,
 
 void Communicator::barrier_wait(int rank, double timeout_sec) {
   std::unique_lock<std::mutex> lock(mu_);
-  throw_if_down_locked();
+  throw_if_down_locked(rank);
   const std::size_t gen = barrier_gen_;
   if (++barrier_count_ == n_ranks_) {
     barrier_count_ = 0;
@@ -561,12 +587,12 @@ void Communicator::barrier_wait(int rank, double timeout_sec) {
   // the same barrier would be split across two recovery epochs: the first
   // victim's poison would knock the second out of the completed barrier
   // before it could reach its own fault point.
-  if (barrier_gen_ == gen) throw_if_down_locked();
+  if (barrier_gen_ == gen) throw_if_down_locked(rank);
 }
 
 double Communicator::reduce(int rank, double v, ReduceMode mode) {
   std::unique_lock<std::mutex> lock(mu_);
-  throw_if_down_locked();
+  throw_if_down_locked(rank);
   const std::size_t gen = reduce_gen_;
   if (reduce_count_ == 0) {
     reduce_acc_ = v;
@@ -590,13 +616,13 @@ double Communicator::reduce(int rank, double v, ReduceMode mode) {
   });
   unblock_locked(rank);
   // Completed collective wins over a concurrent poison (see barrier_wait).
-  if (reduce_gen_ == gen) throw_if_down_locked();
+  if (reduce_gen_ == gen) throw_if_down_locked(rank);
   return reduce_result_;
 }
 
 std::vector<double> Communicator::gather_all(int rank, double v) {
   std::unique_lock<std::mutex> lock(mu_);
-  throw_if_down_locked();
+  throw_if_down_locked(rank);
   const std::size_t gen = gather_gen_;
   if (gather_count_ == 0) gather_acc_.assign(static_cast<std::size_t>(n_ranks_), 0.0);
   gather_acc_[static_cast<std::size_t>(rank)] = v;
@@ -613,7 +639,7 @@ std::vector<double> Communicator::gather_all(int rank, double v) {
   });
   unblock_locked(rank);
   // Completed collective wins over a concurrent poison (see barrier_wait).
-  if (gather_gen_ == gen) throw_if_down_locked();
+  if (gather_gen_ == gen) throw_if_down_locked(rank);
   return gather_result_;
 }
 

@@ -114,7 +114,10 @@ struct FaultPlan {
   // fault_point(INT_MIN + e) inside the recovery protocol of epoch e >= 1
   // (so step = INT_MIN + 1 dies *during* the first recovery). `times` > 1
   // lets the same planned kill re-fire after an in-place revival replays
-  // the step — the same rank can be killed repeatedly across epochs.
+  // the step — the same rank can be killed repeatedly across epochs. Kills
+  // planned for one step land in one recovery epoch: once the first fires,
+  // a rank whose kill for that step has not fired yet dies at its next
+  // failure check instead of recovering as a survivor.
   struct Kill {
     int rank = 0;
     int step = 0;
@@ -349,8 +352,9 @@ class Communicator {
   // Marks `rank` as failed with `what` and wakes all blocked peers.
   // Requires mu_ NOT held.
   void poison(int rank, const std::string& what);
-  // Throws DeadlockError / RankFailedError if the run is down (mu_ held).
-  void throw_if_down_locked();
+  // Throws DeadlockError / RankFailedError if the run is down, or
+  // InjectedFaultError when `rank` has an armed planned kill (mu_ held).
+  void throw_if_down_locked(int rank);
   // Registers/deregisters a blocked wait and re-evaluates the all-ranks-
   // blocked condition (mu_ held).
   void block_locked(int rank, Blocked b);
@@ -397,6 +401,9 @@ class Communicator {
   std::atomic<bool> has_plan_{false};
   FaultPlan plan_;
   std::vector<int> kill_fired_;  // fire counts, capped at Kill::times
+  // Kills armed by another kill of the same step (see fault_point); they
+  // fire at their rank's next failure check, within the current epoch.
+  std::vector<std::uint8_t> kill_armed_;
   std::vector<std::uint8_t> msg_fired_;
   std::map<std::tuple<int, int, int>, int> edge_sends_;  // per-edge counter
   std::map<std::tuple<int, int, int>, Msg> delayed_;

@@ -83,6 +83,11 @@ TEST_P(BalanceRandom, BalancedClosureIsMinimalAndIdempotent) {
   const LinearOctree b = balance(t, scope);
   EXPECT_TRUE(is_balanced(b, scope));
   EXPECT_TRUE(b.validate(true));
+  // The minimal balanced refinement is unique: the probe-and-split queue
+  // and the find_leaf_at full sweeps reach it leaf for leaf.
+  const LinearOctree sweeps = balance_global_sweeps(t, scope);
+  ASSERT_EQ(b.size(), sweeps.size());
+  for (std::size_t i = 0; i < b.size(); ++i) EXPECT_EQ(b[i], sweeps[i]);
   // Idempotent: balancing a balanced tree changes nothing.
   const LinearOctree b2 = balance(b, scope);
   EXPECT_EQ(b2.size(), b.size());

@@ -230,6 +230,57 @@ TEST(Crc32, KnownAnswer) {
   EXPECT_EQ(crc32({msg, 0u}), 0u);
 }
 
+// The bytewise table loop, one byte per step: the oracle for crc32's
+// eight-byte slices. Any difference would change the etree page and
+// checkpoint file formats.
+std::uint32_t crc32_bytewise(const unsigned char* p, std::size_t n,
+                             std::uint32_t seed) {
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    table[i] = c;
+  }
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Checkpoint, Crc32MatchesBytewiseReference) {
+  Rng rng(4092);
+  std::vector<unsigned char> buf(277 * 1024 + 8);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.next_u64());
+  // Every length 0..64 at every alignment 0..7, across the 8-byte body and
+  // the byte tail.
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(crc32({buf.data() + off, len}),
+                crc32_bytewise(buf.data() + off, len, 0))
+          << "offset " << off << " length " << len;
+    }
+  }
+  // An etree page's data area and a checkpoint-cut-sized buffer.
+  for (const std::size_t len : {std::size_t{4092}, std::size_t{277 * 1024}}) {
+    EXPECT_EQ(crc32({buf.data() + 3, len}),
+              crc32_bytewise(buf.data() + 3, len, 0))
+        << "length " << len;
+  }
+  // Chained seeds: streaming in uneven chunks equals one pass.
+  std::uint32_t chained = 0;
+  std::size_t at = 0;
+  for (const std::size_t len : {5u, 8u, 13u, 4092u, 1u, 777u, 64u}) {
+    const std::uint32_t seed = chained;
+    chained = crc32({buf.data() + at, len}, seed);
+    EXPECT_EQ(chained, crc32_bytewise(buf.data() + at, len, seed));
+    at += len;
+  }
+  EXPECT_EQ(chained, crc32({buf.data(), at}));
+}
+
 TEST(Checkpoint, SnapshotRoundTrip) {
   const std::string path = testing::TempDir() + "/quake_snap_test.ckpt";
   const std::vector<double> data = {1234.0, 1.0, -2.5, 3.25, 0.125};
