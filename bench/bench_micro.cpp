@@ -2,9 +2,10 @@
 //  * element-local dense stiffness application vs assembled-sparse CSR
 //    matvec — the cache-friendliness argument behind the hexahedral design
 //    (and the ~10x memory gap);
-//  * the blocked element kernel vs the straight-line reference
-//    (hex_apply / hex_apply_batch A/B rows — run these interleaved and
-//    repeated, they are the evidence for the SIMD restructuring);
+//  * the blocked element kernels vs the straight-line references
+//    (hex_apply / hex_apply_batch / hex_scalar_apply A/B rows — run these
+//    interleaved and repeated, they are the evidence for the SIMD
+//    restructuring);
 //  * Morton encode/decode;
 //  * 2-to-1 balancing algorithms;
 //  * etree store point operations.
@@ -120,6 +121,43 @@ void BM_HexApplyRef(benchmark::State& state) {
   hex_apply_ab(state, &testsupport::hex_apply_ref);
 }
 BENCHMARK(BM_HexApplyRef)->Arg(0)->Arg(1);
+
+// Scalar element kernel A/B (every element pass of the scalar-wave
+// inversions): row-pair (production) vs straight-line reference, through
+// the same function-pointer harness and 4096-element pool as above.
+using HexScalarKernel = void (*)(const fem::HexReference&, const double*,
+                                 double, double*);
+
+void hex_scalar_ab(benchmark::State& state, HexScalarKernel kernel) {
+  // 8 rows of 8 multiply-adds, then the scaled accumulate.
+  constexpr double kFlops = 8 * (2 * 8 + 2);
+  const fem::HexReference& ref = fem::HexReference::get();
+  constexpr int kElems = 4096;
+  util::Rng rng(13);
+  std::vector<double> u(static_cast<std::size_t>(kElems) * fem::kHexNodes);
+  std::vector<double> y(u.size(), 0.0);
+  for (double& v : u) v = rng.uniform(-1.0, 1.0);
+  for (auto _ : state) {
+    for (int e = 0; e < kElems; ++e) {
+      const std::size_t off = static_cast<std::size_t>(e) * fem::kHexNodes;
+      kernel(ref, &u[off], 1.1, &y[off]);
+    }
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["Mflop/s"] = benchmark::Counter(
+      kElems * kFlops * 1e-6, benchmark::Counter::kIsIterationInvariantRate);
+}
+
+void BM_HexScalarApply(benchmark::State& state) {
+  hex_scalar_ab(state, &fem::hex_scalar_apply);
+}
+BENCHMARK(BM_HexScalarApply);
+
+void BM_HexScalarApplyRef(benchmark::State& state) {
+  hex_scalar_ab(state, &testsupport::hex_scalar_apply_ref);
+}
+BENCHMARK(BM_HexScalarApplyRef);
 
 // Batched (scenario-lane) kernel A/B at lane widths 4, 8 (the serving
 // benchmark's max_batch) and 16 (kMaxBatchLanes). arg 0 = lane count;

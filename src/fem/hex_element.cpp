@@ -1,12 +1,17 @@
 #include "quake/fem/hex_element.hpp"
 
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
+#include "quake/util/vec2.hpp"
+
 namespace quake::fem {
 namespace {
+
+using util::load2;
+using util::store2;
+using util::Vec2;
 
 // Trilinear shape function derivatives on the unit cube at (x, y, z).
 // Node i at corner ((i&1), (i>>1)&1, (i>>2)&1).
@@ -81,30 +86,6 @@ HexReference compute_reference() {
     }
   }
   return ref;
-}
-
-// Two doubles in one SSE2 (x86-64) or NEON (AArch64) register, through the
-// GCC/Clang vector extension. Arithmetic on it is lane-wise IEEE double
-// arithmetic, so each lane performs exactly the scalar operation written.
-// Contiguous loads go through memcpy: the reference arrays are only 8-byte
-// aligned.
-typedef double Vec2 __attribute__((vector_size(16)));
-
-Vec2 load2(const double* p) {
-  Vec2 v{};
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-// Rows r and r + 1 of a vector whose rows sit `stride` doubles apart; at
-// stride 1 these compile to one unaligned packed load or store.
-Vec2 load2(const double* p, std::size_t stride) {
-  return Vec2{p[0], p[stride]};
-}
-
-void store2(double* p, std::size_t stride, Vec2 v) {
-  p[0] = v[0];
-  p[stride] = v[1];
 }
 
 // The one elastic kernel body, shared by hex_apply (stride 1) and each lane
@@ -220,13 +201,21 @@ void hex_diagonal(const HexReference& ref, double scale_lambda,
   }
 }
 
+// Row c of k_scalar stands in for column c (exact symmetry); otherwise each
+// lane takes the row loop's operation sequence (see the header).
 void hex_scalar_apply(const HexReference& ref, const double* u_e, double scale,
                       double* y_e) {
-  for (int r = 0; r < kHexNodes; ++r) {
-    const double* k = &ref.k_scalar[static_cast<std::size_t>(r) * kHexNodes];
-    double s = 0.0;
-    for (int c = 0; c < kHexNodes; ++c) s += k[c] * u_e[c];
-    y_e[r] += scale * s;
+  constexpr int kVecs = kHexNodes / 2;
+  Vec2 s[kVecs];
+  for (int j = 0; j < kVecs; ++j) s[j] = Vec2{0.0, 0.0};
+  for (int c = 0; c < kHexNodes; ++c) {
+    const Vec2 uc = {u_e[c], u_e[c]};
+    const double* kc = &ref.k_scalar[static_cast<std::size_t>(c) * kHexNodes];
+    for (int j = 0; j < kVecs; ++j) s[j] += load2(kc + 2 * j) * uc;
+  }
+  const Vec2 sc = {scale, scale};
+  for (int j = 0; j < kVecs; ++j) {
+    store2(y_e + 2 * j, 1, load2(y_e + 2 * j, 1) + sc * s[j]);
   }
 }
 

@@ -104,7 +104,18 @@ void hex_diagonal(const HexReference& ref, double scale_lambda,
   return rho * h * h * h / 8.0;
 }
 
-// Scalar variant: y_e += mu_e * h * K_scalar u_e (8-vectors).
+// Scalar variant: y_e += scale * K_scalar u_e on 8-vectors (scale =
+// mu_e * h in the scalar-wave solvers). Packed 2-wide like hex_apply: rows
+// (0,1) .. (6,7) accumulate in four util::Vec2 registers, input node c
+// broadcast against row c of k_scalar, which is column c because the matrix
+// is exactly symmetric, bit for bit. Each lane takes the straight-line
+// reference's IEEE operation sequence for its row (the test oracle
+// testsupport::hex_scalar_apply_ref), so results are bitwise identical to
+// it for any input and any finite, infinite or zero scale, NaN and signed
+// zero bit patterns included (fem_test). A NaN scale is outside that
+// contract: it can meet a NaN the input made, and which NaN payload
+// survives follows the operand order the compiler picks for a commutative
+// operation; two compilations of the reference loop already disagree.
 void hex_scalar_apply(const HexReference& ref, const double* u_e, double scale,
                       double* y_e);
 

@@ -19,8 +19,9 @@ namespace {
 constexpr std::size_t kPageSize = 4096;
 // Every on-disk page ends with a CRC32 of its first kPageDataSize bytes, so
 // torn writes and bit rot surface as descriptive errors instead of garbage
-// reads. A page of all zeroes (a hole in the sparse file — allocated but
-// never flushed) is accepted as fresh without verification.
+// reads. Every allocated page is put into the pool before anything can
+// fetch it, so a well-formed store never reads a page that was not written:
+// a hole in the sparse file fails its checksum like any other bad page.
 constexpr std::size_t kPageDataSize = kPageSize - 4;
 constexpr std::uint32_t kMagic = 0x45545245;  // "ETRE"
 constexpr std::uint32_t kFormatVersion = 2;   // v2: per-page checksums
@@ -121,6 +122,9 @@ class EtreeStore::Impl {
       if (header_.value_size != value_size) {
         throw std::runtime_error("EtreeStore: value_size mismatch in " + path_);
       }
+      if (!is_tree_page(header_.root_page)) {
+        throw corrupt_page(0, "root page out of range");
+      }
     }
     leaf_entry_ = kKeySize + header_.value_size;
     leaf_capacity_ = (kPageDataSize - kHeaderSize) / leaf_entry_;
@@ -182,18 +186,20 @@ class EtreeStore::Impl {
                                      std::span<const std::byte>)>& fn) {
     // Leftmost leaf, then follow sibling links.
     std::uint32_t id = header_.root_page;
-    for (;;) {
+    for (std::uint32_t hops = 0;; ++hops) {
       const std::byte* page = fetch(id);
       if (get_header(page).type == kLeaf) break;
+      check_hops(hops, id);
       id = internal_child(page, 0);
     }
     // Each leaf is copied out before the callback runs: `fn` may call back
     // into the store, and any fetch may evict the leaf's frame.
     PageBuffer leaf;
-    while (id != kInvalidPage) {
+    for (std::uint32_t hops = 0; id != kInvalidPage; ++hops) {
+      check_hops(hops, id);
       const std::byte* page = fetch(id);
       const PageHeader h = get_header(page);
-      if (h.nkeys > leaf_capacity_) throw corrupt_page(id);
+      if (h.type != kLeaf) throw corrupt_page(id, "sibling link to a non-leaf");
       std::memcpy(leaf.data(), page, kHeaderSize + h.nkeys * leaf_entry_);
       for (int i = 0; i < h.nkeys; ++i) {
         fn(octant_of(leaf_key(leaf.data(), i)),
@@ -225,12 +231,43 @@ class EtreeStore::Impl {
     std::uint64_t lru = 0;
   };
 
-  // A page whose key count exceeds its capacity (a checksum only proves
+  // A page whose contents the tree cannot follow (a checksum only proves
   // the page is what was written).
-  std::runtime_error corrupt_page(std::uint32_t id) const {
+  std::runtime_error corrupt_page(std::uint32_t id, const char* why) const {
     return std::runtime_error("EtreeStore: corrupt page " +
-                              std::to_string(id) + " in " + path_ +
-                              " (key count exceeds page capacity)");
+                              std::to_string(id) + " in " + path_ + " (" +
+                              why + ")");
+  }
+
+  // Page 0 holds the file header; tree pages are 1 .. page_count - 1.
+  bool is_tree_page(std::uint32_t id) const {
+    return id != 0 && id < header_.page_count;
+  }
+
+  // Checks a page as it enters the pool from disk, so the tree code can
+  // index its keys and follow its links unchecked: a known type, a key
+  // count within that type's capacity, and links to tree pages only.
+  void check_page(std::uint32_t id, const std::byte* page) const {
+    const PageHeader h = get_header(page);
+    const bool leaf = h.type == kLeaf;
+    if (!leaf && h.type != kInternal) throw corrupt_page(id, "unknown type");
+    if (h.nkeys > (leaf ? leaf_capacity_ : kInternalCapacity)) {
+      throw corrupt_page(id, "key count exceeds page capacity");
+    }
+    if (leaf && h.next != kInvalidPage && !is_tree_page(h.next)) {
+      throw corrupt_page(id, "sibling link out of range");
+    }
+    for (int i = 0; !leaf && i <= h.nkeys; ++i) {
+      if (!is_tree_page(internal_child(page, i))) {
+        throw corrupt_page(id, "child link out of range");
+      }
+    }
+  }
+
+  // A walk longer than the page count has revisited a page: the links form
+  // a cycle.
+  void check_hops(std::uint32_t hops, std::uint32_t id) const {
+    if (hops >= header_.page_count) throw corrupt_page(id, "link cycle");
   }
 
   void require_value_size(std::size_t n) const {
@@ -295,10 +332,11 @@ class EtreeStore::Impl {
   // the internal pages visited (root first).
   std::uint32_t descend(const Key& k, std::vector<std::uint32_t>* path) {
     std::uint32_t id = header_.root_page;
-    for (;;) {
+    for (std::uint32_t hops = 0;; ++hops) {
       const std::byte* page = fetch(id);
       const PageHeader h = get_header(page);
       if (h.type == kLeaf) return id;
+      check_hops(hops, id);
       if (path) path->push_back(id);
       // First key strictly greater than k gives the child slot.
       int lo = 0, hi = h.nkeys;
@@ -403,7 +441,6 @@ class EtreeStore::Impl {
       }
       // Split the internal node. Gather keys/children with the new entry
       // placed, push up the median.
-      if (h.nkeys > kInternalCapacity) throw corrupt_page(parent_id);
       const int n = h.nkeys;
       std::vector<Key> keys;
       std::vector<std::uint32_t> kids;
@@ -458,6 +495,7 @@ class EtreeStore::Impl {
     const std::size_t slot = claim_frame();
     Frame& f = frames_[slot];
     read_page_from_disk(id, f.data.get());  // on throw the frame stays free
+    check_page(id, f.data.get());
     note_pool_access();
     assign(slot, id, /*dirty=*/false);
     return f.data.get();
@@ -536,11 +574,6 @@ class EtreeStore::Impl {
     const auto off = static_cast<off_t>(id) * static_cast<off_t>(kPageSize);
     const ssize_t n = ::pread(fd_, page, kPageSize, off);
     if (n < 0) throw std::runtime_error("EtreeStore: pread failed");
-    if (static_cast<std::size_t>(n) == 0) {
-      // Past EOF: a freshly allocated page that was never flushed.
-      std::memset(page, 0, kPageSize);
-      return;
-    }
     if (static_cast<std::size_t>(n) < kPageSize) {
       throw std::runtime_error("EtreeStore: truncated page " +
                                std::to_string(id) + " in " + path_ + " (" +
@@ -550,24 +583,11 @@ class EtreeStore::Impl {
     verify_page(id, page);
   }
 
-  // Checks the trailing CRC32 of a page read from disk. A page of all
-  // zeroes is a hole in the sparse file (allocated, never flushed) and is
-  // accepted as fresh — a genuinely written page always carries a nonzero
-  // checksum, since CRC32 of the zero data area is nonzero.
+  // Checks the trailing CRC32 of a page read from disk.
   void verify_page(std::uint32_t id, const std::byte* page) {
     const auto* bytes = reinterpret_cast<const unsigned char*>(page);
     std::uint32_t stored = 0;
     std::memcpy(&stored, bytes + kPageDataSize, sizeof stored);
-    if (stored == 0) {
-      bool all_zero = true;
-      for (std::size_t i = 0; i < kPageDataSize; ++i) {
-        if (bytes[i] != 0) {
-          all_zero = false;
-          break;
-        }
-      }
-      if (all_zero) return;
-    }
     const std::uint32_t computed = util::crc32({bytes, kPageDataSize});
     if (computed != stored) {
       ++stats_.page_verify_failures;

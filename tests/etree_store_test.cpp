@@ -261,7 +261,7 @@ TEST(EtreeStore, TruncatedPageRaisesDescriptiveError) {
     store.flush();
   }
   // Chop the file mid-page: the partial page must be reported as truncated
-  // (a fully missing page past EOF would be a legitimate fresh page).
+  // (so is a page wholly past EOF; a well-formed store never reads one).
   const auto size = std::filesystem::file_size(path);
   ASSERT_GT(size, 4096u + 2048u);
   std::filesystem::resize_file(path, size - 2048);
@@ -305,6 +305,161 @@ TEST(EtreeStore, PreChecksumFormatRejectedWithVersionError) {
     const std::string what = e.what();
     EXPECT_NE(what.find("version"), std::string::npos) << what;
   }
+}
+
+TEST(EtreeStore, MutatedHeadersUnderValidCrcThrow) {
+  // A page whose header fields were changed under a recomputed CRC passes
+  // the checksum; the store must still never index past the 4 KiB frame
+  // (the ASan + UBSan lane runs this) nor walk a link cycle forever. Part
+  // one breaks one rule the store checks pages against — a known type, a
+  // key count within capacity, links to tree pages, the root in range — and
+  // each must surface as a corrupt-page error. Part two writes arbitrary
+  // values into the same fields; some of those make a valid but different
+  // tree, so reading may succeed, but any failure must be a runtime_error.
+  constexpr std::size_t kPage = 4096;
+  constexpr std::size_t kData = kPage - 4;
+  constexpr std::size_t kChildren = 8 + 255 * 12;  // internal child slots
+  constexpr std::uint16_t kLeafCap = (kData - 8) / (12 + sizeof(double));
+  constexpr std::uint16_t kInternalCap = 255;
+  const std::string path = temp_path("mutated_headers");
+  const LinearOctree tree =
+      build_octree([](const Octant& o) { return o.level < 4; }, 4);
+  {
+    EtreeStore store(path, sizeof(double), 16, /*create=*/true);
+    for (std::size_t i = 0; i < tree.size(); ++i) {
+      store.put(tree[i], bytes_of(static_cast<double>(i)));
+    }
+  }
+  std::vector<unsigned char> good(std::filesystem::file_size(path));
+  {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fread(good.data(), 1, good.size(), f), good.size());
+    std::fclose(f);
+  }
+  const auto field = [](const std::vector<unsigned char>& b, std::size_t off,
+                        auto v) {
+    std::memcpy(&v, b.data() + off, sizeof v);
+    return v;
+  };
+  const std::uint32_t page_count = field(good, 16, std::uint32_t{});
+  ASSERT_EQ(good.size(), page_count * kPage);
+  ASSERT_GT(page_count, 8u);  // an internal root over several leaves
+  const auto is_leaf = [&](std::uint32_t p) {
+    return field(good, p * kPage, std::uint16_t{}) == 1;
+  };
+  // Writes `value` at byte `off` of page `p` and re-stamps the page CRC.
+  const auto patch = [](std::vector<unsigned char>& b, std::uint32_t p,
+                        std::size_t off, auto value) {
+    unsigned char* page = b.data() + p * kPage;
+    std::memcpy(page + off, &value, sizeof value);
+    const std::uint32_t crc = quake::util::crc32({page, kData});
+    std::memcpy(page + kData, &crc, sizeof crc);
+  };
+  // Writes `bytes` as the store, then reads every page: a scan, a get per
+  // 64 records (the root on every path), an erase and a put.
+  const auto read_all = [&](const std::vector<unsigned char>& bytes) {
+    {
+      std::FILE* f = std::fopen(path.c_str(), "wb");
+      ASSERT_NE(f, nullptr);
+      ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+      std::fclose(f);
+    }
+    EtreeStore store(path, sizeof(double), 4, /*create=*/false);
+    store.scan([](const Octant&, std::span<const std::byte>) {});
+    double v = 0.0;
+    for (std::size_t i = 0; i < tree.size(); i += 64) {
+      store.get(tree[i], std::as_writable_bytes(std::span<double, 1>(&v, 1)));
+    }
+    store.erase(tree[100]);
+    store.put(tree[100], bytes_of(v));
+  };
+  ASSERT_NO_THROW(read_all(good));
+
+  quake::util::Rng rng(2027);
+  const auto out_of_range = [&] {  // 0 (the file header) or >= page_count
+    const std::uint64_t r = rng.next_u64();
+    return r % 4 == 0 ? 0u
+                      : page_count + static_cast<std::uint32_t>(
+                                         r % (0xfffffffeu - page_count));
+  };
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<unsigned char> bad = good;
+    const std::uint32_t p =
+        1 + static_cast<std::uint32_t>(rng.next_u64() % (page_count - 1));
+    const std::uint16_t nkeys = field(good, p * kPage + 2, std::uint16_t{});
+    const int rule = static_cast<int>(rng.next_u64() % 5);
+    if (rule == 0) {  // type neither leaf (1) nor internal (2)
+      std::uint16_t type = 0;
+      do {
+        type = static_cast<std::uint16_t>(rng.next_u64());
+      } while (type == 1 || type == 2);
+      patch(bad, p, 0, type);
+    } else if (rule == 1) {  // key count past the page's capacity
+      const std::uint16_t cap = is_leaf(p) ? kLeafCap : kInternalCap;
+      const std::uint16_t n =
+          rng.next_u64() % 2 == 0
+              ? cap + 1
+              : static_cast<std::uint16_t>(
+                    cap + 1 + rng.next_u64() % (0xffffu - cap));
+      patch(bad, p, 2, n);
+    } else if (rule == 2) {  // a sibling or child link off the tree
+      if (is_leaf(p)) {
+        patch(bad, p, 4, out_of_range());
+      } else {
+        const std::size_t slot = rng.next_u64() % (nkeys + 1u);
+        patch(bad, p, kChildren + 4 * slot, out_of_range());
+      }
+    } else if (rule == 3) {  // the root page off the tree
+      patch(bad, 0, 12, out_of_range());
+    } else {  // a page count that cuts off pages the tree links to
+      patch(bad, 0, 16,
+            static_cast<std::uint32_t>(rng.next_u64() % page_count));
+    }
+    try {
+      read_all(bad);
+      ADD_FAILURE() << "trial " << trial << " rule " << rule << " page " << p
+                    << ": no error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("corrupt page"), std::string::npos)
+          << "trial " << trial << " rule " << rule << ": " << e.what();
+    }
+  }
+
+  // Arbitrary values, small links included: type flips, short key counts,
+  // links back up the tree or along the leaf chain (cycles).
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<unsigned char> bad = good;
+    const std::uint64_t n_mut = 1 + rng.next_u64() % 3;
+    for (std::uint64_t m = 0; m < n_mut; ++m) {
+      const std::uint32_t p =
+          static_cast<std::uint32_t>(rng.next_u64() % page_count);
+      const auto small = static_cast<std::uint32_t>(
+          rng.next_u64() % (page_count + 2));
+      switch (rng.next_u64() % 5) {
+        case 0:
+          patch(bad, p, 0, static_cast<std::uint16_t>(1 + rng.next_u64() % 3));
+          break;
+        case 1:
+          patch(bad, p, 2, static_cast<std::uint16_t>(rng.next_u64() % 300));
+          break;
+        case 2:
+          patch(bad, p, 4, small);
+          break;
+        case 3:
+          patch(bad, p, kChildren + 4 * (rng.next_u64() % 8), small);
+          break;
+        default:
+          patch(bad, 0, 12 + 4 * (rng.next_u64() % 2), small);
+          break;
+      }
+    }
+    try {
+      read_all(bad);
+    } catch (const std::runtime_error&) {
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(EtreeStore, DistinguishesLevelsAtSameAnchor) {

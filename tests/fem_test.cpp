@@ -23,8 +23,48 @@ namespace {
 using namespace quake::fem;
 using quake::testsupport::hex_apply_batch_ref;
 using quake::testsupport::hex_apply_ref;
+using quake::testsupport::hex_scalar_apply_ref;
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// The eight edge-case input kinds of the kernels' bit-pattern tests, as an
+// N-vector: signed zeros, subnormals, subnormal products, one +Inf, one
+// -Inf, one NaN, +Inf with -Inf (Inf - Inf and Inf * 0 make NaNs), and an
+// input NaN meeting NaNs the arithmetic makes. The special slots are taken
+// mod N.
+constexpr int kEdgeKinds = 8;
+
+template <std::size_t N>
+std::array<double, N> edge_input(int kind, quake::util::Rng& r) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kSub = std::numeric_limits<double>::denorm_min();
+  std::array<double, N> u{};
+  for (std::size_t i = 0; i < u.size(); ++i) {
+    const double sign = (i % 3 == 0) ? -1.0 : 1.0;
+    if (kind == 0) {
+      u[i] = sign * 0.0;  // signed zeros
+    } else if (kind == 1) {
+      u[i] = sign * kSub * static_cast<double>(i + 1);  // subnormals
+    } else if (kind == 2) {
+      u[i] = r.uniform(-1.0, 1.0) * 1e-305;  // subnormal products
+    } else {
+      u[i] = r.uniform(-1.0, 1.0);
+    }
+  }
+  if (kind == 3) u[5 % N] = kInf;
+  if (kind == 4) u[7 % N] = -kInf;
+  if (kind == 5) u[11 % N] = kNaN;
+  if (kind == 6) {  // +Inf and -Inf: Inf - Inf and Inf * 0 make NaNs
+    u[2 % N] = kInf;
+    u[19 % N] = -kInf;
+  }
+  if (kind == 7) {  // an input NaN meets NaNs the arithmetic makes
+    u[4 % N] = kNaN;
+    u[13 % N] = -kInf;
+  }
+  return u;
+}
 
 std::array<double, 3> corner(int i) {
   return {static_cast<double>(i & 1), static_cast<double>((i >> 1) & 1),
@@ -308,46 +348,15 @@ TEST(HexApplyVectorized, EdgeCaseInputsMatchReferenceBitPatterns) {
   // the vector of kind (kind + s) % 8, so NaN and Inf lanes sit next to
   // finite ones.
   const HexReference& ref = HexReference::get();
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-  constexpr double kSub = std::numeric_limits<double>::denorm_min();
-  constexpr int kKinds = 8;
-  const auto edge_input = [&](int kind, quake::util::Rng& r) {
-    std::array<double, kHexDofs> u{};
-    for (std::size_t i = 0; i < u.size(); ++i) {
-      const double sign = (i % 3 == 0) ? -1.0 : 1.0;
-      if (kind == 0) {
-        u[i] = sign * 0.0;  // signed zeros
-      } else if (kind == 1) {
-        u[i] = sign * kSub * static_cast<double>(i + 1);  // subnormals
-      } else if (kind == 2) {
-        u[i] = r.uniform(-1.0, 1.0) * 1e-305;  // subnormal products
-      } else {
-        u[i] = r.uniform(-1.0, 1.0);
-      }
-    }
-    if (kind == 3) u[5] = kInf;
-    if (kind == 4) u[7] = -kInf;
-    if (kind == 5) u[11] = kNaN;
-    if (kind == 6) {  // +Inf and -Inf: Inf - Inf and Inf * 0 make NaNs
-      u[2] = kInf;
-      u[19] = -kInf;
-    }
-    if (kind == 7) {  // an input NaN meets NaNs the arithmetic makes
-      u[4] = kNaN;
-      u[13] = -kInf;
-    }
-    return u;
-  };
   const std::array<std::pair<double, double>, 6> scales = {{
       {1.0, 1.0}, {-2.5, 0.75}, {3.0, -1.25}, {-0.5, -4.0},
       {1e-300, 1e-300}, {-1e-12, 1e-12}}};
   quake::util::Rng rng(41);
   quake::util::Rng rng_batch(47);
-  for (int kind = 0; kind < kKinds; ++kind) {
+  for (int kind = 0; kind < kEdgeKinds; ++kind) {
     for (const auto& [sl, sm] : scales) {
       for (const bool damp : {false, true}) {
-        const std::array<double, kHexDofs> u = edge_input(kind, rng);
+        const auto u = edge_input<kHexDofs>(kind, rng);
         std::array<double, kHexDofs> y_a{}, d_a{};
         for (std::size_t i = 0; i < y_a.size(); ++i) {
           y_a[i] = (i % 4 == 0) ? -0.0 : rng.uniform(-1.0, 1.0);
@@ -371,8 +380,8 @@ TEST(HexApplyVectorized, EdgeCaseInputsMatchReferenceBitPatterns) {
           const std::size_t n = static_cast<std::size_t>(kHexDofs) * n_lanes;
           std::vector<double> ub(n), yb_a(n), db_a(n);
           for (std::size_t s = 0; s < n_lanes; ++s) {
-            const auto us =
-                edge_input((kind + static_cast<int>(s)) % kKinds, rng_batch);
+            const auto us = edge_input<kHexDofs>(
+                (kind + static_cast<int>(s)) % kEdgeKinds, rng_batch);
             for (std::size_t dof = 0; dof < us.size(); ++dof) {
               ub[dof * n_lanes + s] = us[dof];
             }
@@ -437,6 +446,84 @@ TEST(HexApplyElems, EveryPackSizeMatchesReferenceBitwise) {
       EXPECT_EQ(std::memcmp(d_a.data(), d_b.data(), len * sizeof(double)), 0)
           << "pack=" << n << " damp=" << damp;
     }
+  }
+}
+
+TEST(HexReference, ScalarMatrixIsExactlySymmetric) {
+  // hex_scalar_apply multiplies by row c of k_scalar where the reference
+  // multiplies by column c; that is the same product only if the two hold
+  // the same bits (value equality would pass -0.0 == +0.0).
+  const HexReference& ref = HexReference::get();
+  for (int r = 0; r < kHexNodes; ++r) {
+    for (int c = 0; c < kHexNodes; ++c) {
+      EXPECT_EQ(bits(ref.k_scalar[static_cast<std::size_t>(r * kHexNodes + c)]),
+                bits(ref.k_scalar[static_cast<std::size_t>(c * kHexNodes + r)]))
+          << "r=" << r << " c=" << c;
+    }
+  }
+}
+
+TEST(HexScalarApply, BitwiseMatchesReference) {
+  // The row-pair kernel against the straight-line row loop: random inputs
+  // and scales, nonzero initial accumulators (the kernel adds into y).
+  const HexReference& ref = HexReference::get();
+  quake::util::Rng rng(19);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::array<double, kHexNodes> u{}, y_a{};
+    for (double& v : u) v = rng.uniform(-1.0, 1.0);
+    for (double& v : y_a) v = rng.uniform(-1.0, 1.0);
+    std::array<double, kHexNodes> y_b = y_a;
+    const double scale = rng.uniform(-4.0, 4.0);
+    hex_scalar_apply(ref, u.data(), scale, y_a.data());
+    hex_scalar_apply_ref(ref, u.data(), scale, y_b.data());
+    EXPECT_EQ(std::memcmp(y_a.data(), y_b.data(), sizeof y_a), 0)
+        << "trial=" << trial;
+  }
+}
+
+TEST(HexScalarApply, EdgeCaseInputsMatchReferenceBitPatterns) {
+  // The eight input kinds of the elastic kernel's bit-pattern test, under
+  // finite, infinite and signed-zero scales, compared as bytes. A NaN scale
+  // is not part of the contract: scale * s can then meet a NaN the input
+  // made in s (Inf - Inf, Inf * 0), and which of two NaN payloads survives
+  // follows the operand order the compiler picks for the commutative
+  // multiply. Two compilations of the reference loop itself already
+  // disagree on that, so no kernel form could pin it.
+  const HexReference& ref = HexReference::get();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::array<double, 8> scales = {1.0,  -2.5, 1e-300, -1e-12,
+                                        kInf, -kInf, 0.0,   -0.0};
+  quake::util::Rng rng(53);
+  for (int kind = 0; kind < kEdgeKinds; ++kind) {
+    for (const double scale : scales) {
+      const auto u = edge_input<kHexNodes>(kind, rng);
+      std::array<double, kHexNodes> y_a{};
+      for (std::size_t i = 0; i < y_a.size(); ++i) {
+        y_a[i] = (i % 4 == 0) ? -0.0 : rng.uniform(-1.0, 1.0);
+      }
+      std::array<double, kHexNodes> y_b = y_a;
+      hex_scalar_apply(ref, u.data(), scale, y_a.data());
+      hex_scalar_apply_ref(ref, u.data(), scale, y_b.data());
+      EXPECT_EQ(std::memcmp(y_a.data(), y_b.data(), sizeof y_a), 0)
+          << "kind=" << kind << " scale=" << scale;
+    }
+  }
+  // Zeros signed so that every product of row 0 is -0.0: only the +0.0
+  // accumulator start turns that row's sum, and so y[0] = -0.0 + scale * s,
+  // into +0.0.
+  std::array<double, kHexNodes> u{};
+  for (int c = 0; c < kHexNodes; ++c) {
+    u[static_cast<std::size_t>(c)] =
+        ref.k_scalar[static_cast<std::size_t>(c)] < 0.0 ? 0.0 : -0.0;
+  }
+  for (const double scale : scales) {
+    std::array<double, kHexNodes> y_a{}, y_b{};
+    y_a.fill(-0.0);
+    y_b.fill(-0.0);
+    hex_scalar_apply(ref, u.data(), scale, y_a.data());
+    hex_scalar_apply_ref(ref, u.data(), scale, y_b.data());
+    EXPECT_EQ(std::memcmp(y_a.data(), y_b.data(), sizeof y_a), 0)
+        << "row-0 negative zeros, scale=" << scale;
   }
 }
 

@@ -1,10 +1,14 @@
 #pragma once
 
-// Test oracles for the elastic element kernel (fem::hex_apply and
-// fem::hex_apply_batch): the straight-line reference the kernel must match
-// bit for bit, and the bench_micro reference rows. Not used by the library.
+// Test oracles for the element kernels (fem::hex_apply,
+// fem::hex_apply_batch, fem::hex_scalar_apply and the quad kernel of
+// wave2d::ShModel): the straight-line references the kernels must match bit
+// for bit, and the bench_micro reference rows. Not used by the library.
+
+#include <span>
 
 #include "quake/fem/hex_element.hpp"
+#include "quake/wave2d/sh_model.hpp"
 
 namespace quake::testsupport {
 
@@ -24,5 +28,21 @@ void hex_apply_ref(const fem::HexReference& ref, const double* u_e,
 void hex_apply_batch_ref(const fem::HexReference& ref, const double* u_e,
                          int n_lanes, double scale_lambda, double scale_mu,
                          double* y_e, double beta_e, double* y_damp);
+
+// Straight-line row-major dot products: y_e += scale * K_scalar * u_e. The
+// floating-point ground truth of fem::hex_scalar_apply, which takes this
+// exact operation sequence per row.
+void hex_scalar_apply_ref(const fem::HexReference& ref, const double* u_e,
+                          double scale, double* y_e);
+
+// Straight-line references of wave2d::ShModel::apply_k (y += K(mu) u) and
+// apply_k_delta (y += K(dmu) u), built from the model's public grid(), mu()
+// and wave2d::quad_laplacian_reference(): per element, gather u, then one
+// row-major dot product per row and y[node] += scale * s.
+void sh_apply_k_ref(const wave2d::ShModel& model, std::span<const double> u,
+                    std::span<double> y);
+void sh_apply_k_delta_ref(const wave2d::ShModel& model,
+                          std::span<const double> dmu,
+                          std::span<const double> u, std::span<double> y);
 
 }  // namespace quake::testsupport

@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
+#include "hex_apply_ref.hpp"
 #include "quake/util/rng.hpp"
 #include "quake/util/stats.hpp"
 #include "quake/wave2d/fault.hpp"
@@ -35,6 +40,88 @@ TEST(QuadLaplacian, KnownEntries) {
     double s = 0.0;
     for (int j = 0; j < 4; ++j) s += k[static_cast<std::size_t>(i * 4 + j)];
     EXPECT_NEAR(s, 0.0, 1e-13);
+  }
+}
+
+TEST(QuadLaplacian, IsExactlySymmetric) {
+  // ShModel's quad kernel multiplies by row c where the row loop multiplies
+  // by column c; that is the same product only if the two hold the same
+  // bits (value equality would pass -0.0 == +0.0).
+  const auto& k = quad_laplacian_reference();
+  for (int i = 0; i < 4; ++i) {
+    for (int j = 0; j < 4; ++j) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(k[static_cast<std::size_t>(i * 4 + j)]),
+                std::bit_cast<std::uint64_t>(k[static_cast<std::size_t>(j * 4 + i)]))
+          << "i=" << i << " j=" << j;
+    }
+  }
+}
+
+TEST(ShModel, ApplyKMatchesReferenceBitPatterns) {
+  // apply_k and apply_k_delta against the straight-line row loop, compared
+  // as bytes. u carries one edge kind at a time: signed zeros, subnormals,
+  // subnormal products, and finite values with one +Inf, one -Inf, one
+  // NaN, +Inf beside -Inf (Inf - Inf makes NaNs) or a NaN beside -Inf.
+  // The scatter y[node] += v is a sum over the node's elements, and where
+  // two different NaN payloads meet in it the survivor follows the
+  // compiler's operand order, as for a NaN scale of fem::hex_scalar_apply.
+  // So the special nodes sit side by side, and dmu keeps one sign: every
+  // node then sums NaNs of one payload at most.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kSub = std::numeric_limits<double>::denorm_min();
+  const ShGrid g{6, 5, 10.0};
+  const std::size_t ne = static_cast<std::size_t>(g.n_elems());
+  const std::size_t nn = static_cast<std::size_t>(g.n_nodes());
+  util::Rng rng(61);
+  std::vector<double> mu(ne), dmu(ne);
+  for (double& v : mu) v = rng.uniform(1e9, 4e9);
+  for (std::size_t e = 0; e < ne; ++e) {
+    dmu[e] = (e % 3 == 0) ? 0.0 : -rng.uniform(1e8, 1e9);  // 0: skipped
+  }
+  const ShModel m(g, mu, 2000.0);
+  const std::size_t a = static_cast<std::size_t>(g.node(2, 2));
+  const std::size_t b = static_cast<std::size_t>(g.node(3, 2));
+  for (int kind = 0; kind < 8; ++kind) {
+    std::vector<double> u(nn);
+    for (std::size_t i = 0; i < nn; ++i) {
+      const double sign = (i % 3 == 0) ? -1.0 : 1.0;
+      if (kind == 0) {
+        u[i] = sign * 0.0;
+      } else if (kind == 1) {
+        u[i] = sign * kSub * static_cast<double>(i + 1);
+      } else if (kind == 2) {
+        u[i] = rng.uniform(-1.0, 1.0) * 1e-305;
+      } else {
+        u[i] = rng.uniform(-1.0, 1.0);
+      }
+    }
+    if (kind == 3) u[a] = kInf;
+    if (kind == 4) u[a] = -kInf;
+    if (kind == 5) u[a] = kNaN;
+    if (kind == 6) {
+      u[a] = kInf;
+      u[b] = -kInf;
+    }
+    if (kind == 7) {
+      u[a] = kNaN;
+      u[b] = -kInf;
+    }
+    std::vector<double> y0(nn);
+    for (std::size_t i = 0; i < nn; ++i) {
+      y0[i] = (i % 4 == 0) ? -0.0 : rng.uniform(-1.0, 1.0);
+    }
+    std::vector<double> y_a = y0, y_b = y0;
+    m.apply_k(u, y_a);
+    testsupport::sh_apply_k_ref(m, u, y_b);
+    EXPECT_EQ(std::memcmp(y_a.data(), y_b.data(), nn * sizeof(double)), 0)
+        << "apply_k kind=" << kind;
+    y_a = y0;
+    y_b = y0;
+    m.apply_k_delta(dmu, u, y_a);
+    testsupport::sh_apply_k_delta_ref(m, dmu, u, y_b);
+    EXPECT_EQ(std::memcmp(y_a.data(), y_b.data(), nn * sizeof(double)), 0)
+        << "apply_k_delta kind=" << kind;
   }
 }
 
