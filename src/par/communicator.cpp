@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstring>
 #include <exception>
+#include <numeric>
 #include <stdexcept>
 #include <thread>
 
@@ -29,6 +30,26 @@ std::vector<int> failed_ids(
   return ids;
 }
 
+void count_recv(std::size_t n) {
+  obs::counter_add("comm/msgs_recv", 1);
+  obs::counter_add("comm/bytes_recv", static_cast<std::int64_t>(8 * n));
+}
+
+// Copies a received message into the caller's buffer, which a preplanned
+// exchange sizes exactly: a mismatch is a program error, not a message to
+// truncate or pad.
+void copy_exact(const char* op, int src, int dst, int tag,
+                const std::vector<double>& msg, std::span<double> out) {
+  if (msg.size() != out.size()) {
+    throw CommError(std::string(op) + " size mismatch on rank " +
+                    std::to_string(dst) + ": recv(src=" + std::to_string(src) +
+                    ", tag=" + std::to_string(tag) + ") got " +
+                    std::to_string(msg.size()) + " doubles, caller buffer " +
+                    std::to_string(out.size()));
+  }
+  std::copy(msg.begin(), msg.end(), out.begin());
+}
+
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -41,6 +62,7 @@ std::uint64_t splitmix64(std::uint64_t x) {
 Communicator::Communicator(int n_ranks) : n_ranks_(n_ranks) {
   if (n_ranks < 1) throw std::invalid_argument("Communicator: n_ranks >= 1");
   blocked_.resize(static_cast<std::size_t>(n_ranks));
+  for (auto& vals : coll_vals_) vals.resize(static_cast<std::size_t>(n_ranks));
 }
 
 void Communicator::install_fault_plan(const FaultPlan& plan) {
@@ -78,59 +100,42 @@ void Rank::send(int dest, int tag, std::span<const double> data) {
 
 std::vector<double> Rank::recv(int src, int tag, double timeout_sec) {
   std::vector<double> msg = comm_->take(src, id_, tag, timeout_sec);
-  obs::counter_add("comm/msgs_recv", 1);
-  obs::counter_add("comm/bytes_recv",
-                   static_cast<std::int64_t>(8 * msg.size()));
+  count_recv(msg.size());
   return msg;
 }
 
+// The spent storage of a message received into a caller buffer lands in
+// this rank's pool, for the next send.
 void Rank::recv_into(int src, int tag, std::span<double> out,
                      double timeout_sec) {
-  pool_.push_back(comm_->take_into(src, id_, tag, out, timeout_sec));
-  obs::counter_add("comm/msgs_recv", 1);
-  obs::counter_add("comm/bytes_recv",
-                   static_cast<std::int64_t>(8 * out.size()));
+  std::vector<double> msg = comm_->take(src, id_, tag, timeout_sec);
+  copy_exact("recv_into", src, id_, tag, msg, out);
+  pool_.push_back(std::move(msg));
+  count_recv(out.size());
 }
 
 bool Rank::try_recv(int src, int tag, std::vector<double>& out) {
-  if (!comm_->try_take(src, id_, tag, out)) return false;
-  obs::counter_add("comm/msgs_recv", 1);
-  obs::counter_add("comm/bytes_recv",
-                   static_cast<std::int64_t>(8 * out.size()));
+  if (!comm_->try_take(src, id_, tag, out, /*poison_check=*/false)) {
+    return false;
+  }
+  count_recv(out.size());
   return true;
 }
 
 bool Rank::try_recv_into(int src, int tag, std::span<double> out) {
-  std::vector<double> spent;
-  if (!comm_->try_take_into(src, id_, tag, out, spent)) return false;
-  pool_.push_back(std::move(spent));
-  obs::counter_add("comm/msgs_recv", 1);
-  obs::counter_add("comm/bytes_recv",
-                   static_cast<std::int64_t>(8 * out.size()));
+  std::vector<double> msg;
+  if (!comm_->try_take(src, id_, tag, msg, /*poison_check=*/true)) {
+    return false;
+  }
+  copy_exact("try_recv_into", src, id_, tag, msg, out);
+  pool_.push_back(std::move(msg));
+  count_recv(out.size());
   return true;
-}
-
-void Rank::barrier(double timeout_sec) {
-  comm_->barrier_wait(id_, timeout_sec);
-}
-
-double Rank::allreduce_sum(double v) {
-  return comm_->reduce(id_, v, Communicator::ReduceMode::kSum);
-}
-double Rank::allreduce_max(double v) {
-  return comm_->reduce(id_, v, Communicator::ReduceMode::kMax);
-}
-double Rank::allreduce_min(double v) {
-  return comm_->reduce(id_, v, Communicator::ReduceMode::kMin);
-}
-
-std::vector<double> Rank::allgather(double v) {
-  return comm_->gather_all(id_, v);
 }
 
 void Rank::fault_point(int step) { comm_->fault_point(id_, step); }
 
-bool Rank::await_recovery() { return comm_->await_recovery(id_); }
+bool Rank::await_recovery() { return comm_->await_recovery(); }
 
 std::uint64_t Rank::epoch() const { return comm_->epoch(); }
 
@@ -142,8 +147,6 @@ void Communicator::fault_point(int rank, int step) {
   for (std::size_t i = 0; i < plan_.kills.size(); ++i) {
     if (kill_fired_[i] >= plan_.kills[i].times) continue;
     if (plan_.kills[i].rank != rank || plan_.kills[i].step != step) continue;
-    ++kill_fired_[i];
-    kill_armed_[i] = 0;
     // Arm the other kills planned for this step: a victim still finishing
     // step k - 1 when this one dies must die as planned, in this recovery
     // epoch, rather than recover as a survivor and die in the next.
@@ -153,13 +156,19 @@ void Communicator::fault_point(int rank, int step) {
         kill_armed_[j] = 1;
       }
     }
-    // fault_point runs on the victim's own thread, so the event lands in
-    // the victim rank's registry.
-    obs::counter_add("comm/fault_kills", 1);
-    throw InjectedFaultError("injected fault: kill rank " +
-                             std::to_string(rank) + " at step " +
-                             std::to_string(step));
+    fire_kill_locked(i, "");
   }
+}
+
+void Communicator::fire_kill_locked(std::size_t i, const char* note) {
+  ++kill_fired_[i];
+  kill_armed_[i] = 0;
+  // Kills fire on the victim's own thread, so the event lands in the
+  // victim rank's registry.
+  obs::counter_add("comm/fault_kills", 1);
+  throw InjectedFaultError("injected fault: kill rank " +
+                           std::to_string(plan_.kills[i].rank) + " at step " +
+                           std::to_string(plan_.kills[i].step) + note);
 }
 
 void Communicator::throw_if_down_locked(int rank) {
@@ -168,14 +177,9 @@ void Communicator::throw_if_down_locked(int rank) {
     // An armed planned kill (see fault_point) fires where its rank would
     // otherwise learn of the failure as a survivor.
     for (std::size_t i = 0; i < kill_armed_.size(); ++i) {
-      if (kill_armed_[i] == 0 || plan_.kills[i].rank != rank) continue;
-      kill_armed_[i] = 0;
-      ++kill_fired_[i];
-      obs::counter_add("comm/fault_kills", 1);
-      throw InjectedFaultError("injected fault: kill rank " +
-                               std::to_string(rank) + " at step " +
-                               std::to_string(plan_.kills[i].step) +
-                               " (with the step's first victim)");
+      if (kill_armed_[i] != 0 && plan_.kills[i].rank == rank) {
+        fire_kill_locked(i, " (with the step's first victim)");
+      }
     }
     throw RankFailedError("communicator poisoned: " +
                               failure_report(failures_),
@@ -203,8 +207,7 @@ void Communicator::unblock_locked(int rank) {
   --n_blocked_;
 }
 
-void Communicator::rank_done(int rank) {
-  (void)rank;
+void Communicator::rank_done() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     --n_live_;
@@ -214,41 +217,24 @@ void Communicator::rank_done(int rank) {
 }
 
 void Communicator::revive_locked(int rank, std::uint64_t new_epoch) {
-  failures_.erase(
-      std::remove_if(failures_.begin(), failures_.end(),
-                     [rank](const std::pair<int, std::string>& f) {
-                       return f.first == rank;
-                     }),
-      failures_.end());
+  std::erase_if(failures_, [rank](const auto& f) { return f.first == rank; });
   if (failures_.empty()) poisoned_ = false;
   // Flush every in-flight mailbox touching the failed rank: messages it
   // sent are from a state being rolled back, messages to it would be
   // consumed out of order by its restarted function. Stragglers between
   // survivors are left in place — the epoch fence discards them at
   // receive time.
-  for (auto it = boxes_.begin(); it != boxes_.end();) {
-    const auto& [src, dst, tag] = it->first;
-    if (src == rank || dst == rank) {
-      it = boxes_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (auto it = delayed_.begin(); it != delayed_.end();) {
-    const auto& [src, dst, tag] = it->first;
-    if (src == rank || dst == rank) {
-      it = delayed_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  // No waiter survives a poisoning (they all woke and threw), so partially
-  // filled barrier / reduction / gather counts are pre-failure garbage.
-  // Generations are kept: a bumped generation would falsely release the
-  // next wait.
-  barrier_count_ = 0;
-  reduce_count_ = 0;
-  gather_count_ = 0;
+  const auto touches_rank = [rank](const auto& edge) {
+    const auto& [src, dst, tag] = edge.first;
+    return src == rank || dst == rank;
+  };
+  std::erase_if(boxes_, touches_rank);
+  std::erase_if(delayed_, touches_rank);
+  // No waiter survives a poisoning (they all woke and threw), so a
+  // partially filled collective round is pre-failure garbage. The
+  // generation is kept: a bumped generation would falsely release the next
+  // wait.
+  coll_count_ = 0;
   if (new_epoch > epoch_.load(std::memory_order_relaxed)) {
     epoch_.store(new_epoch, std::memory_order_relaxed);
     // Kills armed for the epoch that ended and not fired are dropped.
@@ -264,8 +250,7 @@ void Communicator::revive(int rank, std::uint64_t new_epoch) {
   cv_.notify_all();
 }
 
-bool Communicator::await_recovery(int rank) {
-  (void)rank;
+bool Communicator::await_recovery() {
   std::unique_lock<std::mutex> lock(mu_);
   if (!recovery_.enabled || recovery_abandoned_ || deadlocked_) return false;
   const std::uint64_t parked_at = epoch_.load(std::memory_order_relaxed);
@@ -292,28 +277,17 @@ void Communicator::check_deadlock_locked() {
   if (n_live_ == 0 || n_blocked_ != n_live_) return;
   for (int r = 0; r < n_ranks_; ++r) {
     const Blocked& b = blocked_[static_cast<std::size_t>(r)];
-    switch (b.kind) {
-      case Blocked::Kind::kNone:
-        break;  // finished rank
-      case Blocked::Kind::kRecv: {
-        // Stale-epoch stragglers cannot satisfy a waiter: drop them here so
-        // they do not mask a genuine deadlock.
-        const auto it = boxes_.find({b.src, r, b.tag});
-        if (it != boxes_.end()) {
-          drop_stale_locked(it->second);
-          if (!it->second.messages.empty()) return;
-        }
-        break;
+    if (b.kind == Blocked::Kind::kCollective && coll_gen_ != b.gen) {
+      return;  // release pending, will wake
+    }
+    if (b.kind == Blocked::Kind::kRecv) {
+      // Stale-epoch stragglers cannot satisfy a waiter: drop them here so
+      // they do not mask a genuine deadlock.
+      const auto it = boxes_.find({b.src, r, b.tag});
+      if (it != boxes_.end()) {
+        drop_stale_locked(it->second);
+        if (!it->second.messages.empty()) return;
       }
-      case Blocked::Kind::kBarrier:
-        if (barrier_gen_ != b.gen) return;  // release pending, will wake
-        break;
-      case Blocked::Kind::kReduce:
-        if (reduce_gen_ != b.gen) return;
-        break;
-      case Blocked::Kind::kGather:
-        if (gather_gen_ != b.gen) return;
-        break;
     }
   }
   // A fault-delayed message still in flight counts as progress: flush it
@@ -330,24 +304,16 @@ void Communicator::check_deadlock_locked() {
   deadlock_report_ = "deadlock detected, all live ranks blocked:";
   for (int r = 0; r < n_ranks_; ++r) {
     const Blocked& b = blocked_[static_cast<std::size_t>(r)];
-    switch (b.kind) {
-      case Blocked::Kind::kNone:
-        break;
-      case Blocked::Kind::kRecv:
-        deadlock_report_ += " [rank " + std::to_string(r) + ": recv(src=" +
-                            std::to_string(b.src) +
-                            ", tag=" + std::to_string(b.tag) + ")]";
-        break;
-      case Blocked::Kind::kBarrier:
-        deadlock_report_ += " [rank " + std::to_string(r) + ": barrier]";
-        break;
-      case Blocked::Kind::kReduce:
-        deadlock_report_ += " [rank " + std::to_string(r) + ": allreduce]";
-        break;
-      case Blocked::Kind::kGather:
-        deadlock_report_ += " [rank " + std::to_string(r) + ": allgather]";
-        break;
-    }
+    if (b.kind == Blocked::Kind::kNone) continue;  // finished rank
+    // Every blocked collective waits in the current round (an older
+    // round's release would have returned above), so its operation is the
+    // round's.
+    deadlock_report_ += " [rank " + std::to_string(r) + ": " +
+                        (b.kind == Blocked::Kind::kRecv
+                             ? "recv(src=" + std::to_string(b.src) +
+                                   ", tag=" + std::to_string(b.tag) + ")"
+                             : std::string(coll_op_)) +
+                        "]";
   }
   deadlocked_ = true;
   cv_.notify_all();
@@ -482,36 +448,15 @@ std::vector<double> Communicator::take(int src, int dst, int tag,
   return msg;
 }
 
-std::vector<double> Communicator::take_into(int src, int dst, int tag,
-                                            std::span<double> out,
-                                            double timeout_sec) {
-  std::vector<double> msg;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    wait_for_message(lock, src, dst, tag, timeout_sec);
-    auto& q = boxes_[std::tuple<int, int, int>{src, dst, tag}].messages;
-    msg = std::move(q.front().data);
-    q.pop();
-  }
-  if (msg.size() != out.size()) {
-    throw CommError("recv_into size mismatch on rank " + std::to_string(dst) +
-                    ": recv(src=" + std::to_string(src) +
-                    ", tag=" + std::to_string(tag) + ") got " +
-                    std::to_string(msg.size()) + " doubles, caller buffer " +
-                    std::to_string(out.size()));
-  }
-  std::copy(msg.begin(), msg.end(), out.begin());
-  return msg;  // spent storage, for the caller's pool
-}
-
 bool Communicator::try_take(int src, int dst, int tag,
-                            std::vector<double>& out) {
+                            std::vector<double>& out, bool poison_check) {
   std::unique_lock<std::mutex> lock(mu_);
-  // Deliberately no poison check: a parked message is complete and valid
-  // even if its sender has since died (the epoch fence already discards
-  // stale generations).  Donation absorbs must be able to drain a buddy
-  // snapshot that landed just before the donor's death; aborting here
-  // would let the revival flush wipe the freshest generation.
+  // Without the poison check a parked message is taken even if its sender
+  // has since died: it is complete and valid (the epoch fence already
+  // discards stale generations). Donation absorbs must be able to drain a
+  // buddy snapshot that landed just before the donor's death; aborting
+  // here would let the revival flush wipe the freshest generation.
+  if (poison_check) throw_if_down_locked(dst);
   const auto it = boxes_.find(std::tuple<int, int, int>{src, dst, tag});
   if (it == boxes_.end()) return false;
   const std::size_t stale = drop_stale_locked(it->second);
@@ -525,122 +470,84 @@ bool Communicator::try_take(int src, int dst, int tag,
   return true;
 }
 
-bool Communicator::try_take_into(int src, int dst, int tag,
-                                 std::span<double> out,
-                                 std::vector<double>& spent) {
-  std::vector<double> msg;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    throw_if_down_locked(dst);
-    const auto it = boxes_.find(std::tuple<int, int, int>{src, dst, tag});
-    if (it == boxes_.end()) return false;
-    const std::size_t stale = drop_stale_locked(it->second);
-    if (stale != 0) {
-      obs::counter_add("comm/stale_msgs_discarded",
-                       static_cast<std::int64_t>(stale));
-    }
-    if (it->second.messages.empty()) return false;
-    msg = std::move(it->second.messages.front().data);
-    it->second.messages.pop();
-  }
-  if (msg.size() != out.size()) {
-    throw CommError("try_recv_into size mismatch on rank " +
-                    std::to_string(dst) +
-                    ": recv(src=" + std::to_string(src) +
-                    ", tag=" + std::to_string(tag) + ") got " +
-                    std::to_string(msg.size()) + " doubles, caller buffer " +
-                    std::to_string(out.size()));
-  }
-  std::copy(msg.begin(), msg.end(), out.begin());
-  spent = std::move(msg);
-  return true;
-}
-
-void Communicator::barrier_wait(int rank, double timeout_sec) {
+template <class Read>
+auto Communicator::collective(int rank, const char* op, double v,
+                              double timeout_sec, Read read) {
   std::unique_lock<std::mutex> lock(mu_);
   throw_if_down_locked(rank);
-  const std::size_t gen = barrier_gen_;
-  if (++barrier_count_ == n_ranks_) {
-    barrier_count_ = 0;
-    ++barrier_gen_;
+  if (coll_count_ == 0) {
+    coll_op_ = op;
+  } else if (std::strcmp(coll_op_, op) != 0) {
+    // Pairing a barrier with an all-reduce (or max with min) would release
+    // both with the wrong meaning: a program error, never a silent match.
+    throw CommError("collective mismatch on rank " + std::to_string(rank) +
+                    ": " + op + " joined a round of " + coll_op_);
+  }
+  const std::size_t gen = coll_gen_;
+  // Double-buffered by generation parity: a rank released from this round
+  // may enter the next before a slow waiter of this one reads its values,
+  // but cannot enter the one after until every waiter here has read.
+  const std::vector<double>& vals = coll_vals_[gen % 2];
+  coll_vals_[gen % 2][static_cast<std::size_t>(rank)] = v;
+  if (++coll_count_ == n_ranks_) {
+    coll_count_ = 0;
+    ++coll_gen_;
     cv_.notify_all();
-    return;
+    return read(std::span<const double>(vals));
   }
   const auto released = [&] {
-    return poisoned_ || deadlocked_ || barrier_gen_ != gen;
+    return poisoned_ || deadlocked_ || coll_gen_ != gen;
   };
-  block_locked(rank, {Blocked::Kind::kBarrier, 0, 0, gen});
+  block_locked(rank, {Blocked::Kind::kCollective, 0, 0, gen});
   const double t = effective_timeout(timeout_sec);
   if (t <= 0.0) {
     cv_.wait(lock, released);
   } else if (!cv_.wait_for(lock, std::chrono::duration<double>(t), released)) {
     unblock_locked(rank);
-    // Withdraw from the barrier so a later retry is not double-counted.
-    if (barrier_gen_ == gen) --barrier_count_;
-    throw TimeoutError("barrier timeout on rank " + std::to_string(rank) +
-                       " after " + std::to_string(t) + " s");
+    // Withdraw from the round so a later retry is not double-counted.
+    if (coll_gen_ == gen) --coll_count_;
+    throw TimeoutError(std::string(op) + " timeout on rank " +
+                       std::to_string(rank) + " after " + std::to_string(t) +
+                       " s");
   }
   unblock_locked(rank);
-  // The barrier completed iff the generation advanced; a poison landing
+  // The round completed iff the generation advanced; a poison landing
   // after the last arrival must not retroactively fail waiters that were
   // merely slow to wake. Otherwise two planned kills just downstream of
   // the same barrier would be split across two recovery epochs: the first
   // victim's poison would knock the second out of the completed barrier
   // before it could reach its own fault point.
-  if (barrier_gen_ == gen) throw_if_down_locked(rank);
+  if (coll_gen_ == gen) throw_if_down_locked(rank);
+  return read(std::span<const double>(vals));
 }
 
-double Communicator::reduce(int rank, double v, ReduceMode mode) {
-  std::unique_lock<std::mutex> lock(mu_);
-  throw_if_down_locked(rank);
-  const std::size_t gen = reduce_gen_;
-  if (reduce_count_ == 0) {
-    reduce_acc_ = v;
-  } else {
-    switch (mode) {
-      case ReduceMode::kSum: reduce_acc_ += v; break;
-      case ReduceMode::kMax: reduce_acc_ = std::max(reduce_acc_, v); break;
-      case ReduceMode::kMin: reduce_acc_ = std::min(reduce_acc_, v); break;
-    }
-  }
-  if (++reduce_count_ == n_ranks_) {
-    reduce_result_ = reduce_acc_;
-    reduce_count_ = 0;
-    ++reduce_gen_;
-    cv_.notify_all();
-    return reduce_result_;
-  }
-  block_locked(rank, {Blocked::Kind::kReduce, 0, 0, gen});
-  cv_.wait(lock, [&] {
-    return poisoned_ || deadlocked_ || reduce_gen_ != gen;
-  });
-  unblock_locked(rank);
-  // Completed collective wins over a concurrent poison (see barrier_wait).
-  if (reduce_gen_ == gen) throw_if_down_locked(rank);
-  return reduce_result_;
+// Every collective is one rendezvous round read under the lock: a barrier
+// reads nothing, a reduction folds the rank-indexed values in rank order
+// (so the sum does not depend on arrival order), an all-gather copies them.
+void Rank::barrier(double timeout_sec) {
+  comm_->collective(id_, "barrier", 0.0, timeout_sec, [](auto) {});
 }
 
-std::vector<double> Communicator::gather_all(int rank, double v) {
-  std::unique_lock<std::mutex> lock(mu_);
-  throw_if_down_locked(rank);
-  const std::size_t gen = gather_gen_;
-  if (gather_count_ == 0) gather_acc_.assign(static_cast<std::size_t>(n_ranks_), 0.0);
-  gather_acc_[static_cast<std::size_t>(rank)] = v;
-  if (++gather_count_ == n_ranks_) {
-    gather_result_ = gather_acc_;
-    gather_count_ = 0;
-    ++gather_gen_;
-    cv_.notify_all();
-    return gather_result_;
-  }
-  block_locked(rank, {Blocked::Kind::kGather, 0, 0, gen});
-  cv_.wait(lock, [&] {
-    return poisoned_ || deadlocked_ || gather_gen_ != gen;
+double Rank::allreduce_sum(double v) {
+  return comm_->collective(id_, "allreduce_sum", v, 0.0, [](auto x) {
+    return std::accumulate(x.begin() + 1, x.end(), x[0]);
   });
-  unblock_locked(rank);
-  // Completed collective wins over a concurrent poison (see barrier_wait).
-  if (gather_gen_ == gen) throw_if_down_locked(rank);
-  return gather_result_;
+}
+double Rank::allreduce_max(double v) {
+  return comm_->collective(id_, "allreduce_max", v, 0.0, [](auto x) {
+    return *std::max_element(x.begin(), x.end());
+  });
+}
+double Rank::allreduce_min(double v) {
+  return comm_->collective(id_, "allreduce_min", v, 0.0, [](auto x) {
+    return *std::min_element(x.begin(), x.end());
+  });
+}
+
+std::vector<double> Rank::allgather(double v) {
+  return comm_->collective(id_, "allgather", v, 0.0, [](auto x) {
+    return std::vector<double>(x.begin(), x.end());
+  });
 }
 
 void Communicator::run(const std::function<void(Rank&)>& fn) {
@@ -656,9 +563,7 @@ void Communicator::run(const std::function<void(Rank&)>& fn) {
     boxes_.clear();
     edge_sends_.clear();
     delayed_.clear();
-    barrier_count_ = 0;
-    reduce_count_ = 0;
-    gather_count_ = 0;
+    coll_count_ = 0;
     n_blocked_ = 0;
     n_live_ = n_ranks_;
     blocked_.assign(static_cast<std::size_t>(n_ranks_), {});
@@ -707,7 +612,7 @@ void Communicator::run(const std::function<void(Rank&)>& fn) {
       } catch (...) {
         poison(r, "unknown exception");
       }
-      rank_done(r);
+      rank_done();
     });
   };
   for (int r = 0; r < n_ranks_; ++r) spawn(r, /*revived=*/false);

@@ -15,7 +15,13 @@
 //    message can satisfy any of them, all waiters throw DeadlockError
 //    naming each rank's blocked operation (src, tag), so mismatched
 //    exchanges are diagnosable rather than eternal.
-//  * Deadlines — recv/barrier accept a timeout; expiry throws TimeoutError.
+//  * Deadlines — every blocking op (recv, barrier, allreduce, allgather)
+//    honours the communicator-wide set_timeout, and recv and barrier take a
+//    per-call override; expiry throws TimeoutError.
+//  * One collective — barrier, allreduce and allgather are one generation-
+//    counted, rank-indexed rendezvous: reductions fold in rank order, so
+//    allreduce_sum is deterministic, and a rank joining a round of another
+//    collective (a barrier paired with an allreduce) throws CommError.
 //  * Deterministic fault injection — a seeded FaultPlan installed on the
 //    Communicator kills ranks at planned steps and drops / duplicates /
 //    corrupts / delays planned messages, so recovery machinery is testable
@@ -76,7 +82,7 @@ class DeadlockError : public CommError {
   using CommError::CommError;
 };
 
-// A recv/barrier deadline expired before the operation completed.
+// A blocking operation's deadline expired before it completed.
 class TimeoutError : public CommError {
  public:
   using CommError::CommError;
@@ -187,6 +193,9 @@ class Rank {
   // try_recv_into; never registers in the deadlock detector.
   [[nodiscard]] bool try_recv(int src, int tag, std::vector<double>& out);
 
+  // Collectives: every rank must make the same call in the same order. A
+  // reduction folds the ranks' values in rank order. All honour the
+  // communicator-wide deadline; a barrier also takes a per-call one.
   void barrier(double timeout_sec = 0.0);
   double allreduce_sum(double v);
   double allreduce_max(double v);
@@ -287,9 +296,9 @@ class Communicator {
 
   // Repairs the communicator after `rank` failed: clears its entry from
   // the failure list (poison lifts when no failures remain), flushes every
-  // in-flight mailbox to or from it, resets partially-filled barrier /
-  // reduction counts (no waiter survives a poisoning, so those counts are
-  // pre-failure garbage), and advances the epoch to `new_epoch` so
+  // in-flight mailbox to or from it, resets a partially filled collective
+  // round (no waiter survives a poisoning, so its count is pre-failure
+  // garbage), and advances the epoch to `new_epoch` so
   // surviving in-flight messages from older epochs are fenced off.
   // run()'s recovery monitor drives this; it is public for substrate tests
   // and does NOT respawn threads or fix live-rank accounting by itself.
@@ -297,8 +306,6 @@ class Communicator {
 
  private:
   friend class Rank;
-
-  enum class ReduceMode { kSum, kMax, kMin };
 
   // A posted message plus the recovery epoch it belongs to; receives drop
   // messages whose epoch is not current (pre-failure stragglers).
@@ -313,37 +320,37 @@ class Communicator {
 
   // What a rank is currently blocked on (for deadlock diagnosis).
   struct Blocked {
-    enum class Kind { kNone, kRecv, kBarrier, kReduce, kGather };
+    enum class Kind { kNone, kRecv, kCollective };
     Kind kind = Kind::kNone;
     int src = 0;
     int tag = 0;
-    std::size_t gen = 0;  // barrier/reduce/gather generation at block time
+    std::size_t gen = 0;  // collective generation at block time
   };
 
   void post(int src, int dst, int tag, std::vector<double> msg);
   std::vector<double> take(int src, int dst, int tag, double timeout_sec);
-  // Copies the next message into `out` and returns its spent storage for
-  // the caller to recycle (Rank::recv_into feeds it to the rank's pool).
-  std::vector<double> take_into(int src, int dst, int tag,
-                                std::span<double> out, double timeout_sec);
-  // Non-blocking sibling of take_into: pops and copies a waiting message
-  // (returning its spent storage through `spent`) or returns false without
-  // blocking. Checks poison/deadlock state and drops stale-epoch messages
-  // exactly like the blocking path, but never calls block_locked.
-  // Variable-size non-blocking pop: moves the waiting message into `out`.
-  bool try_take(int src, int dst, int tag, std::vector<double>& out);
-  bool try_take_into(int src, int dst, int tag, std::span<double> out,
-                     std::vector<double>& spent);
+  // Non-blocking sibling of take: moves a waiting message into `out` or
+  // returns false without blocking (never calls block_locked). Drops
+  // stale-epoch messages like the blocking path; checks poison/deadlock
+  // state only with `poison_check` (the donation absorb must drain a
+  // complete message whose sender has since died).
+  bool try_take(int src, int dst, int tag, std::vector<double>& out,
+                bool poison_check);
   // Waits until a message on (src, dst, tag) is available (or the run is
-  // down / the deadline expires). Shared blocking logic of take/take_into;
-  // requires `lock` held, returns with it held.
+  // down / the deadline expires): the blocking logic of take; requires
+  // `lock` held, returns with it held.
   void wait_for_message(std::unique_lock<std::mutex>& lock, int src, int dst,
                         int tag, double timeout_sec);
-  void barrier_wait(int rank, double timeout_sec);
-  double reduce(int rank, double v, ReduceMode mode);
-  std::vector<double> gather_all(int rank, double v);
+  // The one collective: joins the current round as `rank` with operation
+  // `op` and value v, waits until every rank has joined (or the deadline
+  // expires: withdraw and throw TimeoutError), and returns `read` of the
+  // round's rank-indexed values, called under the lock. Joining a round of
+  // another operation throws CommError.
+  template <class Read>
+  auto collective(int rank, const char* op, double v, double timeout_sec,
+                  Read read);
   void fault_point(int rank, int step);
-  bool await_recovery(int rank);
+  bool await_recovery();
   void revive_locked(int rank, std::uint64_t new_epoch);
   // Drops stale-epoch messages from the front of `box`; returns the number
   // dropped (mu_ held).
@@ -355,12 +362,15 @@ class Communicator {
   // Throws DeadlockError / RankFailedError if the run is down, or
   // InjectedFaultError when `rank` has an armed planned kill (mu_ held).
   void throw_if_down_locked(int rank);
+  // Fires planned kill i: counts it and throws InjectedFaultError, whose
+  // message ends with `note` (mu_ held).
+  [[noreturn]] void fire_kill_locked(std::size_t i, const char* note);
   // Registers/deregisters a blocked wait and re-evaluates the all-ranks-
   // blocked condition (mu_ held).
   void block_locked(int rank, Blocked b);
   void unblock_locked(int rank);
   void check_deadlock_locked();
-  void rank_done(int rank);  // live-count bookkeeping on fn exit
+  void rank_done();  // live-count bookkeeping on fn exit
 
   // Effective timeout: per-call override, else communicator default.
   [[nodiscard]] double effective_timeout(double timeout_sec) const {
@@ -408,17 +418,13 @@ class Communicator {
   std::map<std::tuple<int, int, int>, int> edge_sends_;  // per-edge counter
   std::map<std::tuple<int, int, int>, Msg> delayed_;
 
-  // Dissemination-free simple barrier / reduction state.
-  int barrier_count_ = 0;
-  std::size_t barrier_gen_ = 0;
-  int reduce_count_ = 0;
-  std::size_t reduce_gen_ = 0;
-  double reduce_acc_ = 0.0;
-  double reduce_result_ = 0.0;
-  int gather_count_ = 0;
-  std::size_t gather_gen_ = 0;
-  std::vector<double> gather_acc_;
-  std::vector<double> gather_result_;
+  // Collective round state: ranks joined, generation, the round's
+  // operation, and the rank-indexed values (two buffers, by generation
+  // parity; sized once, so a barrier or allreduce allocates nothing).
+  int coll_count_ = 0;
+  std::size_t coll_gen_ = 0;
+  const char* coll_op_ = "";
+  std::vector<double> coll_vals_[2];
 };
 
 }  // namespace quake::par

@@ -54,17 +54,6 @@ namespace quake::par {
 
 struct FaultPlan;  // communicator.hpp
 
-// A buddy-snapshot donation the victim could not use: the stream never
-// arrived within the recovery deadline (donor dead or stalled mid-
-// donation) or its payload failed the size/step integrity check. Handled
-// inside the recovery protocol — the victim votes its restore failed and
-// every rank falls back to tier-2 rollback — so a broken donation degrades
-// the recovery by one tier instead of aborting it into a full restart.
-class DonationError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
 struct ParallelResult {
   std::vector<double> u_final;  // gathered full-length displacement
   int n_steps = 0;

@@ -4,13 +4,11 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <type_traits>
@@ -22,9 +20,8 @@
 #include "quake/obs/report.hpp"
 #include "quake/par/communicator.hpp"
 #include "quake/solver/locator.hpp"
-#include "quake/util/checkpoint.hpp"
-#include "quake/util/delta_codec.hpp"
 #include "quake/util/timer.hpp"
+#include "recovery.hpp"
 
 namespace quake::par {
 namespace {
@@ -44,10 +41,10 @@ struct Neighbor {
 // Everything a rank needs that depends only on the discretization — built
 // serially in ParallelSetup's constructor and shared (immutably, except the
 // exchange buffers) by every solve through that setup. Per-scenario state
-// (displacement vectors, receiver assignments, histories) lives in
-// ParallelSetup::Impl::solve so requests are isolated from each other. What
-// depends on the time-stepping rates (the communication-hiding split, the
-// per-rate sweep lists, the update's 1/lhs) lives in a Schedule.
+// (displacement vectors, receiver assignments, histories) lives in each
+// solve's Job and its ranks' RankRuns, so requests are isolated from each
+// other. What depends on the time-stepping rates (the communication-hiding
+// split, the per-rate sweep lists, the update's 1/lhs) lives in a Schedule.
 struct RankLocal {
   std::vector<mesh::ElemId> elems;
   std::vector<mesh::NodeId> nodes;  // sorted global ids
@@ -173,36 +170,34 @@ struct RecvRef {
   int ln;    // local node on the owning rank
 };
 
-std::string ckpt_path(const std::string& dir, int rank) {
-  return dir + "/rank" + std::to_string(rank) + ".ckpt";
-}
-
 // Communicator tag reserved for the end-of-run telemetry gather (the ghost
-// exchange uses tag 0; receiving on a distinct tag keeps the two streams
-// from interleaving).
+// exchange uses tag 0 and state donation tag 10; receiving on a distinct
+// tag keeps the streams from interleaving).
 constexpr int kObsGatherTag = 9;
 
-// Communicator tag for survivor state donation: the buddy-capture shift
-// exchange at each checkpoint barrier and the donation stream during
-// recovery. Distinct from the ghost exchange (0) and the obs gather (9).
-constexpr int kDonationTag = 10;
+// One solve's state shared by its rank threads (a job of S lockstep
+// scenarios), built by ParallelSetup::Impl::solve before the SPMD launch. A
+// rank thread writes only its own slots: its registry, and its stats, owned
+// receiver histories and owned u_final entries in `results`.
+struct Job {
+  Job(const Schedule& sched, std::span<const BatchScenario> scenarios,
+      const RunControl& control, int n_steps)
+      : sched(sched), scenarios(scenarios), control(control), n_steps(n_steps) {}
 
-// A rank's checkpoint cut is the one format of its disk snapshot, its
-// in-memory rollback shadow and the copy its buddy holds:
-//   [step | u | u_prev | dku_prev | owned receiver histories]
-// Each state vector holds ns doubles; each owned receiver's history holds 3
-// doubles per step, in the rank's receiver order. A cut fits this run iff
-// its step is an integer in [1, n_steps) and its length is exactly what
-// that step implies, so a cut of another shape (another partition or
-// receiver set) never restores.
-bool cut_fits(std::span<const double> cut, std::size_t ns, int n_steps,
-              std::size_t n_receivers) {
-  if (cut.empty()) return false;
-  const double step = cut[0];
-  return step >= 1.0 && step < n_steps && step == std::floor(step) &&
-         cut.size() ==
-             1 + 3 * ns + 3 * static_cast<std::size_t>(step) * n_receivers;
-}
+  const Schedule& sched;
+  std::span<const BatchScenario> scenarios;
+  const RunControl& control;
+  const int n_steps;
+  std::vector<ParallelResult> results;
+  std::vector<std::vector<RecvRef>> recv_of;  // receivers per owning rank
+  // The initial state u0, a0 (empty without initial conditions) and the
+  // snapshot gather buffers (empty without the snapshot hook).
+  std::vector<double> ic_u, ic_a, snap_u, snap_v;
+  Recovery::Policy ft;
+  std::chrono::steady_clock::time_point start;  // the deadline's origin
+  std::vector<obs::Registry> rank_regs;
+  int agreed_stop = 0;  // written by rank 0, read after join
+};
 
 }  // namespace
 
@@ -404,6 +399,9 @@ struct ParallelSetup::Impl {
   [[nodiscard]] Schedule build_schedule(const lts::Clustering* cl) const;
   const Schedule& lts_schedule(int max_rate);
 
+  // One rank's run of a solve (see its definition).
+  template <class Lanes>
+  class RankRun;
   // The one step loop: the scenarios advance in lockstep on `sched`, one
   // lane each, with fault tolerance `ft` (only run() passes any) and the
   // per-run control's stop and hooks. Caller holds run_mutex.
@@ -567,903 +565,176 @@ const Schedule& ParallelSetup::Impl::lts_schedule(int max_rate) {
 //    single-class LTS equals global dt bit for bit; several classes take
 //    the LTS scheme of quake::lts (state convention, interpolation
 //    bracket, scheduling invariant — see docs/LTS.md).
-std::vector<ParallelResult> ParallelSetup::Impl::solve(
-    const Schedule& sched, double t_end,
-    std::span<const BatchScenario> scenarios, const FaultToleranceOptions& ft,
-    const RunControl& control) {
-  const std::size_t n_lanes = scenarios.size();
-  const int n_steps = steps_for(t_end);
-  const int n_classes = sched.n_classes;
-  const bool multi_rate = n_classes > 1;
-  const std::size_t pack = rayleigh ? 2u : 1u;
-  const bool masked = fixed[0] || fixed[1] || fixed[2];
+//
+// One rank's part of a solve is a RankRun: the per-rank state the step loop
+// advances lives in its members, and the loop's phases are its methods. It
+// is generic over the lane count: Lanes is std::integral_constant<
+// std::size_t, 1> for one lane (the solo layout, where S stays a
+// compile-time constant and every lane loop folds away) or std::size_t for
+// a batch — one source loop either way.
+template <class Lanes>
+class ParallelSetup::Impl::RankRun {
+ public:
+  RankRun(Impl& im, Job& job, Rank& rank, Lanes lanes)
+      : im(im), job(job), rank(rank), S(lanes) {}
+  // The recovery protocol holds references to the state members.
+  RankRun(const RankRun&) = delete;
+  RankRun& operator=(const RankRun&) = delete;
 
-  // ---- per-run hooks (see RunControl): compose or reject up front ----
-  const std::size_t nd_global = op.n_dofs();
-  const bool ic_on = !control.initial_u.empty() || !control.initial_v.empty();
-  const bool snap_on = static_cast<bool>(control.snapshot);
-  const bool ft_on = !ft.checkpoint_dir.empty() || ft.max_retries > 0 ||
-                     ft.fault_plan != nullptr;
-  if (ic_on && n_lanes > 1) {
-    throw std::invalid_argument(
-        "initial conditions apply to one scenario, not a batch of " +
-        std::to_string(n_lanes));
-  }
-  for (const auto& field : {control.initial_u, control.initial_v}) {
-    if (!field.empty() && field.size() != nd_global) {
-      throw std::invalid_argument(
-          "initial condition has " + std::to_string(field.size()) +
-          " values, expected 3 * n_nodes = " + std::to_string(nd_global));
-    }
-  }
-  if (snap_on && (control.snapshot_every < 1 || ft_on || n_lanes > 1 ||
-                  multi_rate)) {
-    throw std::invalid_argument(
-        "the snapshot hook needs snapshot_every >= 1, one scenario, the "
-        "global-dt schedule and no fault-tolerance options");
-  }
-
-  // Initial state, computed once and serially on the setup's own operator
-  // with the projections of eq. 2.5: the expanded u0 and
-  // a0 = M^{-1} (f(0) - (K + K^AB) u0). Each rank body opens its nodes'
-  // brackets from these (see the IC fill at body entry).
-  std::vector<double> ic_u, ic_a;
-  if (ic_on) {
-    ic_u.assign(nd_global, 0.0);
-    std::copy(control.initial_u.begin(), control.initial_u.end(),
-              ic_u.begin());
-    op.expand_constraints(ic_u);
-    std::vector<double> ku(nd_global, 0.0), f0(nd_global, 0.0);
-    op.apply_stiffness(ic_u, ku, {});
-    op.accumulate_constraints(ku);
-    for (const solver::SourceModel* src : scenarios[0].sources) {
-      src->add_forces(0.0, f0);
-    }
-    op.accumulate_constraints(f0);
-    const auto mass = op.lumped_mass();
-    ic_a.resize(nd_global);
-    for (std::size_t d = 0; d < nd_global; ++d) {
-      ic_a[d] = mass[d] > 0.0 ? (f0[d] - ku[d]) / mass[d] : 0.0;
-    }
-  }
-  // Snapshot gather buffers: each rank writes its owned nodes.
-  std::vector<double> snap_u(snap_on ? nd_global : 0, 0.0);
-  std::vector<double> snap_v(snap_on ? nd_global : 0, 0.0);
-
-  // Per-scenario receiver assignment: each receiver goes to the owner of its
-  // nearest node. Kept outside RankLocal so a request's histories cannot
-  // leak into the next solve through the shared setup.
-  std::vector<ParallelResult> results(n_lanes);
-  std::vector<std::vector<RecvRef>> recv_of(static_cast<std::size_t>(R));
-  const solver::NodeLocator nodes(mesh);
-  for (std::size_t s = 0; s < n_lanes; ++s) {
-    ParallelResult& res = results[s];
-    res.dt = dt;
-    res.n_steps = n_steps;
-    res.steps_completed = n_steps;
-    res.u_final.assign(3 * mesh.n_nodes(), 0.0);
-    res.rank_stats.assign(static_cast<std::size_t>(R), {});
-    res.receiver_histories.assign(scenarios[s].receivers.size(), {});
-    for (std::size_t ri = 0; ri < scenarios[s].receivers.size(); ++ri) {
-      const mesh::NodeId n = nodes.nearest(scenarios[s].receivers[ri]);
-      const int owner = part.node_owner[static_cast<std::size_t>(n)];
-      const auto& owner_local = locals[static_cast<std::size_t>(owner)];
-      const auto it = owner_local.local_of.find(n);
-      if (it == owner_local.local_of.end()) {
-        // Only reachable when the nearest node is an orphan (touched by no
-        // element): it belongs to no rank's local set and has no dynamics.
-        throw std::invalid_argument(
-            "run_parallel: scenario " + std::to_string(s) + " receiver " +
-            std::to_string(ri) + " snaps to node " + std::to_string(n) +
-            ", which no element touches (orphan node)");
-      }
-      recv_of[static_cast<std::size_t>(owner)].push_back(
-          {static_cast<int>(s), static_cast<int>(ri), it->second});
-      res.receiver_histories[ri].reserve(static_cast<std::size_t>(n_steps));
-    }
-  }
-
-  // Exchange buffers: the widest message this solve posts (every rate
-  // active, all lanes).
-  for (auto& L : locals) {
-    for (std::size_t nb = 0; nb < L.neighbors.size(); ++nb) {
-      const std::size_t len =
-          pack * 3 * L.neighbors[nb].shared.size() * n_lanes;
-      if (L.sendbuf[nb].size() < len) L.sendbuf[nb].resize(len);
-      if (L.recvbuf[nb].size() < len) L.recvbuf[nb].resize(len);
-    }
-  }
-
-  const fem::HexReference& ref = fem::HexReference::get();
-  const auto elem_damping = op.element_damping();
-
-  // ---- SPMD execution ------------------------------------------------------
-  const bool ckpt_on = !ft.checkpoint_dir.empty();
-  if (ckpt_on) std::filesystem::create_directories(ft.checkpoint_dir);
-
-  // Per-run fault policy on the shared communicator: install THIS run's plan
-  // (or clear a previous run's), reset the timeout, and re-arm recovery —
-  // comm.run() itself resets mailbox/barrier/poison state, so a request that
-  // died last run leaves nothing behind for this one.
-  if (ft.fault_plan != nullptr) {
-    comm.install_fault_plan(*ft.fault_plan);
-  } else {
-    comm.clear_fault_plan();
-  }
-  comm.set_timeout(ft.timeout_seconds > 0.0 ? ft.timeout_seconds : 0.0);
-  // In-place recovery needs snapshots to roll back to; without them every
-  // failure goes straight to the full-restart supervisor as before.
-  const bool in_place = ckpt_on && ft.max_revives > 0;
-  comm.set_recovery({in_place, ft.max_revives});
-  const int ckpt_keep = std::max(1, ft.checkpoint_keep);
-  // Tier-1 machinery (see FaultToleranceOptions): buddy-shadow donation and
-  // the per-neighbor outbound message log. Both only pay their cost when
-  // in-place recovery is armed.
-  const bool donate_on = in_place && ft.state_donation && R > 1;
-  // Auto capacity spans TWO checkpoint intervals: delta compression (see
-  // util::DeltaRing) keeps the longer ring near the memory cost of one
-  // uncompressed interval, and the extra reach keeps tier-1 feasible even
-  // when a buddy's held donation generation is one interval stale (its
-  // absorb was cut short by the failure itself).
-  const int log_cap =
-      !in_place ? 0
-                : (ft.message_log_steps >= 0
-                       ? ft.message_log_steps
-                       : 2 * std::max(1, ft.checkpoint_every) + 8);
-  const bool log_on = log_cap > 0;
-
-  // Cancellation/deadline agreement cadence (see RunControl).
-  const bool ctl_active = control.active();
-  const int ctl_every = std::max(1, control.check_every);
-  const auto run_start = std::chrono::steady_clock::now();
-
-  // Per-rank telemetry registries, declared outside the supervised-retry
-  // loop so a retried run accumulates into the same registries (the report
-  // of a recovered run then shows the cost of recovery, not just the final
-  // successful attempt). Fresh per run: a request's report describes that
-  // request only.
-  std::vector<obs::Registry> rank_regs(static_cast<std::size_t>(R));
-  int agreed_stop = n_steps;  // written by rank 0, read after join
-
-  // The rank body, generic over the lane count: instantiated once with S
-  // fixed at 1 (the solo layout, where every lane loop folds away) and
-  // once with S read at run time — one source loop either way. S keeps the
-  // argument's type, so in the first instantiation its value lives in the
-  // type (std::integral_constant) and stays a compile-time constant inside
-  // every nested lambda.
-  const auto body = [&](Rank& rank, auto lanes) {
-    const auto S = lanes;
-    const std::size_t r = static_cast<std::size_t>(rank.id());
-    const obs::ScopedRegistry obs_install(rank_regs[r]);
+  // ---- epoch loop: solve; on a rank failure (in-place recovery armed)
+  // park until the communicator is repaired, then roll back and replay.
+  // Survivors keep their partition, ghost plans, and exchange buffers —
+  // nothing above this loop is re-run on a recovery. ----
+  void run() {
     obs::counter_add("ft/attempts", 1);
     if (rank.revived()) obs::counter_add("par/ranks_revived", 1);
     obs::gauge_set("par/epoch", static_cast<double>(rank.epoch()));
-    RankLocal& L = locals[r];
-    const Schedule::RankPart& rp = sched.ranks[r];
-    const auto& RV = recv_of[r];  // this rank's receivers
-    const auto history = [&](const RecvRef& rv) -> auto& {
-      return results[static_cast<std::size_t>(rv.lane)]
-          .receiver_histories[static_cast<std::size_t>(rv.ri)];
-    };
-    // State is scenario-major: lane s of local dof d at d * S + s.
-    const std::size_t nd = 3 * L.nodes.size();
-    const std::size_t ns = nd * S;
-    std::vector<double> u(ns, 0.0), u_prev(ns, 0.0), f(ns, 0.0), ku(ns, 0.0);
-    // Rayleigh damping carries the damping partials; checkpoints and
-    // donations carry dku_prev (zeros without damping) in their format.
-    std::vector<double> dku(rayleigh ? ns : 0, 0.0);
-    std::vector<double> dku_prev(rayleigh || ckpt_on ? ns : 0, 0.0);
-    // The time-k field the kernels read: with one class u itself; with
-    // several, every node's bracket (u_prev, u) evaluated at step k.
-    std::vector<double> un(multi_rate ? ns : 0, 0.0);
-    const std::vector<double>& uk = multi_rate ? un : u;
-
-    // compute: all element/face/update work; exchange: post + drain;
-    // overlap: the interior-compute window with messages in flight; drain:
-    // the exposed (blocked) tail of the exchange.
-    util::StopWatch compute_watch, exchange_watch, overlap_watch, drain_watch;
-    std::uint64_t flops = 0;
-    std::uint64_t elem_updates = 0;
-    obs::gauge_set("par/dt", dt);
+    obs::gauge_set("par/dt", im.dt);
     obs::gauge_set("par/batch_width", static_cast<double>(S));
-    obs::gauge_set("par/lts_n_classes", static_cast<double>(n_classes));
+    obs::gauge_set("par/lts_n_classes", static_cast<double>(sched.n_classes));
     // Seed the comm counters so every rank's registry (and hence every
     // merged report row, including 1-rank runs) carries them explicitly.
     obs::counter_add("comm/msgs_sent", 0);
     obs::counter_add("comm/bytes_sent", 0);
-
-    // Doubles in this rank's step message to neighbor nb when rates
-    // lg <= cap are active: the ku section, then (Rayleigh) the dku one.
-    const auto msg_len = [&](std::size_t nb, int cap) {
-      return pack * 3 * rp.edges[nb].count_upto[static_cast<std::size_t>(cap)] *
-             S;
-    };
-
-    // In-memory rollback target: this rank's newest cut (see cut_fits),
-    // captured at each checkpoint barrier and kept by every restore (empty
-    // until then). On an in-place recovery, survivors roll back from this
-    // shadow without touching disk — only the revived rank (whose thread,
-    // and hence shadow, died with it) reads a cut back from its buddy or
-    // its disk generations.
-    std::vector<double> shadow;
-    const std::string path = ckpt_path(ft.checkpoint_dir, rank.id());
-    const auto cut_step = [](const std::vector<double>& cut) {
-      return cut.empty() ? std::int64_t{-1}
-                         : static_cast<std::int64_t>(cut[0]);
-    };
-
-    // The cut this rank holds for its predecessor: at each checkpoint
-    // barrier rank r streams its shadow to rank (r+1)%R, which holds it
-    // HERE — in this thread's frame, so a buddy that dies loses what it
-    // held, exactly like remote node memory. On revival the buddy donates
-    // it back and the revived rank restores the newest checkpoint without
-    // touching disk. The stream is posted fire-and-forget and absorbed
-    // non-blockingly (the barrier bracketing the capture guarantees it has
-    // landed); the cut's step header is what lets the absorber date a
-    // payload it did not wait for, and the communicator's epoch fence
-    // discards any donation posted before a revival, so a stale pre-failure
-    // generation can never be absorbed after one (the absorb falls back to
-    // the previous absorbed generation, which the two-interval log ring
-    // still covers).
-    std::vector<double> held;
-    const int buddy = (rank.id() + 1) % R;          // I donate to buddy
-    const int pred = (rank.id() + R - 1) % R;       // I hold pred's state
-
-    // Non-blocking absorb of any donation parked on the pred edge; keeps
-    // the newest by header step.
-    std::vector<double> donation_buf;
-    const auto absorb_donations = [&]() {
+    if (!job.ic_u.empty()) initial_conditions();
+    int last_fail_step = -1;  // k_progress at the most recent local failure
+    bool recovering = rank.revived();  // respawned ranks join mid-recovery
+    for (;;) {
       try {
-        while (rank.try_recv(pred, kDonationTag, donation_buf)) {
-          if (cut_step(donation_buf) > cut_step(held)) {
-            held = std::move(donation_buf);  // frees the older cut
-            donation_buf.clear();
-          }
+        const int k0 = recovering ? rec.recover(k_done) : rec.start();
+        if (recovering && last_fail_step >= 0) {
+          // Zero on the tier-1 replay path by construction: a survivor
+          // resumes at k_done + 1, exactly where it stopped.
+          obs::counter_add("par/steps_rolled_back",
+                           std::max(0, last_fail_step - k0));
         }
+        recovering = false;
+        k_done = k0 - 1;
+        k_progress = k0;
+        const int stop_k = step_loop(k0);
+        finish(stop_k);
+        // The cancel agreement guarantees every rank stops at the same
+        // step; rank 0 records it (threads are joined before solve()
+        // reads it).
+        if (rank.id() == 0) job.agreed_stop = stop_k;
+        return;
       } catch (const RankFailedError&) {
-        // The absorb is opportunistic, never a failure-detection point:
-        // with a peer already down, simultaneous planned kills must still
-        // reach their own fault points, and survivors' next REAL comm op
-        // sees the poison anyway. Whatever was absorbed stands.
+        // A peer died. With in-place recovery armed, park this thread —
+        // state intact — until comm.run()'s monitor revives the dead rank,
+        // then take another lap through the restore agreement. Otherwise
+        // (or when recovery is abandoned) rethrow into the full-restart
+        // supervisor.
+        if (!job.ft.in_place) throw;
+        last_fail_step = k_progress;
+        if (!rank.await_recovery()) throw;
+        obs::counter_add("par/recoveries", 1);
+        recovering = true;
       }
-    };
-
-    // Tier-1 outbound message log: per neighbor, the last `log_cap` posted
-    // coalesced exchange payloads, keyed by step, delta-compressed against
-    // the previous step on the same edge (util::DeltaRing — XOR + zero-run
-    // coding, bit-exact). During a replay recovery survivors re-serve
-    // these so only the revived ranks re-execute steps.
-    std::vector<util::DeltaRing> msg_log;
-    msg_log.reserve(L.neighbors.size());
-    for (std::size_t nb = 0; nb < L.neighbors.size(); ++nb) {
-      msg_log.emplace_back(msg_len(nb, n_classes - 1), log_cap);
     }
+  }
 
-    // Per-rank resume points of the last recovery agreement: rank s will
-    // re-enter the step loop at start_of[s]; frontier = max(start_of). A
-    // rank only posts step k to a neighbor that will consume it (k >=
-    // start_of[nb]), and step-loop collectives (cancel agreement,
-    // checkpoint barriers) are suppressed below the frontier, where ranks
-    // execute different step ranges. On a normal run every entry equals
-    // k0, so every post and collective happens as before.
-    std::vector<int> start_of(static_cast<std::size_t>(R), 0);
-    int frontier = 0;
-    int k_done = -1;  // last fully completed step (state + history updated)
-
-    // True once this rank's state vectors describe a definite step (fresh
-    // zeros or a completed restore). A freshly respawned victim has no
-    // state until recovery gives it some.
-    bool has_state = false;
-
-    // Retained disk generations that load and fit this run, newest first,
-    // with the corruption flag the generation-fallback counter needs.
-    struct DiskCands {
-      std::vector<std::pair<int, std::vector<double>>> cuts;  // (gen, cut)
-      bool newest_corrupt = false;
-    };
-    const auto load_disk_candidates = [&]() -> DiskCands {
-      DiskCands d;
-      for (int gen = 0; gen < ckpt_keep; ++gen) {
-        std::vector<double> cut;
-        const util::SnapshotLoadStatus st = util::load_snapshot_status(
-            util::snapshot_generation_path(path, gen), &cut);
-        if (gen == 0 && st == util::SnapshotLoadStatus::kCorrupt) {
-          d.newest_corrupt = true;
-        }
-        if (st == util::SnapshotLoadStatus::kOk &&
-            cut_fits(cut, ns, n_steps, RV.size())) {
-          d.cuts.emplace_back(gen, std::move(cut));
-        }
-      }
-      return d;
-    };
-
-    // The one restore, for disk generations, donations and the shadow
-    // alike: load this rank's vectors and owned histories from a fitting
-    // cut and keep the cut as the rollback shadow. Histories are
-    // append-only and bit-identical across replays, so a survivor rolling
-    // back rewrites its history prefix with the bits it already holds.
-    const auto restore = [&](std::vector<double> cut) {
-      const auto k0 = static_cast<std::size_t>(cut[0]);
-      const double* c = cut.data() + 1;
-      std::copy(c, c + ns, u.begin());
-      std::copy(c + ns, c + 2 * ns, u_prev.begin());
-      std::copy(c + 2 * ns, c + 3 * ns, dku_prev.begin());
-      c += 3 * ns;
-      for (const RecvRef& rv : RV) {
-        auto& hist = history(rv);
-        hist.resize(k0);
-        for (auto& sample : hist) {
-          std::copy(c, c + 3, sample.begin());
-          c += 3;
-        }
-      }
-      shadow = std::move(cut);
-    };
-
-    // Receive the cut rank (r+1)%R holds for this rank and restore it. The
-    // wait is a non-blocking poll with a deadline rather than a blocking
-    // recv: a donor that dies mid-stream poisons the communicator and the
-    // poll throws RankFailedError, while a donor whose stream silently never
-    // arrives (dropped message, donor wedged) runs the poll into the
-    // deadline — the victim can no longer hang here. The deadline and a cut
-    // that does not fit throw DonationError, which the recovery agreement's
-    // confirmation round turns into a collective tier-2 fallback instead of
-    // aborting the recovery outright.
-    const auto restore_from_donation = [&](int step) {
-      constexpr double kDonationWaitSeconds = 2.0;
-      constexpr int kDonationYieldPasses = 64;
-      std::vector<double> pay;
-      const auto t0 = std::chrono::steady_clock::now();
-      int passes = 0;
-      for (;;) {
-        if (rank.try_recv(buddy, kDonationTag, pay)) {
-          if (cut_step(pay) == step) break;
-          // A leftover generation on this edge (the epoch fence already
-          // dropped anything from before the revival): discard, keep
-          // draining — the donor streams the advertised step behind it.
-          continue;
-        }
-        const double waited =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          t0)
-                .count();
-        if (waited > kDonationWaitSeconds) {
-          obs::scope_record("recover/donate/wait", waited);
-          throw DonationError(
-              "state donation to rank " + std::to_string(rank.id()) +
-              " from donor " + std::to_string(buddy) + " missed the " +
-              std::to_string(kDonationWaitSeconds) + " s recovery deadline");
-        }
-        if (++passes < kDonationYieldPasses) {
-          std::this_thread::yield();
-        } else {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-      }
-      obs::scope_record(
-          "recover/donate/wait",
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count());
-      if (!cut_fits(pay, ns, n_steps, RV.size())) {
-        throw DonationError("state donation payload mismatch on rank " +
-                            std::to_string(rank.id()) + ": " +
-                            std::to_string(pay.size()) +
-                            " doubles do not fit a step-" +
-                            std::to_string(step) + " cut");
-      }
-      restore(std::move(pay));
-      obs::counter_add("par/donation_restores", 1);
-    };
-
-    // ---- checkpoint restore: agree on a common restart step --------------
-    // Each rank proposes its newest usable state — the in-memory shadow if
-    // it has one, a donated buddy snapshot offered by the caller, or the
-    // newest usable snapshot among its retained generations; the collective
-    // restart step is the minimum proposal, and a second round confirms
-    // every rank can serve it. On a fresh start a disagreement falls back
-    // to from-scratch (always correct, at worst wasteful); during an
-    // in-place recovery it throws UnrecoverableError instead, handing the
-    // failure to the full-restart supervisor (an in-place from-scratch
-    // "resume" would silently discard survivors' progress).
-    const auto attempt_restore = [&](bool recovering,
-                                     std::int64_t donated) -> int {
-      int k0 = 0;
-      if (ckpt_on) {
-        std::optional<obs::ScopeTimer> agree_scope;
-        if (recovering) agree_scope.emplace("agree");
-        DiskCands disk = load_disk_candidates();
-        double proposal = static_cast<double>(cut_step(shadow));
-        if (donated >= 1) {
-          proposal = std::max(proposal, static_cast<double>(donated));
-        }
-        for (const auto& [gen, cut] : disk.cuts) {
-          proposal = std::max(proposal, cut[0]);
-        }
-        const double agreed = rank.allreduce_min(proposal);
-        const bool from_shadow = !shadow.empty() && shadow[0] == agreed;
-        const bool from_donation = !from_shadow && donated >= 1 &&
-                                   static_cast<double>(donated) == agreed;
-        auto chosen = disk.cuts.end();
-        if (!from_shadow && !from_donation) {
-          chosen = std::find_if(disk.cuts.begin(), disk.cuts.end(),
-                                [&](const auto& gc) {
-                                  return gc.second[0] == agreed;
-                                });
-        }
-        const double all_can = rank.allreduce_min(
-            agreed >= 1.0 && (from_shadow || from_donation ||
-                              chosen != disk.cuts.end())
-                ? 1.0
-                : 0.0);
-        if (all_can == 1.0 && recovering) {
-          // Donors need to know which revived ranks restore by donation:
-          // rank (v+1)%R streams what it holds when v asks for it.
-          const std::vector<double> wants =
-              rank.allgather(from_donation ? 1.0 : 0.0);
-          if (donate_on && wants[static_cast<std::size_t>(pred)] == 1.0) {
-            rank.send(pred, kDonationTag, held);
-            obs::counter_add("par/donations_served", 1);
-          }
-        }
-        agree_scope.reset();
-        if (all_can == 1.0) {
-          std::optional<obs::ScopeTimer> restore_scope;
-          if (recovering) restore_scope.emplace("restore");
-          k0 = static_cast<int>(agreed);
-          if (from_shadow) {
-            restore(std::move(shadow));
-          } else if (from_donation) {
-            try {
-              restore_from_donation(k0);
-            } catch (const DonationError& e) {
-              // Tier 2 already is the fallback: with the donation agreed on
-              // as the only common state, losing it leaves nothing to roll
-              // back to — hand the failure to the full-restart supervisor.
-              throw UnrecoverableError(std::string("rollback restore: ") +
-                                       e.what());
-            }
-          } else {
-            restore(std::move(chosen->second));
-            if (disk.newest_corrupt && chosen->first > 0) {
-              // The newest generation existed but failed its CRC; the
-              // rotation chain carried an older intact cut instead.
-              obs::counter_add("checkpoint/generation_fallbacks", 1);
-            }
-          }
-        } else if (recovering) {
-          throw UnrecoverableError(
-              "in-place recovery: no usable common checkpoint (agreed step " +
-              std::to_string(static_cast<long long>(agreed)) +
-              "), falling back to full restart");
-        }
-      } else if (recovering) {
-        throw UnrecoverableError(
-            "in-place recovery without checkpointing, falling back");
-      }
-      if (k0 > 0) {
-        obs::counter_add("ckpt/restores", 1);
-        obs::counter_add("ckpt/restored_steps", k0);
-      } else {
-        // Fresh (or retried-from-scratch) start: drop any partial histories
-        // a failed attempt appended to this rank's owned receivers.
-        for (const RecvRef& rv : RV) history(rv).clear();
-      }
-      has_state = true;
-      return k0;
-    };
-
-    // ---- three-tier recovery agreement (see DESIGN.md "Localized
-    // recovery"). Tier 1: the victim restores a donated (or disk) snapshot
-    // and replays forward on logged messages while survivors keep their
-    // state — zero survivor rollback. Tier 2: the log cannot cover the
-    // replay span, so everyone rolls back to the newest common state via
-    // attempt_restore (the victim's proposal still includes the donated
-    // step). Tier 3 is attempt_restore throwing UnrecoverableError into
-    // the full-restart supervisor. Returns this rank's resume step and
-    // fills start_of / frontier. ----
-    const auto attempt_recover = [&]() -> int {
-      const bool victim = !has_state;
-      // A donation posted before the failure may still sit unabsorbed on
-      // the pred edge: absorb it now — try_recv's epoch fence discards
-      // anything stamped before the revival, so only a cut donated in this
-      // epoch (i.e. by a surviving pred re-streaming) can land here, and
-      // the inventory round below advertises whatever newest generation
-      // this rank actually holds.
-      if (donate_on) absorb_donations();
-      std::optional<obs::ScopeTimer> agree_scope(std::in_place, "agree");
-      // Round 1: donation inventory. Every rank advertises the step it
-      // holds for its predecessor; victim v reads slot (v+1)%R.
-      const std::vector<double> held_steps = rank.allgather(
-          donate_on ? static_cast<double>(cut_step(held)) : -1.0);
-      std::int64_t donated = -1;
-      if (victim && held_steps[static_cast<std::size_t>(buddy)] >= 1.0) {
-        donated = static_cast<std::int64_t>(
-            held_steps[static_cast<std::size_t>(buddy)]);
-      }
-
-      // Each victim picks its replay source: the donated cut if one is held
-      // (a victim whose buddy died with it falls to disk — the buddy's fresh
-      // thread advertises -1), else its newest disk generation. Survivors
-      // resume where they stopped (k_done + 1) without touching their state.
-      std::int64_t my_start = -1;
-      bool use_donation = false;
-      std::vector<double> disk_pick;
-      bool disk_gen_fallback = false;
-      if (!victim) {
-        my_start = k_done + 1;
-      } else if (log_on) {
-        use_donation = donated >= 1;
-        my_start = donated;
-        if (!use_donation) {
-          DiskCands disk = load_disk_candidates();
-          for (auto& [gen, cut] : disk.cuts) {
-            if (cut_step(cut) > my_start) {
-              my_start = cut_step(cut);
-              disk_gen_fallback = disk.newest_corrupt && gen > 0;
-              disk_pick = std::move(cut);
-            }
-          }
-        }
-      }
-
-      // Round 2: roles (0 = survivor, 1 = victim restoring by donation —
-      // its buddy must stream — 2 = victim restoring from disk). Round 3:
-      // per-rank resume points. With simultaneous multi-rank failures
-      // every rank learns the whole victim set here, so survivors serve
-      // each victim's replay span independently.
-      const std::vector<double> roles =
-          rank.allgather(victim ? (use_donation ? 1.0 : 2.0) : 0.0);
-      const std::vector<double> starts =
-          rank.allgather(static_cast<double>(my_start));
-      int n_victims = 0;
-      for (const double role : roles) {
-        if (role != 0.0) ++n_victims;
-      }
-
-      // Tier-1 feasibility: every rank must be able to re-serve, from its
-      // outbound log, every step a behind neighbor will re-consume (steps
-      // [start_of[neighbor], my resume point) per edge). This is also
-      // what gates OVERLAPPING victims: a ghost edge between two victims
-      // at the SAME resume step has an empty span on both sides (they
-      // regenerate each other's messages live while marching forward
-      // together), but victims at different resume steps would need a
-      // span no fresh thread's empty log can serve, so those degrade to
-      // tier-2 rollback.
-      bool ok = log_on && my_start >= 0;
-      for (std::size_t s = 0; ok && s < starts.size(); ++s) {
-        ok = starts[s] >= 0.0;
-      }
-      for (std::size_t nb = 0; ok && nb < L.neighbors.size(); ++nb) {
-        const int m = L.neighbors[nb].rank;
-        const int lo = static_cast<int>(starts[static_cast<std::size_t>(m)]);
-        for (int k = lo; ok && k < static_cast<int>(my_start); ++k) {
-          ok = msg_log[nb].contains(k);
-        }
-      }
-      const bool all_ok = rank.allreduce_min(ok ? 1.0 : 0.0) == 1.0;
-
-      // Tier 1. Donors stream what they hold; victims restore; survivors
-      // keep their current state.
-      bool restored = all_ok;
-      if (all_ok) {
-        if (donate_on && roles[static_cast<std::size_t>(pred)] == 1.0) {
-          rank.send(pred, kDonationTag, held);
-          obs::counter_add("par/donations_served", 1);
-        }
-        agree_scope.reset();
-        std::optional<obs::ScopeTimer> restore_scope(std::in_place,
-                                                     "restore");
-        if (victim) {
-          try {
-            if (use_donation) {
-              restore_from_donation(static_cast<int>(my_start));
-            } else {
-              restore(std::move(disk_pick));
-              if (disk_gen_fallback) {
-                obs::counter_add("checkpoint/generation_fallbacks", 1);
-              }
-            }
-            obs::counter_add("ckpt/restores", 1);
-            obs::counter_add("ckpt/restored_steps",
-                             static_cast<std::int64_t>(my_start));
-            has_state = true;
-          } catch (const DonationError& e) {
-            // Broken donation (missed deadline, cut that does not fit):
-            // vote the restore down instead of aborting — every rank
-            // degrades to tier-2 together in the confirmation round below.
-            std::fprintf(stderr, "[quake::par] rank %d: %s\n", rank.id(),
-                         e.what());
-            restored = false;
-          }
-        }
-        restore_scope.reset();
-        // Confirmation round, BEFORE any log is served: had a victim's
-        // restore failed after survivors already re-served their logs, the
-        // replayed messages would sit in FIFO order ahead of the tier-2
-        // resume's live traffic and corrupt it. Only a unanimous restore
-        // lets replay proceed.
-        restored = rank.allreduce_min(restored ? 1.0 : 0.0) == 1.0;
-      }
-      if (!restored) {
-        // Tier 2: donation-aware rollback, unless the donation is what just
-        // failed to restore.
-        agree_scope.reset();
-        obs::counter_add("par/replay_fallbacks", 1);
-        const int k0 = attempt_restore(/*recovering=*/true,
-                                       all_ok ? -1 : donated);
-        for (auto& ring : msg_log) ring.clear();
-        std::fill(start_of.begin(), start_of.end(), k0);
-        frontier = k0;
-        return k0;
-      }
-      {
-        std::optional<obs::ScopeTimer> replay_scope(std::in_place, "replay");
-        for (std::size_t s = 0; s < starts.size(); ++s) {
-          start_of[s] = static_cast<int>(starts[s]);
-        }
-        frontier = 0;
-        for (const int s : start_of) frontier = std::max(frontier, s);
-        // Re-serve the log in ascending step order per edge, before any
-        // live post of this epoch: tagged FIFO delivery plus the epoch
-        // fence hands each behind rank exactly the message sequence it
-        // would have received from an undisturbed peer. With several
-        // victims each edge's span is decoded and served independently.
-        for (std::size_t nb = 0; nb < L.neighbors.size(); ++nb) {
-          const int m = L.neighbors[nb].rank;
-          msg_log[nb].for_each(
-              start_of[static_cast<std::size_t>(m)],
-              static_cast<int>(my_start),
-              [&](int /*step*/, std::span<const double> payload) {
-                rank.send(m, /*tag=*/0, payload);
-              });
-        }
-        if (victim) {
-          obs::counter_add("par/steps_replayed",
-                           frontier - static_cast<int>(my_start));
-        }
-        // Counted once per recovery event (rank 0 speaks for the
-        // agreement), not per rank, so the summed counter reads as "how
-        // many times did a single tier-1 pass repair several ranks".
-        if (n_victims >= 2 && rank.id() == 0) {
-          obs::counter_add("par/multi_victim_replays", 1);
-        }
-      }
-      return static_cast<int>(my_start);
-    };
-
-    // Hanging-node fold (B^T) of one constraint group into its masters,
-    // and expansion (B) of the masters' values onto the hanging node.
-    const auto fold = [&](std::vector<double>& x, const LocalConstraint& c) {
-      for (int comp = 0; comp < 3; ++comp) {
-        const std::size_t hd = (3 * static_cast<std::size_t>(c.node) +
-                                static_cast<std::size_t>(comp)) *
-                               S;
-        for (int m = 0; m < c.n; ++m) {
-          const std::size_t md =
-              (3 * static_cast<std::size_t>(
-                       c.masters[static_cast<std::size_t>(m)]) +
-               static_cast<std::size_t>(comp)) *
-              S;
-          const double w = c.weights[static_cast<std::size_t>(m)];
-          for (std::size_t s = 0; s < S; ++s) x[md + s] += w * x[hd + s];
-        }
-        for (std::size_t s = 0; s < S; ++s) x[hd + s] = 0.0;
-      }
-    };
-    const auto fold_list = [&](const std::vector<int>& list) {
-      for (const int ci : list) {
-        const LocalConstraint& c = L.cons[static_cast<std::size_t>(ci)];
-        fold(ku, c);
-        if (rayleigh) fold(dku, c);
-      }
-    };
-    const auto expand = [&](std::vector<double>& x, const LocalConstraint& c) {
-      for (int comp = 0; comp < 3; ++comp) {
-        const std::size_t hd = (3 * static_cast<std::size_t>(c.node) +
-                                static_cast<std::size_t>(comp)) *
-                               S;
-        for (std::size_t s = 0; s < S; ++s) {
-          double v = 0.0;
-          for (int m = 0; m < c.n; ++m) {
-            v += c.weights[static_cast<std::size_t>(m)] *
-                 x[(3 * static_cast<std::size_t>(
-                          c.masters[static_cast<std::size_t>(m)]) +
-                    static_cast<std::size_t>(comp)) *
-                       S +
-                   s];
-          }
-          x[hd + s] = v;
-        }
-      }
-    };
-
-    // Element-kernel sweep over one list: per node the 3 components x S
-    // lanes are one contiguous run. One lane takes the solo kernel, several
-    // the batch kernel, which runs the solo kernel per lane at stride S;
-    // both are per lane bitwise equal to the straight-line test oracle
-    // testsupport::hex_apply_ref (tests/support).
-    double ue[fem::kHexDofs * fem::kMaxBatchLanes];
-    double ye[fem::kHexDofs * fem::kMaxBatchLanes];
-    double de[fem::kHexDofs * fem::kMaxBatchLanes];
-    const auto apply_elems = [&](const std::vector<int>& list) {
-      for (const int le_i : list) {
-        const std::size_t le = static_cast<std::size_t>(le_i);
-        const std::size_t ge = static_cast<std::size_t>(L.elems[le]);
-        const auto& c = L.conn[le];
-        for (int i = 0; i < 8; ++i) {
-          const std::size_t base =
-              3 * static_cast<std::size_t>(c[static_cast<std::size_t>(i)]) * S;
-          const std::size_t eb = 3 * static_cast<std::size_t>(i) * S;
-          for (std::size_t t = 0; t < 3 * S; ++t) ue[eb + t] = uk[base + t];
-        }
-        std::fill(ye, ye + fem::kHexDofs * S, 0.0);
-        if (rayleigh) std::fill(de, de + fem::kHexDofs * S, 0.0);
-        const double h = mesh.elem_size[ge];
-        const vel::Material& mat = mesh.elem_mat[ge];
-        const double beta = rayleigh ? elem_damping[ge].beta : 0.0;
-        if (S == 1) {
-          fem::hex_apply(ref, ue, h * mat.lambda, h * mat.mu, ye, beta,
-                         rayleigh ? de : nullptr);
-        } else {
-          fem::hex_apply_batch(ref, ue, static_cast<int>(S), h * mat.lambda,
-                               h * mat.mu, ye, beta, rayleigh ? de : nullptr);
-        }
-        for (int i = 0; i < 8; ++i) {
-          const std::size_t base =
-              3 * static_cast<std::size_t>(c[static_cast<std::size_t>(i)]) * S;
-          const std::size_t eb = 3 * static_cast<std::size_t>(i) * S;
-          for (std::size_t t = 0; t < 3 * S; ++t) ku[base + t] += ye[eb + t];
-          if (rayleigh) {
-            for (std::size_t t = 0; t < 3 * S; ++t) dku[base + t] += de[eb + t];
-          }
-        }
-        flops += S * fem::hex_apply_flops(rayleigh);
-      }
-      // One element update per lane per element: S lanes advance together.
-      elem_updates += S * list.size();
-      obs::counter_add("par/elements_processed",
-                       static_cast<std::int64_t>(list.size()));
-      obs::counter_add("par/element_updates",
-                       static_cast<std::int64_t>(S * list.size()));
-    };
-    // Stacey faces: the face kernel is tiny (4 nodes), so it runs per lane
-    // with strided gathers instead of being widened.
-    const auto apply_faces = [&](const std::vector<RankLocal::Face>& list) {
-      if (op_opt.abc != fem::AbcType::kStacey) return;
-      double uf[12], yf[12];
-      for (const auto& face : list) {
-        if (!op_opt.absorbing_sides[static_cast<std::size_t>(face.side)]) {
-          continue;
-        }
-        const std::size_t ge = static_cast<std::size_t>(
-            L.elems[static_cast<std::size_t>(face.elem)]);
-        const auto& fn = mesh::kFaceNodes[static_cast<std::size_t>(face.side)];
-        const auto& c = L.conn[static_cast<std::size_t>(face.elem)];
-        for (std::size_t s = 0; s < S; ++s) {
-          for (int i = 0; i < 4; ++i) {
-            const std::size_t base =
-                3 *
-                static_cast<std::size_t>(
-                    c[static_cast<std::size_t>(fn[static_cast<std::size_t>(i)])]) *
-                S;
-            uf[3 * i] = uk[base + s];
-            uf[3 * i + 1] = uk[base + S + s];
-            uf[3 * i + 2] = uk[base + 2 * S + s];
-          }
-          std::fill(yf, yf + 12, 0.0);
-          fem::face_stacey_apply(mesh.elem_mat[ge], mesh.elem_size[ge],
-                                 face.side, uf, yf);
-          for (int i = 0; i < 4; ++i) {
-            const std::size_t base =
-                3 *
-                static_cast<std::size_t>(
-                    c[static_cast<std::size_t>(fn[static_cast<std::size_t>(i)])]) *
-                S;
-            ku[base + s] += yf[3 * i];
-            ku[base + S + s] += yf[3 * i + 1];
-            ku[base + 2 * S + s] += yf[3 * i + 2];
-          }
-          flops += fem::face_stacey_flops();
-        }
-      }
-    };
-
-    // Local node li's bracket (u_prev, u) evaluated at fine step k_target,
-    // all 3 * S values. A node of rate p active at k_target holds u =
-    // u^{k_target} exactly (m == 0 takes u directly — always, with one
-    // class); a stale node interpolates linearly inside its bracket.
-    const auto node_at = [&](std::size_t li, int k_target, double* out) {
-      const int lg = rp.node_lg[li];
-      const int m = k_target & ((1 << lg) - 1);
-      const std::size_t base = 3 * li * S;
-      if (m == 0) {
-        for (std::size_t t = 0; t < 3 * S; ++t) out[t] = u[base + t];
-      } else {
-        const double th =
-            static_cast<double>(m) / static_cast<double>(1 << lg);
-        for (std::size_t t = 0; t < 3 * S; ++t) {
-          out[t] = u_prev[base + t] + th * (u[base + t] - u_prev[base + t]);
-        }
-      }
-    };
-
-    int k_progress = 0;  // last step this rank started (rollback accounting)
-    // Runs the steps [k0, n_steps); returns the first step NOT taken —
-    // n_steps on a full run, or the collectively-agreed stop step when the
-    // run's RunControl cancelled it (all ranks return the same value).
-    const auto step_loop = [&](int k0) -> int {
-    for (int k = k0; k < n_steps; ++k) {
+ private:
+  // Runs the steps [k0, n_steps); returns the first step NOT taken —
+  // n_steps on a full run, or the collectively-agreed stop step when the
+  // run's RunControl cancelled it (all ranks return the same value).
+  int step_loop(int k0) {
+    for (int k = k0; k < job.n_steps; ++k) {
       QUAKE_OBS_SCOPE("step");
       k_progress = k;
+      if (stop_agreed(k)) return k;
+      step(k);
+    }
+    return job.n_steps;
+  }
 
-      // ---- cancellation/deadline agreement (service workloads): each rank
-      // evaluates its local stop condition and the max-reduction makes the
-      // decision collective, so every rank leaves at the same step. The
-      // agreement is suppressed below the replay frontier: during tier-1
-      // catch-up ranks execute different step ranges, and the anonymous
-      // count-based collective must only be issued at steps all of them
-      // reach (frontier == k0 on an undisturbed run, so nothing changes
-      // there) ----
-      if (ctl_active && k >= frontier && k % ctl_every == 0) {
-        double want_stop = 0.0;
-        if (control.cancel != nullptr &&
-            control.cancel->load(std::memory_order_relaxed)) {
-          want_stop = 1.0;
-        }
-        if (control.deadline_seconds > 0.0 &&
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          run_start)
-                    .count() >= control.deadline_seconds) {
-          want_stop = 1.0;
-        }
-        if (rank.allreduce_max(want_stop) > 0.0) {
-          obs::counter_add("par/steps_cancelled", n_steps - k);
-          return k;
-        }
-      }
+  // One step, phase by phase: boundary compute, post, interior compute
+  // (overlapping the messages in flight), drain, update and receivers, then
+  // the snapshot hook and the checkpoint cut.
+  void step(int k) {
+    rank.fault_point(k);
+    const int cap = sched.cap(k);
+    compute_boundary(k, cap);
+    post(k, cap);
+    compute_interior(k, cap);
+    drain(k, cap);
+    update(k, cap);
+    // State and histories now fully describe step k: this is the resume
+    // point a survivor advertises in recovery agreement (k_done + 1).
+    k_done = k;
+    if (job.control.snapshot && (k + 1) % job.control.snapshot_every == 0) {
+      snapshot(k);
+    }
+    rec.checkpoint(k);
+  }
 
-      rank.fault_point(k);
-      const double t_k = k * dt;
-      const int cap = sched.cap(k);
+  // ---- cancellation/deadline agreement (service workloads): each rank
+  // evaluates its local stop condition and the max-reduction makes the
+  // decision collective, so every rank leaves at the same step. The
+  // agreement is suppressed below the replay frontier: during tier-1
+  // catch-up ranks execute different step ranges, and the anonymous
+  // count-based collective must only be issued at steps all of them reach
+  // (frontier == k0 on an undisturbed run, so nothing changes there) ----
+  bool stop_agreed(int k) {
+    const RunControl& control = job.control;
+    if (!control.active() || !rec.may_collect(k) ||
+        k % std::max(1, control.check_every) != 0) {
+      return false;
+    }
+    double want_stop = 0.0;
+    if (control.cancel != nullptr &&
+        control.cancel->load(std::memory_order_relaxed)) {
+      want_stop = 1.0;
+    }
+    if (control.deadline_seconds > 0.0 &&
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      job.start)
+                .count() >= control.deadline_seconds) {
+      want_stop = 1.0;
+    }
+    if (rank.allreduce_max(want_stop) > 0.0) {
+      obs::counter_add("par/steps_cancelled", job.n_steps - k);
+      return true;
+    }
+    return false;
+  }
 
-      {
-      QUAKE_OBS_SCOPE("compute");  // time-k field + boundary classes
-      compute_watch.start();
-      if (multi_rate) {
-        for (std::size_t i = 0; i < L.nodes.size(); ++i) {
-          node_at(i, k, un.data() + 3 * i * S);
-        }
+  void compute_boundary(int k, int cap) {
+    QUAKE_OBS_SCOPE("compute");  // time-k field + boundary classes
+    compute_watch.start();
+    if (multi_rate) {
+      for (std::size_t i = 0; i < L.nodes.size(); ++i) {
+        node_at(i, k, un.data() + at(i));
       }
-      std::fill(ku.begin(), ku.end(), 0.0);
-      if (rayleigh) std::fill(dku.begin(), dku.end(), 0.0);
-      for (int c = 0; c <= cap; ++c) {
-        apply_elems(rp.bnd_elems[static_cast<std::size_t>(c)]);
-        apply_faces(rp.bnd_faces[static_cast<std::size_t>(c)]);
-      }
-      // Fold the hanging-node partials that reach shared masters BEFORE the
-      // exchange (B^T is linear, so projecting partials and summing
-      // commutes with summing and projecting) — this keeps ghost sets
-      // surface-sized. Every element feeding these folds is a boundary
-      // element, so the posted partials are complete. The fold is whole,
-      // active or not: an inactive constraint group shares one (inactive)
-      // cadence, so its garbage partials land only on inactive masters —
-      // never sent (compacted out of the message) and never read (the
-      // update skips them). Active groups fold complete partials by the
-      // scheduling invariant.
-      fold_list(rp.cons_bnd);
-      compute_watch.stop();
-      }
+    }
+    std::fill(ku.begin(), ku.end(), 0.0);
+    if (rayleigh) std::fill(dku.begin(), dku.end(), 0.0);
+    for (int c = 0; c <= cap; ++c) {
+      apply_elems(rp.bnd_elems[static_cast<std::size_t>(c)]);
+      apply_faces(rp.bnd_faces[static_cast<std::size_t>(c)]);
+    }
+    // Fold the hanging-node partials that reach shared masters BEFORE the
+    // exchange (B^T is linear, so projecting partials and summing
+    // commutes with summing and projecting) — this keeps ghost sets
+    // surface-sized. Every element feeding these folds is a boundary
+    // element, so the posted partials are complete. The fold is whole,
+    // active or not: an inactive constraint group shares one (inactive)
+    // cadence, so its garbage partials land only on inactive masters —
+    // never sent (compacted out of the message) and never read (the
+    // update skips them). Active groups fold complete partials by the
+    // scheduling invariant.
+    fold_list(rp.cons_bnd);
+    compute_watch.stop();
+  }
 
-      // ---- post: coalesced per-neighbor messages go out before any
-      // interior work, so they are in flight during it. A message carries
-      // the active-rate shared nodes, rate-major, all S lanes each (ku, then
-      // dku with Rayleigh damping); a coarse-only edge goes quiet between
-      // its updates (zero-length messages are skipped on both sides) ----
-      {
-      QUAKE_OBS_SCOPE("exchange");
-      exchange_watch.start();
-      {
+  // ---- post: coalesced per-neighbor messages go out before any interior
+  // work, so they are in flight during it. A message carries the
+  // active-rate shared nodes, rate-major, all S lanes each (ku, then dku
+  // with Rayleigh damping); a coarse-only edge goes quiet between its
+  // updates (zero-length messages are skipped on both sides) ----
+  void post(int k, int cap) {
+    QUAKE_OBS_SCOPE("exchange");
+    exchange_watch.start();
+    {
       QUAKE_OBS_SCOPE("post");
       for (std::size_t nb = 0; nb < L.neighbors.size(); ++nb) {
         const std::size_t len = msg_len(nb, cap);
@@ -1475,9 +746,7 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
         std::size_t o = 0;
         for (int lg = 0; lg <= cap; ++lg) {
           for (const int i : ed.sh_of_rate[static_cast<std::size_t>(lg)]) {
-            const std::size_t base =
-                3 * static_cast<std::size_t>(sh[static_cast<std::size_t>(i)]) *
-                S;
+            const std::size_t base = at(sh[static_cast<std::size_t>(i)]);
             for (std::size_t t = 0; t < 3 * S; ++t) buf[o + t] = ku[base + t];
             if (rayleigh) {
               for (std::size_t t = 0; t < 3 * S; ++t) {
@@ -1488,13 +757,12 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
           }
         }
         const std::span<const double> msg(buf.data(), len);
-        // Post only to neighbors that have not already consumed this step
-        // (a catching-up rank must not pollute an ahead neighbor's FIFO);
+        // Post only to neighbors that have not already consumed this step;
         // log unconditionally so a later recovery can re-serve any span.
-        if (k >= start_of[static_cast<std::size_t>(L.neighbors[nb].rank)]) {
+        if (rec.may_post(L.neighbors[nb].rank, k)) {
           rank.send(L.neighbors[nb].rank, /*tag=*/0, msg);
         }
-        if (log_on) msg_log[nb].push(k, msg);
+        rec.log_post(nb, k, msg);
       }
       // Zero the active shared entries now; interior work never touches
       // them, and the drain re-accumulates in ascending rank order (sendbuf
@@ -1503,334 +771,245 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
       // could read it.
       for (int lg = 0; lg <= cap; ++lg) {
         for (const int li : rp.shared_of_rate[static_cast<std::size_t>(lg)]) {
-          const std::size_t base = 3 * static_cast<std::size_t>(li) * S;
+          const std::size_t base = at(li);
           for (std::size_t t = 0; t < 3 * S; ++t) ku[base + t] = 0.0;
           if (rayleigh) {
             for (std::size_t t = 0; t < 3 * S; ++t) dku[base + t] = 0.0;
           }
         }
       }
-      }
-      exchange_watch.stop();
-      }
+    }
+    exchange_watch.stop();
+  }
 
-      // ---- overlap window: sources, interior elements, interior ABC
-      // faces, and interior hanging-node folds, all while the per-neighbor
-      // messages are in flight ----
-      {
-      QUAKE_OBS_SCOPE("compute");
-      compute_watch.start();
-      overlap_watch.start();
-      std::fill(f.begin(), f.end(), 0.0);
-      for (std::size_t s = 0; s < S; ++s) {
-        RankLaneForceSink sink(L.local_of, f, S, s);
-        for (const solver::SourceModel* src : scenarios[s].sources) {
-          src->add_forces(t_k, sink);
-        }
-      }
-      for (const LocalConstraint& c : L.cons) fold(f, c);
-      for (int c = 0; c <= cap; ++c) {
-        apply_elems(rp.int_elems[static_cast<std::size_t>(c)]);
-        apply_faces(rp.int_faces[static_cast<std::size_t>(c)]);
-      }
-      fold_list(rp.cons_int);
-      overlap_watch.stop();
-      compute_watch.stop();
-      }
-
-      // ---- drain: park each neighbor's payload as it arrives (any
-      // order), then accumulate in ascending rank order once every edge
-      // has landed, so every copy of a shared node computes the identical
-      // floating-point sum no matter which neighbor was slow; the own
-      // partial (recovered from the send buffers) is inserted at this
-      // rank's position in the order ----
-      {
-      QUAKE_OBS_SCOPE("exchange");
-      exchange_watch.start();
-      drain_watch.start();
-      {
-        QUAKE_OBS_SCOPE("drain");
-        rank.fault_point(-k - 1);  // mid-exchange fault point (see FaultPlan)
-        {
-          // Wait phase: poll every pending edge and park whatever is
-          // already there. A fruitless pass yields and re-polls — blocking
-          // right away would commit to the lowest pending neighbor and
-          // re-serialize the drain on rank order whenever the scheduler
-          // simply hadn't run the senders yet. Only after kIdlePassLimit
-          // fruitless passes does the drain fall back to a blocking
-          // receive: that wait is then genuinely unavoidable, and the
-          // blocking receive is what registers this rank in the deadlock
-          // detector (diagnosing a stuck exchange, and letting a planned
-          // kDelay message flush instead of spinning forever).
-          QUAKE_OBS_SCOPE("wait");
-          constexpr int kIdlePassLimit = 64;
-          std::size_t n_pending = 0;
-          for (std::size_t nb = 0; nb < L.neighbors.size(); ++nb) {
-            // Quiet edges (no active shared nodes) are pre-marked arrived.
-            const bool quiet = msg_len(nb, cap) == 0;
-            L.nb_arrived[nb] = quiet ? 1 : 0;
-            n_pending += quiet ? 0 : 1;
-          }
-          const auto inbox = [&](std::size_t nb) {
-            return std::span<double>(L.recvbuf[nb].data(), msg_len(nb, cap));
-          };
-          int idle_passes = 0;
-          while (n_pending > 0) {
-            std::size_t progressed = 0;
-            std::size_t first_pending = L.neighbors.size();
-            for (std::size_t nb = 0; nb < L.neighbors.size(); ++nb) {
-              if (L.nb_arrived[nb] != 0) continue;
-              if (rank.try_recv_into(L.neighbors[nb].rank, /*tag=*/0,
-                                     inbox(nb))) {
-                L.nb_arrived[nb] = 1;
-                --n_pending;
-                ++progressed;
-              } else if (first_pending == L.neighbors.size()) {
-                first_pending = nb;
-              }
-            }
-            if (n_pending == 0 || progressed > 0) {
-              idle_passes = 0;
-            } else if (++idle_passes < kIdlePassLimit) {
-              // Idle pass: absorb any in-flight buddy donation instead of
-              // pure spinning, so the async stream never backs up behind
-              // a slow neighbor.
-              if (donate_on) absorb_donations();
-              std::this_thread::yield();
-            } else {
-              rank.recv_into(L.neighbors[first_pending].rank, /*tag=*/0,
-                             inbox(first_pending));
-              L.nb_arrived[first_pending] = 1;
-              --n_pending;
-              idle_passes = 0;
-            }
-          }
-        }
-        // Adds 3 * S doubles of a message at `at` (and the matching dku
-        // section) onto local node li.
-        const auto add_node = [&](std::size_t li,
-                                  const std::vector<double>& msg,
-                                  std::size_t at, std::size_t half) {
-          const std::size_t base = 3 * li * S;
-          for (std::size_t t = 0; t < 3 * S; ++t) ku[base + t] += msg[at + t];
-          if (rayleigh) {
-            for (std::size_t t = 0; t < 3 * S; ++t) {
-              dku[base + t] += msg[half + at + t];
-            }
-          }
-        };
-        for (int s = 0; s < R; ++s) {
-          if (s == rank.id()) {
-            // Own partials: once per node, at its first occurrence across
-            // the neighbor lists (precomputed in the schedule).
-            for (std::size_t nb = 0; nb < L.neighbors.size(); ++nb) {
-              const auto& sh = L.neighbors[nb].shared;
-              const std::size_t half = msg_len(nb, cap) / pack;
-              for (int lg = 0; lg <= cap; ++lg) {
-                for (const auto& [i, slot] :
-                     rp.edges[nb].own_of_rate[static_cast<std::size_t>(lg)]) {
-                  add_node(static_cast<std::size_t>(
-                               sh[static_cast<std::size_t>(i)]),
-                           L.sendbuf[nb],
-                           3 * static_cast<std::size_t>(slot) * S, half);
-                }
-              }
-            }
-            continue;
-          }
-          const int nbi = L.nb_of_rank[static_cast<std::size_t>(s)];
-          if (nbi < 0) continue;
-          const auto nb = static_cast<std::size_t>(nbi);
-          const auto& sh = L.neighbors[nb].shared;
-          const Schedule::Edge& ed = rp.edges[nb];
-          const std::size_t half = msg_len(nb, cap) / pack;
-          std::size_t o = 0;
-          for (int lg = 0; lg <= cap; ++lg) {
-            for (const int i : ed.sh_of_rate[static_cast<std::size_t>(lg)]) {
-              add_node(
-                  static_cast<std::size_t>(sh[static_cast<std::size_t>(i)]),
-                  L.recvbuf[nb], o, half);
-              o += 3 * S;
-            }
-          }
-        }
-      }
-      drain_watch.stop();
-      exchange_watch.stop();
-      }
-
-      {
-      QUAKE_OBS_SCOPE("compute");  // diagonalized lumped update (eq. 2.4)
-      compute_watch.start();
-      // Active rates in place (u_prev <- u, u <- new), lane loop innermost.
-      for (int lg = 0; lg <= cap; ++lg) {
-        const double dt2 = sched.dt2[static_cast<std::size_t>(lg)];
-        const double hdt = sched.hdt[static_cast<std::size_t>(lg)];
-        std::size_t n_updated = 0;
-        for (const auto& [first, last] :
-             rp.node_runs[static_cast<std::size_t>(lg)]) {
-          n_updated += last - first;
-          for (std::size_t d = 3 * first; d < 3 * last; ++d) {
-            const std::size_t b = d * S;
-            for (std::size_t s = 0; s < S; ++s) {
-              double rhs = 2.0 * L.mass[d] * u[b + s] - dt2 * ku[b + s] +
-                           dt2 * f[b + s] +
-                           (hdt * L.am[d] - L.mass[d]) * u_prev[b + s] +
-                           hdt * L.cab[d] * u_prev[b + s];
-              if (rayleigh) {
-                rhs -= hdt * (dku[b + s] - L.bk[d] * u[b + s]);
-                rhs += hdt * dku_prev[b + s];
-              }
-              u_prev[b + s] = u[b + s];
-              u[b + s] = rhs * rp.inv_lhs[d];
-            }
-          }
-        }
-        // Update arithmetic per dof (counted off the expression above):
-        // 14 flops for the undamped eq. 2.4 rhs + divide-by-lhs, 6 more on
-        // the Rayleigh branch.
-        flops += S * 3 * n_updated * (rayleigh ? 20ull : 14ull);
-        // Per-rate hanging-node expansion: the group shares this cadence,
-        // so its masters hold fresh u exactly when the group expands.
-        for (const int ci : rp.cons_of_rate[static_cast<std::size_t>(lg)]) {
-          expand(u, L.cons[static_cast<std::size_t>(ci)]);
-        }
-        // Component mask: zero this rate's masked components right after
-        // its expansion, hanging nodes included.
-        if (masked) {
-          for (const auto& [first, last] :
-               rp.node_runs[static_cast<std::size_t>(lg)]) {
-            for (std::size_t i = first; i < last; ++i) {
-              for (std::size_t c = 0; c < 3; ++c) {
-                if (!fixed[c]) continue;
-                for (std::size_t s = 0; s < S; ++s) {
-                  u[(3 * i + c) * S + s] = 0.0;
-                }
-              }
-            }
-          }
-        }
-      }
-      if (rayleigh) std::swap(dku_prev, dku);
-
-      // Receivers read the time-(k+1) field through the same bracket
-      // (direct u for rate-1 nodes).
-      for (const RecvRef& rv : RV) {
-        double v[3 * fem::kMaxBatchLanes];
-        node_at(static_cast<std::size_t>(rv.ln), k + 1, v);
-        const auto s = static_cast<std::size_t>(rv.lane);
-        history(rv).push_back({v[s], v[S + s], v[2 * S + s]});
-      }
-      compute_watch.stop();
-      }
-      // State and histories now fully describe step k: this is the resume
-      // point a survivor advertises in recovery agreement (k_done + 1).
-      k_done = k;
-
-      // ---- snapshot hook (one lane, global dt, no fault tolerance): gather
-      // the owned nodes' u and (u - u_prev) / dt in global order — local
-      // order differs when orphan nodes exist — and let rank 0 call the
-      // hook while every rank waits ----
-      if (snap_on && (k + 1) % control.snapshot_every == 0) {
-        for (std::size_t i = 0; i < L.nodes.size(); ++i) {
-          if (L.owned[i] == 0) continue;
-          const std::size_t g = 3 * static_cast<std::size_t>(L.nodes[i]);
-          for (std::size_t c = 0; c < 3; ++c) {
-            snap_u[g + c] = u[3 * i + c];
-            snap_v[g + c] = (u[3 * i + c] - u_prev[3 * i + c]) / dt;
-          }
-        }
-        rank.barrier();
-        if (rank.id() == 0) {
-          control.snapshot(k + 1, (k + 1) * dt, snap_u, snap_v);
-        }
-        rank.barrier();
-      }
-
-      // ---- periodic snapshot, barrier-bracketed so the per-rank files of
-      // a checkpoint generation form a consistent cut. Suppressed below the
-      // replay frontier: a catching-up rank re-crosses checkpoint steps the
-      // ahead ranks already took, and the barriers only match once all
-      // ranks reach the step together ----
-      if (ckpt_on && ft.checkpoint_every > 0 &&
-          (k + 1) % ft.checkpoint_every == 0 && k + 1 < n_steps &&
-          k >= frontier) {
-        QUAKE_OBS_SCOPE("checkpoint");
-        rank.barrier();
-        // Capture the cut once, into the shadow: it is the rollback target
-        // even when the disk write below fails (survivors roll back from
-        // memory, disk only serves a revived rank), and both the disk
-        // write and the buddy donation read it.
-        shadow.clear();
-        shadow.reserve(1 + 3 * ns +
-                       3 * static_cast<std::size_t>(k + 1) * RV.size());
-        shadow.push_back(static_cast<double>(k + 1));
-        shadow.insert(shadow.end(), u.begin(), u.end());
-        shadow.insert(shadow.end(), u_prev.begin(), u_prev.end());
-        shadow.insert(shadow.end(), dku_prev.begin(), dku_prev.end());
-        for (const RecvRef& rv : RV) {
-          for (const auto& s : history(rv)) {
-            shadow.insert(shadow.end(), s.begin(), s.end());
-          }
-        }
-        std::string ckpt_err;
-        bool saved = false;
-        // Transient disk pressure often clears within milliseconds; retry
-        // the write twice with a short backoff before declaring it failed.
-        for (int a = 0; a < 3 && !saved; ++a) {
-          if (a > 0) {
-            obs::counter_add("checkpoint/write_retries", 1);
-            std::this_thread::sleep_for(std::chrono::milliseconds(1 << (a - 1)));
-          }
-          saved =
-              util::save_snapshot_rotating(path, shadow, ckpt_keep, &ckpt_err);
-        }
-        if (saved) {
-          obs::counter_add("ckpt/writes", 1);
-          // State and histories; the step header is not counted.
-          obs::counter_add("ckpt/bytes_written",
-                           static_cast<std::int64_t>(8 * (shadow.size() - 1)));
-        } else {
-          // Persistent disk pressure (ENOSPC, permissions) is survivable:
-          // the rotation left the previous generation intact as the restore
-          // target, so count it, say so, and keep solving.
-          obs::counter_add("checkpoint/write_failures", 1);
-          std::fprintf(stderr,
-                       "[quake::par] rank %d: checkpoint write at step %d "
-                       "failed (%s); continuing on previous snapshot\n",
-                       rank.id(), k + 1, ckpt_err.c_str());
-        }
-        // ---- survivor state donation: every rank streams this cut to its
-        // buddy (r+1)%R and holds its predecessor's in thread-local memory.
-        // Sends are mailbox posts, so the ring-shift exchange cannot
-        // deadlock; both barriers bracketing this block guarantee the
-        // capture either completes on every rank or on none ----
-        if (donate_on) {
-          rank.send(buddy, kDonationTag, shadow);
-          // Asynchronous absorb: the closing barrier below proves pred's
-          // send already landed in this rank's mailbox, so the post-
-          // barrier drain is non-blocking and the measured wait is ~0.
-          // (Absorbing may also have happened opportunistically in the
-          // drain's idle passes.)
-          rank.barrier();
-          util::StopWatch w;
-          w.start();
-          absorb_donations();
-          w.stop();
-          obs::scope_record("recover/donate/wait", w.total_seconds());
-        } else {
-          rank.barrier();
-        }
-        // Message-log ring reset point: everything before this cut can be
-        // restored by donation or disk, so only steps >= k+1 ever need
-        // replaying. (The ring capacity already enforces the bound; no
-        // explicit trim is needed for correctness.)
+  // ---- overlap window: sources, interior elements, interior ABC faces,
+  // and interior hanging-node folds, all while the per-neighbor messages
+  // are in flight ----
+  void compute_interior(int k, int cap) {
+    QUAKE_OBS_SCOPE("compute");
+    compute_watch.start();
+    overlap_watch.start();
+    std::fill(f.begin(), f.end(), 0.0);
+    for (std::size_t s = 0; s < S; ++s) {
+      RankLaneForceSink sink(L.local_of, f, S, s);
+      for (const solver::SourceModel* src : job.scenarios[s].sources) {
+        src->add_forces(k * im.dt, sink);
       }
     }
-    return n_steps;
-    };  // step_loop
+    for (const LocalConstraint& c : L.cons) fold(f, c);
+    for (int c = 0; c <= cap; ++c) {
+      apply_elems(rp.int_elems[static_cast<std::size_t>(c)]);
+      apply_faces(rp.int_faces[static_cast<std::size_t>(c)]);
+    }
+    fold_list(rp.cons_int);
+    overlap_watch.stop();
+    compute_watch.stop();
+  }
 
-    const auto finish = [&](int stop_k) {
+  // ---- drain: park each neighbor's payload as it arrives (any order),
+  // then accumulate in ascending rank order once every edge has landed, so
+  // every copy of a shared node computes the identical floating-point sum
+  // no matter which neighbor was slow; the own partial (recovered from the
+  // send buffers) is inserted at this rank's position in the order ----
+  void drain(int k, int cap) {
+    QUAKE_OBS_SCOPE("exchange");
+    exchange_watch.start();
+    drain_watch.start();
+    {
+      QUAKE_OBS_SCOPE("drain");
+      rank.fault_point(-k - 1);  // mid-exchange fault point (see FaultPlan)
+      wait_all(cap);
+      for (int s = 0; s < im.R; ++s) {
+        if (s == rank.id()) {
+          // Own partials: once per node, at its first occurrence across
+          // the neighbor lists (precomputed in the schedule).
+          for (std::size_t nb = 0; nb < L.neighbors.size(); ++nb) {
+            const auto& sh = L.neighbors[nb].shared;
+            const std::size_t half = msg_len(nb, cap) / pack;
+            for (int lg = 0; lg <= cap; ++lg) {
+              for (const auto& [i, slot] :
+                   rp.edges[nb].own_of_rate[static_cast<std::size_t>(lg)]) {
+                add_node(sh[static_cast<std::size_t>(i)], L.sendbuf[nb],
+                         at(slot), half);
+              }
+            }
+          }
+          continue;
+        }
+        const int nbi = L.nb_of_rank[static_cast<std::size_t>(s)];
+        if (nbi < 0) continue;
+        const auto nb = static_cast<std::size_t>(nbi);
+        const auto& sh = L.neighbors[nb].shared;
+        const Schedule::Edge& ed = rp.edges[nb];
+        const std::size_t half = msg_len(nb, cap) / pack;
+        std::size_t o = 0;
+        for (int lg = 0; lg <= cap; ++lg) {
+          for (const int i : ed.sh_of_rate[static_cast<std::size_t>(lg)]) {
+            add_node(sh[static_cast<std::size_t>(i)], L.recvbuf[nb], o, half);
+            o += 3 * S;
+          }
+        }
+      }
+    }
+    drain_watch.stop();
+    exchange_watch.stop();
+  }
+
+  // Wait phase of the drain: poll every pending edge and park whatever is
+  // already there. A fruitless pass yields and re-polls — blocking right
+  // away would commit to the lowest pending neighbor and re-serialize the
+  // drain on rank order whenever the scheduler simply hadn't run the
+  // senders yet. Only after kIdlePassLimit fruitless passes does the drain
+  // fall back to a blocking receive: that wait is then genuinely
+  // unavoidable, and the blocking receive is what registers this rank in
+  // the deadlock detector (diagnosing a stuck exchange, and letting a
+  // planned kDelay message flush instead of spinning forever).
+  void wait_all(int cap) {
+    QUAKE_OBS_SCOPE("wait");
+    constexpr int kIdlePassLimit = 64;
+    std::size_t n_pending = 0;
+    for (std::size_t nb = 0; nb < L.neighbors.size(); ++nb) {
+      // Quiet edges (no active shared nodes) are pre-marked arrived.
+      const bool quiet = msg_len(nb, cap) == 0;
+      L.nb_arrived[nb] = quiet ? 1 : 0;
+      n_pending += quiet ? 0 : 1;
+    }
+    int idle_passes = 0;
+    while (n_pending > 0) {
+      std::size_t progressed = 0;
+      std::size_t first_pending = L.neighbors.size();
+      for (std::size_t nb = 0; nb < L.neighbors.size(); ++nb) {
+        if (L.nb_arrived[nb] != 0) continue;
+        if (rank.try_recv_into(L.neighbors[nb].rank, /*tag=*/0,
+                               inbox(nb, cap))) {
+          L.nb_arrived[nb] = 1;
+          --n_pending;
+          ++progressed;
+        } else if (first_pending == L.neighbors.size()) {
+          first_pending = nb;
+        }
+      }
+      if (n_pending == 0 || progressed > 0) {
+        idle_passes = 0;
+      } else if (++idle_passes < kIdlePassLimit) {
+        // Idle pass: absorb any in-flight buddy donation instead of pure
+        // spinning, so the async stream never backs up behind a slow
+        // neighbor.
+        rec.absorb();
+        std::this_thread::yield();
+      } else {
+        rank.recv_into(L.neighbors[first_pending].rank, /*tag=*/0,
+                       inbox(first_pending, cap));
+        L.nb_arrived[first_pending] = 1;
+        --n_pending;
+        idle_passes = 0;
+      }
+    }
+  }
+
+  std::span<double> inbox(std::size_t nb, int cap) {
+    return {L.recvbuf[nb].data(), msg_len(nb, cap)};
+  }
+
+  // Adds 3 * S doubles of a message at `pos` (and the matching dku section)
+  // onto local node li.
+  void add_node(int li, const std::vector<double>& msg, std::size_t pos,
+                std::size_t half) {
+    const std::size_t base = at(li);
+    for (std::size_t t = 0; t < 3 * S; ++t) ku[base + t] += msg[pos + t];
+    if (rayleigh) {
+      for (std::size_t t = 0; t < 3 * S; ++t) {
+        dku[base + t] += msg[half + pos + t];
+      }
+    }
+  }
+
+  void update(int k, int cap) {
+    QUAKE_OBS_SCOPE("compute");  // diagonalized lumped update (eq. 2.4)
+    compute_watch.start();
+    // Active rates in place (u_prev <- u, u <- new), lane loop innermost.
+    for (int lg = 0; lg <= cap; ++lg) {
+      const double dt2 = sched.dt2[static_cast<std::size_t>(lg)];
+      const double hdt = sched.hdt[static_cast<std::size_t>(lg)];
+      std::size_t n_updated = 0;
+      for (const auto& [first, last] :
+           rp.node_runs[static_cast<std::size_t>(lg)]) {
+        n_updated += last - first;
+        for (std::size_t d = 3 * first; d < 3 * last; ++d) {
+          const std::size_t b = d * S;
+          for (std::size_t s = 0; s < S; ++s) {
+            double rhs = 2.0 * L.mass[d] * u[b + s] - dt2 * ku[b + s] +
+                         dt2 * f[b + s] +
+                         (hdt * L.am[d] - L.mass[d]) * u_prev[b + s] +
+                         hdt * L.cab[d] * u_prev[b + s];
+            if (rayleigh) {
+              rhs -= hdt * (dku[b + s] - L.bk[d] * u[b + s]);
+              rhs += hdt * dku_prev[b + s];
+            }
+            u_prev[b + s] = u[b + s];
+            u[b + s] = rhs * rp.inv_lhs[d];
+          }
+        }
+      }
+      // Update arithmetic per dof (counted off the expression above): 14
+      // flops for the undamped eq. 2.4 rhs + divide-by-lhs, 6 more on the
+      // Rayleigh branch.
+      flops += S * 3 * n_updated * (rayleigh ? 20ull : 14ull);
+      // Per-rate hanging-node expansion: the group shares this cadence, so
+      // its masters hold fresh u exactly when the group expands.
+      for (const int ci : rp.cons_of_rate[static_cast<std::size_t>(lg)]) {
+        expand(u, L.cons[static_cast<std::size_t>(ci)]);
+      }
+      // Component mask: zero this rate's masked components right after its
+      // expansion, hanging nodes included.
+      if (im.fixed[0] || im.fixed[1] || im.fixed[2]) {
+        for (const auto& [first, last] :
+             rp.node_runs[static_cast<std::size_t>(lg)]) {
+          for (std::size_t i = first; i < last; ++i) {
+            for (std::size_t c = 0; c < 3; ++c) {
+              if (!im.fixed[c]) continue;
+              for (std::size_t s = 0; s < S; ++s) {
+                u[at(i, c) + s] = 0.0;
+              }
+            }
+          }
+        }
+      }
+    }
+    if (rayleigh) std::swap(dku_prev, dku);
+
+    // Receivers read the time-(k+1) field through the same bracket (direct
+    // u for rate-1 nodes).
+    for (const RecvRef& rv : RV) {
+      double v[3 * fem::kMaxBatchLanes];
+      node_at(static_cast<std::size_t>(rv.ln), k + 1, v);
+      const auto s = static_cast<std::size_t>(rv.lane);
+      history(rv).push_back({v[s], v[S + s], v[2 * S + s]});
+    }
+    compute_watch.stop();
+  }
+
+  // ---- snapshot hook (one lane, global dt, no fault tolerance): gather
+  // the owned nodes' u and (u - u_prev) / dt in global order — local order
+  // differs when orphan nodes exist — and let rank 0 call the hook while
+  // every rank waits ----
+  void snapshot(int k) {
+    for (std::size_t i = 0; i < L.nodes.size(); ++i) {
+      if (L.owned[i] == 0) continue;
+      const std::size_t g = 3 * static_cast<std::size_t>(L.nodes[i]);
+      for (std::size_t c = 0; c < 3; ++c) {
+        job.snap_u[g + c] = u[3 * i + c];
+        job.snap_v[g + c] = (u[3 * i + c] - u_prev[3 * i + c]) / im.dt;
+      }
+    }
+    rank.barrier();
+    if (rank.id() == 0) {
+      job.control.snapshot(k + 1, (k + 1) * im.dt, job.snap_u, job.snap_v);
+    }
+    rank.barrier();
+  }
+
+  void finish(int stop_k) {
     // Gather: each rank writes its owned nodes (owners are unique), every
     // node's bracket evaluated at the stop step.
     for (std::size_t i = 0; i < L.nodes.size(); ++i) {
@@ -1840,7 +1019,7 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
       const std::size_t g = 3 * static_cast<std::size_t>(L.nodes[i]);
       for (std::size_t s = 0; s < S; ++s) {
         for (std::size_t c = 0; c < 3; ++c) {
-          results[s].u_final[g + c] = v[c * S + s];
+          job.results[s].u_final[g + c] = v[c * S + s];
         }
       }
     }
@@ -1881,7 +1060,7 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
     st.compute_seconds = compute_watch.total_seconds();
     st.exchange_seconds = exchange_watch.total_seconds();
     st.overlap_fraction = overlap_fraction;
-    for (auto& res : results) res.rank_stats[r] = st;
+    for (auto& res : job.results) res.rank_stats[r] = st;
 
     // Partition-shape gauges; their across-rank min/mean/max in the merged
     // report is the load-imbalance view of Table 2.1.
@@ -1905,19 +1084,7 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
     obs::gauge_set("par/compute_seconds", compute_watch.total_seconds());
     obs::gauge_set("par/exchange_seconds", exchange_watch.total_seconds());
     obs::gauge_set("par/overlap_fraction", overlap_fraction);
-    if (log_on) {
-      // Compressed vs raw footprint of the tier-1 message-log rings:
-      // stored = delta-encoded bytes actually held, raw = what the same
-      // span would cost uncompressed. The ratio is the compression the
-      // doubled ring capacity is funded by.
-      std::size_t stored = 0, raw = 0;
-      for (const auto& ring : msg_log) {
-        stored += ring.stored_bytes();
-        raw += ring.raw_bytes();
-      }
-      obs::gauge_set("par/log_bytes", static_cast<double>(stored));
-      obs::gauge_set("par/log_raw_bytes", static_cast<double>(raw));
-    }
+    rec.report_log();
 
     // ---- telemetry gather: ship every registry to rank 0 and merge into
     // the first lane's result (the solve ran once; duplicating reports per
@@ -1927,101 +1094,410 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
     if (obs::enabled()) {
       if (rank.id() == 0) {
         std::vector<obs::RankReport> reports;
-        reports.reserve(static_cast<std::size_t>(R));
-        reports.push_back(obs::RankReport{0, rank_regs[0]});
-        for (int s = 1; s < R; ++s) {
+        reports.reserve(static_cast<std::size_t>(im.R));
+        reports.push_back(obs::RankReport{0, job.rank_regs[0]});
+        for (int s = 1; s < im.R; ++s) {
           reports.push_back(obs::decode_report(rank.recv(s, kObsGatherTag)));
         }
-        results[0].obs_summary = obs::merge_reports(reports);
-        results[0].obs_reports = std::move(reports);
+        job.results[0].obs_summary = obs::merge_reports(reports);
+        job.results[0].obs_reports = std::move(reports);
       } else {
         rank.send(0, kObsGatherTag,
-                  obs::encode_report(obs::RankReport{rank.id(), rank_regs[r]}));
+                  obs::encode_report(obs::RankReport{rank.id(),
+                                                     job.rank_regs[r]}));
       }
     }
-    };  // finish
+  }
 
-    // ---- initial conditions (see RunControl): open every local node's
-    // bracket at its own step dt_n from the shared u0 / a0, then expand the
-    // local constraints. A restore below overwrites this; a full restart
-    // re-enters the body and so starts from it again. One lane only. ----
-    if (ic_on) {
-      for (std::size_t i = 0; i < L.nodes.size(); ++i) {
-        const double dtn = std::ldexp(dt, rp.node_lg[i]);
-        const std::size_t g = 3 * static_cast<std::size_t>(L.nodes[i]);
-        for (std::size_t c = 0; c < 3; ++c) {
-          const double v0 =
-              control.initial_v.empty() ? 0.0 : control.initial_v[g + c];
-          u[3 * i + c] = ic_u[g + c];
-          u_prev[3 * i + c] =
-              ic_u[g + c] - dtn * v0 + 0.5 * dtn * dtn * ic_a[g + c];
+  // ---- initial conditions (see RunControl): open every local node's
+  // bracket at its own step dt_n from the shared u0 / a0, then expand the
+  // local constraints. A restore overwrites this; a full restart re-enters
+  // the rank body and so starts from it again. One lane only. ----
+  void initial_conditions() {
+    const std::span<const double> v0 = job.control.initial_v;
+    for (std::size_t i = 0; i < L.nodes.size(); ++i) {
+      const double dtn = std::ldexp(im.dt, rp.node_lg[i]);
+      const std::size_t g = 3 * static_cast<std::size_t>(L.nodes[i]);
+      for (std::size_t c = 0; c < 3; ++c) {
+        u[3 * i + c] = job.ic_u[g + c];
+        u_prev[3 * i + c] = job.ic_u[g + c] -
+                            dtn * (v0.empty() ? 0.0 : v0[g + c]) +
+                            0.5 * dtn * dtn * job.ic_a[g + c];
+      }
+    }
+    for (const LocalConstraint& c : L.cons) expand(u_prev, c);
+  }
+
+  // Hanging-node fold (B^T) of one constraint group into its masters, and
+  // expansion (B) of the masters' values onto the hanging node.
+  void fold(std::vector<double>& x, const LocalConstraint& c) {
+    for (std::size_t comp = 0; comp < 3; ++comp) {
+      const std::size_t hd = at(c.node, comp);
+      for (int m = 0; m < c.n; ++m) {
+        const std::size_t md = at(c.masters[static_cast<std::size_t>(m)], comp);
+        const double w = c.weights[static_cast<std::size_t>(m)];
+        for (std::size_t s = 0; s < S; ++s) x[md + s] += w * x[hd + s];
+      }
+      for (std::size_t s = 0; s < S; ++s) x[hd + s] = 0.0;
+    }
+  }
+  void fold_list(const std::vector<int>& list) {
+    for (const int ci : list) {
+      const LocalConstraint& c = L.cons[static_cast<std::size_t>(ci)];
+      fold(ku, c);
+      if (rayleigh) fold(dku, c);
+    }
+  }
+  void expand(std::vector<double>& x, const LocalConstraint& c) {
+    for (std::size_t comp = 0; comp < 3; ++comp) {
+      const std::size_t hd = at(c.node, comp);
+      for (std::size_t s = 0; s < S; ++s) {
+        double v = 0.0;
+        for (int m = 0; m < c.n; ++m) {
+          v += c.weights[static_cast<std::size_t>(m)] *
+               x[at(c.masters[static_cast<std::size_t>(m)], comp) + s];
+        }
+        x[hd + s] = v;
+      }
+    }
+  }
+
+  // Element-kernel sweep over one list: per node the 3 components x S
+  // lanes are one contiguous run. One lane takes the solo kernel, several
+  // the batch kernel, which runs the solo kernel per lane at stride S;
+  // both are per lane bitwise equal to the straight-line test oracle
+  // testsupport::hex_apply_ref (tests/support).
+  void apply_elems(const std::vector<int>& list) {
+    for (const int le_i : list) {
+      const std::size_t le = static_cast<std::size_t>(le_i);
+      const std::size_t ge = static_cast<std::size_t>(L.elems[le]);
+      const auto& c = L.conn[le];
+      for (std::size_t i = 0; i < 8; ++i) {
+        const std::size_t base = at(c[i]);
+        const std::size_t eb = 3 * i * S;
+        for (std::size_t t = 0; t < 3 * S; ++t) ue[eb + t] = uk[base + t];
+      }
+      std::fill(ye, ye + fem::kHexDofs * S, 0.0);
+      if (rayleigh) std::fill(de, de + fem::kHexDofs * S, 0.0);
+      const double h = im.mesh.elem_size[ge];
+      const vel::Material& mat = im.mesh.elem_mat[ge];
+      const double beta = rayleigh ? elem_damping[ge].beta : 0.0;
+      if (S == 1) {
+        fem::hex_apply(ref, ue, h * mat.lambda, h * mat.mu, ye, beta,
+                       rayleigh ? de : nullptr);
+      } else {
+        fem::hex_apply_batch(ref, ue, static_cast<int>(S), h * mat.lambda,
+                             h * mat.mu, ye, beta, rayleigh ? de : nullptr);
+      }
+      for (std::size_t i = 0; i < 8; ++i) {
+        const std::size_t base = at(c[i]);
+        const std::size_t eb = 3 * i * S;
+        for (std::size_t t = 0; t < 3 * S; ++t) ku[base + t] += ye[eb + t];
+        if (rayleigh) {
+          for (std::size_t t = 0; t < 3 * S; ++t) dku[base + t] += de[eb + t];
         }
       }
-      for (const LocalConstraint& c : L.cons) expand(u_prev, c);
+      flops += S * fem::hex_apply_flops(rayleigh);
     }
-
-    // ---- epoch loop: solve; on a rank failure (in-place recovery armed)
-    // park until the communicator is repaired, then roll back and replay.
-    // Survivors keep their partition, ghost plans, and exchange buffers —
-    // nothing above this loop is re-run on a recovery. ----
-    int last_fail_step = -1;  // k_progress at the most recent local failure
-    bool recovering = rank.revived();  // respawned ranks join mid-recovery
-    for (;;) {
-      try {
-        int k0 = 0;
-        if (recovering) {
-          QUAKE_OBS_SCOPE("recover");
-          obs::gauge_set("par/epoch", static_cast<double>(rank.epoch()));
-          // Recovery-phase fault point: a planned Kill with step =
-          // INT_MIN + epoch dies during this recovery (see FaultPlan).
-          rank.fault_point(std::numeric_limits<int>::min() +
-                           static_cast<int>(rank.epoch()));
-          k0 = attempt_recover();
-          {
-            // Rendezvous before re-entering the step loop; this scope's
-            // time is the wait for the slowest rank's restore (usually the
-            // revived rank taking its donated snapshot off the wire).
-            QUAKE_OBS_SCOPE("resume");
-            rank.barrier();
-          }
-          if (last_fail_step >= 0) {
-            // Zero on the tier-1 replay path by construction: a survivor
-            // resumes at k_done + 1, exactly where it stopped.
-            obs::counter_add("par/steps_rolled_back",
-                             std::max(0, last_fail_step - k0));
-          }
-          recovering = false;
-        } else {
-          k0 = attempt_restore(/*recovering=*/false, /*donated=*/-1);
-          std::fill(start_of.begin(), start_of.end(), k0);
-          frontier = k0;
+    // One element update per lane per element: S lanes advance together.
+    elem_updates += S * list.size();
+    obs::counter_add("par/elements_processed",
+                     static_cast<std::int64_t>(list.size()));
+    obs::counter_add("par/element_updates",
+                     static_cast<std::int64_t>(S * list.size()));
+  }
+  // Stacey faces: the face kernel is tiny (4 nodes), so it runs per lane
+  // with strided gathers instead of being widened.
+  void apply_faces(const std::vector<RankLocal::Face>& list) {
+    if (im.op_opt.abc != fem::AbcType::kStacey) return;
+    double uf[12], yf[12];
+    for (const auto& face : list) {
+      if (!im.op_opt.absorbing_sides[static_cast<std::size_t>(face.side)]) {
+        continue;
+      }
+      const std::size_t ge = static_cast<std::size_t>(
+          L.elems[static_cast<std::size_t>(face.elem)]);
+      const auto& fn = mesh::kFaceNodes[static_cast<std::size_t>(face.side)];
+      const auto& c = L.conn[static_cast<std::size_t>(face.elem)];
+      for (std::size_t s = 0; s < S; ++s) {
+        for (std::size_t i = 0; i < 4; ++i) {
+          const std::size_t base = at(c[static_cast<std::size_t>(fn[i])]);
+          uf[3 * i] = uk[base + s];
+          uf[3 * i + 1] = uk[base + S + s];
+          uf[3 * i + 2] = uk[base + 2 * S + s];
         }
-        k_done = k0 - 1;
-        k_progress = k0;
-        const int stop_k = step_loop(k0);
-        finish(stop_k);
-        // The cancel agreement guarantees every rank stops at the same
-        // step; rank 0 records it (threads are joined before solve()
-        // reads it).
-        if (rank.id() == 0) agreed_stop = stop_k;
-        break;
-      } catch (const RankFailedError&) {
-        // A peer died. With in-place recovery armed, park this thread —
-        // state intact — until comm.run()'s monitor revives the dead rank,
-        // then take another lap through the restore agreement. Otherwise
-        // (or when recovery is abandoned) rethrow into the full-restart
-        // supervisor.
-        if (!in_place) throw;
-        last_fail_step = k_progress;
-        if (!rank.await_recovery()) throw;
-        obs::counter_add("par/recoveries", 1);
-        recovering = true;
+        std::fill(yf, yf + 12, 0.0);
+        fem::face_stacey_apply(im.mesh.elem_mat[ge], im.mesh.elem_size[ge],
+                               face.side, uf, yf);
+        for (std::size_t i = 0; i < 4; ++i) {
+          const std::size_t base = at(c[static_cast<std::size_t>(fn[i])]);
+          ku[base + s] += yf[3 * i];
+          ku[base + S + s] += yf[3 * i + 1];
+          ku[base + 2 * S + s] += yf[3 * i + 2];
+        }
+        flops += fem::face_stacey_flops();
       }
     }
-  };  // body
+  }
 
-  // One lane runs the instantiation with S fixed at 1, several the one
-  // with S read at run time.
+  // Local node li's bracket (u_prev, u) evaluated at fine step k_target,
+  // all 3 * S values. A node of rate p active at k_target holds u =
+  // u^{k_target} exactly (m == 0 takes u directly — always, with one
+  // class); a stale node interpolates linearly inside its bracket.
+  void node_at(std::size_t li, int k_target, double* out) const {
+    const int lg = rp.node_lg[li];
+    const int m = k_target & ((1 << lg) - 1);
+    const std::size_t base = at(li);
+    if (m == 0) {
+      for (std::size_t t = 0; t < 3 * S; ++t) out[t] = u[base + t];
+    } else {
+      const double th = static_cast<double>(m) / static_cast<double>(1 << lg);
+      for (std::size_t t = 0; t < 3 * S; ++t) {
+        out[t] = u_prev[base + t] + th * (u[base + t] - u_prev[base + t]);
+      }
+    }
+  }
+
+  // Doubles in this rank's step message to neighbor nb when rates lg <= cap
+  // are active: the ku section, then (Rayleigh) the dku one.
+  [[nodiscard]] std::size_t msg_len(std::size_t nb, int cap) const {
+    return pack * 3 * rp.edges[nb].count_upto[static_cast<std::size_t>(cap)] *
+           S;
+  }
+
+  // Index of lane 0 of component comp of local node li in a scenario-major
+  // vector; its S lanes, and from comp 0 all 3 * S values, are contiguous.
+  [[nodiscard]] std::size_t at(auto li, std::size_t comp = 0) const {
+    return (3 * static_cast<std::size_t>(li) + comp) * S;
+  }
+
+  History& history(const RecvRef& rv) {
+    return job.results[static_cast<std::size_t>(rv.lane)]
+        .receiver_histories[static_cast<std::size_t>(rv.ri)];
+  }
+
+  // The recovery protocol's view of this rank: its cut (state vectors and
+  // owned histories) and, per neighbor, the rank and the widest message
+  // (every rate active), which sizes the log ring.
+  Recovery make_recovery() {
+    std::vector<History*> owned;
+    for (const RecvRef& rv : RV) owned.push_back(&history(rv));
+    std::vector<int> nbs;
+    std::vector<std::size_t> widest;
+    for (std::size_t nb = 0; nb < L.neighbors.size(); ++nb) {
+      nbs.push_back(L.neighbors[nb].rank);
+      widest.push_back(msg_len(nb, sched.n_classes - 1));
+    }
+    return {rank, job.ft, {u, u_prev, dku_prev, std::move(owned)},
+            job.n_steps, std::move(nbs), widest};
+  }
+
+  using Vec = std::vector<double>;
+
+  Impl& im;
+  Job& job;
+  Rank& rank;
+  const Lanes S;
+  const std::size_t r = static_cast<std::size_t>(rank.id());
+  const Schedule& sched = job.sched;
+  const bool rayleigh = im.rayleigh;
+  const bool multi_rate = sched.n_classes > 1;
+  const std::size_t pack = rayleigh ? 2u : 1u;
+  RankLocal& L = im.locals[r];
+  const Schedule::RankPart& rp = sched.ranks[r];
+  const std::vector<RecvRef>& RV = job.recv_of[r];  // this rank's receivers
+  const fem::HexReference& ref = fem::HexReference::get();
+  const std::span<const fem::RayleighCoeffs> elem_damping =
+      im.op.element_damping();
+
+  // State is scenario-major: lane s of local dof d at d * S + s.
+  const std::size_t ns = 3 * L.nodes.size() * S;
+  Vec u = Vec(ns), u_prev = Vec(ns), f = Vec(ns), ku = Vec(ns);
+  // Rayleigh damping carries the damping partials; checkpoints and
+  // donations carry dku_prev (zeros without damping) in their format.
+  Vec dku = Vec(rayleigh ? ns : 0);
+  Vec dku_prev = Vec(rayleigh || !job.ft.dir.empty() ? ns : 0);
+  // The time-k field the kernels read: with one class u itself; with
+  // several, every node's bracket (u_prev, u) evaluated at step k.
+  Vec un = Vec(multi_rate ? ns : 0);
+  const Vec& uk = multi_rate ? un : u;
+  // Element gather/scatter scratch of apply_elems.
+  double ue[fem::kHexDofs * fem::kMaxBatchLanes]{};
+  double ye[fem::kHexDofs * fem::kMaxBatchLanes]{};
+  double de[fem::kHexDofs * fem::kMaxBatchLanes]{};
+
+  // compute: all element/face/update work; exchange: post + drain;
+  // overlap: the interior-compute window with messages in flight; drain:
+  // the exposed (blocked) tail of the exchange.
+  util::StopWatch compute_watch, exchange_watch, overlap_watch, drain_watch;
+  std::uint64_t flops = 0;
+  std::uint64_t elem_updates = 0;
+
+  Recovery rec = make_recovery();
+  int k_done = -1;     // last fully completed step (state + history updated)
+  int k_progress = 0;  // last step this rank started (rollback accounting)
+};
+
+std::vector<ParallelResult> ParallelSetup::Impl::solve(
+    const Schedule& sched, double t_end,
+    std::span<const BatchScenario> scenarios, const FaultToleranceOptions& ft,
+    const RunControl& control) {
+  const std::size_t n_lanes = scenarios.size();
+  Job job(sched, scenarios, control, steps_for(t_end));
+  const int n_steps = job.n_steps;
+  const std::size_t pack = rayleigh ? 2u : 1u;
+
+  // ---- per-run hooks (see RunControl): compose or reject up front ----
+  const std::size_t nd_global = op.n_dofs();
+  const bool ic_on = !control.initial_u.empty() || !control.initial_v.empty();
+  const bool snap_on = static_cast<bool>(control.snapshot);
+  const bool ft_on = !ft.checkpoint_dir.empty() || ft.max_retries > 0 ||
+                     ft.fault_plan != nullptr;
+  if (ic_on && n_lanes > 1) {
+    throw std::invalid_argument(
+        "initial conditions apply to one scenario, not a batch of " +
+        std::to_string(n_lanes));
+  }
+  for (const auto& field : {control.initial_u, control.initial_v}) {
+    if (!field.empty() && field.size() != nd_global) {
+      throw std::invalid_argument(
+          "initial condition has " + std::to_string(field.size()) +
+          " values, expected 3 * n_nodes = " + std::to_string(nd_global));
+    }
+  }
+  if (snap_on && (control.snapshot_every < 1 || ft_on || n_lanes > 1 ||
+                  sched.n_classes > 1)) {
+    throw std::invalid_argument(
+        "the snapshot hook needs snapshot_every >= 1, one scenario, the "
+        "global-dt schedule and no fault-tolerance options");
+  }
+
+  // Initial state, computed once and serially on the setup's own operator
+  // with the projections of eq. 2.5: the expanded u0 and
+  // a0 = M^{-1} (f(0) - (K + K^AB) u0). Each rank opens its nodes'
+  // brackets from these (see RankRun::initial_conditions).
+  if (ic_on) {
+    std::vector<double>& ic_u = job.ic_u;
+    ic_u.assign(nd_global, 0.0);
+    std::copy(control.initial_u.begin(), control.initial_u.end(),
+              ic_u.begin());
+    op.expand_constraints(ic_u);
+    std::vector<double> ku(nd_global, 0.0), f0(nd_global, 0.0);
+    op.apply_stiffness(ic_u, ku, {});
+    op.accumulate_constraints(ku);
+    for (const solver::SourceModel* src : scenarios[0].sources) {
+      src->add_forces(0.0, f0);
+    }
+    op.accumulate_constraints(f0);
+    const auto mass = op.lumped_mass();
+    job.ic_a.resize(nd_global);
+    for (std::size_t d = 0; d < nd_global; ++d) {
+      job.ic_a[d] = mass[d] > 0.0 ? (f0[d] - ku[d]) / mass[d] : 0.0;
+    }
+  }
+  // Snapshot gather buffers: each rank writes its owned nodes.
+  job.snap_u.assign(snap_on ? nd_global : 0, 0.0);
+  job.snap_v.assign(snap_on ? nd_global : 0, 0.0);
+
+  // Per-scenario receiver assignment: each receiver goes to the owner of its
+  // nearest node. Kept outside RankLocal so a request's histories cannot
+  // leak into the next solve through the shared setup.
+  job.results.resize(n_lanes);
+  job.recv_of.resize(static_cast<std::size_t>(R));
+  const solver::NodeLocator nodes(mesh);
+  for (std::size_t s = 0; s < n_lanes; ++s) {
+    ParallelResult& res = job.results[s];
+    res.dt = dt;
+    res.n_steps = n_steps;
+    res.steps_completed = n_steps;
+    res.u_final.assign(3 * mesh.n_nodes(), 0.0);
+    res.rank_stats.assign(static_cast<std::size_t>(R), {});
+    res.receiver_histories.assign(scenarios[s].receivers.size(), {});
+    for (std::size_t ri = 0; ri < scenarios[s].receivers.size(); ++ri) {
+      const mesh::NodeId n = nodes.nearest(scenarios[s].receivers[ri]);
+      const int owner = part.node_owner[static_cast<std::size_t>(n)];
+      const auto& owner_local = locals[static_cast<std::size_t>(owner)];
+      const auto it = owner_local.local_of.find(n);
+      if (it == owner_local.local_of.end()) {
+        // Only reachable when the nearest node is an orphan (touched by no
+        // element): it belongs to no rank's local set and has no dynamics.
+        throw std::invalid_argument(
+            "run_parallel: scenario " + std::to_string(s) + " receiver " +
+            std::to_string(ri) + " snaps to node " + std::to_string(n) +
+            ", which no element touches (orphan node)");
+      }
+      job.recv_of[static_cast<std::size_t>(owner)].push_back(
+          {static_cast<int>(s), static_cast<int>(ri), it->second});
+      res.receiver_histories[ri].reserve(static_cast<std::size_t>(n_steps));
+    }
+  }
+
+  // Exchange buffers: the widest message this solve posts (every rate
+  // active, all lanes).
+  for (auto& L : locals) {
+    for (std::size_t nb = 0; nb < L.neighbors.size(); ++nb) {
+      const std::size_t len =
+          pack * 3 * L.neighbors[nb].shared.size() * n_lanes;
+      if (L.sendbuf[nb].size() < len) L.sendbuf[nb].resize(len);
+      if (L.recvbuf[nb].size() < len) L.recvbuf[nb].resize(len);
+    }
+  }
+
+  // ---- SPMD execution ------------------------------------------------------
+  Recovery::Policy& policy = job.ft;
+  policy.dir = ft.checkpoint_dir;
+  policy.every = ft.checkpoint_every;
+  const bool ckpt_on = !ft.checkpoint_dir.empty();
+  if (ckpt_on) std::filesystem::create_directories(ft.checkpoint_dir);
+
+  // Per-run fault policy on the shared communicator: install THIS run's plan
+  // (or clear a previous run's), reset the timeout, and re-arm recovery —
+  // comm.run() itself resets mailbox/barrier/poison state, so a request that
+  // died last run leaves nothing behind for this one.
+  if (ft.fault_plan != nullptr) {
+    comm.install_fault_plan(*ft.fault_plan);
+  } else {
+    comm.clear_fault_plan();
+  }
+  comm.set_timeout(ft.timeout_seconds > 0.0 ? ft.timeout_seconds : 0.0);
+  // In-place recovery needs snapshots to roll back to; without them every
+  // failure goes straight to the full-restart supervisor as before.
+  policy.in_place = ckpt_on && ft.max_revives > 0;
+  comm.set_recovery({policy.in_place, ft.max_revives});
+  policy.keep = std::max(1, ft.checkpoint_keep);
+  // Tier-1 machinery (see FaultToleranceOptions): buddy-shadow donation and
+  // the per-neighbor outbound message log. Both only pay their cost when
+  // in-place recovery is armed.
+  policy.donate = policy.in_place && ft.state_donation && R > 1;
+  // Auto capacity spans TWO checkpoint intervals: delta compression (see
+  // util::DeltaRing) keeps the longer ring near the memory cost of one
+  // uncompressed interval, and the extra reach keeps tier-1 feasible even
+  // when a buddy's held donation generation is one interval stale (its
+  // absorb was cut short by the failure itself).
+  policy.log_cap = !policy.in_place
+                       ? 0
+                       : (ft.message_log_steps >= 0
+                              ? ft.message_log_steps
+                              : 2 * std::max(1, ft.checkpoint_every) + 8);
+
+  // Cancellation/deadline agreement clock (see RunControl).
+  job.start = std::chrono::steady_clock::now();
+
+  // Per-rank telemetry registries, kept outside the supervised-retry loop
+  // so a retried run accumulates into the same registries (the report of a
+  // recovered run then shows the cost of recovery, not just the final
+  // successful attempt). Fresh per run: a request's report describes that
+  // request only.
+  job.rank_regs.resize(static_cast<std::size_t>(R));
+  job.agreed_stop = n_steps;
+
+  // The rank body: one RankRun per rank thread (and per attempt), with S
+  // fixed at 1 for one lane and read at run time for several.
+  const auto body = [&](Rank& rank, auto lanes) {
+    const obs::ScopedRegistry obs_install(
+        job.rank_regs[static_cast<std::size_t>(rank.id())]);
+    RankRun<decltype(lanes)>(*this, job, rank, lanes).run();
+  };
   const std::function<void(Rank&)> spmd_body =
       n_lanes == 1 ? std::function<void(Rank&)>([&](Rank& rank) {
         body(rank, std::integral_constant<std::size_t, 1>{});
@@ -2047,26 +1523,18 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
       ++attempt;
     }
   }
-  for (auto& res : results) {
+  for (auto& res : job.results) {
     res.revives_used = revives_total;
-    if (agreed_stop < n_steps) {
+    if (job.agreed_stop < n_steps) {
       res.cancelled = true;
-      res.steps_completed = agreed_stop;
+      res.steps_completed = job.agreed_stop;
     }
   }
-  if (ckpt_on) {
-    // The run completed; its snapshots are obsolete (and would otherwise
-    // short-circuit an unrelated future run pointed at the same directory).
-    for (int rr = 0; rr < R; ++rr) {
-      const std::string path = ckpt_path(ft.checkpoint_dir, rr);
-      for (int gen = 0; gen <= ckpt_keep; ++gen) {
-        std::remove(util::snapshot_generation_path(path, gen).c_str());
-      }
-      std::remove((path + ".tmp").c_str());
-    }
-  }
+  // The run completed; its snapshots are obsolete (and would otherwise
+  // short-circuit an unrelated future run pointed at the same directory).
+  if (ckpt_on) Recovery::remove_cuts(policy, R);
 
-  return results;
+  return std::move(job.results);
 }
 
 ParallelSetup::ParallelSetup(const mesh::HexMesh& mesh, const Partition& part,
@@ -2083,15 +1551,12 @@ int ParallelSetup::n_ranks() const { return impl_->R; }
 const mesh::HexMesh& ParallelSetup::mesh() const { return impl_->mesh; }
 
 std::vector<std::vector<int>> ParallelSetup::neighbor_ranks() const {
-  std::vector<std::vector<int>> adj(static_cast<std::size_t>(impl_->R));
-  for (int r = 0; r < impl_->R; ++r) {
-    const auto& nbs = impl_->locals[static_cast<std::size_t>(r)].neighbors;
-    adj[static_cast<std::size_t>(r)].reserve(nbs.size());
-    for (const auto& nb : nbs) {
-      adj[static_cast<std::size_t>(r)].push_back(nb.rank);
+  // RankLocal keeps its neighbors in ascending rank order.
+  std::vector<std::vector<int>> adj(impl_->locals.size());
+  for (std::size_t r = 0; r < adj.size(); ++r) {
+    for (const auto& nb : impl_->locals[r].neighbors) {
+      adj[r].push_back(nb.rank);
     }
-    std::sort(adj[static_cast<std::size_t>(r)].begin(),
-              adj[static_cast<std::size_t>(r)].end());
   }
   return adj;
 }

@@ -282,14 +282,22 @@ Inversion3dReport invert_material3d(const ScalarInversion3d& prob,
     }
     std::fill(g.begin(), g.end(), 0.0);
     mg.apply_transpose(ge, g);
-    if (opt.beta_h1_rel > 0.0 && newton == 0) {
-      // Calibrate the smoothness weight against the data-term curvature on
-      // an alternating-sign probe direction.
-      std::vector<double> v(np), hv(np, 0.0), lv(np, 0.0), dmu(ne), he(ne, 0.0);
-      for (std::size_t i = 0; i < np; ++i) v[i] = (i % 2 == 0) ? 1.0 : -1.0;
+    // The data term's Gauss-Newton product, accumulated into hv (mapped to
+    // the element grid, applied, mapped back).
+    const auto data_hv = [&](std::span<const double> v,
+                             std::span<double> hv) {
+      std::vector<double> dmu(ne), he(ne, 0.0);
       mg.apply(v, dmu);
       prob.gauss_newton(model, fwd.march.history, dmu, he);
       mg.apply_transpose(he, hv);
+    };
+    if (opt.beta_h1_rel > 0.0 && newton == 0) {
+      // Calibrate the smoothness weight against the data-term curvature on
+      // an alternating-sign probe direction.
+      QUAKE_OBS_SCOPE("calibrate");
+      std::vector<double> v(np), hv(np, 0.0), lv(np, 0.0);
+      for (std::size_t i = 0; i < np; ++i) v[i] = (i % 2 == 0) ? 1.0 : -1.0;
+      data_hv(v, hv);
       graph_laplacian(opt.gx, opt.gy, opt.gz, v, lv);
       const double hn = util::norm_l2(hv), ln = util::norm_l2(lv);
       beta_h1 = ln > 0.0 ? opt.beta_h1_rel * hn / ln : 0.0;
@@ -311,10 +319,7 @@ Inversion3dReport invert_material3d(const ScalarInversion3d& prob,
 
     opt::LinOp hvp = [&](std::span<const double> v, std::span<double> hv) {
       QUAKE_OBS_SCOPE("hessvec");
-      std::vector<double> dmu(ne), he(ne, 0.0);
-      mg.apply(v, dmu);
-      prob.gauss_newton(model, fwd.march.history, dmu, he);
-      mg.apply_transpose(he, hv);
+      data_hv(v, hv);
       if (beta_h1 > 0.0) {
         std::vector<double> lv(np, 0.0);
         graph_laplacian(opt.gx, opt.gy, opt.gz, v, lv);

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <string>
@@ -205,16 +206,103 @@ TEST(Communicator, DeadlockDetectedOnMismatchedTags) {
 }
 
 TEST(Communicator, DeadlockDetectedWhenPeerExitsBeforeBarrier) {
-  Communicator comm(2);
-  try {
-    comm.run([](Rank& r) {
-      if (r.id() == 0) r.barrier();  // rank 1 returns without reaching it
-    });
-    FAIL() << "run() must diagnose the deadlock";
-  } catch (const DeadlockError& e) {
-    EXPECT_NE(std::string(e.what()).find("rank 0: barrier"),
-              std::string::npos);
+  // Every collective is the one rendezvous; each report names its call.
+  const std::vector<std::pair<std::string, std::function<void(Rank&)>>> ops =
+      {{"barrier", [](Rank& r) { r.barrier(); }},
+       {"allreduce_max", [](Rank& r) { (void)r.allreduce_max(1.0); }},
+       {"allgather", [](Rank& r) { (void)r.allgather(1.0); }}};
+  for (const auto& [name, op] : ops) {
+    Communicator comm(2);
+    try {
+      comm.run([&](Rank& r) {
+        if (r.id() == 0) op(r);  // rank 1 returns without reaching it
+      });
+      FAIL() << name << ": run() must diagnose the deadlock";
+    } catch (const DeadlockError& e) {
+      EXPECT_NE(std::string(e.what()).find("rank 0: " + name),
+                std::string::npos)
+          << e.what();
+    }
   }
+}
+
+TEST(Communicator, MismatchedCollectivesThrowCommError) {
+  // A barrier must never pair with an allreduce, whichever arrives first:
+  // the late call finds a round of the other kind and throws.
+  for (const int late : {0, 1}) {
+    Communicator comm(2);
+    std::atomic<int> returned{0};
+    EXPECT_THROW(comm.run([&](Rank& r) {
+      if (r.id() == late) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      }
+      if (r.id() == 0) {
+        r.barrier();
+      } else {
+        (void)r.allreduce_max(1.0);
+      }
+      returned.fetch_add(1);
+    }),
+                 CommError);
+    EXPECT_EQ(returned.load(), 0) << "late rank " << late;
+  }
+}
+
+TEST(Communicator, AllReduceSumFoldsInRankOrder) {
+  // Contributions whose sum depends on the order of addition, arriving in
+  // the order 3, 1, 2, 0: the rank-ordered fold ((1e16 + 1) - 1e16) + 1 is
+  // 1 on every rank (the arrival-ordered sum would be 2).
+  const std::array<double, 4> value = {1e16, 1.0, -1e16, 1.0};
+  const std::array<int, 4> delay_ms = {60, 20, 40, 0};
+  Communicator comm(4);
+  std::array<double, 4> got{};
+  comm.run([&](Rank& r) {
+    const auto i = static_cast<std::size_t>(r.id());
+    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms[i]));
+    got[i] = r.allreduce_sum(value[i]);
+  });
+  for (const double g : got) EXPECT_EQ(g, 1.0);
+}
+
+TEST(Communicator, CollectivesHonourTheDeadline) {
+  // Rank 1 is 150 ms late to each collective; under a 20 ms deadline rank 0
+  // times out, withdraws, and its retry pairs with the late rank.
+  Communicator comm(2);
+  comm.set_timeout(0.02);
+  std::atomic<int> max_timeouts{0}, gather_timeouts{0};
+  const auto retry = [](auto call, std::atomic<int>& timeouts,
+                        const std::string& name) {
+    for (;;) {
+      try {
+        return call();
+      } catch (const TimeoutError& e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+            << e.what();
+        timeouts.fetch_add(1);
+      }
+    }
+  };
+  comm.run([&](Rank& r) {
+    const double v = r.id() == 0 ? 1.0 : 2.0;
+    const auto late = [&] {
+      if (r.id() == 1) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(150));
+      }
+    };
+    late();
+    std::atomic<int> ignored{0};
+    auto& mine = r.id() == 0 ? max_timeouts : ignored;
+    EXPECT_EQ(retry([&] { return r.allreduce_max(v); }, mine,
+                    "allreduce_max"),
+              2.0);
+    late();
+    auto& mine_g = r.id() == 0 ? gather_timeouts : ignored;
+    const std::vector<double> all =
+        retry([&] { return r.allgather(v); }, mine_g, "allgather");
+    EXPECT_EQ(all, (std::vector<double>{1.0, 2.0}));
+  });
+  EXPECT_GE(max_timeouts.load(), 1);
+  EXPECT_GE(gather_timeouts.load(), 1);
 }
 
 TEST(Communicator, DeadlockNotDeclaredWhileMessagePending) {
