@@ -5,13 +5,15 @@
 //  * the blocked element kernels vs the straight-line references
 //    (hex_apply / hex_apply_batch / hex_scalar_apply A/B rows — run these
 //    interleaved and repeated, they are the evidence for the SIMD
-//    restructuring);
+//    restructuring), and ScalarModel3d's element-pair apply_k vs the
+//    per-element pass it replaced;
 //  * Morton encode/decode;
 //  * 2-to-1 balancing algorithms;
 //  * etree store point operations.
 
 #include <benchmark/benchmark.h>
 
+#include <span>
 #include <vector>
 
 #include "quake/fem/hex_element.hpp"
@@ -21,6 +23,7 @@
 #include "quake/solver/elastic_operator.hpp"
 #include "quake/solver/sparse_engine.hpp"
 #include "quake/util/rng.hpp"
+#include "quake/wave3d/scalar_model.hpp"
 #include "hex_apply_ref.hpp"
 
 namespace {
@@ -122,8 +125,9 @@ void BM_HexApplyRef(benchmark::State& state) {
 }
 BENCHMARK(BM_HexApplyRef)->Arg(0)->Arg(1);
 
-// Scalar element kernel A/B (every element pass of the scalar-wave
-// inversions): row-pair (production) vs straight-line reference, through
+// Scalar element kernel A/B (the sequence ScalarModel3d's element-pair
+// passes keep per lane; they call it for an odd-nx row's last element):
+// row-pair (production) vs straight-line reference, through
 // the same function-pointer harness and 4096-element pool as above.
 using HexScalarKernel = void (*)(const fem::HexReference&, const double*,
                                  double, double*);
@@ -158,6 +162,44 @@ void BM_HexScalarApplyRef(benchmark::State& state) {
   hex_scalar_ab(state, &testsupport::hex_scalar_apply_ref);
 }
 BENCHMARK(BM_HexScalarApplyRef);
+
+// One element pass of the 3D scalar inversion, on invert_3d's 10^3 wave
+// grid: ScalarModel3d::apply_k (element pairs, production) vs the
+// per-element gather / hex_scalar_apply / scatter loop it replaced
+// (testsupport::scalar3d_apply_k_ref).
+using Scalar3dPass = void (*)(const wave3d::ScalarModel3d&,
+                              std::span<const double>, std::span<double>);
+
+void scalar3d_pass_ab(benchmark::State& state, Scalar3dPass pass) {
+  const wave3d::ScalarGrid3d g{10, 10, 10, 100.0};
+  util::Rng rng(17);
+  std::vector<double> mu(static_cast<std::size_t>(g.n_elems()));
+  for (double& v : mu) v = rng.uniform(1.6e9, 2.0e9);
+  const wave3d::ScalarModel3d model(g, std::move(mu), 2200.0);
+  std::vector<double> u(static_cast<std::size_t>(g.n_nodes()));
+  std::vector<double> y(u.size(), 0.0);
+  for (double& v : u) v = rng.uniform(-1.0, 1.0);
+  for (auto _ : state) {
+    pass(model, u, y);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["elems/s"] = benchmark::Counter(
+      g.n_elems(), benchmark::Counter::kIsIterationInvariantRate);
+}
+
+void BM_ScalarModel3dApplyK(benchmark::State& state) {
+  scalar3d_pass_ab(state, [](const wave3d::ScalarModel3d& m,
+                             std::span<const double> u, std::span<double> y) {
+    m.apply_k(u, y);
+  });
+}
+BENCHMARK(BM_ScalarModel3dApplyK)->Unit(benchmark::kMicrosecond);
+
+void BM_ScalarModel3dApplyKRef(benchmark::State& state) {
+  scalar3d_pass_ab(state, &testsupport::scalar3d_apply_k_ref);
+}
+BENCHMARK(BM_ScalarModel3dApplyKRef)->Unit(benchmark::kMicrosecond);
 
 // Batched (scenario-lane) kernel A/B at lane widths 4, 8 (the serving
 // benchmark's max_batch) and 16 (kMaxBatchLanes). arg 0 = lane count;

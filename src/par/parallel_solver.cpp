@@ -40,10 +40,11 @@ struct Neighbor {
 
 // Everything a rank needs that depends only on the discretization — built
 // serially in ParallelSetup's constructor and shared (immutably, except the
-// exchange buffers) by every solve through that setup. Per-scenario state
-// (displacement vectors, receiver assignments, histories) lives in each
-// solve's Job and its ranks' RankRuns, so requests are isolated from each
-// other. What depends on the time-stepping rates (the communication-hiding
+// exchange buffers and the state storage) by every solve through that
+// setup. Per-scenario state (displacement vectors, receiver assignments,
+// histories) belongs to each solve's Job and its ranks' RankRuns, which
+// zero the storage they take, so requests are isolated from each other.
+// What depends on the time-stepping rates (the communication-hiding
 // split, the per-rate sweep lists, the update's 1/lhs) lives in a Schedule.
 struct RankLocal {
   std::vector<mesh::ElemId> elems;
@@ -66,15 +67,26 @@ struct RankLocal {
   // grown before each SPMD launch to the widest message that solve can
   // post (a batch widens every message S-fold) and never shrunk. The step
   // loop addresses them only through spans of the current message's
-  // length, so an earlier, wider solve leaves nothing behind. These are the
-  // one mutable piece of shared state, which is why runs through a setup
-  // are serialized.
+  // length, so an earlier, wider solve leaves nothing behind. These and
+  // `state` below are the mutable pieces of shared state, which is why runs
+  // through a setup are serialized.
   std::vector<std::vector<double>> sendbuf, recvbuf;
 
   // Per-neighbor arrival flags for the arrival-order drain, reset each
   // step; lives here (not on the step-loop stack) so the steady-state step
   // performs no allocation.
   std::vector<std::uint8_t> nb_arrived;
+
+  // Persistent storage of a run's state vectors, kept like the exchange
+  // buffers: each RankRun takes them zero-filled at its own length, so a
+  // solve inherits no values from an earlier one, and once the widest
+  // solve has run, no run allocates or frees state storage. Every solve
+  // runs on fresh rank threads: megabytes each allocated and freed would
+  // land in whichever malloc arena it drew, and how much of them stayed
+  // resident, and so the process's peak RSS, would vary from run to run.
+  struct State {
+    std::vector<double> u, u_prev, f, ku, dku, dku_prev, un;
+  } state;
 };
 
 // The per-rank rate schedule the step loop runs (see docs/LTS.md): at fine
@@ -1310,16 +1322,26 @@ class ParallelSetup::Impl::RankRun {
   const std::span<const fem::RayleighCoeffs> elem_damping =
       im.op.element_damping();
 
-  // State is scenario-major: lane s of local dof d at d * S + s.
+  static Vec& zeroed(Vec& v, std::size_t n) {
+    v.assign(n, 0.0);
+    return v;
+  }
+
+  // State is scenario-major: lane s of local dof d at d * S + s. The
+  // vectors are the rank's persistent storage (RankLocal::state), zeroed.
   const std::size_t ns = 3 * L.nodes.size() * S;
-  Vec u = Vec(ns), u_prev = Vec(ns), f = Vec(ns), ku = Vec(ns);
+  Vec& u = zeroed(L.state.u, ns);
+  Vec& u_prev = zeroed(L.state.u_prev, ns);
+  Vec& f = zeroed(L.state.f, ns);
+  Vec& ku = zeroed(L.state.ku, ns);
   // Rayleigh damping carries the damping partials; checkpoints and
   // donations carry dku_prev (zeros without damping) in their format.
-  Vec dku = Vec(rayleigh ? ns : 0);
-  Vec dku_prev = Vec(rayleigh || !job.ft.dir.empty() ? ns : 0);
+  Vec& dku = zeroed(L.state.dku, rayleigh ? ns : 0);
+  Vec& dku_prev =
+      zeroed(L.state.dku_prev, rayleigh || !job.ft.dir.empty() ? ns : 0);
   // The time-k field the kernels read: with one class u itself; with
   // several, every node's bracket (u_prev, u) evaluated at step k.
-  Vec un = Vec(multi_rate ? ns : 0);
+  Vec& un = zeroed(L.state.un, multi_rate ? ns : 0);
   const Vec& uk = multi_rate ? un : u;
   // Element gather/scatter scratch of apply_elems.
   double ue[fem::kHexDofs * fem::kMaxBatchLanes]{};

@@ -81,7 +81,9 @@ Recovery::Recovery(Rank& rank, const Policy& policy, State state, int n_steps,
   // coalesced exchange payloads, keyed by step, delta-compressed against
   // the previous step on the same edge (util::DeltaRing — XOR + zero-run
   // coding, bit-exact). During a replay recovery survivors re-serve these
-  // so only the revived ranks re-execute steps.
+  // so only the revived ranks re-execute steps. Without a log (log_cap 0)
+  // there are no rings: every reader sits behind log_cap > 0.
+  if (p_.log_cap <= 0) return;
   msg_log_.reserve(log_len.size());
   for (const std::size_t len : log_len) msg_log_.emplace_back(len, p_.log_cap);
 }

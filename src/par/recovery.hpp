@@ -103,7 +103,8 @@ class Recovery {
   std::vector<double> shadow_;
   // The cut this rank holds for its predecessor, and the absorb buffer.
   std::vector<double> held_, donation_buf_;
-  // Per neighbour, the last log_cap posted step messages.
+  // Per neighbour, the last log_cap posted step messages (none when
+  // log_cap is 0).
   std::vector<util::DeltaRing> msg_log_;
   // Resume points of the last agreement (start_of_[s] for rank s) and
   // their maximum.

@@ -40,7 +40,9 @@ class ScalarModel3d {
   [[nodiscard]] std::span<const double> mu() const { return mu_; }
   [[nodiscard]] double rho() const { return rho_; }
 
-  // y += K(mu) u   (K_e = mu_e * h * K_scalar).
+  // y += K(mu) u   (K_e = mu_e * h * K_scalar), and y += K(dmu) u, where
+  // an element whose dmu is +-0 adds nothing. Both sum each node's
+  // elements in ascending element order.
   void apply_k(std::span<const double> u, std::span<double> y) const;
   void apply_k_delta(std::span<const double> dmu, std::span<const double> u,
                      std::span<double> y) const;

@@ -1,5 +1,6 @@
 #include "hex_apply_ref.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <stdexcept>
 #include <string>
@@ -99,6 +100,63 @@ void sh_apply_k_delta_ref(const wave2d::ShModel& model,
     const double d = dmu[static_cast<std::size_t>(e)];
     if (d == 0.0) continue;
     sh_element_ref(model, e, d, u, y);
+  }
+}
+
+void scalar3d_apply_k_ref(const wave3d::ScalarModel3d& model,
+                          std::span<const double> u, std::span<double> y) {
+  const wave3d::ScalarGrid3d& grid = model.grid();
+  const auto& kr = fem::HexReference::get();
+  int conn[8];
+  double ue[8], ye[8];
+  for (int e = 0; e < grid.n_elems(); ++e) {
+    grid.elem_nodes(e, conn);
+    for (int c = 0; c < 8; ++c) ue[c] = u[static_cast<std::size_t>(conn[c])];
+    std::fill(ye, ye + 8, 0.0);
+    fem::hex_scalar_apply(kr, ue,
+                          model.mu()[static_cast<std::size_t>(e)] * grid.h, ye);
+    for (int c = 0; c < 8; ++c) y[static_cast<std::size_t>(conn[c])] += ye[c];
+  }
+}
+
+void scalar3d_apply_k_delta_ref(const wave3d::ScalarModel3d& model,
+                                std::span<const double> dmu,
+                                std::span<const double> u,
+                                std::span<double> y) {
+  const wave3d::ScalarGrid3d& grid = model.grid();
+  const auto& kr = fem::HexReference::get();
+  int conn[8];
+  double ue[8], ye[8];
+  for (int e = 0; e < grid.n_elems(); ++e) {
+    const double d = dmu[static_cast<std::size_t>(e)];
+    if (d == 0.0) continue;
+    grid.elem_nodes(e, conn);
+    for (int c = 0; c < 8; ++c) ue[c] = u[static_cast<std::size_t>(conn[c])];
+    std::fill(ye, ye + 8, 0.0);
+    fem::hex_scalar_apply(kr, ue, d * grid.h, ye);
+    for (int c = 0; c < 8; ++c) y[static_cast<std::size_t>(conn[c])] += ye[c];
+  }
+}
+
+void scalar3d_accumulate_k_form_ref(const wave3d::ScalarModel3d& model,
+                                    std::span<const double> lambda,
+                                    std::span<const double> u,
+                                    std::span<double> ge) {
+  const wave3d::ScalarGrid3d& grid = model.grid();
+  const auto& kr = fem::HexReference::get();
+  int conn[8];
+  double ue[8], ye[8], le[8];
+  for (int e = 0; e < grid.n_elems(); ++e) {
+    grid.elem_nodes(e, conn);
+    for (int c = 0; c < 8; ++c) {
+      ue[c] = u[static_cast<std::size_t>(conn[c])];
+      le[c] = lambda[static_cast<std::size_t>(conn[c])];
+    }
+    std::fill(ye, ye + 8, 0.0);
+    fem::hex_scalar_apply(kr, ue, grid.h, ye);
+    double s = 0.0;
+    for (int c = 0; c < 8; ++c) s += le[c] * ye[c];
+    ge[static_cast<std::size_t>(e)] += s;
   }
 }
 

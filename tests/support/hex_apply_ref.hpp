@@ -1,14 +1,16 @@
 #pragma once
 
 // Test oracles for the element kernels (fem::hex_apply,
-// fem::hex_apply_batch, fem::hex_scalar_apply and the quad kernel of
-// wave2d::ShModel): the straight-line references the kernels must match bit
-// for bit, and the bench_micro reference rows. Not used by the library.
+// fem::hex_apply_batch, fem::hex_scalar_apply, the quad kernel of
+// wave2d::ShModel and the element-pair passes of wave3d::ScalarModel3d):
+// the straight-line references the kernels must match bit for bit, and the
+// bench_micro reference rows. Not used by the library.
 
 #include <span>
 
 #include "quake/fem/hex_element.hpp"
 #include "quake/wave2d/sh_model.hpp"
+#include "quake/wave3d/scalar_model.hpp"
 
 namespace quake::testsupport {
 
@@ -44,5 +46,22 @@ void sh_apply_k_ref(const wave2d::ShModel& model, std::span<const double> u,
 void sh_apply_k_delta_ref(const wave2d::ShModel& model,
                           std::span<const double> dmu,
                           std::span<const double> u, std::span<double> y);
+
+// Per-element references of wave3d::ScalarModel3d::apply_k (y += K(mu) u),
+// apply_k_delta (y += K(dmu) u, skipping elements whose dmu is zero) and
+// accumulate_k_form (ge[e] += lambda_e . h K_scalar u_e), built from the
+// model's public grid() and mu(): per element in ascending order, gather
+// the 8 corners, fem::hex_scalar_apply onto a zeroed ye, then scatter
+// y[conn[c]] += ye[c] in ascending c (or fold sum_c le[c] * ye[c]).
+void scalar3d_apply_k_ref(const wave3d::ScalarModel3d& model,
+                          std::span<const double> u, std::span<double> y);
+void scalar3d_apply_k_delta_ref(const wave3d::ScalarModel3d& model,
+                                std::span<const double> dmu,
+                                std::span<const double> u,
+                                std::span<double> y);
+void scalar3d_accumulate_k_form_ref(const wave3d::ScalarModel3d& model,
+                                    std::span<const double> lambda,
+                                    std::span<const double> u,
+                                    std::span<double> ge);
 
 }  // namespace quake::testsupport

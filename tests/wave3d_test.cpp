@@ -5,8 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "hex_apply_ref.hpp"
 #include "quake/util/rng.hpp"
 #include "quake/util/stats.hpp"
 #include "quake/wave3d/inversion3d.hpp"
@@ -114,6 +119,68 @@ TEST(Model3d, KFormIsBilinearValue) {
   double lhs = 0.0;
   for (std::size_t e = 0; e < mu.size(); ++e) lhs += mu[e] * ge[e];
   EXPECT_NEAR(lhs, util::dot(lam, ku), 1e-6 * std::abs(lhs) + 1e-9);
+}
+
+TEST(Model3d, ElementPassesMatchReferenceBitPatterns) {
+  // apply_k, apply_k_delta and accumulate_k_form against the per-element
+  // loops in tests/support, compared as bytes, on odd and even nx (pairs
+  // with and without a row tail) and ny != nz. y and ge start at -0.0 in
+  // places; dmu holds 0.0, -0.0 (both skipped) and negative entries, so a
+  // node of all-zero corners sees -0.0 products. u: kind 0 finite, kind 1
+  // with +-0, +-Inf and +-1e300 (overflow and Inf - Inf NaNs), kind 2 zero
+  // but for a few nodes. A NaN dmu is outside the contract, as a NaN scale
+  // is for fem::hex_scalar_apply.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double specials[] = {0.0, -0.0, kInf, -kInf, 1e300, -1e300};
+  const auto same_bits = [](const std::vector<double>& a,
+                            const std::vector<double>& b) {
+    return std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  util::Rng rng(23);
+  for (const int nx : {1, 2, 3, 7, 10}) {
+    for (const auto& [ny, nz] : {std::pair{3, 2}, std::pair{2, 4}}) {
+      const ScalarGrid3d g{nx, ny, nz, 37.5};
+      const std::size_t ne = static_cast<std::size_t>(g.n_elems());
+      const std::size_t nn = static_cast<std::size_t>(g.n_nodes());
+      std::vector<double> mu(ne), dmu(ne);
+      for (double& v : mu) v = rng.uniform(1e9, 3e9);
+      for (std::size_t e = 0; e < ne; ++e) {
+        dmu[e] = e % 5 == 0   ? 0.0
+                 : e % 5 == 2 ? -0.0
+                              : -rng.uniform(1e8, 1e9);
+      }
+      const ScalarModel3d m(g, mu, kRho);
+      for (int kind = 0; kind < 3; ++kind) {
+        std::vector<double> u(nn), lam(nn), y0(nn), ge0(ne);
+        for (std::size_t i = 0; i < nn; ++i) {
+          u[i] = rng.uniform(-1.0, 1.0);
+          lam[i] = rng.uniform(-1.0, 1.0);
+          if (kind == 1 && i % 4 == 1) u[i] = specials[(i / 4) % 6];
+          if (kind == 2 && i % 9 != 4) u[i] = (i % 2 == 0) ? 0.0 : -0.0;
+          y0[i] = (kind == 2 || i % 3 == 0) ? -0.0 : rng.uniform(-1.0, 1.0);
+        }
+        for (std::size_t e = 0; e < ne; ++e) {
+          ge0[e] = (kind == 2 || e % 2 == 0) ? -0.0 : rng.uniform(-1.0, 1.0);
+        }
+        const std::string where = "nx=" + std::to_string(nx) + " ny=" +
+                                  std::to_string(ny) + " kind=" +
+                                  std::to_string(kind);
+        std::vector<double> y_a = y0, y_b = y0;
+        m.apply_k(u, y_a);
+        testsupport::scalar3d_apply_k_ref(m, u, y_b);
+        EXPECT_TRUE(same_bits(y_a, y_b)) << "apply_k " << where;
+        y_a = y0;
+        y_b = y0;
+        m.apply_k_delta(dmu, u, y_a);
+        testsupport::scalar3d_apply_k_delta_ref(m, dmu, u, y_b);
+        EXPECT_TRUE(same_bits(y_a, y_b)) << "apply_k_delta " << where;
+        std::vector<double> ge_a = ge0, ge_b = ge0;
+        m.accumulate_k_form(lam, u, ge_a);
+        testsupport::scalar3d_accumulate_k_form_ref(m, lam, u, ge_b);
+        EXPECT_TRUE(same_bits(ge_a, ge_b)) << "accumulate_k_form " << where;
+      }
+    }
+  }
 }
 
 TEST(Model3d, WavesAbsorbed) {
