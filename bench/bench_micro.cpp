@@ -5,7 +5,9 @@
 //  * the blocked element kernels vs the straight-line references
 //    (hex_apply / hex_apply_batch / hex_scalar_apply A/B rows — run these
 //    interleaved and repeated, they are the evidence for the SIMD
-//    restructuring), and ScalarModel3d's element-pair apply_k vs the
+//    restructuring), the elastic kernel's portable instantiation next to
+//    the dispatched one (the context line `hex_kernels` names the one the
+//    process picked), and ScalarModel3d's element-pair apply_k vs the
 //    per-element pass it replaced;
 //  * Morton encode/decode;
 //  * 2-to-1 balancing algorithms;
@@ -25,6 +27,7 @@
 #include "quake/util/rng.hpp"
 #include "quake/wave3d/scalar_model.hpp"
 #include "hex_apply_ref.hpp"
+#include "hex_kernels.hpp"
 
 namespace {
 
@@ -119,6 +122,13 @@ void BM_HexApplyBlocked(benchmark::State& state) {
   hex_apply_ab(state, &fem::hex_apply);
 }
 BENCHMARK(BM_HexApplyBlocked)->Arg(0)->Arg(1);
+
+// The portable (util::Vec2) instantiation of the same body, reached past
+// the dispatcher: on an AVX2 host the row above runs the AVX2 one.
+void BM_HexApplyBlockedPortable(benchmark::State& state) {
+  hex_apply_ab(state, fem::detail::hex_kernels_portable().apply);
+}
+BENCHMARK(BM_HexApplyBlockedPortable)->Arg(0)->Arg(1);
 
 void BM_HexApplyRef(benchmark::State& state) {
   hex_apply_ab(state, &testsupport::hex_apply_ref);
@@ -237,6 +247,11 @@ void BM_HexApplyBatchBlocked(benchmark::State& state) {
 }
 BENCHMARK(BM_HexApplyBatchBlocked)->Arg(4)->Arg(8)->Arg(16);
 
+void BM_HexApplyBatchBlockedPortable(benchmark::State& state) {
+  hex_apply_batch_ab(state, fem::detail::hex_kernels_portable().apply_batch);
+}
+BENCHMARK(BM_HexApplyBatchBlockedPortable)->Arg(4)->Arg(8)->Arg(16);
+
 void BM_HexApplyBatchRef(benchmark::State& state) {
   hex_apply_batch_ab(state, &testsupport::hex_apply_batch_ref);
 }
@@ -306,4 +321,12 @@ BENCHMARK(BM_EtreeStorePut)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext("hex_kernels",
+                              fem::detail::hex_kernels().name);
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

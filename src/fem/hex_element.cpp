@@ -1,9 +1,11 @@
 #include "quake/fem/hex_element.hpp"
 
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
+#include "hex_kernels.hpp"
 #include "quake/util/vec2.hpp"
 
 namespace quake::fem {
@@ -88,13 +90,17 @@ HexReference compute_reference() {
   return ref;
 }
 
-// The one elastic kernel body, shared by hex_apply (stride 1) and each lane
-// of hex_apply_batch (stride n_lanes): dof c is read at u[c * stride] and
-// row r written at y[r * stride]. Inlined at stride 1, the stride folds
-// away and the row-pair moves are packed.
+// The one elastic kernel body, generic over its vector type V and behind
+// all three public entry points: hex_apply and each element of
+// hex_apply_elems (stride 1) and each lane of hex_apply_batch (stride
+// n_lanes). Dof c is read at u[c * stride] and row r written at
+// y[r * stride]. At stride 1 the stride folds away and the row moves are
+// packed.
 //
 // Row-blocked form of the fused dual matvec. A block of kRowBlock output
-// rows accumulates side by side, two rows per Vec2 register; input dof c
+// rows accumulates side by side, kW rows per V register: 8 rows at two
+// wide (row blocks of 4, 8 and 12 measured alike), all 24 at four wide
+// (12 independent add chains; 8 rows measured 10-15% slower). Input dof c
 // contributes to all of them with one broadcast of u[c] against contiguous
 // runs of the transposed matrices (k_*_t[c * 24 + r0 ...]). Those entries
 // are bitwise copies of k_*[r * 24 + c], the matrix entry stays the first
@@ -103,7 +109,7 @@ HexReference compute_reference() {
 // the reference's v = s_lambda * sl + s_mu * sm; y += v; y_damp += beta * v
 // — the exact operation sequence of the straight-line reference per row
 // (testsupport::hex_apply_ref in tests/support), one row per lane — so the
-// kernel is bitwise identical to it.
+// kernel is bitwise identical to it at every width.
 //
 // The explicit vector type is what makes the packed code certain. Written
 // as scalar arrays, this loop nest relies on GCC's SLP vectorizer, which
@@ -112,41 +118,120 @@ HexReference compute_reference() {
 // Batch lanes are not packed into the vector instead: that needs a second
 // kernel body with a matrix-entry broadcast per lane pair, and measured no
 // faster than this per-lane form (EXPERIMENTS.md).
-inline void hex_apply_rows(const HexReference& ref, const double* u,
-                           std::size_t stride, double scale_lambda,
-                           double scale_mu, double* y, double beta_e,
-                           double* y_damp) {
-  constexpr int kRowBlock = 8;
-  constexpr int kVecs = kRowBlock / 2;
-  static_assert(kHexDofs % kRowBlock == 0);
-  const Vec2 s_lambda = {scale_lambda, scale_lambda};
-  const Vec2 s_mu = {scale_mu, scale_mu};
-  const Vec2 beta = {beta_e, beta_e};
+//
+// Always inlined, and V appears only in locals: the body compiles in its
+// caller's target context, so the AVX2 instantiation below gets 256-bit
+// code, and no 32-byte vector is ever passed by value (-Wpsabi).
+template <class V>
+[[gnu::always_inline]] inline void hex_apply_rows(
+    const HexReference& ref, const double* u, std::size_t stride,
+    double scale_lambda, double scale_mu, double* y, double beta_e,
+    double* y_damp) {
+  constexpr int kW = sizeof(V) / sizeof(double);
+  constexpr int kRowBlock = kW == 2 ? 8 : kHexDofs;
+  constexpr int kVecs = kRowBlock / kW;
+  static_assert(kHexDofs % kRowBlock == 0 && kRowBlock % kW == 0);
   for (int r0 = 0; r0 < kHexDofs; r0 += kRowBlock) {
-    Vec2 sl[kVecs], sm[kVecs];
-    for (int j = 0; j < kVecs; ++j) sl[j] = sm[j] = Vec2{0.0, 0.0};
+    V sl[kVecs], sm[kVecs];
+    for (int j = 0; j < kVecs; ++j) sl[j] = sm[j] = V{};
     for (int c = 0; c < kHexDofs; ++c) {
-      const double uv = u[static_cast<std::size_t>(c) * stride];
-      const Vec2 uc = {uv, uv};
+      const double uc = u[static_cast<std::size_t>(c) * stride];
       const std::size_t off =
           static_cast<std::size_t>(c) * kHexDofs + static_cast<std::size_t>(r0);
-      const double* klc = &ref.k_lambda_t[off];
-      const double* kmc = &ref.k_mu_t[off];
       for (int j = 0; j < kVecs; ++j) {
-        sl[j] += load2(klc + 2 * j) * uc;
-        sm[j] += load2(kmc + 2 * j) * uc;
+        // Through memcpy: the reference arrays are only 8-byte aligned.
+        V kl{}, km{};
+        std::memcpy(&kl, &ref.k_lambda_t[off + kW * j], sizeof kl);
+        std::memcpy(&km, &ref.k_mu_t[off + kW * j], sizeof km);
+        sl[j] += kl * uc;
+        sm[j] += km * uc;
       }
     }
     for (int j = 0; j < kVecs; ++j) {
-      const Vec2 v = s_lambda * sl[j] + s_mu * sm[j];
-      const std::size_t r = static_cast<std::size_t>(r0 + 2 * j) * stride;
-      store2(y + r, stride, load2(y + r, stride) + v);
+      const V v = scale_lambda * sl[j] + scale_mu * sm[j];
+      const std::size_t r = static_cast<std::size_t>(r0 + kW * j) * stride;
+      V acc{};
+      for (int i = 0; i < kW; ++i) acc[i] = y[r + i * stride];
+      acc += v;
+      for (int i = 0; i < kW; ++i) y[r + i * stride] = acc[i];
       if (y_damp != nullptr) {
-        store2(y_damp + r, stride, load2(y_damp + r, stride) + beta * v);
+        for (int i = 0; i < kW; ++i) acc[i] = y_damp[r + i * stride];
+        acc += beta_e * v;
+        for (int i = 0; i < kW; ++i) y_damp[r + i * stride] = acc[i];
       }
     }
   }
 }
+
+// The three call shapes of the public entry points, for one vector type.
+template <class V>
+void apply_one(const HexReference& ref, const double* u_e,
+               double scale_lambda, double scale_mu, double* y_e,
+               double beta_e, double* y_damp) {
+  hex_apply_rows<V>(ref, u_e, 1, scale_lambda, scale_mu, y_e, beta_e, y_damp);
+}
+
+template <class V>
+void apply_elems(const HexReference& ref, const double* u_e, int n_elems,
+                 const double* scale_lambda, const double* scale_mu,
+                 double* y_e, const double* beta_e, double* y_damp) {
+  for (int e = 0; e < n_elems; ++e) {
+    const std::size_t off = static_cast<std::size_t>(e) * kHexDofs;
+    hex_apply_rows<V>(ref, u_e + off, 1, scale_lambda[e], scale_mu[e],
+                      y_e + off, beta_e != nullptr ? beta_e[e] : 0.0,
+                      y_damp != nullptr ? y_damp + off : nullptr);
+  }
+}
+
+// Lane s is the solo kernel on the dofs at u_e[s + c * n_lanes].
+template <class V>
+void apply_batch(const HexReference& ref, const double* u_e, int n_lanes,
+                 double scale_lambda, double scale_mu, double* y_e,
+                 double beta_e, double* y_damp) {
+  const std::size_t stride = static_cast<std::size_t>(n_lanes);
+  for (std::size_t s = 0; s < stride; ++s) {
+    hex_apply_rows<V>(ref, u_e + s, stride, scale_lambda, scale_mu, y_e + s,
+                      beta_e, y_damp != nullptr ? y_damp + s : nullptr);
+  }
+}
+
+// The portable instantiation: two rows per util::Vec2.
+constexpr detail::HexKernels kPortable{"portable", &apply_one<Vec2>,
+                                       &apply_elems<Vec2>, &apply_batch<Vec2>};
+
+#if defined(__x86_64__)
+// The AVX2 instantiation: four rows per 32-byte vector, in functions that
+// flatten their shape (and so the body) into AVX2 code. The target adds
+// AVX2 and nothing else — in particular not FMA, so GCC's default
+// -ffp-contract=fast has no fused multiply-add to contract into and each
+// lane keeps the reference's separate mul and add.
+typedef double Vec4 __attribute__((vector_size(32)));
+
+[[gnu::target("avx2"), gnu::flatten]] void apply_one_avx2(
+    const HexReference& ref, const double* u_e, double scale_lambda,
+    double scale_mu, double* y_e, double beta_e, double* y_damp) {
+  apply_one<Vec4>(ref, u_e, scale_lambda, scale_mu, y_e, beta_e, y_damp);
+}
+
+[[gnu::target("avx2"), gnu::flatten]] void apply_elems_avx2(
+    const HexReference& ref, const double* u_e, int n_elems,
+    const double* scale_lambda, const double* scale_mu, double* y_e,
+    const double* beta_e, double* y_damp) {
+  apply_elems<Vec4>(ref, u_e, n_elems, scale_lambda, scale_mu, y_e, beta_e,
+                    y_damp);
+}
+
+[[gnu::target("avx2"), gnu::flatten]] void apply_batch_avx2(
+    const HexReference& ref, const double* u_e, int n_lanes,
+    double scale_lambda, double scale_mu, double* y_e, double beta_e,
+    double* y_damp) {
+  apply_batch<Vec4>(ref, u_e, n_lanes, scale_lambda, scale_mu, y_e, beta_e,
+                    y_damp);
+}
+
+constexpr detail::HexKernels kAvx2{"avx2", &apply_one_avx2, &apply_elems_avx2,
+                                   &apply_batch_avx2};
+#endif
 
 void throw_bad_lane_count(int n_lanes) {
   throw std::invalid_argument(
@@ -161,34 +246,53 @@ const HexReference& HexReference::get() {
   return ref;
 }
 
+namespace detail {
+
+const HexKernels& hex_kernels_portable() { return kPortable; }
+
+const HexKernels* hex_kernels_avx2() {
+#if defined(__x86_64__)
+  // Safe before libgcc's own constructor has run, e.g. from a static
+  // initializer elsewhere that applies the kernel.
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2")) return &kAvx2;
+#endif
+  return nullptr;
+}
+
+const HexKernels& hex_kernels() {
+  // A function-local static: chosen on first use, thread-safe, and free of
+  // static-initialization order.
+  static const HexKernels& chosen = []() -> const HexKernels& {
+    const HexKernels* avx2 = hex_kernels_avx2();
+    return avx2 != nullptr ? *avx2 : kPortable;
+  }();
+  return chosen;
+}
+
+}  // namespace detail
+
 void hex_apply(const HexReference& ref, const double* u_e, double scale_lambda,
                double scale_mu, double* y_e, double beta_e, double* y_damp) {
-  hex_apply_rows(ref, u_e, 1, scale_lambda, scale_mu, y_e, beta_e, y_damp);
+  detail::hex_kernels().apply(ref, u_e, scale_lambda, scale_mu, y_e, beta_e,
+                              y_damp);
 }
 
 void hex_apply_elems(const HexReference& ref, const double* u_e, int n_elems,
                      const double* scale_lambda, const double* scale_mu,
                      double* y_e, const double* beta_e, double* y_damp) {
-  for (int e = 0; e < n_elems; ++e) {
-    const std::size_t off = static_cast<std::size_t>(e) * kHexDofs;
-    hex_apply(ref, u_e + off, scale_lambda[e], scale_mu[e], y_e + off,
-              beta_e != nullptr ? beta_e[e] : 0.0,
-              y_damp != nullptr ? y_damp + off : nullptr);
-  }
+  detail::hex_kernels().apply_elems(ref, u_e, n_elems, scale_lambda, scale_mu,
+                                    y_e, beta_e, y_damp);
 }
 
 void hex_apply_batch(const HexReference& ref, const double* u_e, int n_lanes,
                      double scale_lambda, double scale_mu, double* y_e,
                      double beta_e, double* y_damp) {
-  // Lane s is the solo kernel on the dofs at u_e[s + c * n_lanes]. Kept as
-  // a real bounds check (not an assert) for release callers: the batch
-  // call sites size their element buffers by kMaxBatchLanes.
+  // Kept as a real bounds check (not an assert) for release callers: the
+  // batch call sites size their element buffers by kMaxBatchLanes.
   if (n_lanes < 1 || n_lanes > kMaxBatchLanes) throw_bad_lane_count(n_lanes);
-  const std::size_t stride = static_cast<std::size_t>(n_lanes);
-  for (std::size_t s = 0; s < stride; ++s) {
-    hex_apply_rows(ref, u_e + s, stride, scale_lambda, scale_mu, y_e + s,
-                   beta_e, y_damp != nullptr ? y_damp + s : nullptr);
-  }
+  detail::hex_kernels().apply_batch(ref, u_e, n_lanes, scale_lambda, scale_mu,
+                                    y_e, beta_e, y_damp);
 }
 
 void hex_diagonal(const HexReference& ref, double scale_lambda,

@@ -54,17 +54,24 @@ struct HexReference {
 // beta_e * (K_e u_e) into it (the element's Rayleigh stiffness damping),
 // reusing the same products.
 //
-// Packed 2-wide on every build: a block of output rows accumulates two rows
-// per explicit vector register (GCC/Clang vector extension: SSE2 on x86-64,
-// NEON on AArch64), each input dof broadcast against a contiguous run of the
-// transposed reference matrices. The explicit vector type is what makes
-// the packed code certain; left to the auto-vectorizer, the same loop nest
-// compiled to scalar code. Each lane still takes the exact IEEE operation
+// Packed SIMD on every build: a block of output rows accumulates several
+// rows per explicit vector register (GCC/Clang vector extension), each
+// input dof broadcast against a contiguous run of the transposed reference
+// matrices. The explicit vector type is what makes the packed code
+// certain; left to the auto-vectorizer, the same loop nest compiled to
+// scalar code. The one kernel body is compiled at two widths: two rows per
+// register (SSE2 on x86-64, NEON on AArch64) on every build, and on x86-64
+// four rows per 32-byte register in code compiled for AVX2 without FMA.
+// The process picks the AVX2 instantiation once, at first use, when the
+// CPU has AVX2; this entry point, hex_apply_elems and hex_apply_batch all
+// run the picked one. Each lane still takes the exact IEEE operation
 // sequence of the straight-line reference for its row (the test oracle
 // testsupport::hex_apply_ref in tests/support), so results are bitwise
-// identical to it, NaN and signed-zero bit patterns included (asserted in
-// fem_test). This is the one elastic kernel body: the batch variant below
-// runs it per lane.
+// identical to it at either width, NaN and signed-zero bit patterns
+// included (asserted in fem_test for each instantiation). A sum of two
+// different NaNs is outside that contract: which one survives follows the
+// operand order the compiler picks for a commutative add. The batch
+// variant below runs the same body per lane.
 void hex_apply(const HexReference& ref, const double* u_e, double scale_lambda,
                double scale_mu, double* y_e, double beta_e, double* y_damp);
 

@@ -259,6 +259,11 @@ class ParallelSetup {
   [[nodiscard]] double dt() const;
   [[nodiscard]] int n_ranks() const;
   [[nodiscard]] const mesh::HexMesh& mesh() const;
+  // The nearest-node locator over mesh(), built once with the setup: the
+  // solves snap receivers through it, and sources built against it
+  // (solver::PointSource / FaultSource's locator overloads) skip building
+  // their own.
+  [[nodiscard]] const solver::NodeLocator& node_locator() const;
   // Steps a scenario of duration `t_end` will take on the shared dt.
   [[nodiscard]] int n_steps(double t_end) const;
 

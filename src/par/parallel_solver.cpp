@@ -227,6 +227,8 @@ struct ParallelSetup::Impl {
   const Partition& part;
   const solver::OperatorOptions op_opt;
   const solver::ElasticOperator op;
+  // Receiver snapping, and source placement through node_locator().
+  const solver::NodeLocator locator;
   const int R;
   const bool rayleigh;
   const double dt;
@@ -248,6 +250,7 @@ struct ParallelSetup::Impl {
         part(part_in),
         op_opt(oo),
         op(mesh_in, oo),
+        locator(mesh_in),
         R(part_in.n_ranks),
         rayleigh(oo.rayleigh),
         dt(base.dt > 0.0 ? base.dt : op.stable_dt(base.cfl_fraction)),
@@ -1426,7 +1429,6 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
   // leak into the next solve through the shared setup.
   job.results.resize(n_lanes);
   job.recv_of.resize(static_cast<std::size_t>(R));
-  const solver::NodeLocator nodes(mesh);
   for (std::size_t s = 0; s < n_lanes; ++s) {
     ParallelResult& res = job.results[s];
     res.dt = dt;
@@ -1436,7 +1438,7 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
     res.rank_stats.assign(static_cast<std::size_t>(R), {});
     res.receiver_histories.assign(scenarios[s].receivers.size(), {});
     for (std::size_t ri = 0; ri < scenarios[s].receivers.size(); ++ri) {
-      const mesh::NodeId n = nodes.nearest(scenarios[s].receivers[ri]);
+      const mesh::NodeId n = locator.nearest(scenarios[s].receivers[ri]);
       const int owner = part.node_owner[static_cast<std::size_t>(n)];
       const auto& owner_local = locals[static_cast<std::size_t>(owner)];
       const auto it = owner_local.local_of.find(n);
@@ -1571,6 +1573,10 @@ double ParallelSetup::dt() const { return impl_->dt; }
 int ParallelSetup::n_ranks() const { return impl_->R; }
 
 const mesh::HexMesh& ParallelSetup::mesh() const { return impl_->mesh; }
+
+const solver::NodeLocator& ParallelSetup::node_locator() const {
+  return impl_->locator;
+}
 
 std::vector<std::vector<int>> ParallelSetup::neighbor_ranks() const {
   // RankLocal keeps its neighbors in ascending rank order.

@@ -47,6 +47,9 @@ class NodeLocator {
   // below the largest finite double (a non-finite position).
   [[nodiscard]] mesh::NodeId nearest(std::array<double, 3> position) const;
 
+  // The mesh this locator was built over; it must outlive the locator.
+  [[nodiscard]] const mesh::HexMesh& mesh() const { return *mesh_; }
+
  private:
   const mesh::HexMesh* mesh_;
   BucketGrid grid_;

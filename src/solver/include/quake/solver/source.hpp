@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "quake/mesh/hex_mesh.hpp"
+#include "quake/solver/locator.hpp"
 
 namespace quake::solver {
 
@@ -66,9 +67,14 @@ class SourceModel {
 };
 
 // Point force at the node nearest to `position`, along `direction`
-// (normalized), with a Ricker time history of peak frequency `fp`.
+// (normalized), with a Ricker time history of peak frequency `fp`. The
+// locator overload snaps through a locator built once per mesh (a
+// ParallelSetup holds one); the mesh overload builds one for this source.
 class PointSource final : public SourceModel {
  public:
+  PointSource(const NodeLocator& nodes, std::array<double, 3> position,
+              std::array<double, 3> direction, double amplitude, double fp,
+              double tc);
   PointSource(const mesh::HexMesh& mesh, std::array<double, 3> position,
               std::array<double, 3> direction, double amplitude, double fp,
               double tc);
@@ -87,7 +93,8 @@ class PointSource final : public SourceModel {
 // and spreads at rupture velocity vr; every fault point slips u0 with rise
 // time t0 (the paper's idealized Northridge-style source). The dislocation
 // is converted to equilibrating body-force couples (a double couple per
-// fault patch) injected at the nearest mesh nodes.
+// fault patch) injected at the nearest mesh nodes, found through `nodes`
+// (the mesh overload builds a locator for this source).
 class FaultSource final : public SourceModel {
  public:
   struct Spec {
@@ -101,6 +108,7 @@ class FaultSource final : public SourceModel {
     double patch_spacing = 0.0;           // [m]; 0 = median element size
   };
 
+  FaultSource(const NodeLocator& nodes, const Spec& spec);
   FaultSource(const mesh::HexMesh& mesh, const Spec& spec);
   void add_forces(double t, ForceSink& sink) const override;
   using SourceModel::add_forces;

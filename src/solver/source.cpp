@@ -5,8 +5,6 @@
 #include <numbers>
 #include <stdexcept>
 
-#include "quake/solver/locator.hpp"
-
 namespace quake::solver {
 
 double ramp_g(double t, double t0) {
@@ -40,7 +38,14 @@ PointSource::PointSource(const mesh::HexMesh& mesh,
                          std::array<double, 3> position,
                          std::array<double, 3> direction, double amplitude,
                          double fp, double tc)
-    : node_(nearest_node(mesh, position)),
+    : PointSource(NodeLocator(mesh), position, direction, amplitude, fp, tc) {
+}
+
+PointSource::PointSource(const NodeLocator& nodes,
+                         std::array<double, 3> position,
+                         std::array<double, 3> direction, double amplitude,
+                         double fp, double tc)
+    : node_(nodes.nearest(position)),
       dir_(direction),
       amplitude_(amplitude),
       fp_(fp),
@@ -58,7 +63,11 @@ void PointSource::add_forces(double t, ForceSink& sink) const {
   }
 }
 
-FaultSource::FaultSource(const mesh::HexMesh& mesh, const Spec& spec) {
+FaultSource::FaultSource(const mesh::HexMesh& mesh, const Spec& spec)
+    : FaultSource(NodeLocator(mesh), spec) {}
+
+FaultSource::FaultSource(const NodeLocator& nodes, const Spec& spec) {
+  const mesh::HexMesh& mesh = nodes.mesh();
   if (!(spec.x1 > spec.x0) || !(spec.z_bot > spec.z_top)) {
     throw std::invalid_argument("FaultSource: degenerate plane");
   }
@@ -78,9 +87,8 @@ FaultSource::FaultSource(const mesh::HexMesh& mesh, const Spec& spec) {
   const double dz = (spec.z_bot - spec.z_top) / nz;
   const double area = dx * dz;
 
-  // Both lookups go through bucket grids built once here: each patch asks
-  // for four nearest nodes and the shear modulus at its center.
-  const NodeLocator nodes(mesh);
+  // Each patch asks for four nearest nodes and the shear modulus at its
+  // center; the element lookup goes through a bucket grid built once here.
   const ElementLocator elems(mesh);
 
   patches_.reserve(static_cast<std::size_t>(nx) * nz);

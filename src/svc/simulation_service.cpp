@@ -501,12 +501,12 @@ void SimulationService::execute(Lane& lane,
           const ScenarioRequest& req = group[i]->req;
           for (const PointSourceSpec& s : req.point_sources) {
             owned[i].push_back(std::make_unique<solver::PointSource>(
-                setup.mesh(), s.position, s.direction, s.amplitude, s.fp,
-                s.tc));
+                setup.node_locator(), s.position, s.direction, s.amplitude,
+                s.fp, s.tc));
           }
           for (const solver::FaultSource::Spec& s : req.fault_sources) {
-            owned[i].push_back(
-                std::make_unique<solver::FaultSource>(setup.mesh(), s));
+            owned[i].push_back(std::make_unique<solver::FaultSource>(
+                setup.node_locator(), s));
           }
           for (const auto& s : owned[i]) {
             scenarios[i].sources.push_back(s.get());

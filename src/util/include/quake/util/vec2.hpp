@@ -1,10 +1,12 @@
 #pragma once
 
-// The element kernels' one explicit vector type: two doubles in one SSE2
-// (x86-64) or NEON (AArch64) register, through the GCC/Clang vector
+// The element kernels' portable explicit vector type: two doubles in one
+// SSE2 (x86-64) or NEON (AArch64) register, through the GCC/Clang vector
 // extension. Each lane performs exactly the IEEE operation written, which
 // is what lets a packed kernel match its straight-line reference bit for
-// bit.
+// bit. Every kernel runs on it on every build; the elastic kernel body is
+// also compiled at four doubles per 32-byte vector for AVX2 CPUs, a type
+// local to fem/hex_element.cpp.
 
 #include <cstddef>
 #include <cstring>

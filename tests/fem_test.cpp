@@ -17,15 +17,43 @@
 #include "quake/fem/rayleigh.hpp"
 #include "quake/util/rng.hpp"
 #include "hex_apply_ref.hpp"
+#include "hex_kernels.hpp"
 
 namespace {
 
 using namespace quake::fem;
+using quake::fem::detail::HexKernels;
 using quake::testsupport::hex_apply_batch_ref;
 using quake::testsupport::hex_apply_ref;
 using quake::testsupport::hex_scalar_apply_ref;
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// The kernels each elastic bitwise case checks: the public entry points
+// (the instantiation this process picked), then each instantiation of the
+// kernel body reached directly. The AVX2 one is there only when the CPU
+// has AVX2.
+std::vector<HexKernels> kernels_under_test() {
+  std::vector<HexKernels> k = {
+      {"public", &hex_apply, &hex_apply_elems, &hex_apply_batch},
+      quake::fem::detail::hex_kernels_portable()};
+  if (const HexKernels* avx2 = quake::fem::detail::hex_kernels_avx2()) {
+    k.push_back(*avx2);
+  }
+  return k;
+}
+
+// The last step of each case that runs kernels_under_test(): an x86-64 CPU
+// without AVX2 left the AVX2 instantiation unchecked, and the case says so
+// by skipping. Other architectures have no AVX2 instantiation to check.
+void skip_unless_avx2_checked() {
+#if defined(__x86_64__)
+  if (quake::fem::detail::hex_kernels_avx2() == nullptr) {
+    GTEST_SKIP() << "this CPU lacks AVX2: the avx2 instantiation of the "
+                    "elastic kernel was not checked";
+  }
+#endif
+}
 
 // The eight edge-case input kinds of the kernels' bit-pattern tests, as an
 // N-vector: signed zeros, subnormals, subnormal products, one +Inf, one
@@ -203,41 +231,45 @@ TEST(HexApplyVectorized, BitwiseMatchesReference) {
   // reference — every downstream contract (warm-vs-cold, batch-vs-solo,
   // recovery-vs-undisturbed) assumes the element apply is deterministic to
   // the last bit. Randomized inputs, damping on and off, nonzero initial
-  // accumulators (the kernel adds into y).
+  // accumulators (the kernel adds into y); every kernel under test.
   const HexReference& ref = HexReference::get();
+  const std::vector<HexKernels> kernels = kernels_under_test();
   quake::util::Rng rng(17);
   for (int trial = 0; trial < 200; ++trial) {
-    std::array<double, kHexDofs> u{}, y_a{}, y_b{}, d_a{}, d_b{};
+    std::array<double, kHexDofs> u{}, y0{}, d0{};
     for (double& v : u) v = rng.uniform(-1.0, 1.0);
     for (int i = 0; i < kHexDofs; ++i) {
-      y_a[static_cast<std::size_t>(i)] = y_b[static_cast<std::size_t>(i)] =
-          rng.uniform(-1.0, 1.0);
-      d_a[static_cast<std::size_t>(i)] = d_b[static_cast<std::size_t>(i)] =
-          rng.uniform(-1.0, 1.0);
+      y0[static_cast<std::size_t>(i)] = rng.uniform(-1.0, 1.0);
+      d0[static_cast<std::size_t>(i)] = rng.uniform(-1.0, 1.0);
     }
     const double sl = rng.uniform(0.1, 4.0);
     const double sm = rng.uniform(0.1, 4.0);
     const bool damp = (trial % 2) == 0;
     const double beta = damp ? rng.uniform(0.0, 0.1) : 0.0;
-    hex_apply(ref, u.data(), sl, sm, y_a.data(), beta,
-              damp ? d_a.data() : nullptr);
+    std::array<double, kHexDofs> y_b = y0, d_b = d0;
     hex_apply_ref(ref, u.data(), sl, sm, y_b.data(), beta,
                   damp ? d_b.data() : nullptr);
-    for (int i = 0; i < kHexDofs; ++i) {
-      EXPECT_EQ(y_a[static_cast<std::size_t>(i)],
-                y_b[static_cast<std::size_t>(i)]);
-      EXPECT_EQ(d_a[static_cast<std::size_t>(i)],
-                d_b[static_cast<std::size_t>(i)]);
+    for (const HexKernels& k : kernels) {
+      std::array<double, kHexDofs> y_a = y0, d_a = d0;
+      k.apply(ref, u.data(), sl, sm, y_a.data(), beta,
+              damp ? d_a.data() : nullptr);
+      for (std::size_t i = 0; i < y_a.size(); ++i) {
+        EXPECT_EQ(y_a[i], y_b[i]) << k.name << " trial=" << trial;
+        EXPECT_EQ(d_a[i], d_b[i]) << k.name << " trial=" << trial;
+      }
     }
   }
+  skip_unless_avx2_checked();
 }
 
 TEST(HexApplyVectorized, BatchBitwiseMatchesReferenceAllLanes) {
-  // Every lane width 1..kMaxBatchLanes, damping on/off: the batch kernel
-  // must match hex_apply_batch_ref bit for bit, and each lane must match a
-  // solo hex_apply_ref on its deinterleaved data. Compared as bit patterns:
-  // EXPECT_EQ on the doubles would pass -0.0 == +0.0.
+  // Every lane width 1..kMaxBatchLanes, damping on/off, every kernel under
+  // test: the batch kernel must match hex_apply_batch_ref bit for bit, and
+  // each lane must match a solo hex_apply_ref on its deinterleaved data.
+  // Compared as bit patterns: EXPECT_EQ on the doubles would pass
+  // -0.0 == +0.0.
   const HexReference& ref = HexReference::get();
+  const std::vector<HexKernels> kernels = kernels_under_test();
   quake::util::Rng rng(23);
   for (int lanes = 1; lanes <= kMaxBatchLanes; ++lanes) {
     const std::size_t n = static_cast<std::size_t>(kHexDofs * lanes);
@@ -252,19 +284,23 @@ TEST(HexApplyVectorized, BatchBitwiseMatchesReferenceAllLanes) {
       const double sl = rng.uniform(0.1, 4.0);
       const double sm = rng.uniform(0.1, 4.0);
       const double beta = damp ? rng.uniform(0.0, 0.1) : 0.0;
-      std::vector<double> y_a = y0, y_b = y0, d_a = d0, d_b = d0;
-      hex_apply_batch(ref, u.data(), lanes, sl, sm, y_a.data(), beta,
-                      damp ? d_a.data() : nullptr);
+      std::vector<double> y_b = y0, d_b = d0;
       hex_apply_batch_ref(ref, u.data(), lanes, sl, sm, y_b.data(), beta,
                           damp ? d_b.data() : nullptr);
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(bits(y_a[i]), bits(y_b[i]))
-            << "lanes=" << lanes << " i=" << i;
-        EXPECT_EQ(bits(d_a[i]), bits(d_b[i]))
-            << "lanes=" << lanes << " i=" << i;
+      for (const HexKernels& k : kernels) {
+        std::vector<double> y_a = y0, d_a = d0;
+        k.apply_batch(ref, u.data(), lanes, sl, sm, y_a.data(), beta,
+                      damp ? d_a.data() : nullptr);
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(bits(y_a[i]), bits(y_b[i]))
+              << k.name << " lanes=" << lanes << " i=" << i;
+          EXPECT_EQ(bits(d_a[i]), bits(d_b[i]))
+              << k.name << " lanes=" << lanes << " i=" << i;
+        }
       }
       // Per-lane identity against the solo reference kernel on the same
-      // initial accumulators, deinterleaved.
+      // initial accumulators, deinterleaved: y_b stands for every kernel,
+      // each compared with it bit for bit above.
       for (int s = 0; s < lanes; ++s) {
         std::array<double, kHexDofs> us{}, ys{}, ds{};
         for (int dof = 0; dof < kHexDofs; ++dof) {
@@ -277,14 +313,15 @@ TEST(HexApplyVectorized, BatchBitwiseMatchesReferenceAllLanes) {
                       damp ? ds.data() : nullptr);
         for (int dof = 0; dof < kHexDofs; ++dof) {
           const std::size_t bi = static_cast<std::size_t>(dof * lanes + s);
-          EXPECT_EQ(bits(y_a[bi]), bits(ys[static_cast<std::size_t>(dof)]))
+          EXPECT_EQ(bits(y_b[bi]), bits(ys[static_cast<std::size_t>(dof)]))
               << "lanes=" << lanes << " lane=" << s << " dof=" << dof;
-          EXPECT_EQ(bits(d_a[bi]), bits(ds[static_cast<std::size_t>(dof)]))
+          EXPECT_EQ(bits(d_b[bi]), bits(ds[static_cast<std::size_t>(dof)]))
               << "lanes=" << lanes << " lane=" << s << " dof=" << dof;
         }
       }
     }
   }
+  skip_unless_avx2_checked();
 }
 
 TEST(HexApplyBatch, RejectsBadLaneCount) {
@@ -346,8 +383,9 @@ TEST(HexApplyVectorized, EdgeCaseInputsMatchReferenceBitPatterns) {
   // signed zeros, subnormals, infinities and NaNs come out identical. Each
   // case also runs the batch kernel at several widths with lane s carrying
   // the vector of kind (kind + s) % 8, so NaN and Inf lanes sit next to
-  // finite ones.
+  // finite ones. Every kernel under test.
   const HexReference& ref = HexReference::get();
+  const std::vector<HexKernels> kernels = kernels_under_test();
   const std::array<std::pair<double, double>, 6> scales = {{
       {1.0, 1.0}, {-2.5, 0.75}, {3.0, -1.25}, {-0.5, -4.0},
       {1e-300, 1e-300}, {-1e-12, 1e-12}}};
@@ -364,18 +402,21 @@ TEST(HexApplyVectorized, EdgeCaseInputsMatchReferenceBitPatterns) {
         }
         std::array<double, kHexDofs> y_b = y_a, d_b = d_a;
         const double beta = damp ? -0.03 : 0.0;
-        hex_apply(ref, u.data(), sl, sm, y_a.data(), beta,
-                  damp ? d_a.data() : nullptr);
         hex_apply_ref(ref, u.data(), sl, sm, y_b.data(), beta,
                       damp ? d_b.data() : nullptr);
-        EXPECT_EQ(std::memcmp(y_a.data(), y_b.data(), sizeof y_a), 0)
-            << "kind=" << kind << " sl=" << sl << " sm=" << sm
-            << " damp=" << damp;
-        EXPECT_EQ(std::memcmp(d_a.data(), d_b.data(), sizeof d_a), 0)
-            << "kind=" << kind << " sl=" << sl << " sm=" << sm
-            << " damp=" << damp;
+        for (const HexKernels& k : kernels) {
+          std::array<double, kHexDofs> y_k = y_a, d_k = d_a;
+          k.apply(ref, u.data(), sl, sm, y_k.data(), beta,
+                  damp ? d_k.data() : nullptr);
+          EXPECT_EQ(std::memcmp(y_k.data(), y_b.data(), sizeof y_k), 0)
+              << k.name << " kind=" << kind << " sl=" << sl << " sm=" << sm
+              << " damp=" << damp;
+          EXPECT_EQ(std::memcmp(d_k.data(), d_b.data(), sizeof d_k), 0)
+              << k.name << " kind=" << kind << " sl=" << sl << " sm=" << sm
+              << " damp=" << damp;
+        }
 
-        for (const int lanes : {2, 3, 8, 16}) {
+        for (const int lanes : {1, 2, 3, 7, 8, 16}) {
           const std::size_t n_lanes = static_cast<std::size_t>(lanes);
           const std::size_t n = static_cast<std::size_t>(kHexDofs) * n_lanes;
           std::vector<double> ub(n), yb_a(n), db_a(n);
@@ -391,29 +432,66 @@ TEST(HexApplyVectorized, EdgeCaseInputsMatchReferenceBitPatterns) {
             db_a[i] = (i % 5 == 0) ? -0.0 : rng_batch.uniform(-1.0, 1.0);
           }
           std::vector<double> yb_b = yb_a, db_b = db_a;
-          hex_apply_batch(ref, ub.data(), lanes, sl, sm, yb_a.data(), beta,
-                          damp ? db_a.data() : nullptr);
           hex_apply_batch_ref(ref, ub.data(), lanes, sl, sm, yb_b.data(),
                               beta, damp ? db_b.data() : nullptr);
-          EXPECT_EQ(std::memcmp(yb_a.data(), yb_b.data(), n * sizeof(double)),
-                    0)
-              << "lanes=" << lanes << " kind=" << kind << " sl=" << sl
-              << " sm=" << sm << " damp=" << damp;
-          EXPECT_EQ(std::memcmp(db_a.data(), db_b.data(), n * sizeof(double)),
-                    0)
-              << "lanes=" << lanes << " kind=" << kind << " sl=" << sl
-              << " sm=" << sm << " damp=" << damp;
+          for (const HexKernels& k : kernels) {
+            std::vector<double> yb_k = yb_a, db_k = db_a;
+            k.apply_batch(ref, ub.data(), lanes, sl, sm, yb_k.data(), beta,
+                          damp ? db_k.data() : nullptr);
+            EXPECT_EQ(
+                std::memcmp(yb_k.data(), yb_b.data(), n * sizeof(double)), 0)
+                << k.name << " lanes=" << lanes << " kind=" << kind
+                << " sl=" << sl << " sm=" << sm << " damp=" << damp;
+            EXPECT_EQ(
+                std::memcmp(db_k.data(), db_b.data(), n * sizeof(double)), 0)
+                << k.name << " lanes=" << lanes << " kind=" << kind
+                << " sl=" << sl << " sm=" << sm << " damp=" << damp;
+          }
         }
       }
     }
   }
+  // Zeros signed so that every product of row 0 of k_lambda is -0.0: only
+  // the +0.0 accumulator start turns that row's lambda sum into +0.0, and
+  // y[0] = -0.0 + v shows it for some signs of the scales (the eight kinds
+  // above never make a row's products all -0.0).
+  std::array<double, kHexDofs> u_neg{};
+  for (std::size_t c = 0; c < u_neg.size(); ++c) {
+    u_neg[c] = ref.k_lambda[c] < 0.0 ? 0.0 : -0.0;
+  }
+  for (const auto& [sl, sm] : scales) {
+    for (const bool damp : {false, true}) {
+      const double beta = damp ? -0.03 : 0.0;
+      std::array<double, kHexDofs> y_b{}, d_b{};
+      y_b.fill(-0.0);
+      d_b.fill(-0.0);
+      hex_apply_ref(ref, u_neg.data(), sl, sm, y_b.data(), beta,
+                    damp ? d_b.data() : nullptr);
+      for (const HexKernels& k : kernels) {
+        std::array<double, kHexDofs> y_k{}, d_k{};
+        y_k.fill(-0.0);
+        d_k.fill(-0.0);
+        k.apply(ref, u_neg.data(), sl, sm, y_k.data(), beta,
+                damp ? d_k.data() : nullptr);
+        EXPECT_EQ(std::memcmp(y_k.data(), y_b.data(), sizeof y_k), 0)
+            << k.name << " row-0 negative zeros, sl=" << sl << " sm=" << sm
+            << " damp=" << damp;
+        EXPECT_EQ(std::memcmp(d_k.data(), d_b.data(), sizeof d_k), 0)
+            << k.name << " row-0 negative zeros, sl=" << sl << " sm=" << sm
+            << " damp=" << damp;
+      }
+    }
+  }
+  skip_unless_avx2_checked();
 }
 
 TEST(HexApplyElems, EveryPackSizeMatchesReferenceBitwise) {
   // The operator hands hex_apply_elems packs of 1..8 elements (the last
   // pack of a sweep is short). Every pack size must reproduce the straight-
-  // line reference per element, damping on and off.
+  // line reference per element, damping on and off, for every kernel under
+  // test.
   const HexReference& ref = HexReference::get();
+  const std::vector<HexKernels> kernels = kernels_under_test();
   quake::util::Rng rng(43);
   for (int n = 1; n <= 8; ++n) {
     for (const bool damp : {false, true}) {
@@ -432,21 +510,27 @@ TEST(HexApplyElems, EveryPackSizeMatchesReferenceBitwise) {
         beta[e] = rng.uniform(0.0, 0.1);
       }
       std::vector<double> y_b = y_a, d_b = d_a;
-      hex_apply_elems(ref, u.data(), n, sl.data(), sm.data(), y_a.data(),
-                      damp ? beta.data() : nullptr,
-                      damp ? d_a.data() : nullptr);
       for (std::size_t e = 0; e < sl.size(); ++e) {
         const std::size_t off = e * kHexDofs;
         hex_apply_ref(ref, u.data() + off, sl[e], sm[e], y_b.data() + off,
                       damp ? beta[e] : 0.0,
                       damp ? d_b.data() + off : nullptr);
       }
-      EXPECT_EQ(std::memcmp(y_a.data(), y_b.data(), len * sizeof(double)), 0)
-          << "pack=" << n << " damp=" << damp;
-      EXPECT_EQ(std::memcmp(d_a.data(), d_b.data(), len * sizeof(double)), 0)
-          << "pack=" << n << " damp=" << damp;
+      for (const HexKernels& k : kernels) {
+        std::vector<double> y_k = y_a, d_k = d_a;
+        k.apply_elems(ref, u.data(), n, sl.data(), sm.data(), y_k.data(),
+                      damp ? beta.data() : nullptr,
+                      damp ? d_k.data() : nullptr);
+        EXPECT_EQ(std::memcmp(y_k.data(), y_b.data(), len * sizeof(double)),
+                  0)
+            << k.name << " pack=" << n << " damp=" << damp;
+        EXPECT_EQ(std::memcmp(d_k.data(), d_b.data(), len * sizeof(double)),
+                  0)
+            << k.name << " pack=" << n << " damp=" << damp;
+      }
     }
   }
+  skip_unless_avx2_checked();
 }
 
 TEST(HexReference, ScalarMatrixIsExactlySymmetric) {
