@@ -17,13 +17,14 @@
 // One step loop serves every mode and every rank count — a serial run is
 // this loop at one rank (partition_sfc(mesh, 1)), where there is no
 // exchange. It is parameterized by a per-rank rate schedule — global dt is
-// the schedule with one rate class, clustered local time stepping
-// (run_lts) one with several — and by a lane count S, the number of
-// scenarios advanced in lockstep (run_batch; S = 1 is the solo layout).
-// run, run_batch and run_lts only choose these two. Three per-run hooks
-// ride on every mode they compose with (see RunControl): initial
-// conditions, the component mask (SolverOptions::fixed_components), and a
-// snapshot callback every k steps.
+// the schedule with one rate class, clustered local time stepping one with
+// several — and by a lane count S, the number of scenarios advanced in
+// lockstep (S = 1 is the solo layout). ParallelSetup::solve is its one
+// entry point: its LtsOptions choose the schedule, its scenario count S,
+// and its fault tolerance composes with both. Three per-run hooks ride on
+// every mode they compose with (see RunControl): initial conditions, the
+// component mask (SolverOptions::fixed_components), and a snapshot
+// callback every k steps.
 //
 // Determinism: the full sum at a shared node is accumulated in ascending
 // rank order on every copy, so all copies of a node compute bit-identical
@@ -104,14 +105,15 @@ struct ParallelResult {
   std::vector<std::vector<std::array<double, 3>>> receiver_histories;
 };
 
-// Fault-tolerance policy for run_parallel (see DESIGN.md "Fault tolerance
-// & checkpointing" and "Localized recovery"). With a checkpoint directory
+// Fault-tolerance policy of a solve (see DESIGN.md "Fault tolerance &
+// checkpointing" and "Localized recovery"). With a checkpoint directory
 // set, each rank writes a CRC32-verified snapshot of its state (u, u_prev,
 // dku_prev, step counter, owned receiver histories) every
-// `checkpoint_every` steps, retaining the last `checkpoint_keep`
-// generations per rank; a snapshot that fails to write (e.g. ENOSPC) is
-// logged and counted (`checkpoint/write_failures`) and the solve continues
-// with the previous generation as the restore target.
+// `checkpoint_every` steps, retaining the last two generations per rank; a
+// snapshot that fails to write (e.g. ENOSPC) is logged and counted
+// (`checkpoint/write_failures`) and the solve continues with the previous
+// generation as the restore target. A batch's cut holds all of its lanes,
+// so every tier below recovers a batch as it does one scenario.
 //
 // Recovery is three-tiered (see DESIGN.md "Localized recovery"). With
 // `max_revives` > 0 a rank failure is first repaired IN PLACE — surviving
@@ -140,11 +142,9 @@ struct ParallelResult {
 struct FaultToleranceOptions {
   std::string checkpoint_dir;         // empty = checkpointing off
   int checkpoint_every = 0;           // steps between snapshots (0 = off)
-  int checkpoint_keep = 2;            // snapshot generations kept per rank
   int max_retries = 0;                // supervised restarts on rank failure
   int max_revives = 0;                // in-place rank revivals before full
                                       // restart (0 = always full-restart)
-  double timeout_seconds = 0.0;       // per blocking comm op (0 = infinite)
   const FaultPlan* fault_plan = nullptr;  // injected faults (testing)
 
   // Survivor state donation: at each checkpoint barrier every rank streams
@@ -165,20 +165,22 @@ struct FaultToleranceOptions {
   // about what one uncompressed interval did, and it keeps replay feasible
   // when a donation generation is lost with the thread holding it), 0 =
   // logging off (every in-place recovery falls back to tier-2 rollback),
-  // > 0 = explicit ring capacity.
+  // > 0 = explicit ring capacity. The log is armed when in-place recovery
+  // is (a checkpoint directory and max_revives > 0) and this is not 0; an
+  // LTS solve rejects an armed log, since its step messages change length
+  // with the active rate classes.
   int message_log_steps = -1;
 };
 
-// Per-run control, taken by run, run_batch and run_lts alike. With none of
-// its fields set the step loop allocates nothing for it and does no extra
-// per-dof work.
+// Per-run control of a solve, in every mode. With none of its fields set
+// the step loop allocates nothing for it and does no extra per-dof work.
 //
 // Cooperative stop (service workloads): a cancel flag and a wall-clock
-// deadline, both checked at step boundaries. Every `check_every` steps each
-// rank evaluates its local stop condition and the ranks agree by
-// all-reduce, so all of them leave the step loop at the same step and the
-// exchange pattern never tears. With no flag and no deadline the step loop
-// carries zero extra synchronization.
+// deadline, both checked at step boundaries. At every step each rank
+// evaluates its local stop condition and the ranks agree by all-reduce, so
+// all of them leave the step loop at the same step and the exchange
+// pattern never tears. With no flag and no deadline the step loop carries
+// zero extra synchronization.
 //
 // Initial conditions: full-length (3 * n_nodes) displacement and velocity
 // at t = 0; an empty span is a quiescent field. The start is second order:
@@ -203,7 +205,6 @@ struct FaultToleranceOptions {
 struct RunControl {
   const std::atomic<bool>* cancel = nullptr;  // set by another thread
   double deadline_seconds = 0.0;  // wall-clock budget from run start; 0 = none
-  int check_every = 1;            // step interval between agreements
 
   std::span<const double> initial_u, initial_v;  // empty = quiescent
 
@@ -219,9 +220,9 @@ struct RunControl {
   }
 };
 
-// One scenario of a batched solve (see ParallelSetup::run_batch and
-// docs/BATCHING.md): its sources and receiver positions. Sources are
-// non-owning and must outlive the solve.
+// One scenario of a solve (see ParallelSetup::solve and docs/BATCHING.md):
+// its sources and receiver positions. Sources are non-owning and must
+// outlive the solve.
 struct BatchScenario {
   std::vector<const solver::SourceModel*> sources;
   std::vector<std::array<double, 3>> receivers;
@@ -232,18 +233,18 @@ struct BatchScenario {
 // point: mesh/setup is expensive, each solve is O(N) per step). Holds the
 // ElasticOperator, the per-rank ghost plans, the global-dt schedule (with
 // the communication-hiding element split), the persistent exchange
-// buffers, and the communicator;
-// `run` executes one scenario (sources, receivers, duration) on that fixed
-// discretization. The referenced mesh and partition must outlive the setup.
+// buffers, and the communicator; `solve` executes scenarios (sources,
+// receivers, duration) on that fixed discretization. The referenced mesh
+// and partition must outlive the setup.
 //
 // dt is part of the shared discretization: it is fixed at construction
 // (from `base.dt` or the CFL bound), so every scenario through one setup
 // integrates on the same time axis and a warm run is bit-identical to a
 // cold run with the same options. So is the component mask
 // `base.fixed_components`. The constructor throws std::invalid_argument
-// when that dt is not positive and finite (e.g. cfl_fraction <= 0); run,
-// run_batch, run_lts and n_steps throw it for a t_end that is not
-// positive and finite, or that would take more than INT_MAX steps.
+// when that dt is not positive and finite (e.g. cfl_fraction <= 0); solve
+// and n_steps throw it for a t_end that is not positive and finite, or
+// that would take more than INT_MAX steps.
 //
 // Runs are serialized internally (the exchange buffers are part of the
 // shared state); concurrent callers queue on a mutex.
@@ -274,53 +275,45 @@ class ParallelSetup {
   // it to pick victim sets that provably do or do not share an edge.
   [[nodiscard]] std::vector<std::vector<int>> neighbor_ranks() const;
 
-  // One forward solve on the shared setup: the step loop with the global-dt
-  // schedule and one lane. The only entry point that takes fault-tolerance
-  // options. A failed run (rank failure with retries exhausted) throws
-  // exactly as run_parallel does and leaves the setup reusable: the next
-  // run starts from clean per-request state.
+  // The forward solve on the shared setup: the one step loop on the rate
+  // schedule `lts` picks, with S = scenarios.size() lanes in lockstep.
+  //
+  //  * Schedule: global dt, or with `lts.enabled` the schedule of the LTS
+  //    clustering (docs/LTS.md; built on first use per max_rate and
+  //    cached), where each node advances at its own power-of-two rate and
+  //    a step-k message carries only the shared nodes whose rate divides
+  //    k. `rank_stats[r].element_updates` counts the work actually done. A
+  //    one-class clustering is bitwise the global-dt solve; multi-rate
+  //    solves agree with it within the tolerance tier of docs/LTS.md.
+  //  * Lanes: one element sweep, constraint fold and ghost-exchange round
+  //    per step serve every scenario (state scenario-major: lane s of dof d
+  //    at d * S + s). Scenario s's result is bitwise that scenario solved
+  //    alone on the same schedule (docs/BATCHING.md).
+  //  * Fault tolerance composes with both (a cut holds every lane). A
+  //    failed solve (retries exhausted) throws as run_parallel does and
+  //    leaves the setup reusable. RunControl's stop applies to the whole
+  //    batch: all scenarios stop at the same step.
+  //
+  // Mode limits, checked before any rank thread starts, throw
+  // std::invalid_argument: a scenario count outside [1,
+  // fem::kMaxBatchLanes]; a bad t_end; LTS with Rayleigh damping (it
+  // couples u^{k-1} across rates; rejected even with one class); LTS with
+  // an armed message log (see message_log_steps); RunControl's limits.
+  std::vector<ParallelResult> solve(double t_end,
+                                    std::span<const BatchScenario> scenarios,
+                                    const lts::LtsOptions& lts = {},
+                                    const FaultToleranceOptions& ft = {},
+                                    const RunControl& control = {});
+
+  // solve() of one scenario on the global-dt schedule.
   ParallelResult run(double t_end,
                      std::span<const solver::SourceModel* const> sources,
                      std::span<const std::array<double, 3>> receiver_positions,
                      const FaultToleranceOptions& ft = {},
                      const RunControl& control = {});
 
-  // S scenarios on the shared setup: the same step loop with the global-dt
-  // schedule and S lanes, advanced in lockstep. One element sweep, one
-  // constraint fold, and one ghost-exchange round per step service every
-  // scenario, with state scenario-major (lane s of dof d at index d * S +
-  // s) and each per-neighbor message carrying all S partial sums. Scenario
-  // s's result is bitwise identical to run() with that scenario's sources
-  // and receivers — the element kernel runs the solo kernel per lane and
-  // every other lane loop is innermost, so per-lane floating-point order
-  // never changes (see docs/BATCHING.md). Between 1 and
-  // fem::kMaxBatchLanes scenarios per call (invalid_argument otherwise).
-  //
-  // Takes no fault-tolerance options (checkpoint state would be
-  // S-entangled); the serving layer only batches requests that carry none.
-  // RunControl cancellation/deadline applies to the whole batch: either
-  // every scenario runs to completion or all stop at the same step.
-  std::vector<ParallelResult> run_batch(
-      double t_end, std::span<const BatchScenario> scenarios,
-      const RunControl& control = {});
-
-  // One forward solve under clustered local time stepping (see docs/LTS.md
-  // and quake::lts): the same step loop with one lane and the schedule of
-  // the LTS clustering (built on first use per max_rate and cached).
-  // Elements are binned into power-of-two CFL rate classes against the
-  // setup's shared dt; each node advances at its own rate, and the
-  // boundary/interior split and coalesced exchange become per-(class,
-  // neighbor) payloads — at fine step k a message carries only the shared
-  // nodes whose rate divides k, so a quiet coarse class exchanges at its
-  // own rate and a step with no active shared nodes on an edge sends
-  // nothing at all. `rank_stats[r].element_updates` (and the
-  // `par/element_updates` counter) measure the work actually done.
-  //
-  // With `lts.enabled == false` this is run() without fault tolerance; a
-  // mesh that clusters into a single rate is likewise bitwise-identical to
-  // run(). Multi-rate runs agree with run() within the tolerance tier
-  // documented in docs/LTS.md. Takes no fault-tolerance options, and
-  // rejects Rayleigh damping (invalid_argument) even with one class.
+  // solve() of one scenario on the schedule `lts` picks, without fault
+  // tolerance.
   ParallelResult run_lts(double t_end,
                          std::span<const solver::SourceModel* const> sources,
                          std::span<const std::array<double, 3>> receiver_positions,
@@ -332,21 +325,16 @@ class ParallelSetup {
   std::unique_ptr<Impl> impl_;
 };
 
-// Runs the partitioned simulation with `part.n_ranks` in-process ranks.
-ParallelResult run_parallel(
-    const mesh::HexMesh& mesh, const Partition& part,
-    const solver::OperatorOptions& op_opt, const solver::SolverOptions& so,
-    std::span<const solver::SourceModel* const> sources,
-    std::span<const std::array<double, 3>> receiver_positions);
-
-// As above, with fault tolerance: supervised retry on rank failure,
-// checkpoint/restart, comm deadlines, and deterministic fault injection.
+// Runs the partitioned simulation with `part.n_ranks` in-process ranks:
+// ParallelSetup::run on a setup built for this one solve, with fault
+// tolerance `ft` (supervised retry on rank failure, checkpoint/restart,
+// in-place recovery, deterministic fault injection).
 ParallelResult run_parallel(
     const mesh::HexMesh& mesh, const Partition& part,
     const solver::OperatorOptions& op_opt, const solver::SolverOptions& so,
     std::span<const solver::SourceModel* const> sources,
     std::span<const std::array<double, 3>> receiver_positions,
-    const FaultToleranceOptions& ft);
+    const FaultToleranceOptions& ft = {});
 
 // Analytic machine model used to translate measured per-rank work and
 // communication volumes into the parallel-efficiency column of Table 2.1

@@ -93,8 +93,8 @@ struct RankLocal {
 // step k the rate classes lg <= cap(k) are active, visited in ascending lg
 // order. Global dt is the one-class instance — built once by
 // ParallelSetup's constructor, with every list whole and in setup order —
-// and run_lts builds a multi-class instance from the LTS clustering with
-// the same builder.
+// and an LTS solve builds a multi-class instance from the LTS clustering
+// with the same builder.
 struct Schedule {
   int n_classes = 1;
   // Per-rate update coefficients for dt_n = 2^lg * dt: dt_n^2 and dt_n / 2
@@ -187,6 +187,14 @@ struct RecvRef {
 // tag keeps the streams from interleaving).
 constexpr int kObsGatherTag = 9;
 
+// A solo solve's one scenario, as ParallelSetup::solve takes it.
+std::array<BatchScenario, 1> one_scenario(
+    std::span<const solver::SourceModel* const> sources,
+    std::span<const std::array<double, 3>> receivers) {
+  return {BatchScenario{{sources.begin(), sources.end()},
+                        {receivers.begin(), receivers.end()}}};
+}
+
 // One solve's state shared by its rank threads (a job of S lockstep
 // scenarios), built by ParallelSetup::Impl::solve before the SPMD launch. A
 // rank thread writes only its own slots: its registry, and its stats, owned
@@ -216,10 +224,10 @@ struct Job {
 // ---------------------------------------------------------------------------
 // ParallelSetup: the amortizable half of run_parallel. The constructor is
 // the serial setup phase (operator, ghost sets with constraint closure,
-// neighbor lists, the global-dt schedule); solve() is the SPMD execution
-// phase with all per-scenario state in solve-local variables. run,
-// run_batch and run_lts are thin wrappers that pick the schedule and the
-// lane count.
+// neighbor lists, the global-dt schedule); solve() checks the mode limits,
+// picks the schedule, and runs Impl::solve, the SPMD execution phase with
+// all per-scenario state in solve-local variables. run and run_lts are
+// solve() of one scenario.
 // ---------------------------------------------------------------------------
 
 struct ParallelSetup::Impl {
@@ -239,7 +247,7 @@ struct ParallelSetup::Impl {
   Communicator comm;
   std::mutex run_mutex;  // exchange buffers are shared: one solve at a time
 
-  // Lazily-built LTS schedule, cached across run_lts calls with the same
+  // Lazily-built LTS schedule, cached across LTS solves with the same
   // max_rate. Guarded by run_mutex.
   std::unique_ptr<Schedule> lts_sched;
   int lts_sched_max_rate = 0;
@@ -417,10 +425,11 @@ struct ParallelSetup::Impl {
   // One rank's run of a solve (see its definition).
   template <class Lanes>
   class RankRun;
-  // The one step loop: the scenarios advance in lockstep on `sched`, one
-  // lane each, with fault tolerance `ft` (only run() passes any) and the
-  // per-run control's stop and hooks. Caller holds run_mutex.
-  std::vector<ParallelResult> solve(const Schedule& sched, double t_end,
+  // The one step loop: the scenarios advance in lockstep on `sched` for
+  // n_steps, one lane each, with fault tolerance `ft` and the per-run
+  // control's stop and hooks. Caller holds run_mutex and has checked the
+  // mode limits (ParallelSetup::solve).
+  std::vector<ParallelResult> solve(const Schedule& sched, int n_steps,
                                     std::span<const BatchScenario> scenarios,
                                     const FaultToleranceOptions& ft,
                                     const RunControl& control);
@@ -691,10 +700,7 @@ class ParallelSetup::Impl::RankRun {
   // (frontier == k0 on an undisturbed run, so nothing changes there) ----
   bool stop_agreed(int k) {
     const RunControl& control = job.control;
-    if (!control.active() || !rec.may_collect(k) ||
-        k % std::max(1, control.check_every) != 0) {
-      return false;
-    }
+    if (!control.active() || !rec.may_collect(k)) return false;
     double want_stop = 0.0;
     if (control.cancel != nullptr &&
         control.cancel->load(std::memory_order_relaxed)) {
@@ -1364,38 +1370,15 @@ class ParallelSetup::Impl::RankRun {
 };
 
 std::vector<ParallelResult> ParallelSetup::Impl::solve(
-    const Schedule& sched, double t_end,
+    const Schedule& sched, int n_steps,
     std::span<const BatchScenario> scenarios, const FaultToleranceOptions& ft,
     const RunControl& control) {
   const std::size_t n_lanes = scenarios.size();
-  Job job(sched, scenarios, control, steps_for(t_end));
-  const int n_steps = job.n_steps;
+  Job job(sched, scenarios, control, n_steps);
   const std::size_t pack = rayleigh ? 2u : 1u;
-
-  // ---- per-run hooks (see RunControl): compose or reject up front ----
   const std::size_t nd_global = op.n_dofs();
   const bool ic_on = !control.initial_u.empty() || !control.initial_v.empty();
   const bool snap_on = static_cast<bool>(control.snapshot);
-  const bool ft_on = !ft.checkpoint_dir.empty() || ft.max_retries > 0 ||
-                     ft.fault_plan != nullptr;
-  if (ic_on && n_lanes > 1) {
-    throw std::invalid_argument(
-        "initial conditions apply to one scenario, not a batch of " +
-        std::to_string(n_lanes));
-  }
-  for (const auto& field : {control.initial_u, control.initial_v}) {
-    if (!field.empty() && field.size() != nd_global) {
-      throw std::invalid_argument(
-          "initial condition has " + std::to_string(field.size()) +
-          " values, expected 3 * n_nodes = " + std::to_string(nd_global));
-    }
-  }
-  if (snap_on && (control.snapshot_every < 1 || ft_on || n_lanes > 1 ||
-                  sched.n_classes > 1)) {
-    throw std::invalid_argument(
-        "the snapshot hook needs snapshot_every >= 1, one scenario, the "
-        "global-dt schedule and no fault-tolerance options");
-  }
 
   // Initial state, computed once and serially on the setup's own operator
   // with the projections of eq. 2.5: the expanded u0 and
@@ -1475,20 +1458,18 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
   if (ckpt_on) std::filesystem::create_directories(ft.checkpoint_dir);
 
   // Per-run fault policy on the shared communicator: install THIS run's plan
-  // (or clear a previous run's), reset the timeout, and re-arm recovery —
-  // comm.run() itself resets mailbox/barrier/poison state, so a request that
-  // died last run leaves nothing behind for this one.
+  // (or clear a previous run's) and re-arm recovery — comm.run() itself
+  // resets mailbox/barrier/poison state, so a request that died last run
+  // leaves nothing behind for this one.
   if (ft.fault_plan != nullptr) {
     comm.install_fault_plan(*ft.fault_plan);
   } else {
     comm.clear_fault_plan();
   }
-  comm.set_timeout(ft.timeout_seconds > 0.0 ? ft.timeout_seconds : 0.0);
   // In-place recovery needs snapshots to roll back to; without them every
   // failure goes straight to the full-restart supervisor as before.
   policy.in_place = ckpt_on && ft.max_revives > 0;
   comm.set_recovery({policy.in_place, ft.max_revives});
-  policy.keep = std::max(1, ft.checkpoint_keep);
   // Tier-1 machinery (see FaultToleranceOptions): buddy-shadow donation and
   // the per-neighbor outbound message log. Both only pay their cost when
   // in-place recovery is armed.
@@ -1593,59 +1574,80 @@ int ParallelSetup::n_steps(double t_end) const {
   return impl_->steps_for(t_end);
 }
 
+std::vector<ParallelResult> ParallelSetup::solve(
+    double t_end, std::span<const BatchScenario> scenarios,
+    const lts::LtsOptions& lts, const FaultToleranceOptions& ft,
+    const RunControl& control) {
+  Impl& im = *impl_;
+  const std::lock_guard<std::mutex> run_lock(im.run_mutex);
+
+  // ---- every mode limit, before any rank thread starts; all other
+  // combinations of schedule, lanes, fault tolerance and hooks compose ----
+  const std::size_t n_lanes = scenarios.size();
+  if (n_lanes == 0 || n_lanes > static_cast<std::size_t>(fem::kMaxBatchLanes)) {
+    throw std::invalid_argument("solve: scenario count must be in [1, " +
+                                std::to_string(fem::kMaxBatchLanes) + "]");
+  }
+  const int n_steps = im.steps_for(t_end);
+  if (lts.enabled && im.rayleigh) {
+    throw std::invalid_argument(
+        "solve: Rayleigh damping couples u^{k-1} across rates; use the "
+        "global-dt schedule");
+  }
+  // The tier-1 log keeps each neighbor's step messages at one length; a
+  // multi-rate step's message length follows its active classes.
+  if (lts.enabled && !ft.checkpoint_dir.empty() && ft.max_revives > 0 &&
+      ft.message_log_steps != 0) {
+    throw std::invalid_argument(
+        "solve: LTS keeps no message log for tier-1 replay; set "
+        "FaultToleranceOptions::message_log_steps = 0 to recover in place "
+        "by tier-2 rollback");
+  }
+  // The per-run hooks (see RunControl).
+  const std::size_t nd_global = im.op.n_dofs();
+  if (n_lanes > 1 &&
+      (!control.initial_u.empty() || !control.initial_v.empty())) {
+    throw std::invalid_argument(
+        "initial conditions apply to one scenario, not a batch of " +
+        std::to_string(n_lanes));
+  }
+  for (const auto& field : {control.initial_u, control.initial_v}) {
+    if (!field.empty() && field.size() != nd_global) {
+      throw std::invalid_argument(
+          "initial condition has " + std::to_string(field.size()) +
+          " values, expected 3 * n_nodes = " + std::to_string(nd_global));
+    }
+  }
+  const Schedule& sched =
+      lts.enabled ? im.lts_schedule(lts.max_rate) : im.global;
+  const bool ft_on = !ft.checkpoint_dir.empty() || ft.max_retries > 0 ||
+                     ft.fault_plan != nullptr;
+  if (control.snapshot && (control.snapshot_every < 1 || ft_on ||
+                           n_lanes > 1 || sched.n_classes > 1)) {
+    throw std::invalid_argument(
+        "the snapshot hook needs snapshot_every >= 1, one scenario, the "
+        "global-dt schedule and no fault-tolerance options");
+  }
+
+  return im.solve(sched, n_steps, scenarios, ft, control);
+}
+
 ParallelResult ParallelSetup::run(
     double t_end, std::span<const solver::SourceModel* const> sources,
     std::span<const std::array<double, 3>> receiver_positions,
     const FaultToleranceOptions& ft, const RunControl& control) {
-  const BatchScenario one{
-      {sources.begin(), sources.end()},
-      {receiver_positions.begin(), receiver_positions.end()}};
-  const std::lock_guard<std::mutex> run_lock(impl_->run_mutex);
-  return std::move(
-      impl_->solve(impl_->global, t_end, {&one, 1}, ft, control).front());
-}
-
-std::vector<ParallelResult> ParallelSetup::run_batch(
-    double t_end, std::span<const BatchScenario> scenarios,
-    const RunControl& control) {
-  if (scenarios.empty() ||
-      scenarios.size() > static_cast<std::size_t>(fem::kMaxBatchLanes)) {
-    throw std::invalid_argument("run_batch: scenario count must be in [1, " +
-                                std::to_string(fem::kMaxBatchLanes) + "]");
-  }
-  const std::lock_guard<std::mutex> run_lock(impl_->run_mutex);
-  return impl_->solve(impl_->global, t_end, scenarios, {}, control);
+  return std::move(solve(t_end, one_scenario(sources, receiver_positions),
+                         {}, ft, control)
+                       .front());
 }
 
 ParallelResult ParallelSetup::run_lts(
     double t_end, std::span<const solver::SourceModel* const> sources,
     std::span<const std::array<double, 3>> receiver_positions,
     const lts::LtsOptions& lts, const RunControl& control) {
-  if (!lts.enabled) {
-    return run(t_end, sources, receiver_positions, FaultToleranceOptions{},
-               control);
-  }
-  if (impl_->rayleigh) {
-    throw std::invalid_argument(
-        "run_lts: Rayleigh damping couples u^{k-1} across rates; use the "
-        "global-dt path");
-  }
-  const BatchScenario one{
-      {sources.begin(), sources.end()},
-      {receiver_positions.begin(), receiver_positions.end()}};
-  const std::lock_guard<std::mutex> run_lock(impl_->run_mutex);
-  return std::move(impl_->solve(impl_->lts_schedule(lts.max_rate), t_end,
-                                {&one, 1}, {}, control)
+  return std::move(solve(t_end, one_scenario(sources, receiver_positions),
+                         lts, {}, control)
                        .front());
-}
-
-ParallelResult run_parallel(
-    const mesh::HexMesh& mesh, const Partition& part,
-    const solver::OperatorOptions& op_opt, const solver::SolverOptions& so,
-    std::span<const solver::SourceModel* const> sources,
-    std::span<const std::array<double, 3>> receiver_positions) {
-  return run_parallel(mesh, part, op_opt, so, sources, receiver_positions,
-                      FaultToleranceOptions{});
 }
 
 ParallelResult run_parallel(

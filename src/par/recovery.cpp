@@ -123,7 +123,7 @@ void Recovery::log_post(std::size_t nb, int k, std::span<const double> msg) {
 
 Recovery::DiskCands Recovery::load_disk_candidates() const {
   DiskCands d;
-  for (int gen = 0; gen < p_.keep; ++gen) {
+  for (int gen = 0; gen < kGenerations; ++gen) {
     std::vector<double> cut;
     const util::SnapshotLoadStatus st = util::load_snapshot_status(
         util::snapshot_generation_path(path_, gen), &cut);
@@ -535,7 +535,8 @@ void Recovery::checkpoint(int k) {
       obs::counter_add("checkpoint/write_retries", 1);
       std::this_thread::sleep_for(std::chrono::milliseconds(1 << (a - 1)));
     }
-    saved = util::save_snapshot_rotating(path_, shadow_, p_.keep, &ckpt_err);
+    saved =
+        util::save_snapshot_rotating(path_, shadow_, kGenerations, &ckpt_err);
   }
   if (saved) {
     obs::counter_add("ckpt/writes", 1);
@@ -596,7 +597,7 @@ void Recovery::report_log() const {
 void Recovery::remove_cuts(const Policy& policy, int n_ranks) {
   for (int rr = 0; rr < n_ranks; ++rr) {
     const std::string path = ckpt_path(policy.dir, rr);
-    for (int gen = 0; gen <= policy.keep; ++gen) {
+    for (int gen = 0; gen <= kGenerations; ++gen) {
       std::remove(util::snapshot_generation_path(path, gen).c_str());
     }
     std::remove((path + ".tmp").c_str());

@@ -30,11 +30,13 @@ class Recovery {
   struct Policy {
     std::string dir;        // checkpoint directory; empty = no cuts
     int every = 0;          // steps between cuts (0 = none)
-    int keep = 1;           // disk generations kept per rank
     bool in_place = false;  // in-place recovery armed
     bool donate = false;    // buddy-shadow donation
     int log_cap = 0;        // message-log ring capacity in steps (0 = off)
   };
+  // Disk generations of its cut each rank keeps: the newest, and the one
+  // before it for when the newest is lost or corrupt.
+  static constexpr int kGenerations = 2;
   // What a cut holds: three state vectors of equal length and the rank's
   // owned receiver histories, in its receiver order.
   struct State {

@@ -12,13 +12,14 @@
 // ScenarioRequests through a sharded, bounded admission queue: one shard
 // and one worker per lane, requests routed to the shallowest shard. A lane
 // may additionally coalesce up to `max_batch` compatible waiting requests
-// into one scenario-batched solve (ParallelSetup::run_batch) so S requests
-// share one element sweep and one ghost-exchange round per step — with
-// results bitwise identical to running them one at a time.
+// into one scenario-batched solve so S requests share one element sweep
+// and one ghost-exchange round per step — with results bitwise identical
+// to running them one at a time. Every pickup, solo or batched, is one
+// ParallelSetup::solve.
 //
 // Isolation semantics: all mutable solver state (displacement vectors,
 // receiver histories, telemetry registries, fault-plan cursors) is
-// per-request inside ParallelSetup::run. A request that dies — e.g. via an
+// per-request inside ParallelSetup::solve. A request that dies — e.g. via an
 // injected FaultPlan with retries exhausted — completes exceptionally with
 // kFailed and the service keeps serving; the communicator resets itself at
 // the start of the next run.
@@ -78,7 +79,7 @@ struct ScenarioRequest {
   par::FaultToleranceOptions ft;
 
   // Service-level degradation: when the solve's own revival/restart budget
-  // is spent (ParallelSetup::run throws a rank-failure), the worker retries
+  // is spent (ParallelSetup::solve throws a rank-failure), the worker retries
   // the whole request up to `max_attempts` times total. Only recoverable
   // faults are retried — deadlocks and setup errors are deterministic and
   // fail immediately. Each extra attempt bumps `svc/retries` and marks the
@@ -162,10 +163,10 @@ struct ServiceOptions {
 
   // Scenario batching (see docs/BATCHING.md): a lane picking up a
   // batchable request coalesces up to `max_batch` compatible waiting
-  // requests from its shard into one run_batch solve. A request is
-  // batchable iff it carries no deadline, no retry budget, and no fault
-  // tolerance; batch partners must share t_end. 1 = batching off. Must not
-  // exceed fem::kMaxBatchLanes.
+  // requests from its shard into one solve. A request is batchable iff it
+  // carries no deadline, no retry budget, and no fault tolerance; batch
+  // partners must share t_end. 1 = batching off. Must not exceed
+  // fem::kMaxBatchLanes.
   int max_batch = 1;
 
   // Aggregation window: with max_batch > 1, how long a lane holds an
@@ -178,8 +179,8 @@ class SimulationService {
  public:
   using Options = ServiceOptions;
 
-  // Builds the shared setup (the expensive phase) synchronously and starts
-  // the worker. `mesh` and `part` must outlive the service.
+  // Builds each lane's setup (the expensive phase) synchronously and starts
+  // the workers. `mesh` and `part` must outlive the service.
   SimulationService(const mesh::HexMesh& mesh, const par::Partition& part,
                     const solver::OperatorOptions& op_opt,
                     const solver::SolverOptions& base, Options opt = {});
@@ -219,8 +220,8 @@ class SimulationService {
   // Waiting requests summed across every shard (in-flight not counted).
   [[nodiscard]] std::size_t queue_depth() const;
   [[nodiscard]] int lanes() const { return opt_.lanes; }
-  [[nodiscard]] const par::ParallelSetup& setup() const { return setup_; }
-  [[nodiscard]] double dt() const { return setup_.dt(); }
+  // The shared time step (every lane's setup has the same).
+  [[nodiscard]] double dt() const;
 
   // Point-in-time service metrics snapshot: the svc/requests_* counters,
   // the svc/retries, svc/batches, and svc/batched_requests counters, the
@@ -246,8 +247,6 @@ class SimulationService {
   // One pickup: a solo request or a coalesced batch, run as one solve.
   void execute(Lane& lane, std::vector<std::unique_ptr<Pending>> group);
 
-  par::ParallelSetup setup_;  // lane 0's setup (the setup() accessor)
-  std::vector<std::unique_ptr<par::ParallelSetup>> replica_setups_;  // lanes 1+
   const Options opt_;
 
   mutable std::mutex mu_;             // guards every shard + running state

@@ -24,12 +24,12 @@ double counter_sum(const obs::MergedReport& m, const std::string& key) {
   return it == m.counters.end() ? 0.0 : it->second.sum;
 }
 
-// A request may join a scenario batch only when nothing about it needs the
-// per-request machinery the batched path does not carry: no end-to-end
-// deadline (the whole batch would inherit the tightest one), no
-// service-level retry budget, and no fault tolerance of any kind
-// (run_batch deliberately supports none — see docs/BATCHING.md for the
-// coalescing contract). Batch partners must additionally share t_end.
+// A request may join a scenario batch only when it carries nothing that is
+// per solve: a batch is one solve, so its members would share one fault-
+// tolerance policy, one deadline and one retry budget. So: no end-to-end
+// deadline, no service-level retry budget and no fault tolerance of any
+// kind (see docs/BATCHING.md for the coalescing contract). Batch partners
+// must additionally share t_end.
 bool batchable(const ScenarioRequest& r) {
   return r.deadline_seconds == 0.0 && r.max_attempts <= 1 &&
          r.ft.checkpoint_dir.empty() && r.ft.fault_plan == nullptr &&
@@ -48,13 +48,18 @@ struct SimulationService::Pending {
   std::shared_ptr<std::atomic<bool>> cancel_flag;
 };
 
-// One worker lane: a ParallelSetup replica, its shard of the admission
-// queue, and what it is currently running. `queue` and the running_* state
-// are guarded by the service-wide mu_; the counters are atomics so
-// metrics() reads them without blocking admission.
+// One worker lane: its own ParallelSetup, its shard of the admission queue,
+// and what it is currently running. `queue` and the running_* state are
+// guarded by the service-wide mu_; the counters are atomics so metrics()
+// reads them without blocking admission.
 struct SimulationService::Lane {
-  int index = 0;
-  par::ParallelSetup* setup = nullptr;
+  Lane(int index, const mesh::HexMesh& mesh, const par::Partition& part,
+       const solver::OperatorOptions& op_opt,
+       const solver::SolverOptions& base)
+      : index(index), setup(mesh, part, op_opt, base) {}
+
+  const int index;
+  par::ParallelSetup setup;
   std::deque<std::unique_ptr<Pending>> queue;
 
   // In-flight request ids and their per-request cancel flags (parallel
@@ -79,7 +84,7 @@ SimulationService::SimulationService(const mesh::HexMesh& mesh,
                                      const solver::OperatorOptions& op_opt,
                                      const solver::SolverOptions& base,
                                      Options opt)
-    : setup_(mesh, part, op_opt, base), opt_(opt) {
+    : opt_(opt) {
   if (opt_.lanes < 1) {
     throw std::invalid_argument("SimulationService: lanes must be >= 1");
   }
@@ -89,18 +94,9 @@ SimulationService::SimulationService(const mesh::HexMesh& mesh,
         std::to_string(fem::kMaxBatchLanes) + "]");
   }
   paused_ = opt_.start_paused;
-  replica_setups_.reserve(static_cast<std::size_t>(opt_.lanes - 1));
-  for (int k = 1; k < opt_.lanes; ++k) {
-    replica_setups_.push_back(
-        std::make_unique<par::ParallelSetup>(mesh, part, op_opt, base));
-  }
   lanes_.reserve(static_cast<std::size_t>(opt_.lanes));
   for (int k = 0; k < opt_.lanes; ++k) {
-    auto lane = std::make_unique<Lane>();
-    lane->index = k;
-    lane->setup =
-        k == 0 ? &setup_ : replica_setups_[static_cast<std::size_t>(k - 1)].get();
-    lanes_.push_back(std::move(lane));
+    lanes_.push_back(std::make_unique<Lane>(k, mesh, part, op_opt, base));
   }
   for (auto& lane : lanes_) {
     Lane* l = lane.get();
@@ -245,6 +241,8 @@ void SimulationService::wait_idle() {
     return true;
   });
 }
+
+double SimulationService::dt() const { return lanes_.front()->setup.dt(); }
 
 std::size_t SimulationService::queue_depth() const {
   const std::lock_guard<std::mutex> lk(mu_);
@@ -426,17 +424,16 @@ void SimulationService::worker_loop(Lane& lane) {
   }
 }
 
-// One worker pickup: a group of 1..max_batch requests. A group of one is a
-// ParallelSetup::run with the request's fault tolerance and remaining
-// budget; a larger group is one run_batch solve whose members advance in
-// lockstep, each bitwise identical to a solo run (docs/BATCHING.md). The
-// members of a larger group are batchable(): no deadline, no retry budget,
-// no fault tolerance.
+// One worker pickup: a group of 1..max_batch requests, run as one
+// ParallelSetup::solve with the head's fault tolerance and remaining
+// budget. The members of a larger group advance in lockstep, each bitwise
+// identical to a solo run (docs/BATCHING.md), and are batchable(): no
+// deadline, no retry budget, no fault tolerance.
 void SimulationService::execute(Lane& lane,
                                 std::vector<std::unique_ptr<Pending>> group) {
   const std::size_t B = group.size();
   const Pending& head = *group.front();
-  par::ParallelSetup& setup = *lane.setup;
+  par::ParallelSetup& setup = lane.setup;
   const std::uint64_t exec_base =
       exec_counter_.fetch_add(B, std::memory_order_relaxed) + 1;
   lane.requests.fetch_add(static_cast<std::int64_t>(B),
@@ -545,13 +542,7 @@ void SimulationService::execute(Lane& lane,
         ++attempts;
         try {
           QUAKE_OBS_SCOPE("solve");
-          if (B == 1) {
-            solves.push_back(setup.run(head.req.t_end, scenarios[0].sources,
-                                       scenarios[0].receivers, head.req.ft,
-                                       ctl));
-          } else {
-            solves = setup.run_batch(head.req.t_end, scenarios, ctl);
-          }
+          solves = setup.solve(head.req.t_end, scenarios, {}, head.req.ft, ctl);
           break;
         } catch (const par::DeadlockError& e) {
           error = e.what();

@@ -100,7 +100,7 @@ TEST(EdgeCases, SolverRejectsBadTimeSetup) {
       EXPECT_THROW(setup.run_lts(t_end, {}, rxs, lts_on),
                    std::invalid_argument);
       const par::BatchScenario one{{}, {rxs.begin(), rxs.end()}};
-      EXPECT_THROW(setup.run_batch(t_end, {&one, 1}), std::invalid_argument);
+      EXPECT_THROW(setup.solve(t_end, {&one, 1}), std::invalid_argument);
     }
   }
   // The setup stays usable after the rejections.
@@ -214,7 +214,7 @@ TEST(EdgeCases, InitialConditionSizeChecked) {
   par::RunControl ctl;
   ctl.initial_u = right;
   const std::vector<par::BatchScenario> two(2);
-  EXPECT_THROW(setup.run_batch(0.01, two, ctl), std::invalid_argument);
+  EXPECT_THROW(setup.solve(0.01, two, {}, {}, ctl), std::invalid_argument);
   EXPECT_NO_THROW(setup.run(0.01, {}, {}, {}, ctl));
 }
 

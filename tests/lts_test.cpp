@@ -560,7 +560,7 @@ TEST(LtsParallel, CrossModeReuseMatchesColdSetups) {
   lo.enabled = true;
   lo.max_rate = 32;
 
-  const auto batch = warm.run_batch(so.t_end, scenarios);
+  const auto batch = warm.solve(so.t_end, scenarios);
   const par::ParallelResult killed = warm.run(so.t_end, one, rxs, ft);
   EXPECT_GE(killed.revives_used, 1);
   const par::ParallelResult lts_run = warm.run_lts(so.t_end, one, rxs, lo);
@@ -568,7 +568,7 @@ TEST(LtsParallel, CrossModeReuseMatchesColdSetups) {
 
   {
     par::ParallelSetup cold(mesh, part, oo, so);
-    const auto want = cold.run_batch(so.t_end, scenarios);
+    const auto want = cold.solve(so.t_end, scenarios);
     ASSERT_EQ(batch.size(), want.size());
     for (std::size_t s = 0; s < want.size(); ++s) {
       EXPECT_TRUE(same_bits(batch[s], want[s])) << "batch lane " << s;
@@ -594,8 +594,8 @@ TEST(LtsParallel, CrossModeReuseMatchesColdSetups) {
 }
 
 // RunControl reaches run_lts: a pre-set cancel flag stops the solve at the
-// first agreement (step 0 with check_every 3) with nothing recorded, and the
-// setup stays reusable — the next run_lts equals a cold setup's.
+// first agreement (step 0) with nothing recorded, and the setup stays
+// reusable — the next run_lts equals a cold setup's.
 TEST(LtsParallel, CancelStopsAtAgreementAndSetupStaysReusable) {
   const auto mesh = small_basin_mesh();
   solver::OperatorOptions oo;
@@ -615,7 +615,6 @@ TEST(LtsParallel, CancelStopsAtAgreementAndSetupStaysReusable) {
   std::atomic<bool> cancel{true};
   par::RunControl ctl;
   ctl.cancel = &cancel;
-  ctl.check_every = 3;
   const par::ParallelResult stopped =
       setup.run_lts(so.t_end, sources, rxs, lo, ctl);
   EXPECT_TRUE(stopped.cancelled);

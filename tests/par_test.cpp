@@ -1,7 +1,7 @@
 // Tests for the SPMD substrate: communicator semantics, SFC partitioning,
 // equivalence of the step loop with the serial reference stepper, fault
-// tolerance, batching, and the per-run hooks (initial conditions, the
-// component mask, snapshots).
+// tolerance, batching, the per-run hooks (initial conditions, the component
+// mask, snapshots), and the matrix of what composes in ParallelSetup::solve.
 
 #include <gtest/gtest.h>
 
@@ -1944,7 +1944,7 @@ TEST(ParallelStats, BoundaryInteriorSplitReported) {
   EXPECT_DOUBLE_EQ(r1.rank_stats[0].overlap_fraction, 0.0);
 }
 
-// ---- scenario-batched solves (run_batch, docs/BATCHING.md) ----------------
+// ---- scenario-batched solves (docs/BATCHING.md) ---------------------------
 
 // The batching guarantee: S scenarios advanced in lockstep through one
 // element sweep and one exchange round per step produce results BITWISE
@@ -1988,7 +1988,7 @@ TEST_P(ParallelBatch, BatchMatchesSequentialBitwise) {
   }
 
   const std::vector<ParallelResult> batched =
-      setup.run_batch(so.t_end, scenarios);
+      setup.solve(so.t_end, scenarios);
   ASSERT_EQ(batched.size(), static_cast<std::size_t>(S));
   for (int s = 0; s < S; ++s) {
     const ParallelResult& a = sequential[static_cast<std::size_t>(s)];
@@ -2020,10 +2020,10 @@ TEST(ParallelBatchControl, WidthValidated) {
   so.t_end = 0.5;
   const Partition part = partition_sfc(mesh, 2);
   ParallelSetup setup(mesh, part, oo, so);
-  EXPECT_THROW(setup.run_batch(so.t_end, {}), std::invalid_argument);
+  EXPECT_THROW(setup.solve(so.t_end, {}), std::invalid_argument);
   const std::vector<BatchScenario> too_many(
       static_cast<std::size_t>(fem::kMaxBatchLanes) + 1);
-  EXPECT_THROW(setup.run_batch(so.t_end, too_many), std::invalid_argument);
+  EXPECT_THROW(setup.solve(so.t_end, too_many), std::invalid_argument);
 }
 
 // RunControl applies batch-wide: a cancelled batch stops every scenario at
@@ -2048,7 +2048,7 @@ TEST(ParallelBatchControl, CancelStopsAllScenariosTogether) {
   RunControl ctl;
   ctl.cancel = &cancel;
   const std::vector<ParallelResult> stopped =
-      setup.run_batch(so.t_end, scenarios, ctl);
+      setup.solve(so.t_end, scenarios, {}, {}, ctl);
   ASSERT_EQ(stopped.size(), 2u);
   EXPECT_TRUE(stopped[0].cancelled);
   EXPECT_TRUE(stopped[1].cancelled);
@@ -2155,7 +2155,7 @@ TEST(ParallelHooks, IcAndMaskMatchReferenceStepperBitwise) {
     const solver::PointSource other(mesh, {6000.0, 12000.0, 3000.0},
                                     {0.2, 1.0, 0.5}, 1e12, 0.03, 0.0);
     const std::vector<BatchScenario> batch = {{{&src}, rxs}, {{&other}, rxs}};
-    const std::vector<ParallelResult> lanes = setup.run_batch(so.t_end, batch);
+    const std::vector<ParallelResult> lanes = setup.solve(so.t_end, batch);
     for (std::size_t s = 0; s < batch.size(); ++s) {
       EXPECT_TRUE(same_bits(
           lanes[s], setup.run(so.t_end, batch[s].sources, rxs)))
@@ -2313,7 +2313,7 @@ TEST(ParallelHooks, SnapshotRejectedWithFtBatchOrMultiRateLts) {
     EXPECT_THROW(setup.run(so.t_end, {}, {}, *ft, ctl), std::invalid_argument);
   }
   const std::vector<BatchScenario> two(2), one(1);
-  EXPECT_THROW(setup.run_batch(so.t_end, two, ctl), std::invalid_argument);
+  EXPECT_THROW(setup.solve(so.t_end, two, {}, {}, ctl), std::invalid_argument);
   lts::LtsOptions lts;
   lts.enabled = true;
   lts.max_rate = 32;
@@ -2325,10 +2325,168 @@ TEST(ParallelHooks, SnapshotRejectedWithFtBatchOrMultiRateLts) {
   EXPECT_EQ(calls, 0);
 
   const int n_steps = setup.n_steps(so.t_end);
-  setup.run_batch(so.t_end, one, ctl);
+  setup.solve(so.t_end, one, {}, {}, ctl);
   lts.max_rate = 1;  // one rate class
   setup.run_lts(so.t_end, {}, {}, lts, ctl);
   EXPECT_EQ(calls, 2 * n_steps);
+}
+
+
+// ---- the composition matrix: every mode through the one solve ------------
+
+// Obs is on so the tier-1 cells can read their rollback counter.
+class SolveMatrix : public ::testing::Test {
+ protected:
+  void SetUp() override { quake::obs::set_enabled(true); }
+  void TearDown() override { quake::obs::set_enabled(false); }
+};
+
+// What composes, cell by cell: {solo, batch of 4, LTS, batch x LTS} x
+// {no fault tolerance, checkpoint + full restart (tier 3), in-place
+// recovery with the message log (tier 1), in place without it (tier 2)} x
+// Rayleigh {off, on} x {1, 2, 4} ranks through ParallelSetup::solve. Each
+// fault-tolerant cell kills rank R - 1 once, at step 2n/3, with
+// checkpoints every n/4. A cell either equals, lane for lane and bit for
+// bit, each lane's fault-free solo solve on the same schedule and setup
+// (its anchor), or throws std::invalid_argument before any rank starts,
+// after which the setup still reproduces the anchor. The rejected cells
+// are exactly solve's mode limits: LTS with Rayleigh damping, and LTS with
+// an armed message log (at one rank too, which has nothing to log).
+TEST_F(SolveMatrix, EveryModeFtDampingAndRankCountCell) {
+  const auto mesh = small_basin_mesh();
+  solver::SolverOptions so;
+  so.t_end = 1.0;
+  so.cfl_fraction = 0.4;
+  std::vector<solver::PointSource> srcs;
+  srcs.reserve(4);
+  for (int s = 0; s < 4; ++s) {
+    srcs.emplace_back(mesh,
+                      std::array<double, 3>{6000.0 + 2000.0 * s,
+                                            14000.0 - 1500.0 * s, 3000.0},
+                      std::array<double, 3>{1.0, 0.5 * s, 0.2}, 1e12,
+                      0.03 + 0.002 * s, 40.0 - 2.0 * s);
+  }
+  const std::vector<std::array<double, 3>> rxs = {{14000.0, 9000.0, 0.0},
+                                                  {6000.0, 11000.0, 0.0}};
+  std::vector<BatchScenario> lanes;
+  for (const auto& src : srcs) lanes.push_back({{&src}, rxs});
+
+  lts::LtsOptions schedules[2];  // [0] global dt, [1] LTS
+  schedules[1].enabled = true;
+  schedules[1].max_rate = 32;
+  struct Mode {
+    const char* name;
+    std::size_t lanes;
+    bool lts;
+  };
+  const Mode modes[] = {{"solo", 1, false},
+                        {"batch4", 4, false},
+                        {"lts", 1, true},
+                        {"batch4_lts", 4, true}};
+  enum class Ft { kOff, kRestart, kReplay, kRollback };
+  const std::pair<const char*, Ft> tiers[] = {{"off", Ft::kOff},
+                                              {"restart", Ft::kRestart},
+                                              {"replay", Ft::kReplay},
+                                              {"rollback", Ft::kRollback}};
+
+  int bitwise = 0, rejected = 0;
+  for (const bool rayleigh : {false, true}) {
+    solver::OperatorOptions oo;
+    oo.abc = fem::AbcType::kStacey;
+    oo.rayleigh = rayleigh;
+    oo.damping_f_min = 0.01;
+    oo.damping_f_max = 0.05;
+    for (const int R : {1, 2, 4}) {
+      const Partition part = partition_sfc(mesh, R);
+      ParallelSetup setup(mesh, part, oo, so);
+      const int n = setup.n_steps(so.t_end);
+      ASSERT_GT(2 * n / 3, std::max(1, n / 4));
+
+      // anchor[l][s]: lane s alone on schedule l, fault-free; none for the
+      // LTS schedule with damping, which solve rejects.
+      std::vector<ParallelResult> anchor[2];
+      const auto solo = [&](int l, std::size_t s) {
+        return std::move(
+            setup.solve(so.t_end, {&lanes[s], 1}, schedules[l]).front());
+      };
+      for (const int l : {0, 1}) {
+        if (l == 1 && rayleigh) continue;
+        for (std::size_t s = 0; s < lanes.size(); ++s) {
+          anchor[l].push_back(solo(l, s));
+        }
+      }
+      if (!rayleigh) {  // the LTS cells run several rate classes
+        ASSERT_GT(anchor[1][0].obs_summary.gauges.at("par/lts_n_classes").max,
+                  1.0);
+      }
+
+      for (const Mode& mode : modes) {
+        for (const auto& [tier_name, tier] : tiers) {
+          const std::string cell = std::string(mode.name) + "_" + tier_name +
+                                   (rayleigh ? "_rayleigh" : "") + "_R" +
+                                   std::to_string(R);
+          SCOPED_TRACE(cell);
+          const std::filesystem::path dir =
+              std::filesystem::temp_directory_path() /
+              ("quake_solve_matrix_" + cell);
+          std::filesystem::remove_all(dir);
+          FaultPlan plan;
+          FaultToleranceOptions ft;
+          if (tier != Ft::kOff) {
+            plan.kills.push_back({/*rank=*/R - 1, /*step=*/2 * n / 3});
+            ft.checkpoint_dir = dir.string();
+            ft.checkpoint_every = std::max(1, n / 4);
+            ft.fault_plan = &plan;
+            ft.max_retries = 1;  // at one rank in place falls back to it
+            if (tier != Ft::kRestart) ft.max_revives = 2;
+            if (tier == Ft::kRollback) ft.message_log_steps = 0;
+          }
+          const int l = mode.lts ? 1 : 0;
+          const bool limit = mode.lts && (rayleigh || tier == Ft::kReplay);
+
+          std::vector<ParallelResult> got;
+          bool threw = false;
+          try {
+            got = setup.solve(so.t_end, {lanes.data(), mode.lanes},
+                              schedules[l], ft);
+          } catch (const std::invalid_argument&) {
+            threw = true;
+          }
+          EXPECT_EQ(threw, limit);
+          if (threw) {
+            ++rejected;
+            // No rank started: a solve creates its checkpoint directory
+            // before it launches them.
+            EXPECT_FALSE(std::filesystem::exists(dir));
+            const int al = anchor[l].empty() ? 0 : l;
+            EXPECT_TRUE(same_bits(solo(al, 0), anchor[al][0]));
+          } else {
+            ASSERT_EQ(got.size(), mode.lanes);
+            bool all = true;
+            for (std::size_t s = 0; s < mode.lanes; ++s) {
+              const bool same = same_bits(got[s], anchor[l][s]);
+              EXPECT_TRUE(same) << "lane " << s;
+              all = all && same;
+            }
+            bitwise += all ? 1 : 0;
+            // The planted kill fired and was recovered from: in place
+            // where there are survivors, else by a full restart.
+            const bool in_place = tier != Ft::kOff && tier != Ft::kRestart;
+            EXPECT_EQ(got[0].revives_used, in_place && R > 1 ? 1 : 0);
+            if (tier != Ft::kOff && !(in_place && R > 1)) {
+              EXPECT_EQ(counter_sum(got[0], "ft/attempts"), 2.0 * R);
+            }
+            if (tier == Ft::kReplay && R > 1) {
+              EXPECT_EQ(counter_sum(got[0], "par/steps_rolled_back"), 0.0);
+            }
+          }
+          std::filesystem::remove_all(dir);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(bitwise, 66);
+  EXPECT_EQ(rejected, 30);
 }
 
 }  // namespace

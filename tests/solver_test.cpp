@@ -26,6 +26,7 @@
 #include "quake/solver/sparse_engine.hpp"
 #include "quake/util/rng.hpp"
 #include "quake/util/stats.hpp"
+#include "recovery.hpp"
 #include "reference_stepper.hpp"
 
 namespace {
@@ -687,7 +688,7 @@ TEST(Solver, CorruptedCheckpointIgnored) {
     std::fclose(f);
     ++corrupted;
   }
-  ASSERT_EQ(corrupted, ft.checkpoint_keep);
+  ASSERT_EQ(corrupted, par::Recovery::kGenerations);
 
   ft.fault_plan = nullptr;
   const par::ParallelResult resumed = setup.run(so.t_end, {}, {}, ft);

@@ -646,10 +646,10 @@ TEST(MultiLane, CancelAndDeadlineRaceAcrossLanes) {
   EXPECT_EQ(t_ok.result.get().status, svc::RequestStatus::kCompleted);
 }
 
-// ---- scenario batching (run_batch coalescing, docs/BATCHING.md) -----------
+// ---- scenario batching (coalescing, docs/BATCHING.md) ---------------------
 
 // A paused shard filled with batchable requests drains as coalesced
-// run_batch solves — counted as such, and bitwise identical to the cold
+// batch solves — counted as such, and bitwise identical to the cold
 // one-at-a-time baseline — at widths 2 and 4.
 TEST(ScenarioBatching, BatchedResultsMatchColdBitwise) {
   const Fixture f;
