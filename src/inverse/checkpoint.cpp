@@ -16,22 +16,10 @@ void accumulate_material_step(const wave2d::ShModel& model,
                               const std::vector<double>* u_km1,
                               std::span<double> ge) {
   const std::size_t n = lambda.size();
-  const double dt2 = dt * dt;
   std::vector<double> scaled(n), diff(n);
-  // dt^2 * lambda^T K'_e u^k.
-  if (u_k != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) scaled[i] = dt2 * lambda[i];
-    model.accumulate_k_form(scaled, *u_k, ge);
-  }
-  // (dt/2) * lambda^T C'_e (u^{k+1} - u^{k-1}).
-  if (u_kp1 != nullptr || u_km1 != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      diff[i] = (u_kp1 ? (*u_kp1)[i] : 0.0) - (u_km1 ? (*u_km1)[i] : 0.0);
-    }
-    for (std::size_t i = 0; i < n; ++i) scaled[i] = 0.5 * dt * lambda[i];
-    model.accumulate_c_form(scaled, diff, ge);
-  }
+  accumulate_kc_step(model, dt, lambda, u_k, u_kp1, u_km1, ge, scaled, diff);
   // -dt^2 * lambda^T df^k/dmu_e.
+  const double dt2 = dt * dt;
   for (std::size_t i = 0; i < n; ++i) scaled[i] = -dt2 * lambda[i];
   src.accumulate_material_form(model, p, k * dt, scaled, ge);
 }
@@ -68,14 +56,8 @@ CheckpointStats checkpointed_material_gradient(
   }
 
   // Adjoint sweep with segment recomputation.
-  const double inv_dt = 1.0 / dt;
-  const wave2d::RhsFn adj_rhs = [&](int tau, double, std::span<double> f) {
-    const int obs = nt - tau - 1;
-    for (std::size_t r = 0; r < setup.receiver_nodes.size(); ++r) {
-      f[static_cast<std::size_t>(setup.receiver_nodes[r])] -=
-          residuals[r][static_cast<std::size_t>(obs)] * inv_dt;
-    }
-  };
+  const wave2d::RhsFn adj_rhs =
+      adjoint_forcing(setup.receiver_nodes, residuals, nt, dt);
 
   wave2d::ShStepper adj(model, dt);
   wave2d::ShStepper recompute(model, dt);

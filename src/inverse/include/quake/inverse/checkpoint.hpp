@@ -15,7 +15,8 @@
 namespace quake::inverse {
 
 // Per-step gradient kernel shared by the stored and checkpointed paths:
-// ge += the step-k terms of dL/dmu (stiffness, dashpot, source).
+// ge += the step-k terms of dL/dmu (accumulate_kc_step's stiffness and
+// dashpot terms, then the source's).
 void accumulate_material_step(const wave2d::ShModel& model,
                               const wave2d::FaultSource2d& src,
                               const wave2d::SourceParams2d& p, int k, double dt,

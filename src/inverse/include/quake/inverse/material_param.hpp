@@ -36,10 +36,6 @@ class MaterialGrid {
   std::vector<double> prolongate(std::span<const double> m,
                                  const MaterialGrid& target) const;
 
-  // Samples an element-wise field onto this grid's nodes (nearest element
-  // value) — used to build target fields for error reporting.
-  std::vector<double> sample_elem_field(std::span<const double> mu_elem) const;
-
   [[nodiscard]] double cell_dx() const { return dx_; }
   [[nodiscard]] double cell_dz() const { return dz_; }
 

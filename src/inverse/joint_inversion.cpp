@@ -10,14 +10,6 @@
 #include "quake/wave2d/march.hpp"
 
 namespace quake::inverse {
-namespace {
-
-const std::vector<double>* state_at(const History& u, int k) {
-  if (k <= 0) return nullptr;
-  return &u[static_cast<std::size_t>(k - 1)];
-}
-
-}  // namespace
 
 JointInversionResult invert_joint(const InversionProblem& prob,
                                   const JointInversionOptions& opt,
@@ -113,28 +105,13 @@ JointInversionResult invert_joint(const InversionProblem& prob,
       // Combined incremental forward: material terms + source-parameter
       // terms in one rhs.
       std::vector<double> diff(nn), tmp(nn);
-      wave2d::MarchOptions mo{setup.dt, setup.nt};
       auto inc = wave2d::time_march(
-          model, mo,
+          model, {setup.dt, setup.nt},
           [&](int k, double t, std::span<double> f) {
             src.add_forces_delta_mu(model, p, dmu, t, f);
             src.add_forces_delta_params(model, p, du0, dt0, dT, t, f);
-            if (const auto* uk = state_at(fwd.march.history, k)) {
-              std::fill(tmp.begin(), tmp.end(), 0.0);
-              model.apply_k_delta(dmu, *uk, tmp);
-              for (std::size_t i = 0; i < nn; ++i) f[i] -= tmp[i];
-            }
-            const auto* up = state_at(fwd.march.history, k + 1);
-            const auto* um = state_at(fwd.march.history, k - 1);
-            if (up != nullptr || um != nullptr) {
-              for (std::size_t i = 0; i < nn; ++i) {
-                diff[i] = (up ? (*up)[i] : 0.0) - (um ? (*um)[i] : 0.0);
-              }
-              std::fill(tmp.begin(), tmp.end(), 0.0);
-              model.apply_c_delta(dmu, diff, tmp);
-              const double s = 1.0 / (2.0 * setup.dt);
-              for (std::size_t i = 0; i < nn; ++i) f[i] -= s * tmp[i];
-            }
+            subtract_tangent_forces(model, fwd.march.history, k, setup.dt,
+                                    dmu, f, diff, tmp);
           },
           setup.receiver_nodes, /*store_history=*/false);
 

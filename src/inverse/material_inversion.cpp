@@ -65,7 +65,7 @@ MaterialInversionResult invert_material(const InversionProblem& prob,
 
     std::vector<double> mu(ne), ge(ne), g(np), d(np);
 
-    auto data_misfit = [&](const InversionProblem::ForwardOut& fwd) {
+    auto data_misfit = [&](const ForwardOut& fwd) {
       if (rf == nullptr) return fwd.misfit;
       return 0.5 * setup.dt * rf->filtered_norm2(fwd.residuals);
     };

@@ -81,22 +81,4 @@ std::vector<double> MaterialGrid::prolongate(std::span<const double> m,
   return out;
 }
 
-std::vector<double> MaterialGrid::sample_elem_field(
-    std::span<const double> mu_elem) const {
-  std::vector<double> out(n_params());
-  for (int k = 0; k <= gz_; ++k) {
-    for (int i = 0; i <= gx_; ++i) {
-      const double x = std::clamp(i * dx_, 0.5 * wave_.h,
-                                  wave_.width() - 0.5 * wave_.h);
-      const double z = std::clamp(k * dz_, 0.5 * wave_.h,
-                                  wave_.depth() - 0.5 * wave_.h);
-      const int ei = std::min(static_cast<int>(x / wave_.h), wave_.nx - 1);
-      const int ek = std::min(static_cast<int>(z / wave_.h), wave_.nz - 1);
-      out[static_cast<std::size_t>(node(i, k))] =
-          mu_elem[static_cast<std::size_t>(wave_.elem(ei, ek))];
-    }
-  }
-  return out;
-}
-
 }  // namespace quake::inverse

@@ -7,9 +7,6 @@
 
 namespace quake::inverse {
 
-using wave2d::MarchOptions;
-using wave2d::MarchResult;
-
 InversionProblem::InversionProblem(InversionSetup setup)
     : setup_(std::move(setup)), src_(setup_.grid, setup_.fault) {
   setup_.grid.validate();
@@ -22,69 +19,23 @@ InversionProblem::InversionProblem(InversionSetup setup)
   }
 }
 
-double InversionProblem::misfit_of(const Records& records) const {
-  double j = 0.0;
-  for (std::size_t r = 0; r < records.size(); ++r) {
-    for (std::size_t k = 0; k < records[r].size(); ++k) {
-      const double res = records[r][k] - setup_.observations[r][k];
-      j += res * res;
-    }
-  }
-  return 0.5 * setup_.dt * j;
-}
-
-InversionProblem::ForwardOut InversionProblem::forward(
-    const wave2d::ShModel& model, const wave2d::SourceParams2d& p,
-    bool store_history) const {
-  MarchOptions mo{setup_.dt, setup_.nt};
+ForwardOut InversionProblem::forward(const wave2d::ShModel& model,
+                                    const wave2d::SourceParams2d& p,
+                                    bool store_history) const {
   ForwardOut out;
   out.march = time_march(
-      model, mo,
+      model, {setup_.dt, setup_.nt},
       [&](int, double t, std::span<double> f) { src_.add_forces(model, p, t, f); },
       setup_.receiver_nodes, store_history);
-  if (!setup_.observations.empty()) {
-    out.residuals.resize(out.march.records.size());
-    for (std::size_t r = 0; r < out.march.records.size(); ++r) {
-      out.residuals[r].resize(out.march.records[r].size());
-      for (std::size_t k = 0; k < out.march.records[r].size(); ++k) {
-        out.residuals[r][k] =
-            out.march.records[r][k] - setup_.observations[r][k];
-      }
-    }
-    out.misfit = misfit_of(out.march.records);
-  }
+  fill_residuals(out, setup_.observations, setup_.dt);
   return out;
 }
 
 History InversionProblem::adjoint(const wave2d::ShModel& model,
                                   const Records& driver) const {
-  MarchOptions mo{setup_.dt, setup_.nt};
-  const int nt = setup_.nt;
-  const double inv_dt = 1.0 / setup_.dt;
-  MarchResult res = time_march(
-      model, mo,
-      [&](int k, double, std::span<double> f) {
-        // Reversed-time source: f~^k = -R^{nt-k} / dt, where R^j carries the
-        // driver at observation index j-1.
-        const int obs = nt - k - 1;
-        for (std::size_t r = 0; r < setup_.receiver_nodes.size(); ++r) {
-          f[static_cast<std::size_t>(setup_.receiver_nodes[r])] -=
-              driver[r][static_cast<std::size_t>(obs)] * inv_dt;
-        }
-      },
-      {}, /*store_history=*/true);
-  return std::move(res.history);
+  return adjoint_march(model, setup_.receiver_nodes, driver, setup_.dt,
+                       setup_.nt);
 }
-
-namespace {
-
-// u^k from the stored history (history[k] = u^{k+1}); k <= 0 is quiescent.
-const std::vector<double>* state_at(const History& u, int k) {
-  if (k <= 0) return nullptr;
-  return &u[static_cast<std::size_t>(k - 1)];
-}
-
-}  // namespace
 
 void InversionProblem::assemble_material_gradient(
     const wave2d::ShModel& model, const wave2d::SourceParams2d& p,
@@ -102,34 +53,17 @@ void InversionProblem::assemble_material_gradient(
 Records InversionProblem::incremental_forward_material(
     const wave2d::ShModel& model, const wave2d::SourceParams2d& p,
     const History& u, std::span<const double> dmu) const {
-  MarchOptions mo{setup_.dt, setup_.nt};
-  const double dt = setup_.dt;
   const std::size_t n = static_cast<std::size_t>(setup_.grid.n_nodes());
-  std::vector<double> diff(n);
-  MarchResult res = time_march(
-      model, mo,
-      [&](int k, double t, std::span<double> f) {
-        src_.add_forces_delta_mu(model, p, dmu, t, f);
-        if (const auto* uk = state_at(u, k)) {
-          // f -= K'[dmu] u^k.
-          std::vector<double> tmp(n, 0.0);
-          model.apply_k_delta(dmu, *uk, tmp);
-          for (std::size_t i = 0; i < n; ++i) f[i] -= tmp[i];
-        }
-        const auto* up = state_at(u, k + 1);
-        const auto* um = state_at(u, k - 1);
-        if (up != nullptr || um != nullptr) {
-          for (std::size_t i = 0; i < n; ++i) {
-            diff[i] = (up ? (*up)[i] : 0.0) - (um ? (*um)[i] : 0.0);
-          }
-          std::vector<double> tmp(n, 0.0);
-          model.apply_c_delta(dmu, diff, tmp);
-          const double s = 1.0 / (2.0 * dt);
-          for (std::size_t i = 0; i < n; ++i) f[i] -= s * tmp[i];
-        }
-      },
-      setup_.receiver_nodes, /*store_history=*/false);
-  return std::move(res.records);
+  std::vector<double> diff(n), tmp(n);
+  return time_march(
+             model, {setup_.dt, setup_.nt},
+             [&](int k, double t, std::span<double> f) {
+               src_.add_forces_delta_mu(model, p, dmu, t, f);
+               subtract_tangent_forces(model, u, k, setup_.dt, dmu, f, diff,
+                                       tmp);
+             },
+             setup_.receiver_nodes, /*store_history=*/false)
+      .records;
 }
 
 void InversionProblem::gauss_newton_material(
@@ -161,14 +95,13 @@ Records InversionProblem::incremental_forward_source(
     const wave2d::ShModel& model, const wave2d::SourceParams2d& p,
     std::span<const double> du0, std::span<const double> dt0,
     std::span<const double> dT) const {
-  MarchOptions mo{setup_.dt, setup_.nt};
-  MarchResult res = time_march(
-      model, mo,
-      [&](int, double t, std::span<double> f) {
-        src_.add_forces_delta_params(model, p, du0, dt0, dT, t, f);
-      },
-      setup_.receiver_nodes, /*store_history=*/false);
-  return std::move(res.records);
+  return time_march(
+             model, {setup_.dt, setup_.nt},
+             [&](int, double t, std::span<double> f) {
+               src_.add_forces_delta_params(model, p, du0, dt0, dT, t, f);
+             },
+             setup_.receiver_nodes, /*store_history=*/false)
+      .records;
 }
 
 void InversionProblem::gauss_newton_source(const wave2d::ShModel& model,

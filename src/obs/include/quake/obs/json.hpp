@@ -43,7 +43,6 @@ class Json {
   [[nodiscard]] bool is_object() const { return type_ == Type::kObject; }
   [[nodiscard]] bool is_array() const { return type_ == Type::kArray; }
   [[nodiscard]] bool is_number() const { return type_ == Type::kNumber; }
-  [[nodiscard]] bool is_string() const { return type_ == Type::kString; }
 
   [[nodiscard]] bool as_bool() const { return bool_; }
   [[nodiscard]] double as_number() const { return number_; }

@@ -46,8 +46,6 @@ class MetricsSink {
   // Appends an empty row object; fill it via set("params", ...) etc.
   Json& new_row();
 
-  [[nodiscard]] std::size_t n_rows() const { return rows_.size(); }
-
   // The full envelope (schema/bench/rows).
   [[nodiscard]] Json envelope() const;
 

@@ -621,8 +621,11 @@ void Communicator::run(const std::function<void(Rank&)>& fn) {
     // Recovery monitor (runs on the calling thread): when a failure has
     // poisoned the communicator and every surviving rank has parked in
     // await_recovery(), join the dead ranks' threads, repair the
-    // communicator, and respawn only them. Everything else tears down as
-    // before (n_live_ drains to zero).
+    // communicator, and respawn only them. With no survivor at all (one
+    // rank, or every rank dead in one epoch) it revives every rank when
+    // each is a recorded root-cause failure: each restores its newest cut
+    // through the same agreement. Everything else tears down as before
+    // (n_live_ drains to zero).
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
       cv_.wait(lock, [&] {
@@ -630,7 +633,11 @@ void Communicator::run(const std::function<void(Rank&)>& fn) {
                (poisoned_ && !recovery_abandoned_ && n_live_ > 0 &&
                 n_parked_ == n_live_);
       });
-      if (n_live_ == 0) break;
+      if (n_live_ == 0 &&
+          (!poisoned_ || recovery_abandoned_ ||
+           failures_.size() != static_cast<std::size_t>(n_ranks_))) {
+        break;
+      }
       if (unrecoverable_ || deadlocked_ || n_completed_ > 0 ||
           revives_used_ >= recovery_.max_revives) {
         // Parked survivors wake, see the abandonment, and rethrow — the

@@ -118,7 +118,10 @@ struct ParallelResult {
 // Recovery is three-tiered (see DESIGN.md "Localized recovery"). With
 // `max_revives` > 0 a rank failure is first repaired IN PLACE — surviving
 // rank threads park with their partition, ghost plans, and exchange
-// buffers intact; only the dead rank's thread is respawned:
+// buffers intact; only the dead rank's thread is respawned. When no rank
+// survives (a one-rank solve, or every rank dead at one step) every rank
+// is respawned and restores its newest cut, so the in-place tiers need no
+// survivor:
 //
 //  * Tier 1 (replay, the common path): each revived rank restores the
 //    newest donated buddy snapshot (or its newest disk generation) and

@@ -14,7 +14,6 @@ ElasticOperator::ElasticOperator(const mesh::HexMesh& mesh,
   mass_.assign(nd, 0.0);
   alpha_mass_.assign(nd, 0.0);
   cab_diag_.assign(nd, 0.0);
-  k_diag_.assign(nd, 0.0);
   beta_k_diag_.assign(nd, 0.0);
   elem_damping_.assign(mesh.n_elements(), fem::RayleighCoeffs{});
 
@@ -38,7 +37,6 @@ ElasticOperator::ElasticOperator(const mesh::HexMesh& mesh,
         const std::size_t dof = base + static_cast<std::size_t>(c);
         mass_[dof] += node_mass;
         alpha_mass_[dof] += elem_damping_[e].alpha * node_mass;
-        k_diag_[dof] += kd[static_cast<std::size_t>(3 * i + c)];
         beta_k_diag_[dof] +=
             elem_damping_[e].beta * kd[static_cast<std::size_t>(3 * i + c)];
       }
@@ -83,7 +81,6 @@ ElasticOperator::ElasticOperator(const mesh::HexMesh& mesh,
   project(mass_);
   project(alpha_mass_);
   project(cab_diag_);
-  project(k_diag_);
   project(beta_k_diag_);
 }
 

@@ -3,8 +3,9 @@
 // The matrix-free elastodynamic operator over a multiresolution hex mesh:
 // stiffness (K + K^AB) and Rayleigh stiffness-damping applications as
 // element-local dense products, assembled diagonal vectors (lumped mass,
-// alpha-mass damping, lumped boundary dashpots, stiffness diagonal), and the
-// hanging-node constraint projection u = B ubar (§2.2, eq. 2.5).
+// Rayleigh alpha-mass and beta-stiffness damping, lumped boundary
+// dashpots), and the hanging-node constraint projection u = B ubar (§2.2,
+// eq. 2.5).
 
 #include <array>
 #include <cstdint>
@@ -71,7 +72,6 @@ class ElasticOperator {
   [[nodiscard]] std::span<const double> lumped_mass() const { return mass_; }
   [[nodiscard]] std::span<const double> alpha_mass() const { return alpha_mass_; }
   [[nodiscard]] std::span<const double> cab_diag() const { return cab_diag_; }
-  [[nodiscard]] std::span<const double> k_diag() const { return k_diag_; }
   [[nodiscard]] std::span<const double> beta_k_diag() const {
     return beta_k_diag_;
   }
@@ -103,7 +103,7 @@ class ElasticOperator {
   const mesh::HexMesh* mesh_;
   OperatorOptions opt_;
   std::vector<fem::RayleighCoeffs> elem_damping_;
-  std::vector<double> mass_, alpha_mass_, cab_diag_, k_diag_, beta_k_diag_;
+  std::vector<double> mass_, alpha_mass_, cab_diag_, beta_k_diag_;
 };
 
 }  // namespace quake::solver

@@ -25,10 +25,4 @@ std::vector<double> sh_layer_surface_response(
     const ShLayerParams& p, const std::function<double(double)>& incident,
     int nt, double dt);
 
-// Homogeneous halfspace limit: surface displacement = 2 * incident arriving
-// at the surface. `incident(t)` gives the incident displacement at the
-// surface depth.
-std::vector<double> sh_halfspace_surface_response(
-    const std::function<double(double)>& incident, int nt, double dt);
-
 }  // namespace quake::solver

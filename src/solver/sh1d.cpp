@@ -41,13 +41,4 @@ std::vector<double> sh_layer_surface_response(
   return u;
 }
 
-std::vector<double> sh_halfspace_surface_response(
-    const std::function<double(double)>& incident, int nt, double dt) {
-  std::vector<double> u(static_cast<std::size_t>(nt));
-  for (int k = 0; k < nt; ++k) {
-    u[static_cast<std::size_t>(k)] = 2.0 * incident(k * dt);
-  }
-  return u;
-}
-
 }  // namespace quake::solver

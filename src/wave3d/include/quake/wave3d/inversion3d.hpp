@@ -4,11 +4,14 @@
 // ("algorithmic scalability of inversion algorithm for scalar 3D wave
 // equation case"): a fixed wave-propagation grid, a ladder of trilinear
 // material grids, Gauss-Newton-CG with an exact discrete adjoint. Known
-// point sources; receivers on the free surface.
+// point sources; receivers on the free surface. The state, adjoint and
+// tangent solves march on wave2d::Stepper, and the adjoint, tangent and
+// gradient kernels are quake/inverse's, shared with the antiplane problem.
 
 #include <span>
 #include <vector>
 
+#include "quake/inverse/problem.hpp"
 #include "quake/opt/cg.hpp"
 #include "quake/wave3d/scalar_model.hpp"
 
@@ -28,7 +31,7 @@ struct Setup3d {
   std::vector<int> receiver_nodes;
   double dt = 0.0;
   int nt = 0;
-  std::vector<std::vector<double>> observations;  // per receiver
+  inverse::Records observations;  // per receiver
 };
 
 class ScalarInversion3d {
@@ -37,25 +40,18 @@ class ScalarInversion3d {
 
   [[nodiscard]] const Setup3d& setup() const { return setup_; }
 
-  struct ForwardOut {
-    March3dResult march;
-    std::vector<std::vector<double>> residuals;
-    double misfit = 0.0;
-  };
-  ForwardOut forward(const ScalarModel3d& model, bool store_history) const;
+  inverse::ForwardOut forward(const ScalarModel3d& model,
+                              bool store_history) const;
 
   // Adjoint in reversed time (lambda^{k+1} = result[nt-k-1]).
-  std::vector<std::vector<double>> adjoint(
-      const ScalarModel3d& model,
-      const std::vector<std::vector<double>>& driver) const;
+  inverse::History adjoint(const ScalarModel3d& model,
+                           const inverse::Records& driver) const;
 
-  void assemble_gradient(const ScalarModel3d& model,
-                         const std::vector<std::vector<double>>& u,
-                         const std::vector<std::vector<double>>& nu,
+  void assemble_gradient(const ScalarModel3d& model, const inverse::History& u,
+                         const inverse::History& nu,
                          std::span<double> ge) const;
 
-  void gauss_newton(const ScalarModel3d& model,
-                    const std::vector<std::vector<double>>& u,
+  void gauss_newton(const ScalarModel3d& model, const inverse::History& u,
                     std::span<const double> dmu, std::span<double> h_dmu) const;
 
  private:

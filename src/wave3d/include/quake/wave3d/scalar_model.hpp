@@ -4,10 +4,11 @@
 // runs on "the scalar 3D wave equation" with up to 2.1M material
 // parameters: rho u'' - div(mu grad u) = f on a uniform trilinear-hex grid,
 // free surface on top, first-order absorbing boundaries elsewhere. Shares
-// the 8x8 scalar reference stiffness with the elastodynamic hex element.
+// the 8x8 scalar reference stiffness with the elastodynamic hex element,
+// and marches on wave2d::Stepper (quake/wave2d/march.hpp) like the
+// antiplane model.
 
 #include <array>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -72,19 +73,5 @@ class ScalarModel3d {
   std::vector<double> mass_, damping_;
   std::vector<BoundaryQuad> quads_;
 };
-
-// The shared explicit central-difference recurrence (identical to wave2d's):
-//   (M + dt/2 C) u^{k+1} = dt^2 (f^k - K u^k) + 2M u^k - (M - dt/2 C) u^{k-1}.
-using RhsFn3d = std::function<void(int k, double t, std::span<double> f)>;
-
-struct March3dResult {
-  std::vector<std::vector<double>> history;  // u^{k+1}, k = 0..nt-1
-  std::vector<std::vector<double>> records;  // per receiver node
-};
-
-March3dResult time_march3d(const ScalarModel3d& model, double dt, int nt,
-                           const RhsFn3d& rhs,
-                           std::span<const int> receiver_nodes,
-                           bool store_history);
 
 }  // namespace quake::wave3d

@@ -19,12 +19,6 @@ double ricker(double t, double fp, double tc) {
   return (1.0 - 2.0 * a * a) * std::exp(-a * a);
 }
 
-const std::vector<double>* state_at(
-    const std::vector<std::vector<double>>& u, int k) {
-  if (k <= 0) return nullptr;
-  return &u[static_cast<std::size_t>(k - 1)];
-}
-
 }  // namespace
 
 ScalarInversion3d::ScalarInversion3d(Setup3d setup)
@@ -41,102 +35,52 @@ void ScalarInversion3d::add_sources(double t, std::span<double> f) const {
   }
 }
 
-ScalarInversion3d::ForwardOut ScalarInversion3d::forward(
-    const ScalarModel3d& model, bool store_history) const {
-  ForwardOut out;
-  out.march = time_march3d(
-      model, setup_.dt, setup_.nt,
+inverse::ForwardOut ScalarInversion3d::forward(const ScalarModel3d& model,
+                                               bool store_history) const {
+  inverse::ForwardOut out;
+  out.march = wave2d::time_march(
+      model, {setup_.dt, setup_.nt},
       [this](int, double t, std::span<double> f) { add_sources(t, f); },
       setup_.receiver_nodes, store_history);
-  if (!setup_.observations.empty()) {
-    out.residuals.resize(out.march.records.size());
-    double j = 0.0;
-    for (std::size_t r = 0; r < out.march.records.size(); ++r) {
-      out.residuals[r].resize(out.march.records[r].size());
-      for (std::size_t k = 0; k < out.march.records[r].size(); ++k) {
-        const double res =
-            out.march.records[r][k] - setup_.observations[r][k];
-        out.residuals[r][k] = res;
-        j += res * res;
-      }
-    }
-    out.misfit = 0.5 * setup_.dt * j;
-  }
+  inverse::fill_residuals(out, setup_.observations, setup_.dt);
   return out;
 }
 
-std::vector<std::vector<double>> ScalarInversion3d::adjoint(
-    const ScalarModel3d& model,
-    const std::vector<std::vector<double>>& driver) const {
-  const int nt = setup_.nt;
-  const double inv_dt = 1.0 / setup_.dt;
-  March3dResult res = time_march3d(
-      model, setup_.dt, nt,
-      [&](int k, double, std::span<double> f) {
-        const int obs = nt - k - 1;
-        for (std::size_t r = 0; r < setup_.receiver_nodes.size(); ++r) {
-          f[static_cast<std::size_t>(setup_.receiver_nodes[r])] -=
-              driver[r][static_cast<std::size_t>(obs)] * inv_dt;
-        }
-      },
-      {}, /*store_history=*/true);
-  return std::move(res.history);
+inverse::History ScalarInversion3d::adjoint(
+    const ScalarModel3d& model, const inverse::Records& driver) const {
+  return inverse::adjoint_march(model, setup_.receiver_nodes, driver,
+                                setup_.dt, setup_.nt);
 }
 
-void ScalarInversion3d::assemble_gradient(
-    const ScalarModel3d& model, const std::vector<std::vector<double>>& u,
-    const std::vector<std::vector<double>>& nu, std::span<double> ge) const {
+void ScalarInversion3d::assemble_gradient(const ScalarModel3d& model,
+                                          const inverse::History& u,
+                                          const inverse::History& nu,
+                                          std::span<double> ge) const {
   const int nt = setup_.nt;
-  const double dt = setup_.dt;
   const std::size_t n = static_cast<std::size_t>(setup_.grid.n_nodes());
   std::vector<double> scaled(n), diff(n);
   for (int k = 0; k < nt; ++k) {
-    const std::vector<double>& lambda =
-        nu[static_cast<std::size_t>(nt - k - 1)];
-    if (const auto* uk = state_at(u, k)) {
-      for (std::size_t i = 0; i < n; ++i) scaled[i] = dt * dt * lambda[i];
-      model.accumulate_k_form(scaled, *uk, ge);
-    }
-    const auto* up = state_at(u, k + 1);
-    const auto* um = state_at(u, k - 1);
-    if (up != nullptr || um != nullptr) {
-      for (std::size_t i = 0; i < n; ++i) {
-        diff[i] = (up ? (*up)[i] : 0.0) - (um ? (*um)[i] : 0.0);
-      }
-      for (std::size_t i = 0; i < n; ++i) scaled[i] = 0.5 * dt * lambda[i];
-      model.accumulate_c_form(scaled, diff, ge);
-    }
+    inverse::accumulate_kc_step(
+        model, setup_.dt, nu[static_cast<std::size_t>(nt - k - 1)],
+        inverse::state_at(u, k), inverse::state_at(u, k + 1),
+        inverse::state_at(u, k - 1), ge, scaled, diff);
   }
 }
 
-void ScalarInversion3d::gauss_newton(
-    const ScalarModel3d& model, const std::vector<std::vector<double>>& u,
-    std::span<const double> dmu, std::span<double> h_dmu) const {
+void ScalarInversion3d::gauss_newton(const ScalarModel3d& model,
+                                     const inverse::History& u,
+                                     std::span<const double> dmu,
+                                     std::span<double> h_dmu) const {
   const std::size_t n = static_cast<std::size_t>(setup_.grid.n_nodes());
   std::vector<double> diff(n), tmp(n);
-  March3dResult inc = time_march3d(
-      model, setup_.dt, setup_.nt,
+  const wave2d::MarchResult inc = wave2d::time_march(
+      model, {setup_.dt, setup_.nt},
       [&](int k, double, std::span<double> f) {
-        if (const auto* uk = state_at(u, k)) {
-          std::fill(tmp.begin(), tmp.end(), 0.0);
-          model.apply_k_delta(dmu, *uk, tmp);
-          for (std::size_t i = 0; i < n; ++i) f[i] -= tmp[i];
-        }
-        const auto* up = state_at(u, k + 1);
-        const auto* um = state_at(u, k - 1);
-        if (up != nullptr || um != nullptr) {
-          for (std::size_t i = 0; i < n; ++i) {
-            diff[i] = (up ? (*up)[i] : 0.0) - (um ? (*um)[i] : 0.0);
-          }
-          std::fill(tmp.begin(), tmp.end(), 0.0);
-          model.apply_c_delta(dmu, diff, tmp);
-          const double s = 1.0 / (2.0 * setup_.dt);
-          for (std::size_t i = 0; i < n; ++i) f[i] -= s * tmp[i];
-        }
+        inverse::subtract_tangent_forces(model, u, k, setup_.dt, dmu, f, diff,
+                                         tmp);
       },
       setup_.receiver_nodes, /*store_history=*/false);
-  const auto nu = adjoint(model, inc.records);
-  assemble_gradient(model, u, nu, h_dmu);
+  assemble_gradient(model, u, adjoint(model, inc.records), h_dmu);
 }
 
 MaterialGrid3d::MaterialGrid3d(const ScalarGrid3d& wave, int gx, int gy,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <functional>
 #include <stdexcept>
 
 #include "quake/fem/hex_element.hpp"
@@ -291,48 +290,6 @@ double ScalarModel3d::stable_dt(double cfl_fraction) const {
   double mu_max = 0.0;
   for (double m : mu_) mu_max = std::max(mu_max, m);
   return cfl_fraction * grid_.h / std::sqrt(mu_max / rho_);
-}
-
-March3dResult time_march3d(const ScalarModel3d& model, double dt, int nt,
-                           const RhsFn3d& rhs,
-                           std::span<const int> receiver_nodes,
-                           bool store_history) {
-  if (!(dt > 0.0) || nt < 1) {
-    throw std::invalid_argument("time_march3d: bad dt or nt");
-  }
-  const std::size_t n = static_cast<std::size_t>(model.grid().n_nodes());
-  const auto mass = model.mass();
-  const auto damp = model.damping();
-  std::vector<double> inv_ap(n), am(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    inv_ap[i] = 1.0 / (mass[i] + 0.5 * dt * damp[i]);
-    am[i] = mass[i] - 0.5 * dt * damp[i];
-  }
-
-  March3dResult out;
-  if (store_history) out.history.reserve(static_cast<std::size_t>(nt));
-  out.records.assign(receiver_nodes.size(), {});
-
-  std::vector<double> u(n, 0.0), u_prev(n, 0.0), u_next(n), f(n), ku(n);
-  for (int k = 0; k < nt; ++k) {
-    std::fill(f.begin(), f.end(), 0.0);
-    rhs(k, k * dt, f);
-    std::fill(ku.begin(), ku.end(), 0.0);
-    model.apply_k(u, ku);
-    const double dt2 = dt * dt;
-    for (std::size_t i = 0; i < n; ++i) {
-      u_next[i] =
-          (dt2 * (f[i] - ku[i]) + 2.0 * mass[i] * u[i] - am[i] * u_prev[i]) *
-          inv_ap[i];
-    }
-    std::swap(u_prev, u);
-    std::swap(u, u_next);
-    if (store_history) out.history.push_back(u);
-    for (std::size_t r = 0; r < receiver_nodes.size(); ++r) {
-      out.records[r].push_back(u[static_cast<std::size_t>(receiver_nodes[r])]);
-    }
-  }
-  return out;
 }
 
 }  // namespace quake::wave3d

@@ -1231,6 +1231,98 @@ TEST_F(ParallelRecovery, InPlaceRecoveryBitIdenticalWithoutSurvivorReSetup) {
   std::filesystem::remove_all(dir);
 }
 
+// With no survivor to park, in-place recovery still recovers: the lone rank
+// of a one-rank solve, killed mid-run with no restart budget, is revived
+// and restores its newest checkpoint generation, bit-identical to the
+// fault-free run.
+TEST_F(ParallelRecovery, LoneRankRevivesFromItsNewestCut) {
+  const auto mesh = small_basin_mesh();
+  solver::OperatorOptions oo;
+  oo.abc = fem::AbcType::kStacey;
+  solver::SolverOptions so;
+  so.t_end = 2.0;
+  so.cfl_fraction = 0.4;
+  const solver::PointSource src(mesh, {10000.0, 10000.0, 4000.0},
+                                {1.0, 0.5, 0.2}, 1e12, 0.03, 40.0);
+  const solver::SourceModel* sources[] = {&src};
+  const std::array<double, 3> rxs[] = {{14000.0, 9000.0, 0.0}};
+  const Partition part = partition_sfc(mesh, 1);
+
+  const ParallelResult ref = run_parallel(mesh, part, oo, so, sources, rxs);
+  ASSERT_GT(ref.n_steps, 8);
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "quake_lone_rank_revival";
+  std::filesystem::remove_all(dir);
+  FaultPlan plan;
+  plan.kills.push_back({/*rank=*/0, /*step=*/2 * ref.n_steps / 3});
+  FaultToleranceOptions ft;
+  ft.checkpoint_dir = dir.string();
+  ft.checkpoint_every = std::max(1, ref.n_steps / 4);
+  ft.max_retries = 0;
+  ft.max_revives = 2;
+  ft.fault_plan = &plan;
+  const ParallelResult pr = run_parallel(mesh, part, oo, so, sources, rxs, ft);
+
+  EXPECT_EQ(pr.n_steps, ref.n_steps);
+  EXPECT_TRUE(same_bits(pr, ref));
+  EXPECT_EQ(pr.revives_used, 1);
+  ASSERT_EQ(pr.obs_reports.size(), 1u);
+  EXPECT_EQ(pr.obs_reports[0].metrics.counters.at("ft/attempts"), 2);
+  EXPECT_EQ(pr.obs_reports[0].metrics.counters.at("par/ranks_revived"), 1);
+  std::filesystem::remove_all(dir);
+}
+
+// Both ranks of a two-rank solve killed at one step: no survivor parks, so
+// the monitor revives them together and each restores its newest cut,
+// bit-identical to the fault-free run, with the tier-1 message log armed
+// and without it.
+TEST_F(ParallelRecovery, EveryRankKilledAtOneStepRevivesInPlace) {
+  const auto mesh = small_basin_mesh();
+  solver::OperatorOptions oo;
+  oo.abc = fem::AbcType::kStacey;
+  solver::SolverOptions so;
+  so.t_end = 2.0;
+  so.cfl_fraction = 0.4;
+  const solver::PointSource src(mesh, {10000.0, 10000.0, 4000.0},
+                                {1.0, 0.5, 0.2}, 1e12, 0.03, 40.0);
+  const solver::SourceModel* sources[] = {&src};
+  const std::array<double, 3> rxs[] = {{14000.0, 9000.0, 0.0}};
+  const Partition part = partition_sfc(mesh, 2);
+
+  const ParallelResult ref = run_parallel(mesh, part, oo, so, sources, rxs);
+  ASSERT_GT(ref.n_steps, 8);
+
+  for (const int log_steps : {-1, 0}) {
+    SCOPED_TRACE("message_log_steps=" + std::to_string(log_steps));
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "quake_all_ranks_revival";
+    std::filesystem::remove_all(dir);
+    const int step = 2 * ref.n_steps / 3;
+    FaultPlan plan;
+    plan.kills = {{/*rank=*/0, step}, {/*rank=*/1, step}};
+    FaultToleranceOptions ft;
+    ft.checkpoint_dir = dir.string();
+    ft.checkpoint_every = std::max(1, ref.n_steps / 4);
+    ft.max_retries = 0;
+    ft.max_revives = 2;
+    ft.message_log_steps = log_steps;
+    ft.fault_plan = &plan;
+    const ParallelResult pr =
+        run_parallel(mesh, part, oo, so, sources, rxs, ft);
+
+    EXPECT_EQ(pr.n_steps, ref.n_steps);
+    EXPECT_TRUE(same_bits(pr, ref));
+    EXPECT_EQ(pr.revives_used, 1);
+    ASSERT_EQ(pr.obs_reports.size(), 2u);
+    for (const auto& rep : pr.obs_reports) {
+      EXPECT_EQ(rep.metrics.counters.at("ft/attempts"), 2) << rep.rank;
+      EXPECT_EQ(rep.metrics.counters.at("par/ranks_revived"), 1) << rep.rank;
+    }
+    std::filesystem::remove_all(dir);
+  }
+}
+
 // Seeded fault-sweep soak: across rank counts, recovery survives a kill at
 // a step boundary, a kill inside the overlapped exchange window, a kill
 // during the recovery protocol itself, and the same rank killed twice —
@@ -2437,8 +2529,11 @@ TEST_F(SolveMatrix, EveryModeFtDampingAndRankCountCell) {
             ft.checkpoint_dir = dir.string();
             ft.checkpoint_every = std::max(1, n / 4);
             ft.fault_plan = &plan;
-            ft.max_retries = 1;  // at one rank in place falls back to it
-            if (tier != Ft::kRestart) ft.max_revives = 2;
+            if (tier == Ft::kRestart) {
+              ft.max_retries = 1;
+            } else {
+              ft.max_revives = 2;
+            }
             if (tier == Ft::kRollback) ft.message_log_steps = 0;
           }
           const int l = mode.lts ? 1 : 0;
@@ -2469,12 +2564,15 @@ TEST_F(SolveMatrix, EveryModeFtDampingAndRankCountCell) {
               all = all && same;
             }
             bitwise += all ? 1 : 0;
-            // The planted kill fired and was recovered from: in place
-            // where there are survivors, else by a full restart.
+            // The planted kill fired and was recovered from: by one
+            // revival on the in-place tiers (at one rank too, where the
+            // lone rank restores its newest cut), by a full restart on
+            // tier 3.
             const bool in_place = tier != Ft::kOff && tier != Ft::kRestart;
-            EXPECT_EQ(got[0].revives_used, in_place && R > 1 ? 1 : 0);
-            if (tier != Ft::kOff && !(in_place && R > 1)) {
-              EXPECT_EQ(counter_sum(got[0], "ft/attempts"), 2.0 * R);
+            EXPECT_EQ(got[0].revives_used, in_place ? 1 : 0);
+            if (tier != Ft::kOff) {
+              EXPECT_EQ(counter_sum(got[0], "ft/attempts"),
+                        in_place ? R + 1.0 : 2.0 * R);
             }
             if (tier == Ft::kReplay && R > 1) {
               EXPECT_EQ(counter_sum(got[0], "par/steps_rolled_back"), 0.0);

@@ -17,6 +17,7 @@
 #include "quake/wave2d/march.hpp"
 #include "quake/wave2d/sh_model.hpp"
 #include "quake/wave2d/stf.hpp"
+#include "stepper_cases.hpp"
 
 namespace {
 
@@ -219,35 +220,12 @@ TEST(March, RecordsMatchHistory) {
 
 TEST(Stepper, MatchesMarch) {
   const ShGrid g = grid24();
-  const ShModel m = homogeneous(g);
-  const double dt = m.stable_dt(0.5);
-  const RhsFn rhs = [&](int k, double, std::span<double> f) {
-    if (k < 5) f[static_cast<std::size_t>(g.node(10, 5))] = 1e8;
-  };
-  MarchResult out = time_march(m, {dt, 50}, rhs, {}, true);
-  ShStepper st(m, dt);
-  for (int k = 0; k < 50; ++k) {
-    st.step(k, rhs);
-    EXPECT_LT(util::diff_l2(st.u(), out.history[static_cast<std::size_t>(k)]), 1e-14);
-  }
+  testsupport::expect_stepper_matches_march(homogeneous(g), g.node(10, 5));
 }
 
 TEST(Stepper, RestartFromStoredStateIsExact) {
   const ShGrid g = grid24();
-  const ShModel m = homogeneous(g);
-  const double dt = m.stable_dt(0.5);
-  const RhsFn rhs = [&](int k, double, std::span<double> f) {
-    if (k < 5) f[static_cast<std::size_t>(g.node(10, 5))] = 1e8;
-  };
-  ShStepper a(m, dt);
-  for (int k = 0; k < 20; ++k) a.step(k, rhs);
-  const std::vector<double> u20 = a.u(), u19 = a.u_prev();
-  for (int k = 20; k < 40; ++k) a.step(k, rhs);
-
-  ShStepper b(m, dt);
-  b.set_state(u20, u19);
-  for (int k = 20; k < 40; ++k) b.step(k, rhs);
-  EXPECT_LT(util::diff_l2(a.u(), b.u()), 1e-15);
+  testsupport::expect_restart_is_exact(homogeneous(g), g.node(10, 5));
 }
 
 TEST(Stf, DerivativesMatchFiniteDifferences) {

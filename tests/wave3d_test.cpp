@@ -14,8 +14,10 @@
 #include "hex_apply_ref.hpp"
 #include "quake/util/rng.hpp"
 #include "quake/util/stats.hpp"
+#include "quake/wave2d/march.hpp"
 #include "quake/wave3d/inversion3d.hpp"
 #include "quake/wave3d/scalar_model.hpp"
+#include "stepper_cases.hpp"
 
 namespace {
 
@@ -189,8 +191,8 @@ TEST(Model3d, WavesAbsorbed) {
       g, std::vector<double>(static_cast<std::size_t>(g.n_elems()), 2e9),
       kRho);
   const double dt = m.stable_dt(0.4);
-  auto out = time_march3d(
-      m, dt, 600,
+  auto out = wave2d::time_march(
+      m, {dt, 600},
       [&](int k, double, std::span<double> f) {
         if (k < 10) f[static_cast<std::size_t>(g.node(4, 4, 4))] = 1e10;
       },
@@ -200,6 +202,23 @@ TEST(Model3d, WavesAbsorbed) {
   EXPECT_GT(peak, 0.0);
   // 3D waves satisfy Huygens: the coda dies out quickly.
   EXPECT_LT(util::norm_max(out.history.back()), 0.05 * peak);
+}
+
+// The 2D stepper's contracts on the 3D model it also marches.
+TEST(Stepper3d, MatchesMarch) {
+  const ScalarGrid3d g{8, 8, 8, 100.0};
+  const ScalarModel3d m(
+      g, std::vector<double>(static_cast<std::size_t>(g.n_elems()), 2e9),
+      kRho);
+  testsupport::expect_stepper_matches_march(m, g.node(4, 4, 4));
+}
+
+TEST(Stepper3d, RestartFromStoredStateIsExact) {
+  const ScalarGrid3d g{8, 8, 8, 100.0};
+  const ScalarModel3d m(
+      g, std::vector<double>(static_cast<std::size_t>(g.n_elems()), 2e9),
+      kRho);
+  testsupport::expect_restart_is_exact(m, g.node(4, 4, 4));
 }
 
 TEST(Adjoint3d, GradientMatchesFiniteDifference) {
