@@ -1,7 +1,6 @@
 #include "quake/par/communicator.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <exception>
 #include <numeric>
@@ -83,7 +82,6 @@ void Communicator::clear_fault_plan() {
 }
 
 void Rank::send(int dest, int tag, std::span<const double> data) {
-  sent_ += data.size();
   obs::counter_add("comm/msgs_sent", 1);
   obs::counter_add("comm/bytes_sent",
                    static_cast<std::int64_t>(8 * data.size()));
@@ -98,17 +96,16 @@ void Rank::send(int dest, int tag, std::span<const double> data) {
   comm_->post(id_, dest, tag, std::move(msg));
 }
 
-std::vector<double> Rank::recv(int src, int tag, double timeout_sec) {
-  std::vector<double> msg = comm_->take(src, id_, tag, timeout_sec);
+std::vector<double> Rank::recv(int src, int tag) {
+  std::vector<double> msg = comm_->take(src, id_, tag);
   count_recv(msg.size());
   return msg;
 }
 
 // The spent storage of a message received into a caller buffer lands in
 // this rank's pool, for the next send.
-void Rank::recv_into(int src, int tag, std::span<double> out,
-                     double timeout_sec) {
-  std::vector<double> msg = comm_->take(src, id_, tag, timeout_sec);
+void Rank::recv_into(int src, int tag, std::span<double> out) {
+  std::vector<double> msg = comm_->take(src, id_, tag);
   copy_exact("recv_into", src, id_, tag, msg, out);
   pool_.push_back(std::move(msg));
   count_recv(out.size());
@@ -242,17 +239,9 @@ void Communicator::revive_locked(int rank, std::uint64_t new_epoch) {
   }
 }
 
-void Communicator::revive(int rank, std::uint64_t new_epoch) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    revive_locked(rank, new_epoch);
-  }
-  cv_.notify_all();
-}
-
 bool Communicator::await_recovery() {
   std::unique_lock<std::mutex> lock(mu_);
-  if (!recovery_.enabled || recovery_abandoned_ || deadlocked_) return false;
+  if (max_revives_ == 0 || recovery_abandoned_ || deadlocked_) return false;
   const std::uint64_t parked_at = epoch_.load(std::memory_order_relaxed);
   ++n_parked_;
   cv_.notify_all();  // the monitor waits for every survivor to park
@@ -404,8 +393,7 @@ std::size_t Communicator::drop_stale_locked(Mailbox& box) {
 }
 
 void Communicator::wait_for_message(std::unique_lock<std::mutex>& lock,
-                                    int src, int dst, int tag,
-                                    double timeout_sec) {
+                                    int src, int dst, int tag) {
   throw_if_down_locked(dst);
   const auto key = std::tuple<int, int, int>{src, dst, tag};
   std::size_t stale = 0;
@@ -418,16 +406,7 @@ void Communicator::wait_for_message(std::unique_lock<std::mutex>& lock,
   };
   if (!ready()) {
     block_locked(dst, {Blocked::Kind::kRecv, src, tag, 0});
-    const double t = effective_timeout(timeout_sec);
-    if (t <= 0.0) {
-      cv_.wait(lock, ready);
-    } else if (!cv_.wait_for(lock, std::chrono::duration<double>(t), ready)) {
-      unblock_locked(dst);
-      throw TimeoutError("recv timeout on rank " + std::to_string(dst) +
-                         ": recv(src=" + std::to_string(src) +
-                         ", tag=" + std::to_string(tag) + ") after " +
-                         std::to_string(t) + " s");
-    }
+    cv_.wait(lock, ready);
     unblock_locked(dst);
   }
   if (stale != 0) {
@@ -438,10 +417,9 @@ void Communicator::wait_for_message(std::unique_lock<std::mutex>& lock,
   throw_if_down_locked(dst);
 }
 
-std::vector<double> Communicator::take(int src, int dst, int tag,
-                                       double timeout_sec) {
+std::vector<double> Communicator::take(int src, int dst, int tag) {
   std::unique_lock<std::mutex> lock(mu_);
-  wait_for_message(lock, src, dst, tag, timeout_sec);
+  wait_for_message(lock, src, dst, tag);
   auto& q = boxes_[std::tuple<int, int, int>{src, dst, tag}].messages;
   std::vector<double> msg = std::move(q.front().data);
   q.pop();
@@ -471,8 +449,7 @@ bool Communicator::try_take(int src, int dst, int tag,
 }
 
 template <class Read>
-auto Communicator::collective(int rank, const char* op, double v,
-                              double timeout_sec, Read read) {
+auto Communicator::collective(int rank, const char* op, double v, Read read) {
   std::unique_lock<std::mutex> lock(mu_);
   throw_if_down_locked(rank);
   if (coll_count_ == 0) {
@@ -499,17 +476,7 @@ auto Communicator::collective(int rank, const char* op, double v,
     return poisoned_ || deadlocked_ || coll_gen_ != gen;
   };
   block_locked(rank, {Blocked::Kind::kCollective, 0, 0, gen});
-  const double t = effective_timeout(timeout_sec);
-  if (t <= 0.0) {
-    cv_.wait(lock, released);
-  } else if (!cv_.wait_for(lock, std::chrono::duration<double>(t), released)) {
-    unblock_locked(rank);
-    // Withdraw from the round so a later retry is not double-counted.
-    if (coll_gen_ == gen) --coll_count_;
-    throw TimeoutError(std::string(op) + " timeout on rank " +
-                       std::to_string(rank) + " after " + std::to_string(t) +
-                       " s");
-  }
+  cv_.wait(lock, released);
   unblock_locked(rank);
   // The round completed iff the generation advanced; a poison landing
   // after the last arrival must not retroactively fail waiters that were
@@ -524,28 +491,28 @@ auto Communicator::collective(int rank, const char* op, double v,
 // Every collective is one rendezvous round read under the lock: a barrier
 // reads nothing, a reduction folds the rank-indexed values in rank order
 // (so the sum does not depend on arrival order), an all-gather copies them.
-void Rank::barrier(double timeout_sec) {
-  comm_->collective(id_, "barrier", 0.0, timeout_sec, [](auto) {});
+void Rank::barrier() {
+  comm_->collective(id_, "barrier", 0.0, [](auto) {});
 }
 
 double Rank::allreduce_sum(double v) {
-  return comm_->collective(id_, "allreduce_sum", v, 0.0, [](auto x) {
+  return comm_->collective(id_, "allreduce_sum", v, [](auto x) {
     return std::accumulate(x.begin() + 1, x.end(), x[0]);
   });
 }
 double Rank::allreduce_max(double v) {
-  return comm_->collective(id_, "allreduce_max", v, 0.0, [](auto x) {
+  return comm_->collective(id_, "allreduce_max", v, [](auto x) {
     return *std::max_element(x.begin(), x.end());
   });
 }
 double Rank::allreduce_min(double v) {
-  return comm_->collective(id_, "allreduce_min", v, 0.0, [](auto x) {
+  return comm_->collective(id_, "allreduce_min", v, [](auto x) {
     return *std::min_element(x.begin(), x.end());
   });
 }
 
 std::vector<double> Rank::allgather(double v) {
-  return comm_->collective(id_, "allgather", v, 0.0, [](auto x) {
+  return comm_->collective(id_, "allgather", v, [](auto x) {
     return std::vector<double>(x.begin(), x.end());
   });
 }
@@ -617,7 +584,7 @@ void Communicator::run(const std::function<void(Rank&)>& fn) {
   };
   for (int r = 0; r < n_ranks_; ++r) spawn(r, /*revived=*/false);
 
-  if (recovery_.enabled) {
+  if (max_revives_ > 0) {
     // Recovery monitor (runs on the calling thread): when a failure has
     // poisoned the communicator and every surviving rank has parked in
     // await_recovery(), join the dead ranks' threads, repair the
@@ -639,7 +606,7 @@ void Communicator::run(const std::function<void(Rank&)>& fn) {
         break;
       }
       if (unrecoverable_ || deadlocked_ || n_completed_ > 0 ||
-          revives_used_ >= recovery_.max_revives) {
+          revives_used_ >= max_revives_) {
         // Parked survivors wake, see the abandonment, and rethrow — the
         // run drains into the aggregated-failure path below.
         recovery_abandoned_ = true;

@@ -15,9 +15,6 @@
 //    message can satisfy any of them, all waiters throw DeadlockError
 //    naming each rank's blocked operation (src, tag), so mismatched
 //    exchanges are diagnosable rather than eternal.
-//  * Deadlines — every blocking op (recv, barrier, allreduce, allgather)
-//    honours the communicator-wide set_timeout, and recv and barrier take a
-//    per-call override; expiry throws TimeoutError.
 //  * One collective — barrier, allreduce and allgather are one generation-
 //    counted, rank-indexed rendezvous: reductions fold in rank order, so
 //    allreduce_sum is deterministic, and a rank joining a round of another
@@ -30,8 +27,8 @@
 //  * In-place recovery (opt-in via set_recovery) — instead of tearing the
 //    whole run down on a rank failure, survivors park in await_recovery()
 //    with their thread (and all rank-local state) intact; run()'s monitor
-//    joins the dead rank's thread, repairs the communicator with
-//    revive(rank, epoch), and respawns only the dead rank. Every message
+//    joins the dead rank's thread, repairs the communicator under a new
+//    epoch, and respawns only the dead rank. Every message
 //    is stamped with the recovery epoch at post time and stale-epoch
 //    messages are discarded at receive time, so stragglers from the
 //    pre-failure epoch cannot corrupt the restarted exchange.
@@ -78,12 +75,6 @@ class RankFailedError : public CommError {
 // All live ranks blocked with no satisfiable wait: what() lists each rank's
 // blocked operation, e.g. "rank 0: recv(src=1, tag=3)".
 class DeadlockError : public CommError {
- public:
-  using CommError::CommError;
-};
-
-// A blocking operation's deadline expired before it completed.
-class TimeoutError : public CommError {
  public:
   using CommError::CommError;
 };
@@ -158,11 +149,10 @@ class Rank {
   [[nodiscard]] int size() const { return size_; }
 
   // Blocking tagged point-to-point. Messages between a (src, dst, tag)
-  // triple are delivered in order. `timeout_sec` overrides the
-  // communicator-wide deadline for this call (0 = use the default;
-  // default 0 = wait forever, subject to deadlock detection).
+  // triple are delivered in order. A receive waits until its message
+  // arrives, a peer fails, or the deadlock detector fires.
   void send(int dest, int tag, std::span<const double> data);
-  std::vector<double> recv(int src, int tag, double timeout_sec = 0.0);
+  std::vector<double> recv(int src, int tag);
 
   // Blocking receive into a caller-owned buffer: the message must be
   // exactly `out.size()` doubles (CommError otherwise — a size mismatch on
@@ -172,8 +162,7 @@ class Rank {
   // once every edge has warmed up, a symmetric exchange (every rank
   // receives as many messages per step as it sends) runs with zero heap
   // allocation in steady state.
-  void recv_into(int src, int tag, std::span<double> out,
-                 double timeout_sec = 0.0);
+  void recv_into(int src, int tag, std::span<double> out);
 
   // Non-blocking variant of recv_into: returns true and fills `out` if a
   // message is already waiting on (src, tag), false immediately otherwise
@@ -194,9 +183,8 @@ class Rank {
   [[nodiscard]] bool try_recv(int src, int tag, std::vector<double>& out);
 
   // Collectives: every rank must make the same call in the same order. A
-  // reduction folds the ranks' values in rank order. All honour the
-  // communicator-wide deadline; a barrier also takes a per-call one.
-  void barrier(double timeout_sec = 0.0);
+  // reduction folds the ranks' values in rank order.
+  void barrier();
   double allreduce_sum(double v);
   double allreduce_max(double v);
   double allreduce_min(double v);
@@ -210,9 +198,6 @@ class Rank {
   // Deterministic fault hook: long-running solvers call this once per time
   // step so an installed FaultPlan can kill this rank at a planned step.
   void fault_point(int step);
-
-  // Total doubles sent by this rank (communication-volume accounting).
-  [[nodiscard]] std::size_t doubles_sent() const { return sent_; }
 
   // In-place recovery rendezvous: call from a RankFailedError handler to
   // park this (surviving) rank's thread while run()'s monitor repairs the
@@ -237,7 +222,6 @@ class Rank {
   int id_;
   int size_;
   bool revived_ = false;
-  std::size_t sent_ = 0;
   // Rank-local message-storage pool: refilled by recv_into, drawn by send,
   // no locking (only this rank's thread touches it). Storage migrates
   // between ranks' pools with the messages that carry it.
@@ -257,27 +241,21 @@ class Communicator {
 
   [[nodiscard]] int size() const { return n_ranks_; }
 
-  // Default deadline for blocking operations, in seconds (0 = none).
-  void set_timeout(double seconds) { default_timeout_sec_ = seconds; }
-
   // Installs (replacing any previous) a deterministic fault plan; resets
   // its fired-state.
   void install_fault_plan(const FaultPlan& plan);
   void clear_fault_plan();
 
-  // In-place recovery policy. When enabled, run() keeps a monitor on the
-  // calling thread: after a failure it waits for every surviving rank to
-  // park in Rank::await_recovery(), joins the failed ranks' threads,
-  // revives them (repairing poison and fencing a new epoch), respawns only
-  // their threads with Rank::revived() set, and resumes the survivors.
-  // Recovery is abandoned (survivors' await_recovery returns false) when
-  // the budget is exhausted, any rank already returned normally, or a rank
-  // threw UnrecoverableError. Set between runs only.
-  struct RecoveryOptions {
-    bool enabled = false;
-    int max_revives = 1;  // revival rounds per run()
-  };
-  void set_recovery(const RecoveryOptions& opt) { recovery_ = opt; }
+  // In-place recovery budget: revival rounds per run(), 0 = off. When it
+  // is positive, run() keeps a monitor on the calling thread: after a
+  // failure it waits for every surviving rank to park in
+  // Rank::await_recovery(), joins the failed ranks' threads, revives them
+  // (repairing poison and fencing a new epoch), respawns only their
+  // threads with Rank::revived() set, and resumes the survivors. Recovery
+  // is abandoned (survivors' await_recovery returns false) when the budget
+  // is exhausted, any rank already returned normally, or a rank threw
+  // UnrecoverableError. Set between runs only.
+  void set_recovery(int max_revives) { max_revives_ = max_revives; }
 
   // Current recovery epoch: 0 at the start of each run(), +1 per revival
   // round. Messages are stamped with the epoch at post time; receives
@@ -293,16 +271,6 @@ class Communicator {
     const std::lock_guard<std::mutex> lock(mu_);
     return revives_used_;
   }
-
-  // Repairs the communicator after `rank` failed: clears its entry from
-  // the failure list (poison lifts when no failures remain), flushes every
-  // in-flight mailbox to or from it, resets a partially filled collective
-  // round (no waiter survives a poisoning, so its count is pre-failure
-  // garbage), and advances the epoch to `new_epoch` so
-  // surviving in-flight messages from older epochs are fenced off.
-  // run()'s recovery monitor drives this; it is public for substrate tests
-  // and does NOT respawn threads or fix live-rank accounting by itself.
-  void revive(int rank, std::uint64_t new_epoch);
 
  private:
   friend class Rank;
@@ -328,7 +296,7 @@ class Communicator {
   };
 
   void post(int src, int dst, int tag, std::vector<double> msg);
-  std::vector<double> take(int src, int dst, int tag, double timeout_sec);
+  std::vector<double> take(int src, int dst, int tag);
   // Non-blocking sibling of take: moves a waiting message into `out` or
   // returns false without blocking (never calls block_locked). Drops
   // stale-epoch messages like the blocking path; checks poison/deadlock
@@ -337,20 +305,26 @@ class Communicator {
   bool try_take(int src, int dst, int tag, std::vector<double>& out,
                 bool poison_check);
   // Waits until a message on (src, dst, tag) is available (or the run is
-  // down / the deadline expires): the blocking logic of take; requires
-  // `lock` held, returns with it held.
+  // down): the blocking logic of take; requires `lock` held, returns with
+  // it held.
   void wait_for_message(std::unique_lock<std::mutex>& lock, int src, int dst,
-                        int tag, double timeout_sec);
+                        int tag);
   // The one collective: joins the current round as `rank` with operation
-  // `op` and value v, waits until every rank has joined (or the deadline
-  // expires: withdraw and throw TimeoutError), and returns `read` of the
-  // round's rank-indexed values, called under the lock. Joining a round of
-  // another operation throws CommError.
+  // `op` and value v, waits until every rank has joined, and returns `read`
+  // of the round's rank-indexed values, called under the lock. Joining a
+  // round of another operation throws CommError.
   template <class Read>
-  auto collective(int rank, const char* op, double v, double timeout_sec,
-                  Read read);
+  auto collective(int rank, const char* op, double v, Read read);
   void fault_point(int rank, int step);
   bool await_recovery();
+  // Repairs the communicator after `rank` failed: clears its entry from
+  // the failure list (poison lifts when no failures remain), flushes every
+  // in-flight mailbox to or from it, resets a partially filled collective
+  // round (no waiter survives a poisoning, so its count is pre-failure
+  // garbage), and advances the epoch to `new_epoch` so surviving in-flight
+  // messages from older epochs are fenced off (mu_ held). run()'s recovery
+  // monitor drives this; it does not respawn threads or fix live-rank
+  // accounting by itself.
   void revive_locked(int rank, std::uint64_t new_epoch);
   // Drops stale-epoch messages from the front of `box`; returns the number
   // dropped (mu_ held).
@@ -372,11 +346,6 @@ class Communicator {
   void check_deadlock_locked();
   void rank_done();  // live-count bookkeeping on fn exit
 
-  // Effective timeout: per-call override, else communicator default.
-  [[nodiscard]] double effective_timeout(double timeout_sec) const {
-    return timeout_sec > 0.0 ? timeout_sec : default_timeout_sec_;
-  }
-
   int n_ranks_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -389,7 +358,7 @@ class Communicator {
   std::string deadlock_report_;
 
   // In-place recovery state (monitor in run(); reset by the next run()).
-  RecoveryOptions recovery_;
+  int max_revives_ = 0;  // set_recovery's budget
   std::atomic<std::uint64_t> epoch_{0};
   int n_parked_ = 0;     // survivors waiting in await_recovery()
   int n_completed_ = 0;  // ranks whose fn returned normally (cannot rewind)
@@ -401,8 +370,6 @@ class Communicator {
   std::vector<Blocked> blocked_;
   int n_blocked_ = 0;
   int n_live_ = 0;
-
-  double default_timeout_sec_ = 0.0;
 
   // Fault-injection state (persists across run() calls). has_plan_ is
   // atomic so the per-step fault_point hook can bail without touching the

@@ -131,6 +131,12 @@ struct ParallelResult {
 //    failed ranks recover concurrently on this tier as long as no two
 //    victims share a ghost edge (disjoint victims — survivors serve each
 //    victim's log independently; `par/multi_victim_replays` counts these).
+//    Donation is on whenever in-place recovery is armed on more than one
+//    rank: each cut is posted fire-and-forget to buddy rank (r+1)%R, which
+//    absorbs it without blocking, holds it in memory and donates it back on
+//    revival, so the victim restores without touching disk and the step
+//    loop gains no synchronous wait (`recover/donate/wait` times the
+//    absorb).
 //  * Tier 2 (donation + rollback): when the log cannot cover the replay
 //    span (ring overflow, overlapping victims, a donation that timed out
 //    or failed its integrity check), every rank rolls back to the newest
@@ -149,18 +155,6 @@ struct FaultToleranceOptions {
   int max_revives = 0;                // in-place rank revivals before full
                                       // restart (0 = always full-restart)
   const FaultPlan* fault_plan = nullptr;  // injected faults (testing)
-
-  // Survivor state donation: at each checkpoint barrier every rank streams
-  // its state to buddy rank (r+1)%R, which holds it in (thread-local)
-  // memory; on revival the buddy donates it back over the communicator so
-  // the revived rank restores the newest checkpoint without touching disk.
-  // Only meaningful with in-place recovery armed (max_revives > 0). The
-  // snapshot stream is posted fire-and-forget at the checkpoint barrier
-  // and absorbed non-blockingly (the barrier bracketing the capture
-  // guarantees it is already in the mailbox), so donation adds no
-  // synchronous wait to the step loop — the `recover/donate/wait` scope
-  // records the (near-zero) absorb time.
-  bool state_donation = true;
 
   // Outbound message log retained per neighbor for tier-1 replay, in steps:
   // -1 = auto (2 * checkpoint_every + 8: two checkpoint intervals plus

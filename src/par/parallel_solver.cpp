@@ -1469,11 +1469,11 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
   // In-place recovery needs snapshots to roll back to; without them every
   // failure goes straight to the full-restart supervisor as before.
   policy.in_place = ckpt_on && ft.max_revives > 0;
-  comm.set_recovery({policy.in_place, ft.max_revives});
+  comm.set_recovery(policy.in_place ? ft.max_revives : 0);
   // Tier-1 machinery (see FaultToleranceOptions): buddy-shadow donation and
   // the per-neighbor outbound message log. Both only pay their cost when
   // in-place recovery is armed.
-  policy.donate = policy.in_place && ft.state_donation && R > 1;
+  policy.donate = policy.in_place && R > 1;
   // Auto capacity spans TWO checkpoint intervals: delta compression (see
   // util::DeltaRing) keeps the longer ring near the memory cost of one
   // uncompressed interval, and the extra reach keeps tier-1 feasible even

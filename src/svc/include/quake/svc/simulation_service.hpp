@@ -20,9 +20,9 @@
 // Isolation semantics: all mutable solver state (displacement vectors,
 // receiver histories, telemetry registries, fault-plan cursors) is
 // per-request inside ParallelSetup::solve. A request that dies — e.g. via an
-// injected FaultPlan with retries exhausted — completes exceptionally with
-// kFailed and the service keeps serving; the communicator resets itself at
-// the start of the next run.
+// injected FaultPlan with its restart budget spent — completes with kFailed
+// and the service keeps serving; the communicator resets itself at the
+// start of the next run.
 
 #include <array>
 #include <atomic>
@@ -73,18 +73,13 @@ struct ScenarioRequest {
   double deadline_seconds = 0.0;  // end-to-end budget from admission; 0=none
   int priority = 0;               // higher drains first; FIFO within a level
 
-  // Per-request fault tolerance (checkpointing, retries, injected faults —
-  // the FaultPlan pointer must outlive the request). A request whose
+  // Per-request fault tolerance (checkpointing, revivals, restarts,
+  // injected faults — the FaultPlan pointer must outlive the request).
+  // `ft.max_retries` is the request's restart budget: the solve's
+  // supervisor restarts within one install of the plan, so a fired fault
+  // stays fired, and it never restarts a deadlock. A request whose
   // recovery budget is exhausted fails alone; the service stays up.
   par::FaultToleranceOptions ft;
-
-  // Service-level degradation: when the solve's own revival/restart budget
-  // is spent (ParallelSetup::solve throws a rank-failure), the worker retries
-  // the whole request up to `max_attempts` times total. Only recoverable
-  // faults are retried — deadlocks and setup errors are deterministic and
-  // fail immediately. Each extra attempt bumps `svc/retries` and marks the
-  // service degraded until a request completes on its first attempt.
-  int max_attempts = 1;
 };
 
 enum class RequestStatus {
@@ -109,9 +104,9 @@ struct ScenarioResult {
   par::ParallelResult solve;
 
   std::uint64_t exec_index = 0;  // 1-based worker pickup order; 0 = never ran
-  int attempts = 0;              // service-level attempts consumed (>1 = retried)
+  int attempts = 0;              // 1 = the pickup ran its solve, 0 = it did not
   double queue_seconds = 0.0;    // admission -> worker pickup
-  double solve_seconds = 0.0;    // wall-clock across all attempts
+  double solve_seconds = 0.0;    // wall-clock of the solve
   double total_seconds = 0.0;    // admission -> completion (end-to-end)
 };
 
@@ -123,17 +118,14 @@ struct ScenarioResult {
 struct ServiceHealth {
   std::size_t queue_depth = 0;   // waiting requests (in-flight not counted)
   bool in_flight = false;
-  // True after a request needed a service-level retry or failed outright;
-  // cleared when a request completes on its first attempt.
+  // True exactly when the last pickup that ran a solve failed, so a
+  // completed pickup clears it.
   bool degraded = false;
-  std::int64_t retries_total = 0;  // svc/retries counter
-  std::int64_t failed_total = 0;   // svc/requests_failed counter
+  std::int64_t failed_total = 0;  // svc/requests_failed counter
 
   // Last executed request's recovery footprint. A batch reports its head's
-  // id, attempts and solve time, and no recovery (it carries no fault
-  // tolerance).
+  // id and solve time, and no recovery (it carries no fault tolerance).
   std::uint64_t last_id = 0;          // 0 = nothing executed yet
-  int last_attempts = 0;              // service-level attempts it consumed
   int last_revives_used = 0;          // in-place revivals its solve consumed
   int last_revives_budget = 0;        // its ft.max_revives
   int last_revives_remaining = 0;     // budget - used (never negative)
@@ -164,9 +156,8 @@ struct ServiceOptions {
   // Scenario batching (see docs/BATCHING.md): a lane picking up a
   // batchable request coalesces up to `max_batch` compatible waiting
   // requests from its shard into one solve. A request is batchable iff it
-  // carries no deadline, no retry budget, and no fault tolerance; batch
-  // partners must share t_end. 1 = batching off. Must not exceed
-  // fem::kMaxBatchLanes.
+  // carries no deadline and no fault tolerance; batch partners must share
+  // t_end. 1 = batching off. Must not exceed fem::kMaxBatchLanes.
   int max_batch = 1;
 
   // Aggregation window: with max_batch > 1, how long a lane holds an
@@ -224,7 +215,7 @@ class SimulationService {
   [[nodiscard]] double dt() const;
 
   // Point-in-time service metrics snapshot: the svc/requests_* counters,
-  // the svc/retries, svc/batches, and svc/batched_requests counters, the
+  // the svc/batches and svc/batched_requests counters, the
   // svc/queue_depth (all shards summed), svc/lanes, svc/batch_size (width
   // of the last solve launched), and svc/degraded gauges, the per-lane
   // svc/lane<k>/queue_depth gauges and svc/lane<k>/requests|batches|
@@ -269,7 +260,6 @@ class SimulationService {
   std::atomic<std::int64_t> cancelled_{0};
   std::atomic<std::int64_t> deadline_exceeded_{0};
   std::atomic<std::int64_t> failed_{0};
-  std::atomic<std::int64_t> retries_{0};
   std::atomic<std::int64_t> batches_{0};           // width > 1 solves launched
   std::atomic<std::int64_t> batched_requests_{0};  // requests they carried
 

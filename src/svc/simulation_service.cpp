@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "quake/fem/hex_element.hpp"
-#include "quake/par/communicator.hpp"
 
 namespace quake::svc {
 
@@ -26,14 +25,14 @@ double counter_sum(const obs::MergedReport& m, const std::string& key) {
 
 // A request may join a scenario batch only when it carries nothing that is
 // per solve: a batch is one solve, so its members would share one fault-
-// tolerance policy, one deadline and one retry budget. So: no end-to-end
-// deadline, no service-level retry budget and no fault tolerance of any
-// kind (see docs/BATCHING.md for the coalescing contract). Batch partners
-// must additionally share t_end.
+// tolerance policy (restart budget included) and one deadline. So: no
+// end-to-end deadline and no fault tolerance of any kind (see
+// docs/BATCHING.md for the coalescing contract). Batch partners must
+// additionally share t_end.
 bool batchable(const ScenarioRequest& r) {
-  return r.deadline_seconds == 0.0 && r.max_attempts <= 1 &&
-         r.ft.checkpoint_dir.empty() && r.ft.fault_plan == nullptr &&
-         r.ft.max_retries == 0 && r.ft.max_revives == 0;
+  return r.deadline_seconds == 0.0 && r.ft.checkpoint_dir.empty() &&
+         r.ft.fault_plan == nullptr && r.ft.max_retries == 0 &&
+         r.ft.max_revives == 0;
 }
 
 }  // namespace
@@ -268,7 +267,6 @@ obs::Registry SimulationService::metrics() const {
   m.counters["svc/requests_deadline_exceeded"] =
       deadline_exceeded_.load(std::memory_order_relaxed);
   m.counters["svc/requests_failed"] = failed_.load(std::memory_order_relaxed);
-  m.counters["svc/retries"] = retries_.load(std::memory_order_relaxed);
   m.counters["svc/batches"] = batches_.load(std::memory_order_relaxed);
   m.counters["svc/batched_requests"] =
       batched_requests_.load(std::memory_order_relaxed);
@@ -315,12 +313,17 @@ ServiceHealth SimulationService::health() const {
       if (!lane->running_ids.empty()) h.in_flight = true;
     }
   }
-  h.retries_total = retries_.load(std::memory_order_relaxed);
   h.failed_total = failed_.load(std::memory_order_relaxed);
   return h;
 }
 
 void SimulationService::worker_loop(Lane& lane) {
+  // Shard order: higher priority first, admission order within a level.
+  const auto precedes = [](const std::unique_ptr<Pending>& a,
+                           const std::unique_ptr<Pending>& b) {
+    return a->priority > b->priority ||
+           (a->priority == b->priority && a->seq < b->seq);
+  };
   for (;;) {
     std::vector<std::unique_ptr<Pending>> batch;
     {
@@ -328,20 +331,8 @@ void SimulationService::worker_loop(Lane& lane) {
       work_cv_.wait(
           lk, [&] { return shutdown_ || (!paused_ && !lane.queue.empty()); });
       if (shutdown_) return;
-      // Priority order within the shard: higher priority first, FIFO
-      // within a level (admission seq as the tiebreak).
-      const auto pick_best = [](std::deque<std::unique_ptr<Pending>>& q) {
-        auto best = q.begin();
-        for (auto qi = q.begin(); qi != q.end(); ++qi) {
-          if ((*qi)->priority > (*best)->priority ||
-              ((*qi)->priority == (*best)->priority &&
-               (*qi)->seq < (*best)->seq)) {
-            best = qi;
-          }
-        }
-        return best;
-      };
-      auto it = pick_best(lane.queue);
+      auto it = std::min_element(lane.queue.begin(), lane.queue.end(),
+                                 precedes);
       std::unique_ptr<Pending> head = std::move(*it);
       lane.queue.erase(it);
       const bool can_batch = opt_.max_batch > 1 && batchable(head->req);
@@ -361,12 +352,7 @@ void SimulationService::worker_loop(Lane& lane) {
               if (!batchable((*qi)->req) || (*qi)->req.t_end != head_t_end) {
                 continue;
               }
-              if (best == lane.queue.end() ||
-                  (*qi)->priority > (*best)->priority ||
-                  ((*qi)->priority == (*best)->priority &&
-                   (*qi)->seq < (*best)->seq)) {
-                best = qi;
-              }
+              if (best == lane.queue.end() || precedes(*qi, *best)) best = qi;
             }
             if (best == lane.queue.end()) break;
             lane.running_ids.push_back((*best)->id);
@@ -428,7 +414,7 @@ void SimulationService::worker_loop(Lane& lane) {
 // ParallelSetup::solve with the head's fault tolerance and remaining
 // budget. The members of a larger group advance in lockstep, each bitwise
 // identical to a solo run (docs/BATCHING.md), and are batchable(): no
-// deadline, no retry budget, no fault tolerance.
+// deadline, no fault tolerance.
 void SimulationService::execute(Lane& lane,
                                 std::vector<std::unique_ptr<Pending>> group) {
   const std::size_t B = group.size();
@@ -526,43 +512,21 @@ void SimulationService::execute(Lane& lane,
             head.req.deadline_seconds - results.front().queue_seconds;
       }
 
-      // Service-level degradation: when the solve's own revival/restart
-      // budget is spent (a rank failure escapes the setup), retry the whole
-      // pickup up to the head's max_attempts times. Only recoverable faults
-      // are retried; deadlocks and setup errors are deterministic and fail
-      // immediately. A failed run leaves the shared setup reusable, so a
-      // retry starts clean. Batch members carry no retry budget, so a
-      // batch runs once, and a failure fails every member: they shared one
-      // solve.
-      const int max_attempts = std::max(1, head.req.max_attempts);
+      // One solve. Its supervisor is the request's only restart path
+      // (ft.max_retries, within one install of the fault plan), and it
+      // never restarts a deadlock. Whatever escapes it — a spent budget, a
+      // deadlock, a bad receiver, an unusable checkpoint — fails the pickup
+      // alone: the service and the shared setup keep serving. A batch's
+      // members shared the solve, so a failure fails every member.
       std::vector<par::ParallelResult> solves;  // stays empty on failure
-      int attempts = 0;
+      const int attempts = sources_built ? 1 : 0;
       const Clock::time_point t0 = Clock::now();
-      while (sources_built) {
-        ++attempts;
+      if (sources_built) {
         try {
           QUAKE_OBS_SCOPE("solve");
           solves = setup.solve(head.req.t_end, scenarios, {}, head.req.ft, ctl);
-          break;
-        } catch (const par::DeadlockError& e) {
-          error = e.what();
-          break;
-        } catch (const par::RankFailedError& e) {
-          error = e.what();
-          if (attempts >= max_attempts) break;
-          if (head.cancel_flag->load(std::memory_order_relaxed)) break;
-          if (head.req.deadline_seconds > 0.0 &&
-              seconds_between(head.admitted, Clock::now()) >=
-                  head.req.deadline_seconds) {
-            break;  // the end-to-end budget is gone; a retry cannot finish
-          }
-          retries_.fetch_add(1, std::memory_order_relaxed);
         } catch (const std::exception& e) {
-          // Request-level failure (bad receiver, unusable checkpoint, ...):
-          // the pickup fails, the service — and the shared setup — keep
-          // serving.
           error = e.what();
-          break;
         }
       }
       const double solve_seconds = seconds_between(t0, Clock::now());
@@ -600,13 +564,10 @@ void SimulationService::execute(Lane& lane,
   if (first.attempts > 0) {
     // Health describes the last pickup that ran a solve, the head standing
     // for a batch (whose recovery footprint is zero: it carries no fault
-    // tolerance). The service is degraded while requests need service-level
-    // retries (or fail), and recovers as soon as one completes on its
-    // first attempt.
+    // tolerance). The service is degraded iff that solve failed.
     const std::lock_guard<std::mutex> lk(health_mu_);
-    degraded_ = first.attempts > 1 || first.status == RequestStatus::kFailed;
+    degraded_ = first.status == RequestStatus::kFailed;
     last_exec_.last_id = first.id;
-    last_exec_.last_attempts = first.attempts;
     last_exec_.last_revives_used = first.solve.revives_used;
     last_exec_.last_revives_budget = head.req.ft.max_revives;
     last_exec_.last_revives_remaining =

@@ -378,36 +378,54 @@ TEST(SimulationService, KilledRequestWithRevivalBudgetCompletes) {
                             cold_a.receiver_histories));
 }
 
-// Service-level degradation: when the in-run recovery budget is spent, the
-// worker retries the whole request with backoff, counts each retry, and
-// flags the service degraded; a later clean request clears the flag.
-TEST(SimulationService, RetriesRecoverableFaultsAndClearsDegraded) {
+// The restart budget is the request's ft.max_retries: the solve's
+// supervisor restarts within one install of the plan, so the planned kill
+// does not fire again and the one pickup completes bitwise equal to a cold
+// run. With no checkpoint directory the restart is from scratch.
+TEST(SimulationService, RestartBudgetCompletesKilledRequestBitwise) {
+  const Fixture f;
+  const par::ParallelResult cold_a = f.cold(f.src_a);
+  par::FaultPlan plan;
+  plan.kills.push_back({1, 5});
+
+  svc::SimulationService service(f.mesh, f.part, f.oo, f.so);
+  svc::ScenarioRequest req = f.request(f.src_a);
+  req.ft.fault_plan = &plan;
+  req.ft.max_retries = 1;
+  const svc::ScenarioResult r = service.submit(req).result.get();
+
+  ASSERT_EQ(r.status, svc::RequestStatus::kCompleted);
+  EXPECT_EQ(r.attempts, 1);
+  EXPECT_TRUE(bitwise_equal(r.solve.receiver_histories,
+                            cold_a.receiver_histories));
+  EXPECT_TRUE(bitwise_equal(r.solve.u_final, cold_a.u_final));
+  EXPECT_FALSE(service.health().degraded);
+}
+
+// A failed solve (here a kill with no budget) degrades the service; a later
+// request that completes clears the flag. The failure count is history.
+TEST(SimulationService, FailedRequestDegradesUntilOneCompletes) {
   const Fixture f;
   par::FaultPlan plan;
-  plan.kills.push_back({1, 5});  // refires on every attempt: plan reinstalls
+  plan.kills.push_back({1, 5});
 
   svc::SimulationService service(f.mesh, f.part, f.oo, f.so);
   svc::ScenarioRequest doomed = f.request(f.src_a);
   doomed.ft.fault_plan = &plan;
-  doomed.max_attempts = 3;
   auto t = service.submit(doomed);
   const svc::ScenarioResult r = t.result.get();
 
   EXPECT_EQ(r.status, svc::RequestStatus::kFailed);
-  EXPECT_EQ(r.attempts, 3);
+  EXPECT_EQ(r.attempts, 1);
   {
     const obs::Registry m = service.metrics();
-    EXPECT_EQ(m.counters.at("svc/retries"), 2);
     EXPECT_EQ(m.gauges.at("svc/degraded"), 1.0);
     const svc::ServiceHealth h = service.health();
     EXPECT_TRUE(h.degraded);
-    EXPECT_EQ(h.retries_total, 2);
     EXPECT_EQ(h.failed_total, 1);
     EXPECT_EQ(h.last_id, t.id);
-    EXPECT_EQ(h.last_attempts, 3);
   }
 
-  // A clean first-attempt completion ends the degraded state.
   auto ok = service.submit(f.request(f.src_b));
   ASSERT_EQ(ok.result.get().status, svc::RequestStatus::kCompleted);
   {
@@ -415,12 +433,13 @@ TEST(SimulationService, RetriesRecoverableFaultsAndClearsDegraded) {
     EXPECT_EQ(m.gauges.at("svc/degraded"), 0.0);
     const svc::ServiceHealth h = service.health();
     EXPECT_FALSE(h.degraded);
-    EXPECT_EQ(h.last_attempts, 1);
-    EXPECT_EQ(h.retries_total, 2);  // history, not state
+    EXPECT_EQ(h.last_id, ok.id);
+    EXPECT_EQ(h.failed_total, 1);  // history, not state
   }
 }
 
-// Deadlocks are deterministic program errors: no service-level retry.
+// Deadlocks are deterministic program errors: the supervisor does not
+// restart one, whatever the request's restart budget.
 TEST(SimulationService, DeadlocksAreNotRetried) {
   const Fixture f;
   par::FaultPlan plan;
@@ -429,12 +448,12 @@ TEST(SimulationService, DeadlocksAreNotRetried) {
   svc::SimulationService service(f.mesh, f.part, f.oo, f.so);
   svc::ScenarioRequest doomed = f.request(f.src_a);
   doomed.ft.fault_plan = &plan;
-  doomed.max_attempts = 3;
+  doomed.ft.max_retries = 3;
   const svc::ScenarioResult r = service.submit(doomed).result.get();
 
   EXPECT_EQ(r.status, svc::RequestStatus::kFailed);
+  EXPECT_NE(r.error.find("deadlock"), std::string::npos) << r.error;
   EXPECT_EQ(r.attempts, 1);
-  EXPECT_EQ(service.metrics().counters.at("svc/retries"), 0);
 }
 
 // A source the mesh cannot hold (here a zero force direction) fails its
@@ -463,9 +482,8 @@ TEST(SimulationService, UnbuildableSourceFailsAlone) {
 }
 
 // health() exposes the last request's recovery footprint: a kill absorbed
-// by the revival budget completes on the first service-level attempt (not
-// degraded) and reports the budget consumed — and with tier-1 replay the
-// survivors rolled back zero steps.
+// by the revival budget completes (not degraded) and reports the budget
+// consumed — and with tier-1 replay the survivors rolled back zero steps.
 TEST(SimulationService, HealthReportsRevivalFootprint) {
   obs::set_enabled(true);
   const Fixture f;
@@ -489,7 +507,6 @@ TEST(SimulationService, HealthReportsRevivalFootprint) {
   const svc::ServiceHealth h = service.health();
   EXPECT_FALSE(h.degraded);
   EXPECT_EQ(h.last_id, t.id);
-  EXPECT_EQ(h.last_attempts, 1);
   EXPECT_EQ(h.last_revives_used, 1);
   EXPECT_EQ(h.last_revives_budget, 2);
   EXPECT_EQ(h.last_revives_remaining, 1);
@@ -705,9 +722,10 @@ TEST(ScenarioBatching, BatchMembersGetConsecutiveExecIndices) {
   EXPECT_EQ(r2.exec_index, 2u);
 }
 
-// The batchability contract: requests carrying a deadline, a retry budget,
-// or any fault-tolerance options never join a batch (their per-request
-// control could not apply batch-wide), and partners must share t_end.
+// The batchability contract: requests carrying a deadline, a restart
+// budget, or any other fault-tolerance option never join a batch (their
+// per-request control could not apply batch-wide), and partners must share
+// t_end.
 TEST(ScenarioBatching, NonBatchableRequestsRunSolo) {
   const Fixture f;
   svc::ServiceOptions opt;
@@ -718,7 +736,7 @@ TEST(ScenarioBatching, NonBatchableRequestsRunSolo) {
   svc::ScenarioRequest with_deadline = f.request(f.src_a);
   with_deadline.deadline_seconds = 60.0;  // generous: completes normally
   svc::ScenarioRequest with_retries = f.request(f.src_b);
-  with_retries.max_attempts = 2;
+  with_retries.ft.max_retries = 1;
   svc::ScenarioRequest other_t_end = f.request(f.src_a);
   other_t_end.t_end = 0.5 * f.so.t_end;  // batchable, but no matching partner
   svc::ScenarioRequest plain = f.request(f.src_b);
@@ -843,8 +861,8 @@ TEST(ScenarioBatching, HeadCancelledInWindowCompletesWithItsPartner) {
 }
 
 // health() describes the last pickup that ran a solve, the head standing
-// for a batch: its id, one attempt, no recovery footprint (a batch carries
-// no fault tolerance), not degraded. A batch whose members were all
+// for a batch: its id, no recovery footprint (a batch carries no fault
+// tolerance), not degraded. A batch whose members were all
 // cancelled in the aggregation window never runs and leaves health() as it
 // was.
 TEST(ScenarioBatching, HealthDescribesLastBatchThatRan) {
@@ -868,7 +886,6 @@ TEST(ScenarioBatching, HealthDescribesLastBatchThatRan) {
   EXPECT_EQ(service.metrics().counters.at("svc/batches"), 1);
   const svc::ServiceHealth ran = service.health();
   EXPECT_EQ(ran.last_id, tickets.front().id);
-  EXPECT_EQ(ran.last_attempts, 1);
   EXPECT_EQ(ran.last_revives_used, 0);
   EXPECT_EQ(ran.last_revives_budget, 0);
   EXPECT_EQ(ran.last_revives_remaining, 0);
@@ -894,7 +911,6 @@ TEST(ScenarioBatching, HealthDescribesLastBatchThatRan) {
   service.wait_idle();
   const svc::ServiceHealth after = service.health();
   EXPECT_EQ(after.last_id, ran.last_id);
-  EXPECT_EQ(after.last_attempts, ran.last_attempts);
   EXPECT_EQ(after.last_solve_seconds, ran.last_solve_seconds);
   EXPECT_EQ(after.degraded, ran.degraded);
 }
