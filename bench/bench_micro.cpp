@@ -5,10 +5,11 @@
 //  * the blocked element kernels vs the straight-line references
 //    (hex_apply / hex_apply_batch / hex_scalar_apply A/B rows — run these
 //    interleaved and repeated, they are the evidence for the SIMD
-//    restructuring), the elastic kernel's portable instantiation next to
-//    the dispatched one (the context line `hex_kernels` names the one the
-//    process picked), and ScalarModel3d's element-pair apply_k vs the
-//    per-element pass it replaced;
+//    restructuring), the portable instantiations of the elastic kernel
+//    and of ScalarModel3d's element passes next to the dispatched ones
+//    (the context line `hex_kernels` names the width the process picked
+//    for both), and ScalarModel3d::apply_k vs the per-element pass it
+//    replaced;
 //  * Morton encode/decode;
 //  * 2-to-1 balancing algorithms;
 //  * etree store point operations.
@@ -28,6 +29,7 @@
 #include "quake/wave3d/scalar_model.hpp"
 #include "hex_apply_ref.hpp"
 #include "hex_kernels.hpp"
+#include "scalar_passes.hpp"
 
 namespace {
 
@@ -135,8 +137,8 @@ void BM_HexApplyRef(benchmark::State& state) {
 }
 BENCHMARK(BM_HexApplyRef)->Arg(0)->Arg(1);
 
-// Scalar element kernel A/B (the sequence ScalarModel3d's element-pair
-// passes keep per lane; they call it for an odd-nx row's last element):
+// Scalar element kernel A/B (the sequence ScalarModel3d's x-row passes
+// keep per lane; they call it for a row's one left-over element):
 // row-pair (production) vs straight-line reference, through
 // the same function-pointer harness and 4096-element pool as above.
 using HexScalarKernel = void (*)(const fem::HexReference&, const double*,
@@ -174,9 +176,9 @@ void BM_HexScalarApplyRef(benchmark::State& state) {
 BENCHMARK(BM_HexScalarApplyRef);
 
 // One element pass of the 3D scalar inversion, on invert_3d's 10^3 wave
-// grid: ScalarModel3d::apply_k (element pairs, production) vs the
-// per-element gather / hex_scalar_apply / scatter loop it replaced
-// (testsupport::scalar3d_apply_k_ref).
+// grid: ScalarModel3d::apply_k (the x-row walk at the dispatched width,
+// production) vs the per-element gather / hex_scalar_apply / scatter loop
+// it replaced (testsupport::scalar3d_apply_k_ref).
 using Scalar3dPass = void (*)(const wave3d::ScalarModel3d&,
                               std::span<const double>, std::span<double>);
 
@@ -205,6 +207,17 @@ void BM_ScalarModel3dApplyK(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_ScalarModel3dApplyK)->Unit(benchmark::kMicrosecond);
+
+// The portable (util::Vec2) instantiation of the same walk, reached past
+// the dispatcher: on an AVX2 host the row above runs the AVX2 one.
+void BM_ScalarModel3dApplyKPortable(benchmark::State& state) {
+  scalar3d_pass_ab(state, [](const wave3d::ScalarModel3d& m,
+                             std::span<const double> u, std::span<double> y) {
+    wave3d::detail::scalar_passes_portable().scatter(m.grid(), m.mu().data(),
+                                                      u.data(), y.data());
+  });
+}
+BENCHMARK(BM_ScalarModel3dApplyKPortable)->Unit(benchmark::kMicrosecond);
 
 void BM_ScalarModel3dApplyKRef(benchmark::State& state) {
   scalar3d_pass_ab(state, &testsupport::scalar3d_apply_k_ref);

@@ -200,12 +200,12 @@ constexpr detail::HexKernels kPortable{"portable", &apply_one<Vec2>,
                                        &apply_elems<Vec2>, &apply_batch<Vec2>};
 
 #if defined(__x86_64__)
-// The AVX2 instantiation: four rows per 32-byte vector, in functions that
+// The AVX2 instantiation: four rows per util::Vec4, in functions that
 // flatten their shape (and so the body) into AVX2 code. The target adds
 // AVX2 and nothing else — in particular not FMA, so GCC's default
 // -ffp-contract=fast has no fused multiply-add to contract into and each
 // lane keeps the reference's separate mul and add.
-typedef double Vec4 __attribute__((vector_size(32)));
+using util::Vec4;
 
 [[gnu::target("avx2"), gnu::flatten]] void apply_one_avx2(
     const HexReference& ref, const double* u_e, double scale_lambda,
@@ -252,10 +252,7 @@ const HexKernels& hex_kernels_portable() { return kPortable; }
 
 const HexKernels* hex_kernels_avx2() {
 #if defined(__x86_64__)
-  // Safe before libgcc's own constructor has run, e.g. from a static
-  // initializer elsewhere that applies the kernel.
-  __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx2")) return &kAvx2;
+  if (util::cpu_has_avx2()) return &kAvx2;
 #endif
   return nullptr;
 }

@@ -1,6 +1,8 @@
 #include "quake/obs/report.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 
@@ -39,6 +41,23 @@ std::vector<double> encode_report(const RankReport& report) {
   return out;
 }
 
+namespace {
+
+// v as a T, after checking that it is an integer T holds: the conversion
+// is undefined for NaN, +-Inf and values out of T's range. [-2^d, 2^d)
+// (d = T's value bits) is T's range, and both ends are exact doubles.
+template <class T>
+T to_integer(double v) {
+  const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  const double lo = std::numeric_limits<T>::is_signed ? -hi : 0.0;
+  if (!(v >= lo && v < hi) || v != std::trunc(v)) {
+    throw std::runtime_error("decode_report: bad integer field");
+  }
+  return static_cast<T>(v);
+}
+
+}  // namespace
+
 RankReport decode_report(std::span<const double> data) {
   std::size_t pos = 0;
   auto next = [&]() -> double {
@@ -47,9 +66,12 @@ RankReport decode_report(std::span<const double> data) {
     }
     return data[pos++];
   };
+  // A count of items that each take at least one more double: checked
+  // against the doubles left before anything is sized from it.
   auto next_count = [&]() -> std::size_t {
     const double v = next();
-    if (!(v >= 0.0) || v > 1e12) {
+    if (!(v >= 0.0 && v <= static_cast<double>(data.size() - pos)) ||
+        v != std::trunc(v)) {
       throw std::runtime_error("decode_report: bad count");
     }
     return static_cast<std::size_t>(v);
@@ -57,19 +79,17 @@ RankReport decode_report(std::span<const double> data) {
   auto next_str = [&]() -> std::string {
     const std::size_t n = next_count();
     std::string s(n, '\0');
-    for (std::size_t i = 0; i < n; ++i) {
-      s[i] = static_cast<char>(next());
-    }
+    for (std::size_t i = 0; i < n; ++i) s[i] = to_integer<char>(next());
     return s;
   };
 
   RankReport r;
-  r.rank = static_cast<int>(next());
+  r.rank = to_integer<int>(next());
   const std::size_t n_scopes = next_count();
   for (std::size_t i = 0; i < n_scopes; ++i) {
     std::string k = next_str();
     ScopeStats s;
-    s.calls = static_cast<std::uint64_t>(next());
+    s.calls = to_integer<std::uint64_t>(next());
     s.seconds = next();
     r.metrics.scopes.emplace(std::move(k), s);
   }
@@ -77,7 +97,7 @@ RankReport decode_report(std::span<const double> data) {
   for (std::size_t i = 0; i < n_counters; ++i) {
     std::string k = next_str();
     r.metrics.counters.emplace(std::move(k),
-                               static_cast<std::int64_t>(next()));
+                               to_integer<std::int64_t>(next()));
   }
   const std::size_t n_gauges = next_count();
   for (std::size_t i = 0; i < n_gauges; ++i) {

@@ -60,6 +60,7 @@ class ShModel {
   struct BoundaryEdge {
     int node_a, node_b;  // endpoints
     int elem;            // owning element (its mu sets the impedance)
+    double dc_dmu;       // dC/dmu_e per endpoint: (h/4) sqrt(rho/mu_e)
   };
 
   ShGrid grid_;

@@ -89,15 +89,22 @@ ShModel::ShModel(const ShGrid& grid, std::vector<double> mu, double rho)
   }
 
   // Absorbing boundary edges: x = 0, x = Lx, z = Lz (bottom). The surface
-  // row (k = 0, z = 0) is traction-free.
+  // row (k = 0, z = 0) is traction-free. Each stores its dashpot's
+  // derivative, dC/dmu_e = (h/2) * d(sqrt(rho mu_e))/dmu_e =
+  // (h/4) sqrt(rho/mu_e) per endpoint, fixed with mu.
+  auto add_edge = [&](int a, int b, int e) {
+    edges_.push_back(
+        {a, b, e,
+         grid_.h / 4.0 * std::sqrt(rho_ / mu_[static_cast<std::size_t>(e)])});
+  };
   for (int k = 0; k < grid_.nz; ++k) {
-    edges_.push_back({grid_.node(0, k), grid_.node(0, k + 1), grid_.elem(0, k)});
-    edges_.push_back({grid_.node(grid_.nx, k), grid_.node(grid_.nx, k + 1),
-                      grid_.elem(grid_.nx - 1, k)});
+    add_edge(grid_.node(0, k), grid_.node(0, k + 1), grid_.elem(0, k));
+    add_edge(grid_.node(grid_.nx, k), grid_.node(grid_.nx, k + 1),
+             grid_.elem(grid_.nx - 1, k));
   }
   for (int i = 0; i < grid_.nx; ++i) {
-    edges_.push_back({grid_.node(i, grid_.nz), grid_.node(i + 1, grid_.nz),
-                      grid_.elem(i, grid_.nz - 1)});
+    add_edge(grid_.node(i, grid_.nz), grid_.node(i + 1, grid_.nz),
+             grid_.elem(i, grid_.nz - 1));
   }
 
   damping_.assign(static_cast<std::size_t>(grid_.n_nodes()), 0.0);
@@ -134,13 +141,10 @@ void ShModel::apply_k_delta(std::span<const double> dmu,
 void ShModel::apply_c_delta(std::span<const double> dmu,
                             std::span<const double> v,
                             std::span<double> y) const {
-  // dC/dmu_e = (h/2) * d(sqrt(rho mu_e))/dmu_e = (h/4) sqrt(rho/mu_e) per
-  // edge endpoint.
   for (const BoundaryEdge& ed : edges_) {
     const double d = dmu[static_cast<std::size_t>(ed.elem)];
     if (d == 0.0) continue;
-    const double mu_e = mu_[static_cast<std::size_t>(ed.elem)];
-    const double dc = grid_.h / 4.0 * std::sqrt(rho_ / mu_e) * d;
+    const double dc = ed.dc_dmu * d;
     y[static_cast<std::size_t>(ed.node_a)] +=
         dc * v[static_cast<std::size_t>(ed.node_a)];
     y[static_cast<std::size_t>(ed.node_b)] +=
@@ -174,13 +178,11 @@ void ShModel::accumulate_c_form(std::span<const double> lambda,
                                 std::span<const double> v,
                                 std::span<double> ge) const {
   for (const BoundaryEdge& ed : edges_) {
-    const double mu_e = mu_[static_cast<std::size_t>(ed.elem)];
-    const double dc = grid_.h / 4.0 * std::sqrt(rho_ / mu_e);
     ge[static_cast<std::size_t>(ed.elem)] +=
-        dc * (lambda[static_cast<std::size_t>(ed.node_a)] *
-                  v[static_cast<std::size_t>(ed.node_a)] +
-              lambda[static_cast<std::size_t>(ed.node_b)] *
-                  v[static_cast<std::size_t>(ed.node_b)]);
+        ed.dc_dmu * (lambda[static_cast<std::size_t>(ed.node_a)] *
+                         v[static_cast<std::size_t>(ed.node_a)] +
+                     lambda[static_cast<std::size_t>(ed.node_b)] *
+                         v[static_cast<std::size_t>(ed.node_b)]);
   }
 }
 

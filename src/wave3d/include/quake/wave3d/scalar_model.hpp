@@ -66,6 +66,7 @@ class ScalarModel3d {
   struct BoundaryQuad {
     std::array<int, 4> nodes;
     int elem;
+    double dc_dmu;  // dC/dmu_e per node: 0.5 sqrt(rho/mu_e) h^2/4
   };
   ScalarGrid3d grid_;
   std::vector<double> mu_;

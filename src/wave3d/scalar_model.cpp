@@ -3,37 +3,65 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
+#include <type_traits>
 
 #include "quake/fem/hex_element.hpp"
 #include "quake/util/vec2.hpp"
+#include "scalar_passes.hpp"
 
 namespace quake::wave3d {
 
 namespace {
 
-using util::load2;
 using util::Vec2;
+using util::Vec4;
 
-// k_scalar with each entry broadcast to both lanes of an element pair:
-// entry c * 8 + r is row c's entry r, node c's weight in row r as
-// fem::hex_scalar_apply reads it (row c standing in for column c).
-using PairTable = std::array<Vec2, 64>;
+// The lane layout of the x-row walk: a V of W lanes holds E = W / R
+// consecutive elements of a row, R rows of each. Lane q is element q % E,
+// row p * R + q / E of accumulator p. R = 1 puts W elements in the lanes
+// (the main walk); R = 2 puts two elements, two rows each, in a 4-wide V
+// (the pair tail of a 4-wide walk, which would otherwise run half wide).
+template <class V, int R>
+struct Lanes {
+  static constexpr int kW = static_cast<int>(sizeof(V) / sizeof(double));
+  static constexpr int kE = kW / R;  // elements per V
+  static constexpr int kAcc = 8 / R;  // V accumulators per group of E
+  // One row of the group's E elements.
+  using Row = std::conditional_t<kE == 2, Vec2, Vec4>;
+};
 
-const PairTable& pair_table() {
-  static const PairTable t = [] {
+// k_scalar laid out for Lanes<V, R>: entry c * kAcc + p holds, in lane q,
+// row (p * R + q / E)'s entry c, node c's weight in that row as
+// fem::hex_scalar_apply reads it (row c standing in for column c). A
+// table, not broadcasts in the loop: those measured slower.
+template <class V, int R>
+using KTable = std::array<V, 8 * Lanes<V, R>::kAcc>;
+
+template <class V, int R>
+const KTable<V, R>& k_table() {
+  using L = Lanes<V, R>;
+  static const KTable<V, R> t = [] {
     const auto& k = fem::HexReference::get().k_scalar;
-    PairTable out;
-    for (std::size_t i = 0; i < out.size(); ++i) out[i] = Vec2{k[i], k[i]};
+    KTable<V, R> out;
+    for (int c = 0; c < 8; ++c) {
+      for (int p = 0; p < L::kAcc; ++p) {
+        for (int q = 0; q < L::kW; ++q) {
+          out[static_cast<std::size_t>(c * L::kAcc + p)][q] =
+              k[static_cast<std::size_t>(c * 8 + p * R + q / L::kE)];
+        }
+      }
+    }
     return out;
   }();
   return t;
 }
 
 // Corner c of an element sits off[c] nodes past its corner-0 node, in the
-// tensor order of ScalarGrid3d::elem_nodes. Elements i and i + 1 of an
-// x-row have their corner-c values at one address and the next, so one
-// load2 gathers corner c of an element pair.
+// tensor order of ScalarGrid3d::elem_nodes. Elements i .. i + E - 1 of an
+// x-row have their corner-c values at E consecutive addresses, so one
+// vector load gathers corner c of E elements.
 struct Corners {
   std::size_t off[8];
   explicit Corners(const ScalarGrid3d& g) {
@@ -45,29 +73,61 @@ struct Corners {
                static_cast<std::size_t>((c >> 2) & 1) * sz;
     }
   }
-  void gather(const double* v, Vec2 out[8]) const {
-    for (int c = 0; c < 8; ++c) out[c] = load2(v + off[c]);
-  }
 };
 
-// t[r] = row r of scale * K_scalar u for the two elements of a pair, one
-// per lane, each lane in the operation sequence of fem::hex_scalar_apply
-// onto a zeroed ye: s starts at +0.0, adds entry * u_c in ascending c, and
-// t = +0.0 + scale * s.
-inline void pair_rows(const PairTable& kt, const Vec2 uc[8], Vec2 scale,
-                      Vec2 t[8]) {
-  Vec2 s[8];
-  for (int r = 0; r < 8; ++r) s[r] = Vec2{0.0, 0.0};
-  for (int c = 0; c < 8; ++c) {
-    const Vec2* kc = &kt[static_cast<std::size_t>(c) * 8];
-    for (int r = 0; r < 8; ++r) s[r] += kc[r] * uc[c];
+// The helpers below are always inlined and take vectors only by pointer or
+// reference: each compiles in its caller's target context, so the AVX2
+// instantiation gets 256-bit code and no 32-byte vector is passed by value
+// (-Wpsabi).
+
+// out = the E values at p, in Lanes<V, R>'s layout (repeated R times).
+// The corner loops that call it are unrolled: as loops, GCC copied each
+// 32-byte corner through the stack in two halves and reloaded it whole.
+template <class V, int R>
+[[gnu::always_inline]] inline void spread(const double* p, V& out) {
+  if constexpr (R == 1) {
+    std::memcpy(&out, p, sizeof out);
+  } else {
+    Vec2 e;
+    std::memcpy(&e, p, sizeof e);
+    out = __builtin_shufflevector(e, e, 0, 1, 0, 1);
   }
-  for (int r = 0; r < 8; ++r) t[r] = Vec2{0.0, 0.0} + scale * s[r];
 }
 
-// The odd-nx tail: ye = scale * K_scalar u_e for the one element whose
-// corner-0 value is at v, by fem::hex_scalar_apply onto a zeroed ye (the
-// sequence pair_rows reproduces per lane).
+// out = row r of a group's accumulators t.
+template <class V, int R, class Row = typename Lanes<V, R>::Row>
+[[gnu::always_inline]] inline void row_of(const V* t, int r, Row& out) {
+  if constexpr (R == 1) {
+    out = t[r];
+  } else if (r % 2 == 0) {
+    out = __builtin_shufflevector(t[r / 2], t[r / 2], 0, 1);
+  } else {
+    out = __builtin_shufflevector(t[r / 2], t[r / 2], 2, 3);
+  }
+}
+
+// The rows of scale * K_scalar u for a group of E elements, in
+// Lanes<V, R>'s layout, each lane in the operation sequence of
+// fem::hex_scalar_apply onto a zeroed ye: s starts at +0.0, adds entry *
+// u_c in ascending c, and t = +0.0 + scale * s. uc[c] and scale are
+// spread().
+template <class V, int R>
+[[gnu::always_inline]] inline void elem_rows(const KTable<V, R>& kt,
+                                             const V uc[8], const V& scale,
+                                             V t[]) {
+  constexpr int kAcc = Lanes<V, R>::kAcc;
+  V s[kAcc];
+  for (int p = 0; p < kAcc; ++p) s[p] = V{};
+  for (int c = 0; c < 8; ++c) {
+    const V* kc = &kt[static_cast<std::size_t>(c * kAcc)];
+    for (int p = 0; p < kAcc; ++p) s[p] += kc[p] * uc[c];
+  }
+  for (int p = 0; p < kAcc; ++p) t[p] = V{} + scale * s[p];
+}
+
+// ye = scale * K_scalar u_e for the one element whose corner-0 value is at
+// v, by fem::hex_scalar_apply onto a zeroed ye (the sequence elem_rows
+// reproduces per lane).
 void solo_rows(const Corners& cn, const double* v, double scale,
                double ye[8]) {
   double ue[8];
@@ -76,61 +136,200 @@ void solo_rows(const Corners& cn, const double* v, double scale,
   fem::hex_scalar_apply(fem::HexReference::get(), ue, scale, ye);
 }
 
-// y += K(scale) u (K_e = scale_e * h * K_scalar) over x-rows, elements
-// (i, i + 1) in the two lanes. Each node sums its elements in ascending
-// order, as the per-element reference (testsupport::scalar3d_apply_k_ref)
-// does: along each of a row's four node lines node m takes element
-// m - 1's x = 1 contribution, then element m's x = 0 one; the right
-// lane's x = 1 contribution is carried in a register to the next pair, so
-// every node pair is loaded and stored once. A lane whose scale is zero
-// contributes -0.0, which leaves every y unchanged (x + -0.0 = x), i.e.
-// the element is skipped. An odd nx sends each row's last element through
-// fem::hex_scalar_apply. apply_k passes mu (> 0).
-void scatter_pass(const ScalarGrid3d& g, const double* scale,
-                  const double* u, double* y) {
-  const PairTable& kt = pair_table();
+// y += K(scale) u over the first count - count % E elements of an x-row
+// (scale, u and y point at its first element and node), E per V, and
+// returns how many it walked. Along each of the row's four node lines node
+// m takes element m - 1's x = 1 contribution, then element m's x = 0 one:
+// y = (y + [carry, x1_0 .. x1_{E-2}]) + x0. carry[l] is the x = 1
+// contribution of the element before the first, in and out: lane E - 1 of
+// each group's x = 1 row goes on to the next group, so every node is
+// loaded and stored once. An element whose scale is zero contributes
+// -0.0, which leaves every y unchanged (x + -0.0 = x), i.e. it is skipped.
+template <class V, int R>
+[[gnu::always_inline]] inline std::size_t scatter_run(
+    const Corners& cn, double h, std::size_t count, const double* scale,
+    const double* u, double* y, double carry[4]) {
+  using L = Lanes<V, R>;
+  using Row = typename L::Row;
+  constexpr std::size_t kE = L::kE;
+  const KTable<V, R>& kt = k_table<V, R>();
+  V hv{}, neg0{};
+  for (int q = 0; q < L::kW; ++q) {
+    hv[q] = h;
+    neg0[q] = -0.0;
+  }
+  Row cv[4] = {};
+  for (int l = 0; l < 4; ++l) cv[l][kE - 1] = carry[l];
+  std::size_t i = 0;
+  for (; i + kE <= count; i += kE) {
+    V uc[8], d, t[L::kAcc];
+#pragma GCC unroll 8
+    for (int c = 0; c < 8; ++c) spread<V, R>(u + i + cn.off[c], uc[c]);
+    spread<V, R>(scale + i, d);
+    const V sc = d * hv;
+    elem_rows<V, R>(kt, uc, sc, t);
+    const auto skip = d == V{};
+    for (int p = 0; p < L::kAcc; ++p) t[p] = skip ? neg0 : t[p];
+    for (int l = 0; l < 4; ++l) {
+      double* yl = y + i + cn.off[2 * l];
+      Row x0, x1r, x1, yv;
+      row_of<V, R>(t, 2 * l, x0);
+      row_of<V, R>(t, 2 * l + 1, x1r);
+      if constexpr (kE == 2) {
+        x1 = __builtin_shufflevector(cv[l], x1r, 1, 2);
+      } else {
+        x1 = __builtin_shufflevector(cv[l], x1r, 3, 4, 5, 6);
+      }
+      std::memcpy(&yv, yl, sizeof yv);
+      yv = (yv + x1) + x0;
+      std::memcpy(yl, &yv, sizeof yv);
+      cv[l] = x1r;
+    }
+  }
+  for (int l = 0; l < 4; ++l) carry[l] = cv[l][kE - 1];
+  return i;
+}
+
+// y += K(scale) u (K_e = scale_e * h * K_scalar) x-row by x-row. Each node
+// sums its elements in ascending order, as the per-element reference
+// (testsupport::scalar3d_apply_k_ref) does. A row walks W elements per V,
+// then its remainder: at W = 4 a pair, two rows per element so that it
+// fills the V too, then a last element through fem::hex_scalar_apply.
+// apply_k passes mu (> 0).
+template <class V>
+void scatter_pass(const ScalarGrid3d& g, const double* scale, const double* u,
+                  double* y) {
   const Corners cn(g);
-  const Vec2 hv = {g.h, g.h};
-  const Vec2 neg0 = {-0.0, -0.0};
+  const std::size_t nx = static_cast<std::size_t>(g.nx);
   for (int k = 0; k < g.nz; ++k) {
     for (int j = 0; j < g.ny; ++j) {
-      std::size_t e = static_cast<std::size_t>(g.elem(0, j, k));
-      std::size_t n = static_cast<std::size_t>(g.node(0, j, k));
-      Vec2 carry[4] = {neg0, neg0, neg0, neg0};
-      for (int i = 0; i + 1 < g.nx; i += 2, e += 2, n += 2) {
-        Vec2 uc[8], t[8];
-        cn.gather(u + n, uc);
-        const Vec2 d = load2(scale + e);
-        pair_rows(kt, uc, d * hv, t);
-        const auto skip = d == Vec2{0.0, 0.0};
-        for (int r = 0; r < 8; ++r) t[r] = skip ? neg0 : t[r];
-        for (int l = 0; l < 4; ++l) {
-          double* yl = y + n + cn.off[2 * l];
-          const Vec2 x1 = {carry[l][1], t[2 * l + 1][0]};
-          util::store2(yl, 1, (load2(yl) + x1) + t[2 * l]);
-          carry[l] = t[2 * l + 1];
-        }
+      const std::size_t e = static_cast<std::size_t>(g.elem(0, j, k));
+      const std::size_t n = static_cast<std::size_t>(g.node(0, j, k));
+      double carry[4] = {-0.0, -0.0, -0.0, -0.0};
+      std::size_t i = scatter_run<V, 1>(cn, g.h, nx, scale + e, u + n, y + n,
+                                        carry);
+      if constexpr (std::is_same_v<V, Vec4>) {
+        i += scatter_run<V, 2>(cn, g.h, nx - i, scale + e + i, u + n + i,
+                               y + n + i, carry);
       }
-      if (g.nx % 2 == 1) {
+      if (i < nx) {
         double ye[8];
-        if (scale[e] == 0.0) {
+        if (scale[e + i] == 0.0) {
           std::fill(ye, ye + 8, -0.0);
         } else {
-          solo_rows(cn, u + n, scale[e] * g.h, ye);
+          solo_rows(cn, u + n + i, scale[e + i] * g.h, ye);
         }
         for (int l = 0; l < 4; ++l) {
-          double* yl = y + n + cn.off[2 * l];
-          yl[0] = (yl[0] + carry[l][1]) + ye[2 * l];
-          yl[1] += ye[2 * l + 1];
+          double* yl = y + n + i + cn.off[2 * l];
+          *yl = (*yl + carry[l]) + ye[2 * l];
+          carry[l] = ye[2 * l + 1];
         }
-      } else {
-        for (int l = 0; l < 4; ++l) y[n + cn.off[2 * l]] += carry[l][1];
+      }
+      for (int l = 0; l < 4; ++l) y[n + nx + cn.off[2 * l]] += carry[l];
+    }
+  }
+}
+
+// The walk of scatter_run without a scatter: each element folds
+// le[c] * t[c] in ascending c from +0.0 into its own ge entry.
+template <class V, int R>
+[[gnu::always_inline]] inline std::size_t k_form_run(
+    const Corners& cn, double h, std::size_t count, const double* lambda,
+    const double* u, double* ge) {
+  using L = Lanes<V, R>;
+  using Row = typename L::Row;
+  constexpr std::size_t kE = L::kE;
+  const KTable<V, R>& kt = k_table<V, R>();
+  V hv{};
+  for (int q = 0; q < L::kW; ++q) hv[q] = h;
+  std::size_t i = 0;
+  for (; i + kE <= count; i += kE) {
+    V uc[8], t[L::kAcc];
+#pragma GCC unroll 8
+    for (int c = 0; c < 8; ++c) spread<V, R>(u + i + cn.off[c], uc[c]);
+    elem_rows<V, R>(kt, uc, hv, t);
+    Row s{}, gv;
+    for (int c = 0; c < 8; ++c) {
+      Row lc, tc;
+      std::memcpy(&lc, lambda + i + cn.off[c], sizeof lc);
+      row_of<V, R>(t, c, tc);
+      s += lc * tc;
+    }
+    std::memcpy(&gv, ge + i, sizeof gv);
+    gv += s;
+    std::memcpy(ge + i, &gv, sizeof gv);
+  }
+  return i;
+}
+
+template <class V>
+void k_form_pass(const ScalarGrid3d& g, const double* lambda, const double* u,
+                 double* ge) {
+  const Corners cn(g);
+  const std::size_t nx = static_cast<std::size_t>(g.nx);
+  for (int k = 0; k < g.nz; ++k) {
+    for (int j = 0; j < g.ny; ++j) {
+      const std::size_t e = static_cast<std::size_t>(g.elem(0, j, k));
+      const std::size_t n = static_cast<std::size_t>(g.node(0, j, k));
+      std::size_t i =
+          k_form_run<V, 1>(cn, g.h, nx, lambda + n, u + n, ge + e);
+      if constexpr (std::is_same_v<V, Vec4>) {
+        i += k_form_run<V, 2>(cn, g.h, nx - i, lambda + n + i, u + n + i,
+                              ge + e + i);
+      }
+      if (i < nx) {
+        double ye[8];
+        solo_rows(cn, u + n + i, g.h, ye);
+        double s = 0.0;
+        for (int c = 0; c < 8; ++c) s += lambda[n + i + cn.off[c]] * ye[c];
+        ge[e + i] += s;
       }
     }
   }
 }
 
+constexpr detail::ScalarPasses kPortable{"portable", &scatter_pass<Vec2>,
+                                         &k_form_pass<Vec2>};
+
+#if defined(__x86_64__)
+// The AVX2 instantiation: four elements per util::Vec4, in functions that
+// flatten the walk into AVX2 code (its pair tail included). As for
+// the elastic kernel, the target adds AVX2 and not FMA, so each lane keeps
+// the reference's separate mul and add.
+[[gnu::target("avx2"), gnu::flatten]] void scatter_pass_avx2(
+    const ScalarGrid3d& g, const double* scale, const double* u, double* y) {
+  scatter_pass<Vec4>(g, scale, u, y);
+}
+
+[[gnu::target("avx2"), gnu::flatten]] void k_form_pass_avx2(
+    const ScalarGrid3d& g, const double* lambda, const double* u,
+    double* ge) {
+  k_form_pass<Vec4>(g, lambda, u, ge);
+}
+
+constexpr detail::ScalarPasses kAvx2{"avx2", &scatter_pass_avx2,
+                                     &k_form_pass_avx2};
+#endif
+
 }  // namespace
+
+namespace detail {
+
+const ScalarPasses& scalar_passes_portable() { return kPortable; }
+
+const ScalarPasses* scalar_passes_avx2() {
+#if defined(__x86_64__)
+  if (util::cpu_has_avx2()) return &kAvx2;
+#endif
+  return nullptr;
+}
+
+const ScalarPasses& scalar_passes() {
+  const ScalarPasses* avx2 = scalar_passes_avx2();
+  return avx2 != nullptr ? *avx2 : kPortable;
+}
+
+}  // namespace detail
 
 void ScalarGrid3d::elem_nodes(int e, int out[8]) const {
   const int i = e % nx;
@@ -168,9 +367,14 @@ ScalarModel3d::ScalarModel3d(const ScalarGrid3d& grid, std::vector<double> mu,
     }
   }
 
-  // Absorbing faces: all cube sides except the free surface z = 0.
+  // Absorbing faces: all cube sides except the free surface z = 0. Each
+  // node of a face takes sqrt(rho mu_e) h^2/4 of dashpot, whose derivative
+  // in mu_e is fixed with mu.
   auto add_quad = [&](int n0, int n1, int n2, int n3, int e) {
-    quads_.push_back({{n0, n1, n2, n3}, e});
+    const double mu_e = mu_[static_cast<std::size_t>(e)];
+    quads_.push_back({{n0, n1, n2, n3},
+                      e,
+                      0.5 * std::sqrt(rho_ / mu_e) * grid_.h * grid_.h / 4.0});
   };
   for (int k = 0; k < grid_.nz; ++k) {
     for (int j = 0; j < grid_.ny; ++j) {
@@ -213,48 +417,19 @@ ScalarModel3d::ScalarModel3d(const ScalarGrid3d& grid, std::vector<double> mu,
 
 void ScalarModel3d::apply_k(std::span<const double> u,
                             std::span<double> y) const {
-  scatter_pass(grid_, mu_.data(), u.data(), y.data());
+  detail::scalar_passes().scatter(grid_, mu_.data(), u.data(), y.data());
 }
 
 void ScalarModel3d::apply_k_delta(std::span<const double> dmu,
                                   std::span<const double> u,
                                   std::span<double> y) const {
-  scatter_pass(grid_, dmu.data(), u.data(), y.data());
+  detail::scalar_passes().scatter(grid_, dmu.data(), u.data(), y.data());
 }
 
-// The x-row walk of scatter_pass without a scatter: each lane folds
-// le[c] * ye[c] in ascending c from +0.0 into its own ge entry.
 void ScalarModel3d::accumulate_k_form(std::span<const double> lambda,
                                       std::span<const double> u,
                                       std::span<double> ge) const {
-  const PairTable& kt = pair_table();
-  const Corners cn(grid_);
-  const Vec2 hv = {grid_.h, grid_.h};
-  const double* up = u.data();
-  const double* lp = lambda.data();
-  double* gp = ge.data();
-  for (int k = 0; k < grid_.nz; ++k) {
-    for (int j = 0; j < grid_.ny; ++j) {
-      std::size_t e = static_cast<std::size_t>(grid_.elem(0, j, k));
-      std::size_t n = static_cast<std::size_t>(grid_.node(0, j, k));
-      for (int i = 0; i + 1 < grid_.nx; i += 2, e += 2, n += 2) {
-        Vec2 uc[8], lc[8], t[8];
-        cn.gather(up + n, uc);
-        cn.gather(lp + n, lc);
-        pair_rows(kt, uc, hv, t);
-        Vec2 s = {0.0, 0.0};
-        for (int c = 0; c < 8; ++c) s += lc[c] * t[c];
-        util::store2(gp + e, 1, load2(gp + e) + s);
-      }
-      if (grid_.nx % 2 == 1) {
-        double ye[8];
-        solo_rows(cn, up + n, grid_.h, ye);
-        double s = 0.0;
-        for (int c = 0; c < 8; ++c) s += lp[n + cn.off[c]] * ye[c];
-        gp[e] += s;
-      }
-    }
-  }
+  detail::scalar_passes().k_form(grid_, lambda.data(), u.data(), ge.data());
 }
 
 void ScalarModel3d::apply_c_delta(std::span<const double> dmu,
@@ -263,9 +438,7 @@ void ScalarModel3d::apply_c_delta(std::span<const double> dmu,
   for (const BoundaryQuad& q : quads_) {
     const double d = dmu[static_cast<std::size_t>(q.elem)];
     if (d == 0.0) continue;
-    const double mu_e = mu_[static_cast<std::size_t>(q.elem)];
-    const double dc =
-        0.5 * std::sqrt(rho_ / mu_e) * grid_.h * grid_.h / 4.0 * d;
+    const double dc = q.dc_dmu * d;
     for (int n : q.nodes) {
       y[static_cast<std::size_t>(n)] += dc * v[static_cast<std::size_t>(n)];
     }
@@ -276,13 +449,11 @@ void ScalarModel3d::accumulate_c_form(std::span<const double> lambda,
                                       std::span<const double> v,
                                       std::span<double> ge) const {
   for (const BoundaryQuad& q : quads_) {
-    const double mu_e = mu_[static_cast<std::size_t>(q.elem)];
-    const double dc = 0.5 * std::sqrt(rho_ / mu_e) * grid_.h * grid_.h / 4.0;
     double s = 0.0;
     for (int n : q.nodes) {
       s += lambda[static_cast<std::size_t>(n)] * v[static_cast<std::size_t>(n)];
     }
-    ge[static_cast<std::size_t>(q.elem)] += dc * s;
+    ge[static_cast<std::size_t>(q.elem)] += q.dc_dmu * s;
   }
 }
 

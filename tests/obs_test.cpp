@@ -6,8 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <new>
+#include <optional>
+#include <stdexcept>
 #include <thread>
 
 #include "quake/obs/json.hpp"
@@ -15,6 +19,7 @@
 #include "quake/obs/report.hpp"
 #include "quake/obs/sink.hpp"
 #include "quake/par/communicator.hpp"
+#include "quake/util/rng.hpp"
 
 namespace {
 
@@ -183,6 +188,79 @@ TEST_F(ObsTest, DecodeRejectsTruncatedBuffer) {
   enc.pop_back();
   EXPECT_THROW(obs::decode_report(enc), std::runtime_error);
   EXPECT_THROW(obs::decode_report(std::vector<double>{}), std::runtime_error);
+}
+
+// Seeded mutation test of the report decoder (the
+// Checkpoint.MutatedSnapshotsNeverDecodeWrong pattern). Each integer field
+// overwritten with NaN, +-Inf, a fraction or a value out of its type's
+// range throws; an in-range integer decodes to exactly that value. Random
+// overwrites of any field, counts and key characters included, some also
+// truncated, either throw std::runtime_error or return a report: a count
+// the buffer cannot hold is rejected before a string or vector is sized
+// from it.
+TEST_F(ObsTest, MutatedReportsNeverDecodeWrong) {
+  obs::RankReport r;
+  r.rank = 2;
+  r.metrics.scopes["s"] = {5, 0.25};
+  r.metrics.counters["c"] = -3;
+  r.metrics.gauges["g"] = 1.5;
+  r.metrics.series["t"] = {1.0, 2.0};
+  const std::vector<double> good = obs::encode_report(r);
+  // [rank, 1 scope, "s", calls, seconds, 1 counter, "c", value, ...]
+  constexpr std::size_t kRank = 0, kCalls = 4, kCounter = 9;
+  ASSERT_EQ(good[kRank], 2.0);
+  ASSERT_EQ(good[kCalls], 5.0);
+  ASSERT_EQ(good[kCounter], -3.0);
+
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double two31 = 2147483648.0, two63 = 9223372036854775808.0;
+  const std::vector<double> poison = {
+      std::numeric_limits<double>::quiet_NaN(), kInf, -kInf, -1.0, 1e300,
+      -1e300, 0.5, -2.5, 1e12, 1e18, 127.0, -128.0, 128.0, -129.0, two31,
+      -two31, -two31 - 1.0, two63, -two63, -two63 - 4096.0, 2.0 * two63,
+      static_cast<double>(good.size() + 1)};
+  const auto decode = [](const std::vector<double>& buf)
+      -> std::optional<obs::RankReport> {
+    try {
+      return obs::decode_report(buf);
+    } catch (const std::runtime_error&) {
+      return std::nullopt;
+    }
+  };
+  for (const double v : poison) {
+    std::vector<double> bad = good;
+    bad[kRank] = v;
+    if (const auto d = decode(bad)) {
+      EXPECT_EQ(static_cast<double>(d->rank), v) << v;
+    }
+    bad = good;
+    bad[kCalls] = v;
+    if (const auto d = decode(bad)) {
+      EXPECT_EQ(static_cast<double>(d->metrics.scopes.at("s").calls), v) << v;
+    }
+    bad = good;
+    bad[kCounter] = v;
+    if (const auto d = decode(bad)) {
+      EXPECT_EQ(static_cast<double>(d->metrics.counters.at("c")), v) << v;
+    }
+  }
+
+  util::Rng rng(2027);
+  int decoded = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::vector<double> bad = good;
+    const std::uint64_t n_mut = 1 + rng.next_u64() % 4;
+    for (std::uint64_t m = 0; m < n_mut; ++m) {
+      bad[rng.next_u64() % bad.size()] =
+          rng.uniform() < 0.8 ? poison[rng.next_u64() % poison.size()]
+                              : rng.uniform(-300.0, 300.0);
+    }
+    if (rng.uniform() < 0.25) bad.resize(rng.next_u64() % (bad.size() + 1));
+    if (decode(bad)) ++decoded;
+  }
+  // Both outcomes occur: the mutations reach fields any double may hold.
+  EXPECT_GT(decoded, 0);
+  EXPECT_LT(decoded, 4000);
 }
 
 TEST_F(ObsTest, MergeReportsMinMeanMaxAndMissingKeysAsZero) {

@@ -2,7 +2,7 @@
 
 // Test oracles for the element kernels (fem::hex_apply,
 // fem::hex_apply_batch, fem::hex_scalar_apply, the quad kernel of
-// wave2d::ShModel and the element-pair passes of wave3d::ScalarModel3d):
+// wave2d::ShModel and the x-row passes of wave3d::ScalarModel3d):
 // the straight-line references the kernels must match bit for bit, and the
 // bench_micro reference rows. Not used by the library.
 

@@ -17,6 +17,7 @@
 #include "quake/wave2d/march.hpp"
 #include "quake/wave3d/inversion3d.hpp"
 #include "quake/wave3d/scalar_model.hpp"
+#include "scalar_passes.hpp"
 #include "stepper_cases.hpp"
 
 namespace {
@@ -125,21 +126,36 @@ TEST(Model3d, KFormIsBilinearValue) {
 
 TEST(Model3d, ElementPassesMatchReferenceBitPatterns) {
   // apply_k, apply_k_delta and accumulate_k_form against the per-element
-  // loops in tests/support, compared as bytes, on odd and even nx (pairs
-  // with and without a row tail) and ny != nz. y and ge start at -0.0 in
-  // places; dmu holds 0.0, -0.0 (both skipped) and negative entries, so a
-  // node of all-zero corners sees -0.0 products. u: kind 0 finite, kind 1
-  // with +-0, +-Inf and +-1e300 (overflow and Inf - Inf NaNs), kind 2 zero
-  // but for a few nodes. A NaN dmu is outside the contract, as a NaN scale
-  // is for fem::hex_scalar_apply.
+  // loops in tests/support, compared as bytes: the public passes (the
+  // instantiation this process picked), then each instantiation of the
+  // x-row walk reached directly (the AVX2 one only when the CPU has it).
+  // nx = 1..13 and ny != nz give every row shape at four elements per
+  // vector: quads only (4, 8, 12), quad + pair (6, 10), quad + solo (5, 9,
+  // 13), quad + pair + solo (7, 11) and no quad (1, 2, 3); at two, pairs
+  // with and without a solo tail. y and ge start at -0.0 in places; dmu
+  // holds 0.0, -0.0 (both skipped) and negative entries, so a node of
+  // all-zero corners sees -0.0 products. u: kind 0 finite, kind 1 with
+  // +-0, +-Inf and +-1e300 (overflow and Inf - Inf NaNs), kind 2 zero but
+  // for a few nodes. A NaN dmu is outside the contract, as a NaN scale is
+  // for fem::hex_scalar_apply.
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const double specials[] = {0.0, -0.0, kInf, -kInf, 1e300, -1e300};
-  const auto same_bits = [](const std::vector<double>& a,
-                            const std::vector<double>& b) {
-    return std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  std::vector<detail::ScalarPasses> walks = {detail::scalar_passes_portable()};
+  if (const detail::ScalarPasses* avx2 = detail::scalar_passes_avx2()) {
+    walks.push_back(*avx2);
+  }
+  // Runs `pass` on `out`, a copy of the start state, and compares it with
+  // `want` byte for byte.
+  const auto expect_bits = [](std::vector<double> out, const auto& pass,
+                              const std::vector<double>& want,
+                              const std::string& what) {
+    pass(out.data());
+    EXPECT_TRUE(std::memcmp(out.data(), want.data(),
+                            out.size() * sizeof(double)) == 0)
+        << what;
   };
   util::Rng rng(23);
-  for (const int nx : {1, 2, 3, 7, 10}) {
+  for (int nx = 1; nx <= 13; ++nx) {
     for (const auto& [ny, nz] : {std::pair{3, 2}, std::pair{2, 4}}) {
       const ScalarGrid3d g{nx, ny, nz, 37.5};
       const std::size_t ne = static_cast<std::size_t>(g.n_elems());
@@ -164,25 +180,46 @@ TEST(Model3d, ElementPassesMatchReferenceBitPatterns) {
         for (std::size_t e = 0; e < ne; ++e) {
           ge0[e] = (kind == 2 || e % 2 == 0) ? -0.0 : rng.uniform(-1.0, 1.0);
         }
-        const std::string where = "nx=" + std::to_string(nx) + " ny=" +
+        const std::string where = " nx=" + std::to_string(nx) + " ny=" +
                                   std::to_string(ny) + " kind=" +
                                   std::to_string(kind);
-        std::vector<double> y_a = y0, y_b = y0;
-        m.apply_k(u, y_a);
-        testsupport::scalar3d_apply_k_ref(m, u, y_b);
-        EXPECT_TRUE(same_bits(y_a, y_b)) << "apply_k " << where;
-        y_a = y0;
-        y_b = y0;
-        m.apply_k_delta(dmu, u, y_a);
-        testsupport::scalar3d_apply_k_delta_ref(m, dmu, u, y_b);
-        EXPECT_TRUE(same_bits(y_a, y_b)) << "apply_k_delta " << where;
-        std::vector<double> ge_a = ge0, ge_b = ge0;
-        m.accumulate_k_form(lam, u, ge_a);
-        testsupport::scalar3d_accumulate_k_form_ref(m, lam, u, ge_b);
-        EXPECT_TRUE(same_bits(ge_a, ge_b)) << "accumulate_k_form " << where;
+        std::vector<double> yk = y0, yd = y0, gk = ge0;
+        testsupport::scalar3d_apply_k_ref(m, u, yk);
+        testsupport::scalar3d_apply_k_delta_ref(m, dmu, u, yd);
+        testsupport::scalar3d_accumulate_k_form_ref(m, lam, u, gk);
+        expect_bits(
+            y0, [&](double* y) { m.apply_k(u, {y, nn}); }, yk,
+            "apply_k" + where);
+        expect_bits(
+            y0, [&](double* y) { m.apply_k_delta(dmu, u, {y, nn}); }, yd,
+            "apply_k_delta" + where);
+        expect_bits(
+            ge0, [&](double* ge) { m.accumulate_k_form(lam, u, {ge, ne}); },
+            gk, "accumulate_k_form" + where);
+        for (const detail::ScalarPasses& w : walks) {
+          const std::string at = std::string(" (") + w.name + ")" + where;
+          expect_bits(
+              y0,
+              [&](double* y) { w.scatter(g, mu.data(), u.data(), y); }, yk,
+              "scatter mu" + at);
+          expect_bits(
+              y0,
+              [&](double* y) { w.scatter(g, dmu.data(), u.data(), y); }, yd,
+              "scatter dmu" + at);
+          expect_bits(
+              ge0,
+              [&](double* ge) { w.k_form(g, lam.data(), u.data(), ge); }, gk,
+              "k_form" + at);
+        }
       }
     }
   }
+#if defined(__x86_64__)
+  if (detail::scalar_passes_avx2() == nullptr) {
+    GTEST_SKIP() << "this CPU lacks AVX2: the avx2 instantiation of the "
+                    "element passes was not checked";
+  }
+#endif
 }
 
 TEST(Model3d, WavesAbsorbed) {
