@@ -13,7 +13,7 @@
 // Besides the human-readable table, the bench emits a machine-readable
 // "quake.bench/1" report (see docs/OBSERVABILITY.md): one row per table
 // line with the experiment parameters, the headline metrics, and the
-// min/mean/max-across-ranks telemetry summary gathered by quake::obs.
+// min/mean/max-across-ranks telemetry summary merged by quake::obs.
 //
 //   bench_table2_1 [--quick] [--fault-sweep] [--lts-sweep] [--json PATH]
 //                  [--csv PATH]
@@ -57,6 +57,7 @@
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "quake/par/communicator.hpp"
@@ -83,6 +84,43 @@ struct Row {
   double f_max;
   int max_level;
 };
+
+// The basin mesh of the parallel rows: 8 grid points per shortest wavelength,
+// refined from octree level 3 up to `max_level`.
+mesh::HexMesh basin_mesh(const vel::BasinModel& model, double extent,
+                         double f_max, int max_level) {
+  mesh::MeshOptions opt;
+  opt.domain_size = extent;
+  opt.f_max = f_max;
+  opt.n_lambda = 8.0;
+  opt.min_level = 3;
+  opt.max_level = max_level;
+  return mesh::generate_mesh(model, opt);
+}
+
+// The fault the basin rows rupture.
+solver::FaultSource::Spec fault_spec(double extent) {
+  solver::FaultSource::Spec fs;
+  fs.y = 0.55 * extent;
+  fs.x0 = 0.3 * extent;
+  fs.x1 = 0.6 * extent;
+  fs.z_top = 1000.0;
+  fs.z_bot = 5000.0;
+  fs.hypocenter = {0.4 * extent, 3000.0};
+  fs.rise_time = 2.0;
+  fs.slip = 1.0;
+  return fs;
+}
+
+// The lowest and highest octree level of a mesh's elements.
+std::pair<int, int> level_span(const mesh::HexMesh& mesh) {
+  int lo = 255, hi = 0;
+  for (const std::uint8_t lv : mesh.elem_level) {
+    lo = std::min<int>(lo, lv);
+    hi = std::max<int>(hi, lv);
+  }
+  return {lo, hi};
+}
 
 }  // namespace
 
@@ -137,24 +175,9 @@ int main(int argc, char** argv) {
 
   double base_eff = -1.0;
   for (const Row& row : rows) {
-    mesh::MeshOptions mopt;
-    mopt.domain_size = extent;
-    mopt.f_max = row.f_max;
-    mopt.n_lambda = 8.0;
-    mopt.min_level = 3;
-    mopt.max_level = row.max_level;
-    const mesh::HexMesh mesh = mesh::generate_mesh(model, mopt);
-
-    solver::FaultSource::Spec fs;
-    fs.y = 0.55 * extent;
-    fs.x0 = 0.3 * extent;
-    fs.x1 = 0.6 * extent;
-    fs.z_top = 1000.0;
-    fs.z_bot = 5000.0;
-    fs.hypocenter = {0.4 * extent, 3000.0};
-    fs.rise_time = 2.0;
-    fs.slip = 1.0;
-    const solver::FaultSource source(mesh, fs);
+    const mesh::HexMesh mesh =
+        basin_mesh(model, extent, row.f_max, row.max_level);
+    const solver::FaultSource source(mesh, fault_spec(extent));
 
     solver::OperatorOptions oopt;
     solver::SolverOptions sopt;
@@ -421,11 +444,7 @@ int main(int argc, char** argv) {
     lopt.min_level = 3;
     lopt.max_level = 6;
     const mesh::HexMesh lmesh = mesh::generate_mesh(lmodel, lopt);
-    int lv_min = 255, lv_max = 0;
-    for (const std::uint8_t lv : lmesh.elem_level) {
-      lv_min = std::min<int>(lv_min, lv);
-      lv_max = std::max<int>(lv_max, lv);
-    }
+    const auto [lv_min, lv_max] = level_span(lmesh);
     const int octree_levels = lv_max - lv_min + 1;
 
     solver::OperatorOptions labc;
@@ -534,29 +553,11 @@ int main(int argc, char** argv) {
     // Parallel pair: the basin demo mesh (three rate classes: the
     // min-level cap leaves deep fast rock coarse, and sediments carry a
     // higher vp/vs than rock) through ParallelSetup::run_lts off/on.
-    mesh::MeshOptions bopt;
-    bopt.domain_size = extent;
-    bopt.f_max = 0.2;
-    bopt.n_lambda = 8.0;
-    bopt.min_level = 3;
-    bopt.max_level = 6;
-    const mesh::HexMesh bmesh = mesh::generate_mesh(model, bopt);
-    int blv_min = 255, blv_max = 0;
-    for (const std::uint8_t lv : bmesh.elem_level) {
-      blv_min = std::min<int>(blv_min, lv);
-      blv_max = std::max<int>(blv_max, lv);
-    }
-
-    solver::FaultSource::Spec fs;
-    fs.y = 0.55 * extent;
-    fs.x0 = 0.3 * extent;
-    fs.x1 = 0.6 * extent;
-    fs.z_top = 1000.0;
-    fs.z_bot = 5000.0;
-    fs.hypocenter = {0.4 * extent, 3000.0};
-    fs.rise_time = 2.0;
-    fs.slip = 1.0;
-    const solver::FaultSource bsource(bmesh, fs);
+    const double bf_max = 0.2;
+    const int bmax_level = 6;
+    const mesh::HexMesh bmesh = basin_mesh(model, extent, bf_max, bmax_level);
+    const auto [blv_min, blv_max] = level_span(bmesh);
+    const solver::FaultSource bsource(bmesh, fault_spec(extent));
     const solver::SourceModel* bsources[] = {&bsource};
     const std::array<double, 3> brecv[] = {{0.5 * extent, 0.5 * extent, 0.0}};
 
@@ -611,8 +612,8 @@ int main(int argc, char** argv) {
                              .set("scheme", "par")
                              .set("model", "BASLTS")
                              .set("ranks", kRanks)
-                             .set("f_max", bopt.f_max)
-                             .set("max_level", bopt.max_level)
+                             .set("f_max", bf_max)
+                             .set("max_level", bmax_level)
                              .set("max_rate", kMaxRate)
                              .set("t_end", bsopt.t_end));
       obs::Json metrics =
@@ -640,24 +641,10 @@ int main(int argc, char** argv) {
   if (fault_sweep) {
     // ---- recovery-latency sweep: the same seeded kill, four policies ----
     const int R = quick ? 4 : 8;
-    mesh::MeshOptions mopt;
-    mopt.domain_size = extent;
-    mopt.f_max = quick ? 0.05 : 0.10;
-    mopt.n_lambda = 8.0;
-    mopt.min_level = 3;
-    mopt.max_level = quick ? 5 : 6;
-    const mesh::HexMesh mesh = mesh::generate_mesh(model, mopt);
-
-    solver::FaultSource::Spec fs;
-    fs.y = 0.55 * extent;
-    fs.x0 = 0.3 * extent;
-    fs.x1 = 0.6 * extent;
-    fs.z_top = 1000.0;
-    fs.z_bot = 5000.0;
-    fs.hypocenter = {0.4 * extent, 3000.0};
-    fs.rise_time = 2.0;
-    fs.slip = 1.0;
-    const solver::FaultSource source(mesh, fs);
+    const double f_max = quick ? 0.05 : 0.10;
+    const int max_level = quick ? 5 : 6;
+    const mesh::HexMesh mesh = basin_mesh(model, extent, f_max, max_level);
+    const solver::FaultSource source(mesh, fault_spec(extent));
     const solver::SourceModel* sources[] = {&source};
 
     solver::OperatorOptions oopt;
@@ -870,8 +857,8 @@ int main(int argc, char** argv) {
                    .set("mode", modes[m].name)
                    .set("ranks", mv ? R_mv : R)
                    .set("model", "BAS10S")
-                   .set("f_max", mopt.f_max)
-                   .set("max_level", mopt.max_level)
+                   .set("f_max", f_max)
+                   .set("max_level", max_level)
                    .set("t_end", sopt.t_end)
                    .set("kill_step",
                         !modes[m].kill ? 0 : (mv ? kill_mv : kill_step))

@@ -1,13 +1,11 @@
 #pragma once
 
 // Per-rank metric reports and their across-rank summaries — the Table 2.1
-// reduction: every rank snapshots its Registry into a RankReport, non-root
-// ranks ship theirs to rank 0 as a flat double buffer (encode_report /
-// decode_report — the only message type quake::par carries), and rank 0
-// merges the set into min/mean/max-across-ranks summaries.
+// reduction: each rank's Registry becomes a RankReport once the solve's
+// rank threads have joined, and merge_reports folds the set into
+// min/mean/max-across-ranks summaries.
 
 #include <span>
-#include <vector>
 
 #include "quake/obs/obs.hpp"
 
@@ -17,12 +15,6 @@ struct RankReport {
   int rank = 0;
   Registry metrics;
 };
-
-// Flattens a report into doubles for transport over par::Rank::send (keys
-// are encoded one character per double; values verbatim). Counters survive
-// the double round-trip exactly up to 2^53.
-std::vector<double> encode_report(const RankReport& report);
-RankReport decode_report(std::span<const double> data);
 
 // min/mean/max over ranks; `sum` across ranks. A rank that never touched a
 // key contributes 0 (the MPI-reduce-over-all-ranks convention), so e.g. a

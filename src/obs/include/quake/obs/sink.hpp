@@ -34,10 +34,6 @@ namespace quake::obs {
 //  "counters": {name: {min,mean,max,sum}}, "gauges": {...}}
 Json to_json(const MergedReport& m);
 
-// {"scopes": {path: {"calls","seconds"}}, "counters": {...}, "gauges": {...},
-//  "series": {name: [...]}} — one thread/rank, unmerged.
-Json to_json(const Registry& r);
-
 class MetricsSink {
  public:
   explicit MetricsSink(std::string bench_name)

@@ -36,32 +36,6 @@ Json to_json(const MergedReport& m) {
   return j;
 }
 
-Json to_json(const Registry& r) {
-  Json j = Json::object();
-  Json scopes = Json::object();
-  for (const auto& [path, s] : r.scopes) {
-    Json sj = Json::object();
-    sj.set("calls", s.calls);
-    sj.set("seconds", s.seconds);
-    scopes.set(path, std::move(sj));
-  }
-  j.set("scopes", std::move(scopes));
-  Json counters = Json::object();
-  for (const auto& [name, v] : r.counters) counters.set(name, v);
-  j.set("counters", std::move(counters));
-  Json gauges = Json::object();
-  for (const auto& [name, v] : r.gauges) gauges.set(name, v);
-  j.set("gauges", std::move(gauges));
-  Json series = Json::object();
-  for (const auto& [name, v] : r.series) {
-    Json arr = Json::array();
-    for (double x : v) arr.push_back(x);
-    series.set(name, std::move(arr));
-  }
-  j.set("series", std::move(series));
-  return j;
-}
-
 Json& MetricsSink::new_row() {
   rows_.push_back(Json::object());
   return rows_.back();

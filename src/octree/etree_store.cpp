@@ -179,7 +179,6 @@ class EtreeStore::Impl {
   }
 
   std::uint64_t count() const { return header_.record_count; }
-  std::uint32_t value_size() const { return header_.value_size; }
   Stats stats() const { return stats_; }
 
   void scan(const std::function<void(const Octant&,
@@ -665,7 +664,6 @@ void EtreeStore::scan(
   impl_->scan(fn);
 }
 void EtreeStore::flush() { impl_->flush(); }
-std::uint32_t EtreeStore::value_size() const { return impl_->value_size(); }
 EtreeStore::Stats EtreeStore::stats() const { return impl_->stats(); }
 
 }  // namespace quake::octree

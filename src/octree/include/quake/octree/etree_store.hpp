@@ -47,7 +47,7 @@ class EtreeStore {
   EtreeStore& operator=(const EtreeStore&) = delete;
 
   // Inserts or overwrites the payload for `o`. `value.size()` must equal
-  // value_size().
+  // the store's `value_size`.
   void put(const Octant& o, std::span<const std::byte> value);
 
   // Copies the payload for `o` into `value_out` (same size requirement).
@@ -67,7 +67,6 @@ class EtreeStore {
   // Flushes all dirty pages to disk.
   void flush();
 
-  [[nodiscard]] std::uint32_t value_size() const;
   [[nodiscard]] Stats stats() const;
 
  private:

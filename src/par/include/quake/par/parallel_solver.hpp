@@ -93,9 +93,9 @@ struct ParallelResult {
   };
   std::vector<RankStats> rank_stats;
 
-  // Telemetry (populated only when quake::obs is enabled): the per-rank
-  // metric registries, gathered to rank 0 through the communicator exactly
-  // as an MPI code would, plus their min/mean/max-across-ranks merge.
+  // Telemetry (populated, in the first lane's result only, when quake::obs
+  // is enabled after the rank threads join): each rank's metric registry,
+  // obs_reports[r] for rank r, plus their min/mean/max-across-ranks merge.
   // Supervised retries accumulate into the same per-rank registries, so a
   // recovered run's report includes the work of its failed attempts.
   std::vector<obs::RankReport> obs_reports;

@@ -182,11 +182,6 @@ struct RecvRef {
   int ln;    // local node on the owning rank
 };
 
-// Communicator tag reserved for the end-of-run telemetry gather (the ghost
-// exchange uses tag 0 and state donation tag 10; receiving on a distinct
-// tag keeps the streams from interleaving).
-constexpr int kObsGatherTag = 9;
-
 // A solo solve's one scenario, as ParallelSetup::solve takes it.
 std::array<BatchScenario, 1> one_scenario(
     std::span<const solver::SourceModel* const> sources,
@@ -1106,28 +1101,6 @@ class ParallelSetup::Impl::RankRun {
     obs::gauge_set("par/exchange_seconds", exchange_watch.total_seconds());
     obs::gauge_set("par/overlap_fraction", overlap_fraction);
     rec.report_log();
-
-    // ---- telemetry gather: ship every registry to rank 0 and merge into
-    // the first lane's result (the solve ran once; duplicating reports per
-    // lane would double-count). Registries are snapshotted/encoded BEFORE
-    // the gather messages move, so the reports describe the solve, not the
-    // gather itself ----
-    if (obs::enabled()) {
-      if (rank.id() == 0) {
-        std::vector<obs::RankReport> reports;
-        reports.reserve(static_cast<std::size_t>(im.R));
-        reports.push_back(obs::RankReport{0, job.rank_regs[0]});
-        for (int s = 1; s < im.R; ++s) {
-          reports.push_back(obs::decode_report(rank.recv(s, kObsGatherTag)));
-        }
-        job.results[0].obs_summary = obs::merge_reports(reports);
-        job.results[0].obs_reports = std::move(reports);
-      } else {
-        rank.send(0, kObsGatherTag,
-                  obs::encode_report(obs::RankReport{rank.id(),
-                                                     job.rank_regs[r]}));
-      }
-    }
   }
 
   // ---- initial conditions (see RunControl): open every local node's
@@ -1534,6 +1507,18 @@ std::vector<ParallelResult> ParallelSetup::Impl::solve(
       res.cancelled = true;
       res.steps_completed = job.agreed_stop;
     }
+  }
+  // Telemetry: the rank threads have joined, so every registry is complete.
+  // They go into the first lane's result (the solve ran once; a report per
+  // lane would double-count), merged into min/mean/max across ranks.
+  if (obs::enabled()) {
+    ParallelResult& res = job.results[0];
+    res.obs_reports.reserve(static_cast<std::size_t>(R));
+    for (int r = 0; r < R; ++r) {
+      res.obs_reports.push_back(
+          {r, std::move(job.rank_regs[static_cast<std::size_t>(r)])});
+    }
+    res.obs_summary = obs::merge_reports(res.obs_reports);
   }
   // The run completed; its snapshots are obsolete (and would otherwise
   // short-circuit an unrelated future run pointed at the same directory).

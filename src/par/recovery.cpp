@@ -23,7 +23,7 @@ std::string ckpt_path(const std::string& dir, int rank) {
 
 // Communicator tag for survivor state donation: the buddy-capture shift
 // exchange at each checkpoint barrier and the donation stream during
-// recovery. Distinct from the ghost exchange (0) and the obs gather (9).
+// recovery. Distinct from the ghost exchange (0).
 constexpr int kDonationTag = 10;
 
 // A buddy-snapshot donation the victim could not use: the stream never

@@ -199,9 +199,7 @@ class SimulationService {
   // Returns false when the id is unknown or already finished.
   bool cancel(std::uint64_t id);
 
-  // Deterministic queue control (tests; maintenance windows): pause() holds
-  // the worker after the in-flight request, resume() releases it.
-  void pause();
+  // Releases the workers of a service started with start_paused.
   void resume();
 
   // Blocks until the queue is empty and nothing is in flight. While the

@@ -218,11 +218,6 @@ bool SimulationService::cancel(std::uint64_t id) {
   return true;
 }
 
-void SimulationService::pause() {
-  const std::lock_guard<std::mutex> lk(mu_);
-  paused_ = true;
-}
-
 void SimulationService::resume() {
   {
     const std::lock_guard<std::mutex> lk(mu_);

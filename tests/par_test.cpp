@@ -25,6 +25,8 @@
 #include "quake/fem/hex_element.hpp"
 #include "quake/mesh/meshgen.hpp"
 #include "quake/obs/obs.hpp"
+#include "quake/obs/report.hpp"
+#include "quake/obs/sink.hpp"
 #include "quake/par/communicator.hpp"
 #include "quake/par/parallel_solver.hpp"
 #include "quake/par/partition.hpp"
@@ -1991,6 +1993,111 @@ TEST(ParallelStats, BoundaryInteriorSplitReported) {
   EXPECT_EQ(r1.rank_stats[0].n_boundary_elems, 0u);
   EXPECT_EQ(r1.rank_stats[0].n_interior_elems, r1.rank_stats[0].n_elems);
   EXPECT_DOUBLE_EQ(r1.rank_stats[0].overlap_fraction, 0.0);
+}
+
+// ---- per-rank telemetry: merged in place once the ranks join --------------
+
+class ParallelObs : public ::testing::Test {
+ protected:
+  void TearDown() override { quake::obs::set_enabled(false); }
+};
+
+// Each rank's report is its own registry, and reporting adds no traffic:
+// every byte and message counted as sent is counted as received.
+TEST_F(ParallelObs, EachRankReportIsItsOwn) {
+  const auto mesh = small_basin_mesh();
+  solver::OperatorOptions oo;
+  solver::SolverOptions so;
+  so.t_end = 0.5;
+  const solver::PointSource src(mesh, {10000.0, 10000.0, 4000.0},
+                                {1.0, 0.5, 0.2}, 1e12, 0.03, 40.0);
+  const solver::SourceModel* sources[] = {&src};
+  for (const int R : {1, 4}) {
+    SCOPED_TRACE(R);
+    const Partition part = partition_sfc(mesh, R);
+    ParallelSetup setup(mesh, part, oo, so);
+    obs::set_enabled(true);
+    const ParallelResult pr = setup.run(so.t_end, sources, {});
+    ASSERT_EQ(pr.obs_reports.size(), static_cast<std::size_t>(R));
+    for (int r = 0; r < R; ++r) {
+      const obs::RankReport& rep = pr.obs_reports[static_cast<std::size_t>(r)];
+      const ParallelResult::RankStats& st =
+          pr.rank_stats[static_cast<std::size_t>(r)];
+      EXPECT_EQ(rep.rank, r);
+      EXPECT_EQ(rep.metrics.gauges.at("par/n_elems"),
+                static_cast<double>(st.n_elems));
+      EXPECT_EQ(rep.metrics.counters.at("par/element_updates"),
+                static_cast<std::int64_t>(st.element_updates));
+    }
+    EXPECT_EQ(obs::to_json(pr.obs_summary).dump(),
+              obs::to_json(obs::merge_reports(pr.obs_reports)).dump());
+    EXPECT_EQ(counter_sum(pr, "comm/bytes_sent"),
+              counter_sum(pr, "comm/bytes_recv"));
+    EXPECT_EQ(counter_sum(pr, "comm/msgs_sent"),
+              counter_sum(pr, "comm/msgs_recv"));
+    EXPECT_EQ(counter_sum(pr, "comm/msgs_sent") > 0, R > 1);
+
+    // A batch ran once: its one report set rides on the first lane.
+    const std::vector<BatchScenario> lanes(3, BatchScenario{{&src}, {}});
+    const std::vector<ParallelResult> batch = setup.solve(so.t_end, lanes);
+    ASSERT_EQ(batch.size(), 3u);
+    EXPECT_EQ(batch[0].obs_reports.size(), static_cast<std::size_t>(R));
+    EXPECT_EQ(batch[0].obs_summary.n_ranks, R);
+    for (std::size_t s = 1; s < batch.size(); ++s) {
+      EXPECT_TRUE(batch[s].obs_reports.empty()) << "lane " << s;
+      EXPECT_EQ(batch[s].obs_summary.n_ranks, 0) << "lane " << s;
+    }
+
+    obs::set_enabled(false);
+    const ParallelResult off = setup.run(so.t_end, sources, {});
+    EXPECT_TRUE(off.obs_reports.empty());
+    EXPECT_EQ(off.obs_summary.n_ranks, 0);
+  }
+}
+
+// The telemetry switch may flip while solves run. No rank's message
+// protocol reads it, so no solve can stall on it: thousands of two-step
+// 4-rank solves against a thread flipping obs::set_enabled all finish, and
+// each carries a full report set or none.
+TEST_F(ParallelObs, TelemetryToggleDuringSolvesNeverDeadlocks) {
+  const auto mesh = small_basin_mesh();
+  solver::OperatorOptions oo;
+  solver::SolverOptions so;
+  so.t_end = 1.0;
+  constexpr int kRanks = 4;
+  const Partition part = partition_sfc(mesh, kRanks);
+  ParallelSetup setup(mesh, part, oo, so);
+  const double t_end = 1.5 * setup.dt();  // two steps
+
+  std::atomic<bool> stop{false};
+  std::thread flipper([&stop] {
+    bool on = false;
+    while (!stop.load(std::memory_order_relaxed)) {
+      on = !on;
+      obs::set_enabled(on);
+      std::this_thread::yield();
+    }
+  });
+  constexpr int kSolves = 2000;
+  int failed = 0, malformed = 0;
+  std::string first_error;
+  for (int i = 0; i < kSolves; ++i) {
+    try {
+      const ParallelResult pr = setup.run(t_end, {}, {});
+      if (pr.n_steps != 2 ||
+          !(pr.obs_reports.empty() ||
+            pr.obs_reports.size() == static_cast<std::size_t>(kRanks))) {
+        ++malformed;
+      }
+    } catch (const std::exception& e) {
+      if (failed++ == 0) first_error = e.what();
+    }
+  }
+  stop.store(true);
+  flipper.join();
+  EXPECT_EQ(failed, 0) << "of " << kSolves << " solves; first: "
+                       << first_error;
+  EXPECT_EQ(malformed, 0);
 }
 
 // ---- scenario-batched solves (docs/BATCHING.md) ---------------------------

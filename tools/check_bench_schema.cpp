@@ -200,7 +200,8 @@ bool check_table2_1_contract(const Json& rows) {
     const Json* mm = sweep[m]->find("metrics");
     for (const char* key :
          {"wall_seconds_min", "wall_seconds_mean", "excess_over_clean_seconds",
-          "steps_rolled_back", "steps_replayed", "recover_agree_seconds",
+          "recoveries", "ranks_revived", "steps_rolled_back",
+          "steps_replayed", "recover_agree_seconds",
           "recover_restore_seconds", "recover_replay_seconds",
           "recover_resume_seconds", "donate_wait_mean_seconds",
           "donate_wait_max_seconds", "donation_restores", "donations_served",
@@ -258,7 +259,7 @@ bool check_table2_1_contract(const Json& rows) {
 // with no mode/drain_mode/lts) run the global-dt solver, so they must
 // report exactly one element-kernel application per element per step —
 // metrics.updates_saved_ratio == 1 — with the par/element_updates counter
-// present in the gathered telemetry, the overlapped-exchange scope
+// present in the merged telemetry, the overlapped-exchange scope
 // breakdown (post/drain/wait), the par/overlap_fraction gauge, and the
 // comm/bytes_sent counter (these used to be CI-level --require paths, but
 // the serial LTS rows legitimately carry no rank telemetry, so the pins
@@ -280,7 +281,7 @@ bool row_ranks_has(const Json& row, const char* section, const char* key) {
 }
 
 // Every table2_1 row that runs the parallel solver must carry the
-// overlapped-exchange breakdown in its gathered telemetry.
+// overlapped-exchange breakdown in its merged telemetry.
 bool pin_exchange_telemetry(const Json& row, const std::string& what) {
   for (const char* scope : {"step/exchange/post", "step/exchange/drain",
                             "step/exchange/drain/wait"}) {
